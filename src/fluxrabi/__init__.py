@@ -30,7 +30,7 @@ from .coupled import (
 )
 from .fitting import (RabiFitResult, TransitionData, fit_rabi,
                       fit_transition_pairs, ground_residual_mhz2,
-                      model_pair_table, model_transition_table)
+                      model_pair_table)
 from .perturbation import (
     ProductCoupling,
     ShiftTable,
@@ -115,7 +115,6 @@ __all__ = [
     "map_circuit_to_rabi_charge",
     "matrix_elements",
     "model_pair_table",
-    "model_transition_table",
     "observables",
     "rabi_hamiltonian",
     "reference_config",

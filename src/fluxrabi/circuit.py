@@ -98,7 +98,6 @@ class EffectiveInductances:
     L_FQ_charge: float
     sep_LC: float
     sep_FQ: float
-    sep_L12: float
 
 
 @dataclass(frozen=True)
@@ -130,14 +129,12 @@ def effective_inductances(star: StarInductances, raw: RawCircuit) -> EffectiveIn
     """
     l_lc = 1.0 / (1.0 / star.Lg1 + 1.0 / star.L12)
     l_fq = 1.0 / (1.0 / star.Lg2 + 1.0 / star.L12)
-    sep_l12 = (raw.Lc + raw.L1) * (raw.Lc + raw.L2) / raw.Lc if raw.Lc > 0.0 else math.inf
     return EffectiveInductances(
         L_LC=l_lc,
         L_FQ=l_fq,
         L_FQ_charge=raw.Lc + raw.L2,
         sep_LC=raw.Lc + raw.L1,
         sep_FQ=raw.Lc + raw.L2,
-        sep_L12=sep_l12,
     )
 
 

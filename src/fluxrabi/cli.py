@@ -1,12 +1,11 @@
 """Command-line driver.
 
     fluxrabi run --config path.json [--tasks a,b] [--out dir] [--workers N]
-                 [--seedless]
 
 Exit codes: 0 success, 2 configuration errors, 3 numeric non-convergence
 (outputs written so far are kept, with flags in the metadata), 4 I/O
-errors.  Every computation is deterministic; --seedless merely asserts
-that explicitly for pipeline audits.
+errors.  Every computation is deterministic, so repeated runs write
+identical bytes.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output directory (overrides the config)")
     runp.add_argument("--workers", type=int, default=1,
                       help="parallel workers for sweep points")
-    runp.add_argument("--seedless", action="store_true",
-                      help="assert deterministic execution (always true)")
     return parser
 
 

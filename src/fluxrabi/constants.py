@@ -1,10 +1,14 @@
-"""Physical constants and unit conversion helpers.
+"""Physical constants, unit conversion helpers and shared numerical pieces.
 
 Energies are handled throughout as ordinary frequencies in GHz (the energy
 divided by the Planck constant).  Circuit element values use pH for
 inductances, pF for the oscillator capacitance, fF for the junction
 capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
+
+The coupled-circuit and Rabi-model builds share two numerical pieces kept
+here: the Fock-basis annihilation matrix and the truncation check that
+compares the lowest levels against a solve at doubled truncation.
 """
 
 from __future__ import annotations
@@ -12,17 +16,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import scipy.constants
+import numpy as np
+
+# Exact SI values (CODATA 2018, as in scipy.constants), written out so that
+# importing the package does not load scipy.
+PLANCK_J_S = 6.62607015e-34
+ELEMENTARY_CHARGE_C = 1.602176634e-19
 
 
 @dataclass(frozen=True)
 class PhysicalConstants:
     """Planck constant, elementary charge, and the quantities derived from them."""
 
-    h: float = scipy.constants.h
-    e: float = scipy.constants.e
-    hbar: float = scipy.constants.h / (2.0 * math.pi)
-    Phi0: float = scipy.constants.h / (2.0 * scipy.constants.e)
+    h: float = PLANCK_J_S
+    e: float = ELEMENTARY_CHARGE_C
+    hbar: float = PLANCK_J_S / (2.0 * math.pi)
+    Phi0: float = PLANCK_J_S / (2.0 * ELEMENTARY_CHARGE_C)
 
     def __post_init__(self) -> None:
         if not math.isclose(self.hbar, self.h / (2.0 * math.pi), rel_tol=1e-15):
@@ -42,6 +51,10 @@ PF = 1e-12
 FF = 1e-15
 NA = 1e-9
 UV = 1e-6
+
+# Largest shift (GHz) of the lowest levels on doubling a truncation that
+# still counts as converged.
+CONVERGENCE_LIMIT_GHZ = 1e-3
 
 
 def charging_energy_ghz(c_farad: float) -> float:
@@ -70,3 +83,20 @@ def current_flux_to_ghz(current_na: float, flux_phi0: float) -> float:
 def bias_to_ghz(ip_na: float, phix_phi0: float) -> float:
     """Qubit energy bias 2 Ip (Phix - Phi0/2) in GHz for Ip in nA."""
     return 2.0 * current_flux_to_ghz(ip_na, phix_phi0 - 0.5)
+
+
+def annihilation(n_fock: int) -> np.ndarray:
+    """Matrix of the annihilation operator a on Fock states 0 .. n_fock - 1."""
+    return np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+
+
+def truncation_shift(energies: np.ndarray,
+                     doubled: np.ndarray) -> tuple[float, bool]:
+    """Largest shift of the lowest eight levels against the doubled solve.
+
+    Returns the shift in GHz and whether it stays under
+    CONVERGENCE_LIMIT_GHZ.
+    """
+    count = min(8, len(energies))
+    shift = float(np.abs(energies[:count] - doubled[:count]).max())
+    return shift, shift < CONVERGENCE_LIMIT_GHZ

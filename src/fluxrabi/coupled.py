@@ -37,16 +37,16 @@ from .constants import (
     NA,
     PF,
     PH,
+    annihilation,
     charging_energy_ghz,
     current_flux_to_ghz,
     inductive_energy_ghz,
+    truncation_shift,
 )
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
-    SubsystemSpectrum,
     diagonalize_flux_qubit,
-    diagonalize_oscillator,
     linear_kernel,
     oscillator_hamiltonian,
     qubit_hamiltonian,
@@ -55,12 +55,11 @@ from .qubit import number_matrix, phase_matrix
 
 GAUGES = ("flux", "charge")
 
-# Canonical eigenbasis truncations and the convergence threshold (GHz).
+# Canonical eigenbasis truncations.
 N_QUBIT_DEFAULT = 6
 N_FOCK_DEFAULT = 40
-CONVERGENCE_LIMIT_GHZ = 1e-3
 
-# Largest dense product dimension either coupled build will diagonalize.
+# Largest dense product dimension the eigenbasis build will diagonalize.
 DENSE_DIM_LIMIT = 4096
 
 
@@ -69,17 +68,7 @@ class _EigenContext:
     """Operator data needed to evaluate observables in the eigenbasis build."""
 
     qubit_phase: np.ndarray
-    qubit_number: np.ndarray
     phi1_per_ladder: float
-
-
-@dataclass(frozen=True)
-class _PlaneWaveContext:
-    """Operator data for the plane-wave product build."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-    h_osc: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -87,8 +76,9 @@ class CoupledSpectrum:
     """Eigensolution of the coupled circuit in one gauge.
 
     energies in GHz (full set of the product dimension, ascending); vectors
-    holds eigencolumns for at least the stored low-lying states.  omega is
-    the bare oscillator frequency of this gauge, used for photon numbers.
+    holds the matching eigencolumns.  omega is the bare oscillator frequency
+    of this gauge, used for photon numbers.  context carries the operator
+    data observables() needs; only the eigenbasis build sets it.
     """
 
     energies: np.ndarray
@@ -99,7 +89,7 @@ class CoupledSpectrum:
     omega: float
     converged: bool
     truncation_shift: float
-    context: object
+    context: _EigenContext | None
 
 
 @dataclass(frozen=True)
@@ -122,12 +112,13 @@ class Observables:
 
 def ladder_sum(n_fock: int) -> np.ndarray:
     """Matrix of a + a' (dimensionless Phi-type quadrature)."""
-    ladder = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+    ladder = annihilation(n_fock)
     return ladder + ladder.T
+
 
 def ladder_difference(n_fock: int) -> np.ndarray:
     """Matrix of -1j (a - a') (dimensionless q-type quadrature)."""
-    ladder = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+    ladder = annihilation(n_fock)
     return -1j * (ladder - ladder.T)
 
 
@@ -169,16 +160,14 @@ def _check_hermitian(h: np.ndarray) -> None:
 
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
                              scales: EnergyScales,
-                             qubit_spectrum: SubsystemSpectrum | None = None,
                              n_qubit: int = N_QUBIT_DEFAULT,
                              n_fock: int = N_FOCK_DEFAULT,
                              verify: bool = True) -> CoupledSpectrum:
     """Diagonalize in the Fock (x) qubit-eigenstate product basis.
 
-    qubit_spectrum must be solved with the node parameters of the same
-    gauge (see qubit_node_energies); it is computed on demand when omitted.
-    verify repeats the solve with both truncations doubled and records the
-    largest shift of the lowest eight levels.
+    The qubit node is solved with the node parameters of the gauge (see
+    qubit_node_energies).  verify repeats the solve with both truncations
+    doubled and records the largest shift of the lowest eight levels.
     """
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}")
@@ -186,32 +175,26 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
         raise EigensolveError(
             f"product dimension {n_qubit * n_fock} exceeds the dense-solver "
             f"budget {DENSE_DIM_LIMIT}")
-    if qubit_spectrum is None:
-        ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
-        qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
-                                                PlaneWaveBasis.for_qubit())
+    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
+    qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
+                                            PlaneWaveBasis.for_qubit())
     star = y_delta(raw)
+    n_elems = min(2 * n_qubit, qubit_spectrum.basis.n_waves)
     if gauge == "flux":
         omega = scales.omega
         coupling = flux_coupling_ghz(raw, eff, scales)
-        qubit_elems = phase_matrix(qubit_spectrum, min(2 * n_qubit,
-                                                       qubit_spectrum.basis.n_waves))
+        qubit_elems = phase_matrix(qubit_spectrum, n_elems)
         phi1_per_ladder = (2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * (
             scales.Izpf * NA)
-
-        def osc_elems(nf: int) -> np.ndarray:
-            return ladder_sum(nf)
+        osc_elems = ladder_sum
     else:
         omega = charge_gauge_frequency_ghz(raw, star, eff)
         coupling = charge_coupling_ghz(raw, eff)
-        qubit_elems = number_matrix(qubit_spectrum, min(2 * n_qubit,
-                                                        qubit_spectrum.basis.n_waves))
+        qubit_elems = number_matrix(qubit_spectrum, n_elems)
         izpf_prime = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
                                / (2.0 * eff.L_LC * PH))
         phi1_per_ladder = (2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf_prime
-
-        def osc_elems(nf: int) -> np.ndarray:
-            return ladder_difference(nf)
+        osc_elems = ladder_difference
 
     qubit_energies = qubit_spectrum.energies
 
@@ -223,16 +206,12 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
         return h
 
     energies, vectors = np.linalg.eigh(assemble(n_qubit, n_fock))
-    shift = 0.0
-    converged = True
+    shift, converged = 0.0, True
     if verify:
         nq_big = min(2 * n_qubit, len(qubit_energies), qubit_elems.shape[0])
-        doubled = np.linalg.eigvalsh(assemble(nq_big, 2 * n_fock))
-        count = min(8, len(energies))
-        shift = float(np.abs(energies[:count] - doubled[:count]).max())
-        converged = shift < CONVERGENCE_LIMIT_GHZ
+        shift, converged = truncation_shift(
+            energies, np.linalg.eigvalsh(assemble(nq_big, 2 * n_fock)))
     context = _EigenContext(qubit_phase=phase_matrix(qubit_spectrum, n_qubit),
-                            qubit_number=number_matrix(qubit_spectrum, n_qubit),
                             phi1_per_ladder=phi1_per_ladder)
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            provenance="eigenbasis-product",
@@ -241,15 +220,15 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
                            context=context)
 
 
-def assemble_planewave_hamiltonian(gauge: str, raw: RawCircuit,
-                                   eff: EffectiveInductances, scales: EnergyScales,
-                                   basis_osc: PlaneWaveBasis,
-                                   basis_qubit: PlaneWaveBasis) -> np.ndarray:
-    """Coupled Hamiltonian on the product of the two plane-wave bases.
+def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
+                            scales: EnergyScales) -> CoupledSpectrum:
+    """Diagonalize the coupled Hamiltonian on a product of plane-wave bases.
 
-    Real symmetric in both gauges: the flux-gauge coupling is diagonal and
-    the charge-gauge coupling is a product of two imaginary antisymmetric
-    kernels.
+    Dense, on 64 oscillator times 32 qubit waves (dimension 2048).  The
+    matrix is real symmetric in both gauges: the flux-gauge coupling is
+    diagonal and the charge-gauge coupling is a product of two imaginary
+    antisymmetric kernels.  The result carries no truncation check and no
+    observables context.
     """
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}")
@@ -257,18 +236,21 @@ def assemble_planewave_hamiltonian(gauge: str, raw: RawCircuit,
     ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
     if gauge == "flux":
         ec_osc = scales.EC
+        omega = scales.omega
     else:
         ec_osc = charging_energy_ghz(charge_gauge_capacitance_pf(raw, star, eff) * PF)
+        omega = charge_gauge_frequency_ghz(raw, star, eff)
+    basis_osc = PlaneWaveBasis.for_oscillator(ec_osc, scales.EL)
+    basis_qubit = PlaneWaveBasis.for_qubit()
     h_osc = oscillator_hamiltonian(ec_osc, scales.EL, basis_osc)
     h_qub = qubit_hamiltonian(ecj, ej, elfq, raw.phix, basis_qubit)
-    dim1, dim2 = basis_osc.n_waves, basis_qubit.n_waves
-    h = np.kron(h_osc, np.eye(dim2)) + np.kron(np.eye(dim1), h_qub)
+    dims = (basis_osc.n_waves, basis_qubit.n_waves)
+    h = np.kron(h_osc, np.eye(dims[1])) + np.kron(np.eye(dims[0]), h_qub)
     if star.is_coupled:
         if gauge == "flux":
             el12 = inductive_energy_ghz(star.L12 * PH)
-            k1k2 = np.kron(np.diag(basis_osc.wave_numbers),
-                           np.diag(basis_qubit.wave_numbers))
-            h = h - el12 * k1k2
+            h = h - el12 * np.kron(np.diag(basis_osc.wave_numbers),
+                                   np.diag(basis_qubit.wave_numbers))
         else:
             coef = (eff.L_LC * PH) * (2.0 * CONSTANTS.e) ** 2 / (
                 (raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ)
@@ -277,56 +259,11 @@ def assemble_planewave_hamiltonian(gauge: str, raw: RawCircuit,
             # -(coef) (1j a1) (x) (1j a2) = +coef a1 (x) a2
             h = h + coef * np.kron(a1, a2)
     _check_hermitian(h)
-    return h
-
-
-def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
-                            scales: EnergyScales,
-                            basis_osc: PlaneWaveBasis | None = None,
-                            basis_qubit: PlaneWaveBasis | None = None,
-                            n_store: int = 64,
-                            verify: bool = False) -> CoupledSpectrum:
-    """Diagonalize the plane-wave product build (dense, dimension <= 4096)."""
-    star = y_delta(raw)
-    if gauge == "flux":
-        ec_osc = scales.EC
-        omega = scales.omega
-    else:
-        ec_osc = charging_energy_ghz(charge_gauge_capacitance_pf(raw, star, eff) * PF)
-        omega = charge_gauge_frequency_ghz(raw, star, eff)
-    if basis_osc is None:
-        basis_osc = PlaneWaveBasis.for_oscillator(ec_osc, scales.EL)
-    if basis_qubit is None:
-        basis_qubit = PlaneWaveBasis.for_qubit()
-    if basis_osc.n_waves * basis_qubit.n_waves > DENSE_DIM_LIMIT:
-        raise EigensolveError(
-            f"product dimension {basis_osc.n_waves * basis_qubit.n_waves} "
-            f"exceeds the dense-solver budget {DENSE_DIM_LIMIT}")
-    h = assemble_planewave_hamiltonian(gauge, raw, eff, scales, basis_osc, basis_qubit)
     energies, vectors = np.linalg.eigh(h)
-    shift = 0.0
-    converged = True
-    if verify:
-        def grow(basis: PlaneWaveBasis) -> PlaneWaveBasis:
-            waves = int(math.ceil(1.25 * basis.n_waves / 2)) * 2
-            return PlaneWaveBasis(n_max=basis.n_max * waves / basis.n_waves,
-                                  n_waves=waves)
-        h_big = assemble_planewave_hamiltonian(gauge, raw, eff, scales,
-                                               grow(basis_osc), grow(basis_qubit))
-        doubled = np.linalg.eigvalsh(h_big)
-        count = min(8, len(energies))
-        shift = float(np.abs(energies[:count] - doubled[:count]).max())
-        converged = shift < CONVERGENCE_LIMIT_GHZ
-    context = _PlaneWaveContext(k1=basis_osc.wave_numbers,
-                                k2=basis_qubit.wave_numbers,
-                                h_osc=oscillator_hamiltonian(ec_osc, scales.EL,
-                                                             basis_osc))
-    return CoupledSpectrum(energies=energies,
-                           vectors=vectors[:, :min(n_store, vectors.shape[1])],
-                           gauge=gauge, provenance="planewave-product",
-                           dims=(basis_osc.n_waves, basis_qubit.n_waves),
-                           omega=omega, converged=converged,
-                           truncation_shift=shift, context=context)
+    return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
+                           provenance="planewave-product", dims=dims,
+                           omega=omega, converged=True, truncation_shift=0.0,
+                           context=None)
 
 
 def transitions(spec: CoupledSpectrum, pairs: list[tuple[int, int]]) -> np.ndarray:
@@ -336,30 +273,25 @@ def transitions(spec: CoupledSpectrum, pairs: list[tuple[int, int]]) -> np.ndarr
 
 def observables(spec: CoupledSpectrum, raw: RawCircuit, eff: EffectiveInductances,
                 scales: EnergyScales, state_index: int) -> Observables:
-    """Photon number, flux expectations, and loop currents of one eigenstate."""
+    """Photon number, flux expectations, and loop currents of one eigenstate.
+
+    Only an eigenbasis-product spectrum carries the operator data this
+    needs; any other spectrum is rejected.
+    """
+    ctx = spec.context
+    if not isinstance(ctx, _EigenContext):
+        raise ValueError("observables needs an eigenbasis-product spectrum")
     star = y_delta(raw)
-    state = spec.vectors[:, state_index]
-    if isinstance(spec.context, _EigenContext):
-        ctx = spec.context
-        n_fock, n_qubit = spec.dims
-        psi = state.reshape(n_fock, n_qubit)
-        weights = np.sum(np.abs(psi) ** 2, axis=1)
-        photon = float(weights @ np.arange(n_fock))
-        # Phi1 is proportional to a + a' in both gauges (the zero-point
-        # amplitude differs through the gauge's own omega).
-        quad = ladder_sum(n_fock)
-        phi1 = float(np.real(np.einsum("mi,mn,ni->", psi.conj(), quad, psi)))
-        phi1 *= ctx.phi1_per_ladder
-        phi2 = float(np.real(np.einsum("mi,ij,mj->", psi.conj(), ctx.qubit_phase, psi)))
-    else:
-        ctx = spec.context
-        dim1, dim2 = spec.dims
-        psi = state.reshape(dim1, dim2)
-        prob = np.abs(psi) ** 2
-        h1 = float(np.real(np.einsum("mi,mn,ni->", psi.conj(), ctx.h_osc, psi)))
-        photon = h1 / spec.omega - 0.5
-        phi1 = float(prob.sum(axis=1) @ ctx.k1)
-        phi2 = float(prob.sum(axis=0) @ ctx.k2)
+    n_fock, n_qubit = spec.dims
+    psi = spec.vectors[:, state_index].reshape(n_fock, n_qubit)
+    weights = np.sum(np.abs(psi) ** 2, axis=1)
+    photon = float(weights @ np.arange(n_fock))
+    # Phi1 is proportional to a + a' in both gauges (the zero-point
+    # amplitude differs through the gauge's own omega).
+    quad = ladder_sum(n_fock)
+    phi1 = float(np.real(np.einsum("mi,mn,ni->", psi.conj(), quad, psi)))
+    phi1 *= ctx.phi1_per_ladder
+    phi2 = float(np.real(np.einsum("mi,ij,mj->", psi.conj(), ctx.qubit_phase, psi)))
     phi1_physical = phi1
     if spec.gauge == "charge" and star.is_coupled:
         phi1_physical = phi1 + (eff.L_LC / star.L12) * phi2

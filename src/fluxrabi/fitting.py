@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .rabi import RabiParams, default_n_fock, rabi_energies
 
@@ -74,15 +73,6 @@ class TransitionData:
             raise FitDataError("each transition must go up the level ladder")
 
     @classmethod
-    def from_table(cls, phix_grid: np.ndarray, table: np.ndarray) -> "TransitionData":
-        """table[p, l] = transition 0 -> l+1 at phix_grid[p]."""
-        table = np.asarray(table, dtype=float)
-        n_phix, n_levels = table.shape
-        phix = np.repeat(np.asarray(phix_grid, dtype=float), n_levels)
-        levels = np.tile(np.arange(1, n_levels + 1), n_phix)
-        return cls(phix=phix, levels=levels, freqs=table.reshape(-1))
-
-    @classmethod
     def from_pair_table(cls, phix_grid: np.ndarray, table: np.ndarray,
                         pairs: tuple[tuple[int, int], ...]) -> "TransitionData":
         """table[p, c] = transition pairs[c] at phix_grid[p]."""
@@ -112,18 +102,6 @@ class RabiFitResult:
     n_eval: int
     converged: bool
     restart_spread: float
-
-
-def model_transition_table(params: RabiParams, phix_grid: np.ndarray,
-                           max_level: int, n_fock: int | None = None) -> np.ndarray:
-    """table[p, l] = E_{l+1} - E_0 of the model at phix_grid[p], in GHz."""
-    if n_fock is None:
-        n_fock = default_n_fock(params.g / params.omega)
-    out = np.empty((len(phix_grid), max_level))
-    for p, phix in enumerate(phix_grid):
-        energies = rabi_energies(params, phix, n_fock)
-        out[p] = energies[1:max_level + 1] - energies[0]
-    return out
 
 
 def model_pair_table(params: RabiParams, phix_grid: np.ndarray,
@@ -179,6 +157,8 @@ def fit_rabi(data: TransitionData, initial: RabiParams,
     converged requires optimizer success and restart agreement below 0.1%
     on every parameter.
     """
+    from scipy.optimize import minimize  # on first use, as in qubit.py
+
     if n_fock is None:
         n_fock = default_n_fock(initial.g / initial.omega)
     start = np.array([initial.omega, initial.Delta_q, initial.g, initial.Ip])

@@ -33,7 +33,7 @@ from .coupled import (
     ladder_sum,
     qubit_node_energies,
 )
-from .planewave import PlaneWaveBasis, SubsystemSpectrum, diagonalize_flux_qubit
+from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import number_matrix, phase_matrix
 
 # Denominators smaller than this (GHz) with a nonzero matrix element mean
@@ -82,13 +82,11 @@ class ShiftTable:
 
 def circuit_coupling(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
                      scales: EnergyScales,
-                     qubit_spectrum: SubsystemSpectrum | None = None,
                      n_fock: int = 12, n_levels: int = 6) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units."""
-    if qubit_spectrum is None:
-        ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
-        qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
-                                                PlaneWaveBasis.for_qubit())
+    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
+    qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
+                                            PlaneWaveBasis.for_qubit())
     if gauge == "flux":
         strength = flux_coupling_ghz(raw, eff, scales)
         osc = ladder_sum(n_fock)

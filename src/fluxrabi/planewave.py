@@ -42,23 +42,17 @@ class PlaneWaveBasis:
     """Plane-wave basis on the charge interval [-n_max, n_max).
 
     n_waves must be even and >= 8; the wave indices run over the symmetric
-    FFT-style range -n_waves/2 .. n_waves/2 - 1.  grid_points (default
-    4 n_waves) fixes the sampling used for charge-space wavefunctions.
+    FFT-style range -n_waves/2 .. n_waves/2 - 1.
     """
 
     n_max: float
     n_waves: int = 32
-    grid_points: int | None = None
 
     def __post_init__(self) -> None:
         if self.n_max <= 0.0:
             raise ValueError("n_max must be > 0")
         if self.n_waves < 8 or self.n_waves % 2:
             raise ValueError("n_waves must be even and >= 8")
-        if self.grid_points is None:
-            object.__setattr__(self, "grid_points", 4 * self.n_waves)
-        if self.grid_points < 4 * self.n_waves:
-            raise ValueError("grid_points must be >= 4 * n_waves")
 
     @property
     def wave_indices(self) -> np.ndarray:
@@ -68,12 +62,6 @@ class PlaneWaveBasis:
     def wave_numbers(self) -> np.ndarray:
         """Wave numbers k, equal to the phase values the basis resolves."""
         return self.wave_indices * (math.pi / self.n_max)
-
-    @property
-    def grid(self) -> np.ndarray:
-        """Charge samples n_j, periodic grid excluding the right endpoint."""
-        step = 2.0 * self.n_max / self.grid_points
-        return -self.n_max + step * np.arange(self.grid_points)
 
     @classmethod
     def for_qubit(cls, n_waves: int = 32, n_max: float = 8.0) -> "PlaneWaveBasis":
@@ -129,28 +117,6 @@ def linear_kernel(basis: PlaneWaveBasis) -> np.ndarray:
     nz = m != 0
     sign = np.where(m[nz] % 2 == 0, 1.0, -1.0)
     out[nz] = 1j * sign * basis.n_max / (m[nz] * math.pi)
-    return out
-
-
-def kernel_via_dft(basis: PlaneWaveBasis, power: int) -> np.ndarray:
-    """Kernel matrix built from sampled n^power by discrete Fourier transform.
-
-    Validation path for the closed forms; carries the aliasing error of the
-    finite sampling, which shrinks as grid_points grows.
-    """
-    n = basis.grid
-    step = 2.0 * basis.n_max / basis.grid_points
-    idx = basis.wave_indices
-    m_values = np.arange(-(basis.n_waves - 1), basis.n_waves)
-    dk = m_values * (math.pi / basis.n_max)
-    coeffs = (np.exp(-1j * np.outer(dk, n)) @ n.astype(complex) ** power)
-    coeffs *= step / (2.0 * basis.n_max)
-    lookup = dict(zip(m_values.tolist(), coeffs))
-    m = idx[:, None] - idx[None, :]
-    out = np.empty(m.shape, dtype=complex)
-    for row in range(m.shape[0]):
-        for col in range(m.shape[1]):
-            out[row, col] = lookup[int(m[row, col])]
     return out
 
 
@@ -212,15 +178,3 @@ def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
                            basis: PlaneWaveBasis) -> SubsystemSpectrum:
     """All levels of the flux-qubit node Hamiltonian in the given basis."""
     return _solve(qubit_hamiltonian(ecj, ej, elfq, phix, basis), basis, "qubit")
-
-
-def n_representation(spectrum: SubsystemSpectrum, index: int) -> np.ndarray:
-    """Charge-space wavefunction psi(n) of one level on basis.grid.
-
-    Inverse transform of the coefficient vector; unit normalized in the sense
-    sum |psi|^2 dn = 1.
-    """
-    basis = spectrum.basis
-    waves = np.exp(1j * np.outer(basis.grid, basis.wave_numbers))
-    waves /= math.sqrt(2.0 * basis.n_max)
-    return waves @ spectrum.coefficients[index]

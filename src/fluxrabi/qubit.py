@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .constants import bias_to_ghz
 from .planewave import (
@@ -116,8 +115,12 @@ def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelF
 
     start = np.array([float(mean.mean()), dq0, ip0])
     initial = float(np.mean(residuals(start) ** 2))
-    sol = scipy.optimize.least_squares(residuals, start, method="lm",
-                                       xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    # scipy.optimize is imported on first use: loading it takes about 50 MB
+    # of resident memory, which runs that never fit need not carry
+    from scipy.optimize import least_squares
+
+    sol = least_squares(residuals, start, method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
     residual = float(np.mean(sol.fun**2))
     if residual > 10.0 * max(initial, 1e-30) or not np.all(np.isfinite(sol.x)):
         raise TwoLevelFitError("two-level fit diverged")

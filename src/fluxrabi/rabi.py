@@ -38,7 +38,8 @@ from .circuit import (
     charge_gauge_frequency_ghz,
     y_delta,
 )
-from .constants import CONSTANTS, FF, GHZ, PF, PH, bias_to_ghz, current_flux_to_ghz
+from .constants import (CONSTANTS, FF, GHZ, PF, PH, annihilation, bias_to_ghz,
+                        current_flux_to_ghz, truncation_shift)
 from .qubit import TwoLevelFit
 
 VARIANTS = ("flux", "charge")
@@ -46,7 +47,6 @@ VARIANTS = ("flux", "charge")
 # Fock truncation defaults: deep-strong coupling needs the large basis.
 N_FOCK_WEAK = 20
 N_FOCK_DEEP = 60
-CONVERGENCE_LIMIT_GHZ = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,8 @@ def _structure(n_fock: int, variant: str) -> tuple[np.ndarray, ...]:
 
     Product ordering is oscillator (x) qubit with the qubit index fastest.
     """
-    dim = np.arange(n_fock)
-    number = np.diag(dim + 0.5)
-    ladder = np.diag(np.sqrt(dim[1:]), 1)
+    number = np.diag(np.arange(n_fock) + 0.5)
+    ladder = annihilation(n_fock)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     eye2 = np.eye(2)
@@ -144,13 +143,10 @@ def diagonalize_rabi(params: RabiParams, phix: float = 0.5,
     if n_fock is None:
         n_fock = default_n_fock(params.g / params.omega)
     energies, vectors = np.linalg.eigh(rabi_hamiltonian(params, phix, n_fock))
-    shift = 0.0
-    converged = True
+    shift, converged = 0.0, True
     if check_convergence:
-        doubled = rabi_energies(params, phix, 2 * n_fock)
-        count = min(8, len(energies))
-        shift = float(np.abs(energies[:count] - doubled[:count]).max())
-        converged = shift < CONVERGENCE_LIMIT_GHZ
+        shift, converged = truncation_shift(
+            energies, rabi_energies(params, phix, 2 * n_fock))
     return RabiSpectrum(energies=energies, vectors=vectors, n_fock=n_fock,
                         converged=converged, truncation_shift=shift)
 

@@ -1,10 +1,13 @@
 """Sweep orchestration: each task maps a RunConfig to one CSV + one JSON.
 
-Row schema for sweep tasks is long-format: (Lc_pH, phix_Phi0, gauge,
-provenance, quantity, coordinate, value, unit), emitted in (Lc, phix,
-gauge, quantity, coordinate) order regardless of worker parallelism.
-Point workers are pure functions of their argument tuples, so results are
-bit-identical for any worker count.
+Sweep tasks share one engine, _sweep: it walks circuits x gauges x bias
+points, hands each point to a pure top-level point function (through one
+process pool when workers > 1) and returns long-format rows (Lc_pH,
+phix_Phi0, gauge, provenance, quantity, coordinate, value, unit) in (Lc,
+phix, gauge, quantity, coordinate) order.  A point function depends only on
+its arguments, so the rows are bit-identical for any worker count.  The
+qubit two-level reduction and its Rabi mapping run once per circuit and
+gauge in a process (_reduction).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +30,10 @@ from .circuit import (
     energy_scales,
     y_delta,
 )
-from .config import RunConfig
+from .config import NumericsConfig, RunConfig
 from .constants import PACKAGE_VERSION
 from .coupled import (
+    GAUGES,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     observables,
@@ -42,8 +47,9 @@ from .perturbation import (
     second_order_table,
 )
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
-from .qubit import QUBIT_LEVEL_TAGS, characterize_qubit, matrix_elements
-from .rabi import map_circuit_to_rabi, map_circuit_to_rabi_charge
+from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
+                    matrix_elements)
+from .rabi import RabiParams, map_circuit_to_rabi, map_circuit_to_rabi_charge
 
 SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
                  "coordinate", "value", "unit")
@@ -51,6 +57,14 @@ SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
 # Eigenbasis truncation ladder walked by the gauge-check task; the third
 # rung is the canonical working truncation.
 TRUNCATION_LADDER = ((4, 10), (6, 20), (6, 40), (8, 60), (12, 80))
+
+# Coupled levels read per bias point; the fits use pairs among them.
+N_COUPLED_LEVELS = 8
+N_PERT_LEVELS = 6
+
+OBSERVABLE_UNITS = (("photon_number", "1"), ("flux_1", "rad"),
+                    ("flux_2", "rad"), ("current_1", "nA"),
+                    ("current_2", "nA"))
 
 
 @dataclass(frozen=True)
@@ -68,22 +82,67 @@ def _context(raw: RawCircuit):
     return star, eff, scales
 
 
-def _qubit_basis(cfg: RunConfig) -> PlaneWaveBasis:
-    return PlaneWaveBasis(n_max=cfg.numerics.qubit_nmax,
-                          n_waves=cfg.numerics.qubit_waves)
+def _qubit_basis(num: NumericsConfig) -> PlaneWaveBasis:
+    return PlaneWaveBasis(n_max=num.qubit_nmax, n_waves=num.qubit_waves)
 
 
-def _pmap(fn, items: list, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=1))
+@lru_cache(maxsize=64)
+def _reduction(raw: RawCircuit, basis: PlaneWaveBasis,
+               gauge: str) -> tuple[TwoLevelFit, RabiParams]:
+    """Two-level reduction of the qubit node of one gauge, and its mapping.
+
+    characterize_qubit is looked up as a module global at call time, so a
+    wrapper installed on that name sees every reduction.
+    """
+    _, eff, scales = _context(raw)
+    fit = characterize_qubit(*qubit_node_energies(gauge, raw, eff, scales),
+                             basis)
+    mapping = map_circuit_to_rabi if gauge == "flux" else map_circuit_to_rabi_charge
+    return fit, mapping(raw, eff, scales, fit)
 
 
 def _sort_key(row: tuple):
     lc, phix = row[0], row[1]
     return (lc, math.isnan(phix), phix if not math.isnan(phix) else 0.0,
             row[2], row[4], str(row[5]))
+
+
+def _sweep(cfg: RunConfig, point, gauges=("flux",), circuits=None,
+           grid=None) -> list[tuple]:
+    """Rows of point over circuits x gauges x bias grid, sorted by _sort_key.
+
+    point(gauge, raw, numerics), with raw biased at the point, returns row
+    tails (provenance, quantity, coordinate, value, unit).  circuits and
+    grid default to the configured Lc sweep and bias grid.
+    """
+    circuits = cfg.circuits() if circuits is None else circuits
+    grid = cfg.phix_grid if grid is None else grid
+    points = [(lc, gauge, replace(raw, phix=phix)) for lc, raw in circuits
+              for gauge in gauges for phix in grid]
+    args = ([p[1] for p in points], [p[2] for p in points],
+            [cfg.numerics] * len(points))
+    if cfg.workers <= 1 or len(points) <= 1:
+        tails = list(map(point, *args))
+    else:
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            tails = list(pool.map(point, *args, chunksize=1))
+    rows = [(lc, raw.phix, gauge) + tail
+            for (lc, gauge, raw), point_tails in zip(points, tails)
+            for tail in point_tails]
+    return sorted(rows, key=_sort_key)
+
+
+def _scalar_rows(lc: float, gauge: str, provenance: str, items) -> list[tuple]:
+    """Bias-independent rows (phix NaN) of (quantity, value, unit) items."""
+    return [(lc, math.nan, gauge, provenance, name, "", value, unit)
+            for name, value, unit in items]
+
+
+def _result(cfg: RunConfig, task: str, rows: list[tuple], **meta) -> TaskResult:
+    """Sorted sweep rows and the base metadata updated with meta."""
+    metadata = _base_metadata(cfg, task)
+    metadata.update(meta)
+    return TaskResult(task, SWEEP_COLUMNS, sorted(rows, key=_sort_key), metadata)
 
 
 def _base_metadata(cfg: RunConfig, task: str) -> dict:
@@ -107,121 +166,147 @@ def _base_metadata(cfg: RunConfig, task: str) -> dict:
     }
 
 
-# ----------------------------------------------------------------- workers
-
-def _w_qubit_levels(args):
-    ecj, ej, elfq, basis, phix, n_levels = args
-    spec = diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
-    return tuple(float(e) for e in spec.energies[:n_levels])
-
-
-def _w_coupled_levels(args):
-    gauge, raw, phix, n_qubit, n_fock, count = args
-    raw = replace(raw, phix=phix)
+def _eigenbasis(gauge: str, raw: RawCircuit, num: NumericsConfig,
+                verify: bool = False):
     _, eff, scales = _context(raw)
-    spec = build_coupled_eigenbasis(gauge, raw, eff, scales,
-                                    n_qubit=n_qubit, n_fock=n_fock,
-                                    verify=False)
-    return tuple(float(e) for e in spec.energies[:count])
+    return build_coupled_eigenbasis(gauge, raw, eff, scales,
+                                    n_qubit=num.n_qubit, n_fock=num.n_fock,
+                                    verify=verify)
 
 
-def _w_observable_rows(args):
-    gauge, raw, phix, n_qubit, n_fock, n_states = args
-    raw = replace(raw, phix=phix)
+def _probe(cfg: RunConfig, raw: RawCircuit, gauge: str) -> dict:
+    """Truncation check of the configured eigenbasis build at mid-bias."""
+    mid = replace(raw, phix=cfg.phix_grid[len(cfg.phix_grid) // 2])
+    spec = _eigenbasis(gauge, mid, cfg.numerics, verify=cfg.numerics.verify)
+    return {"converged": spec.converged,
+            "truncation_shift_GHz": spec.truncation_shift}
+
+
+def _pair_table(rows: list[tuple], lc: float, grid, pairs) -> np.ndarray:
+    """table[p, c] = level difference pairs[c] at grid[p], from _level_rows."""
+    level = {(r[1], r[4]): r[6] for r in rows if r[0] == lc}
+    return np.array([[level[(phix, f"energy_level_{j}")]
+                      - level[(phix, f"energy_level_{i}")] for i, j in pairs]
+                     for phix in grid])
+
+
+def _pair_rows(lc: float, gauge: str, provenance: str, prefix: str, grid,
+               pairs, table: np.ndarray) -> list[tuple]:
+    return [(lc, phix, gauge, provenance, f"{prefix}_{i}{j}", "", table[p, c], "GHz")
+            for p, phix in enumerate(grid) for c, (i, j) in enumerate(pairs)]
+
+
+# ------------------------------------------------------------ point functions
+
+def _level_tails(provenance: str, energies: list[float]) -> list[tuple]:
+    out = [(provenance, f"energy_level_{i}", "", e, "GHz")
+           for i, e in enumerate(energies)]
+    return out + [(provenance, f"transition_0{i}", "", energies[i] - energies[0],
+                   "GHz") for i in range(1, len(energies))]
+
+
+def _qubit_solve(raw: RawCircuit, num: NumericsConfig):
+    _, _, scales = _context(raw)
+    return diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ, raw.phix,
+                                  _qubit_basis(num))
+
+
+def _qubit_level_rows(gauge, raw, num):
+    energies = _qubit_solve(raw, num).energies[:min(6, num.qubit_waves)]
+    return _level_tails("planewave", [float(e) for e in energies])
+
+
+def _level_rows(gauge, raw, num):
+    energies = _eigenbasis(gauge, raw, num).energies[:N_COUPLED_LEVELS]
+    return _level_tails("eigenbasis-product", [float(e) for e in energies])
+
+
+def _observable_rows(gauge, raw, num):
     _, eff, scales = _context(raw)
-    spec = build_coupled_eigenbasis(gauge, raw, eff, scales,
-                                    n_qubit=n_qubit, n_fock=n_fock,
-                                    verify=False)
+    spec = _eigenbasis(gauge, raw, num)
     out = []
-    for state in range(n_states):
+    for state in range(num.n_states):
         obs = observables(spec, raw, eff, scales, state)
-        out.append((state, obs.photon_number, obs.flux_1, obs.flux_2,
-                    obs.current_1, obs.current_2))
+        out += [("eigenbasis-product", name, state, getattr(obs, name), unit)
+                for name, unit in OBSERVABLE_UNITS]
     return out
 
 
-def _w_matrix_elements(args):
-    ecj, ej, elfq, basis, phix, n_levels = args
-    spec = diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
-    elems = matrix_elements(spec, phix, n_levels)
-    return np.real(elems.flux_elems), np.imag(elems.charge_elems)
+def _matrix_element_rows(gauge, raw, num):
+    elems = matrix_elements(_qubit_solve(raw, num), raw.phix, 3)
+    flux_re, charge_im = np.real(elems.flux_elems), np.imag(elems.charge_elems)
+    out = []
+    for j in range(3):
+        for i in range(2):
+            tag = f"{QUBIT_LEVEL_TAGS[j]}{QUBIT_LEVEL_TAGS[i]}"
+            out.append(("planewave", f"flux_elem_{tag}", "", flux_re[j, i], "Phi0"))
+            out.append(("planewave", f"charge_elem_im_{tag}", "", charge_im[j, i],
+                        "2e"))
+    return out
 
 
-def _w_perturbation(args):
-    gauge, raw, phix, n_qubit, n_fock, n_pert_levels = args
-    raw = replace(raw, phix=phix)
+def _perturbation_rows(gauge, raw, num):
+    """Dispersive shifts; first_order_max_abs is NaN at guarded points."""
     _, eff, scales = _context(raw)
-    out = {"ok": True, "first_order": 0.0, "net": {}, "contrib": {}, "exact": {}}
-    coupling = circuit_coupling(gauge, raw, eff, scales,
-                                n_fock=12, n_levels=n_pert_levels)
-    out["first_order"] = max(abs(first_order_shift(coupling, m, i))
-                             for m in (0, 1) for i in (0, 1))
+    coupling = circuit_coupling(gauge, raw, eff, scales, n_fock=12,
+                                n_levels=N_PERT_LEVELS)
+    # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
+    # bias stays inside the oscillator avoided crossing
+    spec = _eigenbasis(gauge, raw, num)
+    ok = True
+    out = []
     for level in (0, 1):
         upper = second_order_table(coupling, 1, level)
         lower = second_order_table(coupling, 0, level)
-        out["net"][level] = upper.total - lower.total
-        out["contrib"][level] = tuple(upper.contributions - lower.contributions)
         # a state pushed onto a quasi-degenerate contributor invalidates
         # the series at this bias point
-        out["ok"] = out["ok"] and not upper.excluded and not lower.excluded
-    spec = build_coupled_eigenbasis(gauge, raw, eff, scales,
-                                    n_qubit=n_qubit, n_fock=n_fock, verify=False)
-    # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
-    # bias stays inside the oscillator avoided crossing
-    out["exact"][0] = float(spec.energies[2] - spec.energies[0] - spec.omega)
-    out["exact"][1] = float(spec.energies[3] - spec.energies[1] - spec.omega)
+        ok = ok and not upper.excluded and not lower.excluded
+        exact = float(spec.energies[2 + level] - spec.energies[level] - spec.omega)
+        out.append(("perturbation", "net_shift_perturbative", level,
+                    upper.total - lower.total, "GHz"))
+        out.append(("eigenbasis-product", "net_shift_exact", level, exact, "GHz"))
+        out += [("perturbation", f"net_contribution_from_{QUBIT_LEVEL_TAGS[j]}",
+                 level, value, "GHz")
+                for j, value in enumerate(upper.contributions - lower.contributions)]
+    first = max(abs(first_order_shift(coupling, m, i))
+                for m in (0, 1) for i in (0, 1))
+    return out + [("perturbation", "first_order_max_abs", "",
+                   first if ok else math.nan, "GHz")]
+
+
+def _wavefunction_rows(gauge, raw, num):
+    spec = _qubit_solve(raw, num)
+    out = []
+    for i in range(min(6, num.qubit_waves)):
+        for kk, a in zip(spec.basis.wave_numbers, spec.coefficients[i]):
+            out.append(("planewave", f"state_{i}_amplitude_real", float(kk),
+                        float(np.real(a)), "1"))
+            out.append(("planewave", f"state_{i}_prob", float(kk),
+                        float(np.abs(a) ** 2), "1"))
     return out
-
-
-def _w_fit_data_point(args):
-    raw, phix, n_qubit, n_fock, pairs = args
-    raw = replace(raw, phix=phix)
-    _, eff, scales = _context(raw)
-    spec = build_coupled_eigenbasis("flux", raw, eff, scales,
-                                    n_qubit=n_qubit, n_fock=n_fock, verify=False)
-    e = spec.energies
-    return tuple(float(e[j] - e[i]) for i, j in pairs)
 
 
 # ------------------------------------------------------------------- tasks
 
 def task_qubit_spectrum(cfg: RunConfig) -> TaskResult:
     """Bare qubit levels over the bias grid plus the two-level reduction."""
-    rows = []
-    meta = _base_metadata(cfg, "qubit-spectrum")
-    basis = _qubit_basis(cfg)
-    n_levels = min(6, cfg.numerics.qubit_waves)
+    basis = _qubit_basis(cfg.numerics)
+    rows = _sweep(cfg, _qubit_level_rows)
     detail = {}
     for lc, raw in cfg.circuits():
-        _, eff, scales = _context(raw)
-        items = [(scales.ECJ, raw.EJ, scales.ELFQ, basis, phix, n_levels)
-                 for phix in cfg.phix_grid]
-        for phix, energies in zip(cfg.phix_grid, _pmap(_w_qubit_levels, items,
-                                                       cfg.workers)):
-            for i, e in enumerate(energies):
-                rows.append((lc, phix, "flux", "planewave",
-                             f"energy_level_{i}", "", e, "GHz"))
-            for i in range(1, len(energies)):
-                rows.append((lc, phix, "flux", "planewave",
-                             f"transition_0{i}", "", energies[i] - energies[0],
-                             "GHz"))
-        fit = characterize_qubit(scales.ECJ, raw.EJ, scales.ELFQ, basis)
-        scalars = (("Delta_q", fit.Delta_q, "GHz"), ("Ip", fit.Ip, "nA"),
-                   ("omega_os", fit.omega_os, "GHz"),
-                   ("Phi2max", fit.Phi2max, "Phi0"), ("q2max", fit.q2max, "2e"),
-                   ("two_level_residual", fit.fit_residual, "GHz^2"))
-        for name, value, unit in scalars:
-            rows.append((lc, math.nan, "flux", "planewave", name, "", value, unit))
+        fit, _ = _reduction(raw, basis, "flux")
+        rows += _scalar_rows(lc, "flux", "planewave", (
+            ("Delta_q", fit.Delta_q, "GHz"), ("Ip", fit.Ip, "nA"),
+            ("omega_os", fit.omega_os, "GHz"), ("Phi2max", fit.Phi2max, "Phi0"),
+            ("q2max", fit.q2max, "2e"),
+            ("two_level_residual", fit.fit_residual, "GHz^2")))
         detail[f"Lc={lc}"] = {"two_level_residual_GHz2": fit.fit_residual}
-    meta["two_level_fits"] = detail
-    rows.sort(key=_sort_key)
-    return TaskResult("qubit-spectrum", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "qubit-spectrum", rows, two_level_fits=detail)
 
 
 def task_inductance_compare(cfg: RunConfig) -> TaskResult:
     """Star-network and effective inductances plus derived energy scales."""
     rows = []
-    meta = _base_metadata(cfg, "inductance-compare")
     for lc, raw in cfg.circuits():
         star, eff, scales = _context(raw)
         quantities = [
@@ -241,261 +326,123 @@ def task_inductance_compare(cfg: RunConfig) -> TaskResult:
         ]
         for name, value, unit, gauge in quantities:
             rows.append((lc, math.nan, gauge, "closed-form", name, "", value, unit))
-    rows.sort(key=_sort_key)
-    return TaskResult("inductance-compare", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "inductance-compare", rows)
 
 
 def task_circuit_spectrum(cfg: RunConfig) -> TaskResult:
     """Coupled-circuit levels and transitions from the eigenbasis build."""
-    rows = []
-    meta = _base_metadata(cfg, "circuit-spectrum")
-    num = cfg.numerics
-    count = 8
-    detail = {}
-    for lc, raw in cfg.circuits():
-        for gauge in num.gauges:
-            mid = cfg.phix_grid[len(cfg.phix_grid) // 2]
-            _, eff, scales = _context(replace(raw, phix=mid))
-            probe = build_coupled_eigenbasis(gauge, replace(raw, phix=mid), eff,
-                                             scales, n_qubit=num.n_qubit,
-                                             n_fock=num.n_fock,
-                                             verify=num.verify)
-            detail[f"Lc={lc}/{gauge}"] = {
-                "converged": probe.converged,
-                "truncation_shift_GHz": probe.truncation_shift,
-            }
-            meta["converged"] = meta["converged"] and probe.converged
-            items = [(gauge, raw, phix, num.n_qubit, num.n_fock, count)
-                     for phix in cfg.phix_grid]
-            for phix, energies in zip(cfg.phix_grid,
-                                      _pmap(_w_coupled_levels, items, cfg.workers)):
-                for i, e in enumerate(energies):
-                    rows.append((lc, phix, gauge, "eigenbasis-product",
-                                 f"energy_level_{i}", "", e, "GHz"))
-                for i in range(1, len(energies)):
-                    rows.append((lc, phix, gauge, "eigenbasis-product",
-                                 f"transition_0{i}", "",
-                                 energies[i] - energies[0], "GHz"))
-    meta["convergence_detail"] = detail
-    rows.sort(key=_sort_key)
-    return TaskResult("circuit-spectrum", SWEEP_COLUMNS, rows, meta)
+    gauges = cfg.numerics.gauges
+    detail = {f"Lc={lc}/{gauge}": _probe(cfg, raw, gauge)
+              for lc, raw in cfg.circuits() for gauge in gauges}
+    return _result(cfg, "circuit-spectrum", _sweep(cfg, _level_rows, gauges),
+                   converged=all(d["converged"] for d in detail.values()),
+                   convergence_detail=detail)
 
 
 def task_rabi_map(cfg: RunConfig) -> TaskResult:
     """First-principles two-level model parameters in both gauges."""
     rows = []
-    meta = _base_metadata(cfg, "rabi-map")
-    basis = _qubit_basis(cfg)
+    basis = _qubit_basis(cfg.numerics)
     detail = {}
     for lc, raw in cfg.circuits():
-        _, eff, scales = _context(raw)
-        fit_flux = characterize_qubit(scales.ECJ, raw.EJ, scales.ELFQ, basis)
-        ecj, ej, elfq_charge = qubit_node_energies("charge", raw, eff, scales)
-        fit_charge = characterize_qubit(ecj, ej, elfq_charge, basis)
-        flux_params = map_circuit_to_rabi(raw, eff, scales, fit_flux)
-        charge_params = map_circuit_to_rabi_charge(raw, eff, scales, fit_charge)
-        for gauge, params, fit in (("flux", flux_params, fit_flux),
-                                   ("charge", charge_params, fit_charge)):
-            rows.append((lc, math.nan, gauge, "mapped", "omega", "",
-                         params.omega, "GHz"))
-            rows.append((lc, math.nan, gauge, "mapped", "Delta_q", "",
-                         params.Delta_q, "GHz"))
-            rows.append((lc, math.nan, gauge, "mapped", "g", "", params.g, "GHz"))
-            rows.append((lc, math.nan, gauge, "mapped", "Ip", "", params.Ip, "nA"))
-            rows.append((lc, math.nan, gauge, "mapped", "Phi2max", "",
-                         fit.Phi2max, "Phi0"))
-            rows.append((lc, math.nan, gauge, "mapped", "q2max", "",
-                         fit.q2max, "2e"))
-        detail[f"Lc={lc}"] = {
-            "flux_two_level_residual_GHz2": fit_flux.fit_residual,
-            "charge_two_level_residual_GHz2": fit_charge.fit_residual,
-        }
-    meta["two_level_fits"] = detail
-    rows.sort(key=_sort_key)
-    return TaskResult("rabi-map", SWEEP_COLUMNS, rows, meta)
+        for gauge in GAUGES:
+            fit, params = _reduction(raw, basis, gauge)
+            rows += _scalar_rows(lc, gauge, "mapped", (
+                ("omega", params.omega, "GHz"), ("Delta_q", params.Delta_q, "GHz"),
+                ("g", params.g, "GHz"), ("Ip", params.Ip, "nA"),
+                ("Phi2max", fit.Phi2max, "Phi0"), ("q2max", fit.q2max, "2e")))
+            detail.setdefault(f"Lc={lc}", {})[
+                f"{gauge}_two_level_residual_GHz2"] = fit.fit_residual
+    return _result(cfg, "rabi-map", rows, two_level_fits=detail)
 
 
 def task_rabi_fit(cfg: RunConfig) -> TaskResult:
-    """Least-squares two-level-model fit to the coupled-circuit spectrum."""
+    """Least-squares two-level-model fit to the coupled-circuit spectrum.
+
+    The flux-gauge fit data are checked for truncation convergence at
+    mid-bias; an unconverged check clears the converged flag.
+    """
     rows = []
-    meta = _base_metadata(cfg, "rabi-fit")
-    num = cfg.numerics
-    basis = _qubit_basis(cfg)
+    basis = _qubit_basis(cfg.numerics)
     grid = cfg.phix_grid
+    pairs = fit_transition_pairs(cfg.numerics.fit_levels)
+    level_rows = _sweep(cfg, _level_rows)
+    # probe before fitting: the doubled solves then run without the memory
+    # that scipy.optimize holds once loaded
+    probes = {f"Lc={lc}/flux": _probe(cfg, raw, "flux")
+              for lc, raw in cfg.circuits()}
     detail = {}
-    pairs = fit_transition_pairs(num.fit_levels)
     for lc, raw in cfg.circuits():
-        _, eff, scales = _context(raw)
-        items = [(raw, phix, num.n_qubit, num.n_fock, pairs) for phix in grid]
-        table = np.array(_pmap(_w_fit_data_point, items, cfg.workers))
+        table = _pair_table(level_rows, lc, grid, pairs)
         data = TransitionData.from_pair_table(grid, table, pairs)
-        for p, phix in enumerate(grid):
-            for c, (i, j) in enumerate(pairs):
-                rows.append((lc, phix, "flux", "eigenbasis-product",
-                             f"data_transition_{i}{j}", "", table[p, c], "GHz"))
-        fit_flux_qubit = characterize_qubit(scales.ECJ, raw.EJ, scales.ELFQ, basis)
-        ecj, ej, elfq_charge = qubit_node_energies("charge", raw, eff, scales)
-        fit_charge_qubit = characterize_qubit(ecj, ej, elfq_charge, basis)
-        initials = {
-            "flux": map_circuit_to_rabi(raw, eff, scales, fit_flux_qubit),
-            "charge": map_circuit_to_rabi_charge(raw, eff, scales,
-                                                 fit_charge_qubit),
-        }
-        for variant, initial in initials.items():
-            result = fit_rabi(data, initial)
+        rows += _pair_rows(lc, "flux", "eigenbasis-product", "data_transition",
+                           grid, pairs, table)
+        for variant in GAUGES:
+            result = fit_rabi(data, _reduction(raw, basis, variant)[1])
             params = result.params
-            for name, value, unit in (("fitted_omega", params.omega, "GHz"),
-                                      ("fitted_Delta_q", params.Delta_q, "GHz"),
-                                      ("fitted_g", params.g, "GHz"),
-                                      ("fitted_Ip", params.Ip, "nA"),
-                                      ("fit_residual", result.residual_mhz2,
-                                       "MHz^2")):
-                rows.append((lc, math.nan, variant, "fit", name, "", value, unit))
-            model = model_pair_table(params, grid, pairs)
-            for p, phix in enumerate(grid):
-                for c, (i, j) in enumerate(pairs):
-                    rows.append((lc, phix, variant, "fit",
-                                 f"fitted_transition_{i}{j}", "",
-                                 model[p, c], "GHz"))
+            rows += _scalar_rows(lc, variant, "fit", (
+                ("fitted_omega", params.omega, "GHz"),
+                ("fitted_Delta_q", params.Delta_q, "GHz"),
+                ("fitted_g", params.g, "GHz"), ("fitted_Ip", params.Ip, "nA"),
+                ("fit_residual", result.residual_mhz2, "MHz^2")))
+            rows += _pair_rows(lc, variant, "fit", "fitted_transition", grid,
+                               pairs, model_pair_table(params, grid, pairs))
             detail[f"Lc={lc}/{variant}"] = {
                 "residual_MHz2": result.residual_mhz2,
                 "converged": result.converged,
                 "n_eval": result.n_eval,
                 "restart_spread": result.restart_spread,
             }
-            meta["converged"] = meta["converged"] and result.converged
-    meta["fits"] = detail
-    rows.sort(key=_sort_key)
-    return TaskResult("rabi-fit", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "rabi-fit", rows, fits=detail,
+                   fit_data_convergence=probes,
+                   converged=all(d["converged"] for d in
+                                 (*detail.values(), *probes.values())))
 
 
 def task_matrix_elements(cfg: RunConfig) -> TaskResult:
     """Qubit flux and charge matrix elements against the lowest doublet."""
-    rows = []
-    meta = _base_metadata(cfg, "matrix-elements")
-    basis = _qubit_basis(cfg)
-    n_levels = 3
-    for lc, raw in cfg.circuits():
-        _, eff, scales = _context(raw)
-        items = [(scales.ECJ, raw.EJ, scales.ELFQ, basis, phix, n_levels)
-                 for phix in cfg.phix_grid]
-        for phix, (flux_re, charge_im) in zip(
-                cfg.phix_grid, _pmap(_w_matrix_elements, items, cfg.workers)):
-            for j in range(n_levels):
-                for i in range(2):
-                    tag = f"{QUBIT_LEVEL_TAGS[j]}{QUBIT_LEVEL_TAGS[i]}"
-                    rows.append((lc, phix, "flux", "planewave",
-                                 f"flux_elem_{tag}", "", flux_re[j, i], "Phi0"))
-                    rows.append((lc, phix, "flux", "planewave",
-                                 f"charge_elem_im_{tag}", "", charge_im[j, i],
-                                 "2e"))
-    rows.sort(key=_sort_key)
-    return TaskResult("matrix-elements", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "matrix-elements", _sweep(cfg, _matrix_element_rows))
 
 
 def task_observables(cfg: RunConfig) -> TaskResult:
     """Photon numbers, flux expectations, and loop currents per eigenstate."""
-    rows = []
-    meta = _base_metadata(cfg, "observables")
-    num = cfg.numerics
-    names = (("photon_number", "1"), ("flux_1", "rad"), ("flux_2", "rad"),
-             ("current_1", "nA"), ("current_2", "nA"))
-    for lc, raw in cfg.circuits():
-        for gauge in num.gauges:
-            items = [(gauge, raw, phix, num.n_qubit, num.n_fock, num.n_states)
-                     for phix in cfg.phix_grid]
-            for phix, state_rows in zip(cfg.phix_grid,
-                                        _pmap(_w_observable_rows, items,
-                                              cfg.workers)):
-                for state_values in state_rows:
-                    state = state_values[0]
-                    for (name, unit), value in zip(names, state_values[1:]):
-                        rows.append((lc, phix, gauge, "eigenbasis-product",
-                                     name, state, value, unit))
-    rows.sort(key=_sort_key)
-    return TaskResult("observables", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "observables",
+                   _sweep(cfg, _observable_rows, cfg.numerics.gauges))
 
 
 def task_perturbation(cfg: RunConfig) -> TaskResult:
     """Second-order dispersive shifts, contributions, and exact comparison."""
-    rows = []
-    meta = _base_metadata(cfg, "perturbation")
-    num = cfg.numerics
-    n_pert_levels = 6
-    guarded = []
-    for lc, raw in cfg.circuits():
-        for gauge in num.gauges:
-            items = [(gauge, raw, phix, num.n_qubit, num.n_fock, n_pert_levels)
-                     for phix in cfg.phix_grid]
-            for phix, out in zip(cfg.phix_grid,
-                                 _pmap(_w_perturbation, items, cfg.workers)):
-                if not out["ok"]:
-                    guarded.append({"Lc_pH": lc, "gauge": gauge, "phix": phix})
-                rows.append((lc, phix, gauge, "perturbation",
-                             "first_order_max_abs", "",
-                             out["first_order"] if out["ok"] else math.nan,
-                             "GHz"))
-                for level in (0, 1):
-                    net = out["net"].get(level, math.nan)
-                    rows.append((lc, phix, gauge, "perturbation",
-                                 "net_shift_perturbative", level, net, "GHz"))
-                    rows.append((lc, phix, gauge, "eigenbasis-product",
-                                 "net_shift_exact", level, out["exact"][level],
-                                 "GHz"))
-                    contrib = out["contrib"].get(
-                        level, (math.nan,) * n_pert_levels)
-                    for j, value in enumerate(contrib):
-                        rows.append((lc, phix, gauge, "perturbation",
-                                     f"net_contribution_from_{QUBIT_LEVEL_TAGS[j]}",
-                                     level, value, "GHz"))
-    meta["degeneracy_guarded_points"] = guarded
-    meta["notes"] = ("exact shifts assume the oscillator doublet sits at "
-                     "state indices 2 and 3, valid while Delta_q < omega "
-                     "inside the avoided crossings")
-    rows.sort(key=_sort_key)
-    return TaskResult("perturbation", SWEEP_COLUMNS, rows, meta)
+    gauges = cfg.numerics.gauges
+    rows = _sweep(cfg, _perturbation_rows, gauges)
+    nan_first = {r[:3] for r in rows
+                 if r[4] == "first_order_max_abs" and math.isnan(r[6])}
+    guarded = [{"Lc_pH": lc, "gauge": gauge, "phix": phix}
+               for lc, _ in cfg.circuits() for gauge in gauges
+               for phix in cfg.phix_grid if (lc, phix, gauge) in nan_first]
+    return _result(cfg, "perturbation", rows, degeneracy_guarded_points=guarded,
+                   notes=("exact shifts assume the oscillator doublet sits at "
+                          "state indices 2 and 3, valid while Delta_q < omega "
+                          "inside the avoided crossings"))
 
 
 def task_wavefunctions(cfg: RunConfig) -> TaskResult:
     """Qubit eigenstate amplitudes on the plane-wave flux grid."""
-    rows = []
-    meta = _base_metadata(cfg, "wavefunctions")
-    basis = _qubit_basis(cfg)
-    n_levels = min(6, cfg.numerics.qubit_waves)
-    for lc, raw in cfg.circuits():
-        _, eff, scales = _context(raw)
-        spec = diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ,
-                                      raw.phix, basis)
-        k = basis.wave_numbers
-        for i in range(n_levels):
-            amp = spec.coefficients[i]
-            for kk, a in zip(k, amp):
-                rows.append((lc, raw.phix, "flux", "planewave",
-                             f"state_{i}_amplitude_real", float(kk),
-                             float(np.real(a)), "1"))
-                rows.append((lc, raw.phix, "flux", "planewave",
-                             f"state_{i}_prob", float(kk),
-                             float(np.abs(a) ** 2), "1"))
-    rows.sort(key=_sort_key)
-    return TaskResult("wavefunctions", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "wavefunctions",
+                   _sweep(cfg, _wavefunction_rows, grid=(cfg.circuit.phix,)))
 
 
 def task_gauge_check(cfg: RunConfig) -> TaskResult:
     """Flux- vs charge-gauge eigenvalue agreement along a truncation ladder."""
     rows = []
-    meta = _base_metadata(cfg, "gauge-check")
-    count = 8
+    count = N_COUPLED_LEVELS
     detail = {}
     for lc, raw in cfg.circuits():
         _, eff, scales = _context(raw)
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
-            levels = {}
-            for gauge in ("flux", "charge"):
-                spec = build_coupled_eigenbasis(gauge, raw, eff, scales,
-                                                n_qubit=nq, n_fock=nf,
-                                                verify=False)
-                levels[gauge] = spec.energies[:count]
+            levels = {gauge: build_coupled_eigenbasis(
+                gauge, raw, eff, scales, n_qubit=nq, n_fock=nf,
+                verify=False).energies[:count] for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
                 (levels["flux"] - levels["flux"][0])
@@ -506,10 +453,7 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                          "lowest8_gauge_gap", coord, gap, "GHz"))
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
-        eigen = build_coupled_eigenbasis("flux", raw, eff, scales,
-                                         n_qubit=cfg.numerics.n_qubit,
-                                         n_fock=cfg.numerics.n_fock,
-                                         verify=False)
+        eigen = _eigenbasis("flux", raw, cfg.numerics)
         plane = build_coupled_planewave("flux", raw, eff, scales)
         cross = float(np.abs(eigen.energies[:count]
                              - plane.energies[:count]).max())
@@ -519,10 +463,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                      cross, "GHz"))
         detail[f"Lc={lc}"] = {"ladder_gaps_GHz": gaps,
                               "planewave_cross_check_GHz": cross}
-    meta["ladder"] = [list(r) for r in TRUNCATION_LADDER]
-    meta["gaps"] = detail
-    rows.sort(key=_sort_key)
-    return TaskResult("gauge-check", SWEEP_COLUMNS, rows, meta)
+    return _result(cfg, "gauge-check", rows, gaps=detail,
+                   ladder=[list(r) for r in TRUNCATION_LADDER])
 
 
 # Pinned benchmark values: (quantity, getter key, expected, tolerance %).
@@ -560,50 +502,49 @@ REGRESSION_BOUNDS = (
 
 def compute_regression_values(cfg: RunConfig, workers: int = 1) -> dict:
     """All pinned benchmark quantities for the configured branch sums."""
-    basis = _qubit_basis(cfg)
-    num = cfg.numerics
+    basis = _qubit_basis(cfg.numerics)
     values = {}
     for lc in (20.0, 350.0):
         raw = cfg.circuit_at(lc)
-        _, eff, scales = _context(raw)
         tag = f"{int(lc)}"
-        fit_flux = characterize_qubit(scales.ECJ, raw.EJ, scales.ELFQ, basis)
-        ecj, ej, elfq_charge = qubit_node_energies("charge", raw, eff, scales)
-        fit_charge = characterize_qubit(ecj, ej, elfq_charge, basis)
-        flux_params = map_circuit_to_rabi(raw, eff, scales, fit_flux)
-        charge_params = map_circuit_to_rabi_charge(raw, eff, scales, fit_charge)
+        _, flux_params = _reduction(raw, basis, "flux")
+        _, charge_params = _reduction(raw, basis, "charge")
         values[f"map{tag}_omega_GHz"] = flux_params.omega
         values[f"map{tag}_Delta_q_GHz"] = flux_params.Delta_q
         values[f"map{tag}_g_GHz"] = flux_params.g
         values[f"map{tag}_Ip_nA"] = flux_params.Ip
         values[f"charge{tag}_omega_GHz"] = charge_params.omega
         values[f"charge{tag}_g_GHz"] = charge_params.g
-        if lc == 20.0:
-            values["EJ_GHz"] = raw.EJ
-            values["ECJ_GHz"] = scales.ECJ
-        if lc == 350.0:
-            grid = cfg.phix_grid
-            items = [("flux", raw, phix, num.n_qubit, num.n_fock, 8)
-                     for phix in grid]
-            energies = np.array(_pmap(_w_coupled_levels, items, workers))
-            for max_level in (3, 7):
-                pairs = fit_transition_pairs(max_level)
-                table = np.column_stack([energies[:, j] - energies[:, i]
-                                         for i, j in pairs])
-                data = TransitionData.from_pair_table(grid, table, pairs)
-                result = fit_rabi(data, flux_params)
-                values[f"fit{max_level}_350_omega_GHz"] = result.params.omega
-                values[f"fit{max_level}_350_Delta_q_GHz"] = result.params.Delta_q
-                values[f"fit{max_level}_350_g_GHz"] = result.params.g
-                values[f"fit{max_level}_350_Ip_nA"] = result.params.Ip
-                values[f"fit{max_level}_350_residual_MHz2"] = result.residual_mhz2
+    raw = cfg.circuit_at(20.0)
+    values["EJ_GHz"] = raw.EJ
+    values["ECJ_GHz"] = _context(raw)[2].ECJ
+    raw, grid = cfg.circuit_at(350.0), cfg.phix_grid
+    level_rows = _sweep(replace(cfg, workers=workers), _level_rows,
+                        circuits=[(350.0, raw)])
+    for max_level in (3, 7):
+        pairs = fit_transition_pairs(max_level)
+        data = TransitionData.from_pair_table(
+            grid, _pair_table(level_rows, 350.0, grid, pairs), pairs)
+        result = fit_rabi(data, _reduction(raw, basis, "flux")[1])
+        values[f"fit{max_level}_350_omega_GHz"] = result.params.omega
+        values[f"fit{max_level}_350_Delta_q_GHz"] = result.params.Delta_q
+        values[f"fit{max_level}_350_g_GHz"] = result.params.g
+        values[f"fit{max_level}_350_Ip_nA"] = result.params.Ip
+        values[f"fit{max_level}_350_residual_MHz2"] = result.residual_mhz2
     return values
 
 
 def task_regression(cfg: RunConfig) -> TaskResult:
-    """Computed benchmark quantities against their pinned expectations."""
+    """Computed benchmark quantities against their pinned expectations.
+
+    The 350 pH flux-gauge fit data are checked for truncation convergence
+    at mid-bias; an unconverged check clears the converged flag.
+    """
     meta = _base_metadata(cfg, "regression")
+    probe = _probe(cfg, cfg.circuit_at(350.0), "flux")  # before fitting
     values = compute_regression_values(cfg, cfg.workers)
+    meta["fit_data_convergence"] = {"Lc=350.0/flux": probe}
+    meta["converged"] = probe["converged"]
     rows = []
     n_fail = 0
     for name, expected, tol_pct in REGRESSION_PINS:

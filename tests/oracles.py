@@ -49,3 +49,50 @@ def origin_r_squared(x, y):
     ss_res = float(np.sum((y - slope * x) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     return 1.0 - ss_res / ss_tot, slope
+
+
+def charge_grid(basis, grid_points=None):
+    """Periodic charge samples n_j on [-n_max, n_max), right end excluded.
+
+    grid_points defaults to 4 n_waves.
+    """
+    if grid_points is None:
+        grid_points = 4 * basis.n_waves
+    step = 2.0 * basis.n_max / grid_points
+    return -basis.n_max + step * np.arange(grid_points)
+
+
+def kernel_via_dft(basis, power, grid_points=None):
+    """Kernel matrix built from sampled n^power by discrete Fourier transform.
+
+    Reference for the closed-form plane-wave kernels; it carries the
+    aliasing error of the finite sampling, which shrinks as grid_points
+    grows.
+    """
+    n = charge_grid(basis, grid_points)
+    step = 2.0 * basis.n_max / len(n)
+    idx = basis.wave_indices
+    m_values = np.arange(-(basis.n_waves - 1), basis.n_waves)
+    dk = m_values * (math.pi / basis.n_max)
+    coeffs = (np.exp(-1j * np.outer(dk, n)) @ n.astype(complex) ** power)
+    coeffs *= step / (2.0 * basis.n_max)
+    lookup = dict(zip(m_values.tolist(), coeffs))
+    m = idx[:, None] - idx[None, :]
+    out = np.empty(m.shape, dtype=complex)
+    for row in range(m.shape[0]):
+        for col in range(m.shape[1]):
+            out[row, col] = lookup[int(m[row, col])]
+    return out
+
+
+def n_representation(spectrum, index, grid_points=None):
+    """Charge-space wavefunction psi(n) of one level on charge_grid.
+
+    Inverse transform of the coefficient vector; unit normalized in the
+    sense sum |psi|^2 dn = 1.
+    """
+    basis = spectrum.basis
+    waves = np.exp(1j * np.outer(charge_grid(basis, grid_points),
+                                 basis.wave_numbers))
+    waves /= math.sqrt(2.0 * basis.n_max)
+    return waves @ spectrum.coefficients[index]

@@ -60,7 +60,7 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     cfg = write_doc(tmp_path, small_doc())
     out_a, out_b = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["run", "--config", cfg, "--out", out_a]) == 0
-    assert main(["run", "--config", cfg, "--out", out_b, "--seedless"]) == 0
+    assert main(["run", "--config", cfg, "--out", out_b]) == 0
     for task in ("qubit-spectrum", "inductance-compare"):
         for ext in ("csv", "json"):
             a = open(os.path.join(out_a, f"{task}.{ext}"), "rb").read()

@@ -130,6 +130,16 @@ def test_charge_gauge_frame_flux_vanishes(parts20):
     assert abs(obs.current_2) > 100.0
 
 
+def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
+    # the plane-wave build sets no context; observables must not misread it
+    p = parts20
+    spec = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
+                                    verify=False)
+    with pytest.raises(ValueError):
+        observables(dataclasses.replace(spec, context=None), p.raw, p.eff,
+                    p.scales, 0)
+
+
 def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
     p = parts20
     spec = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,

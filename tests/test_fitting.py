@@ -10,7 +10,6 @@ from fluxrabi.fitting import (
     fit_transition_pairs,
     ground_residual_mhz2,
     model_pair_table,
-    model_transition_table,
 )
 from fluxrabi.rabi import RabiParams, diagonalize_rabi
 
@@ -58,7 +57,7 @@ def test_from_pair_table_layout():
 
 def test_model_tables_agree_with_direct_diagonalization():
     params = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.5)
-    table = model_transition_table(params, GRID, max_level=3, n_fock=24)
+    table = model_pair_table(params, GRID, ((0, 1), (0, 2), (0, 3)), n_fock=24)
     pair = model_pair_table(params, GRID, ((0, 2), (1, 3)), n_fock=24)
     for p, phix in enumerate(GRID):
         levels = diagonalize_rabi(params, phix, n_fock=24,

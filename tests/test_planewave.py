@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import harmonic_levels
+from oracles import charge_grid, harmonic_levels, kernel_via_dft, n_representation
 from fluxrabi.planewave import (
     BasisRangeWarning,
     PlaneWaveBasis,
     diagonalize_flux_qubit,
     diagonalize_oscillator,
-    kernel_via_dft,
     linear_kernel,
-    n_representation,
     quadratic_kernel,
 )
 
@@ -25,8 +23,6 @@ def test_basis_validation():
         PlaneWaveBasis(n_max=8.0, n_waves=31)
     with pytest.raises(ValueError):
         PlaneWaveBasis(n_max=8.0, n_waves=6)
-    with pytest.raises(ValueError):
-        PlaneWaveBasis(n_max=8.0, n_waves=32, grid_points=64)
 
 
 def test_oscillator_basis_sizing():
@@ -44,14 +40,17 @@ def test_wave_numbers_symmetric_range():
 
 def test_closed_form_kernels_match_dft():
     basis = PlaneWaveBasis(n_max=8.0, n_waves=32)
-    fine = PlaneWaveBasis(n_max=8.0, n_waves=32, grid_points=16 * 32)
+    fine = 16 * 32
     # the DFT route carries aliasing error that shrinks with the grid
     for power, kernel in ((2, quadratic_kernel), (1, linear_kernel)):
         coarse_err = np.abs(kernel(basis) - kernel_via_dft(basis, power)).max()
-        fine_err = np.abs(kernel(fine) - kernel_via_dft(fine, power)).max()
+        fine_err = np.abs(kernel(basis)
+                          - kernel_via_dft(basis, power, fine)).max()
         assert fine_err < coarse_err
-    assert np.abs(quadratic_kernel(fine) - kernel_via_dft(fine, 2)).max() < 5e-4
-    assert np.abs(linear_kernel(fine) - kernel_via_dft(fine, 1)).max() < 5e-2
+    assert np.abs(quadratic_kernel(basis)
+                  - kernel_via_dft(basis, 2, fine)).max() < 5e-4
+    assert np.abs(linear_kernel(basis)
+                  - kernel_via_dft(basis, 1, fine)).max() < 5e-2
 
 
 def test_kernels_hermitian():
@@ -106,8 +105,8 @@ def test_charge_wavefunction_normalized():
     p = circuit_parts(20.0)
     spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
                                   PlaneWaveBasis.for_qubit())
-    basis = spec.basis
-    dn = 2.0 * basis.n_max / basis.grid_points
+    grid = charge_grid(spec.basis)
+    dn = 2.0 * spec.basis.n_max / len(grid)
     for i in range(3):
         psi = n_representation(spec, i)
         assert np.sum(np.abs(psi) ** 2) * dn == pytest.approx(1.0, rel=1e-10)

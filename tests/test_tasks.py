@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,14 +12,15 @@ import pytest
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import effective_inductances, energy_scales, y_delta
 from fluxrabi.config import NumericsConfig, reference_config
+from fluxrabi.coupled import GAUGES
+from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.tasks import (
     REGRESSION_BOUNDS,
     REGRESSION_PINS,
     SWEEP_COLUMNS,
-    _pmap,
     _sort_key,
-    _w_qubit_levels,
+    _sweep,
     run,
     task_inductance_compare,
     task_qubit_spectrum,
@@ -97,16 +99,43 @@ def test_csv_cells_round_trip_float64(tmp_path):
 
 
 def test_pool_results_match_serial_path():
-    cfg = small_config()
-    basis = PlaneWaveBasis(n_max=cfg.numerics.qubit_nmax,
-                           n_waves=cfg.numerics.qubit_waves)
-    raw = cfg.circuit
-    _, eff, scales = tasks._context(raw)
-    items = [(scales.ECJ, raw.EJ, scales.ELFQ, basis, phix, 6)
-             for phix in cfg.phix_grid]
-    serial = _pmap(_w_qubit_levels, items, workers=1)
-    pooled = _pmap(_w_qubit_levels, items, workers=2)
-    assert serial == pooled
+    # pool children run OpenBLAS with its default thread count, so the
+    # sweep stays at two bias points
+    cfg = reference_config(lc=350.0, phix_start=0.499, phix_stop=0.501,
+                           phix_points=2)
+    pooled_cfg = replace(cfg, workers=2)
+    for point, gauges in ((tasks._qubit_level_rows, ("flux",)),
+                          (tasks._level_rows, GAUGES),
+                          (tasks._observable_rows, GAUGES),
+                          (tasks._perturbation_rows, GAUGES)):
+        serial = _sweep(cfg, point, gauges)
+        pooled = _sweep(pooled_cfg, point, gauges)
+        assert len(serial) > 0
+        assert ([[tasks._format_cell(c) for c in row] for row in serial]
+                == [[tasks._format_cell(c) for c in row] for row in pooled])
+
+
+def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
+    # at Lc = 350 pH the (6, 40) flux-gauge levels shift by megahertz when
+    # the truncation doubles; rabi-fit must flag its fit data even when
+    # every fit converges
+    def converged_fit(data, initial):
+        return RabiFitResult(params=initial, residual_mhz2=0.0,
+                             objective_mhz2=0.0, n_eval=0, converged=True,
+                             restart_spread=0.0)
+
+    monkeypatch.setattr(tasks, "fit_rabi", converged_fit)
+    numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40)
+    cfg = reference_config(tasks=("rabi-fit",), lc=350.0, phix_start=0.499,
+                           phix_stop=0.501, phix_points=3, numerics=numerics,
+                           output_dir=str(tmp_path))
+    assert run(cfg) == 3
+    meta = json.loads(open(tmp_path / "rabi-fit.json").read())
+    assert meta["converged"] is False
+    assert all(fit["converged"] for fit in meta["fits"].values())
+    probe = meta["fit_data_convergence"]["Lc=350.0/flux"]
+    assert probe["converged"] is False
+    assert probe["truncation_shift_GHz"] > 1e-3
 
 
 def test_run_raises_exit_code_on_convergence_flag(tmp_path):
