@@ -76,13 +76,14 @@ class CoupledSpectrum:
     """Eigensolution of the coupled circuit in one gauge.
 
     energies in GHz (full set of the product dimension, ascending); vectors
-    holds the matching eigencolumns.  omega is the bare oscillator frequency
-    of this gauge, used for photon numbers.  context carries the operator
-    data observables() needs; only the eigenbasis build sets it.
+    holds the matching real eigencolumns, or None where the build solves
+    for levels only (plane-wave product).  omega is the bare oscillator
+    frequency of this gauge, used for photon numbers.  context carries the
+    operator data observables() needs; only the eigenbasis build sets it.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray
+    vectors: np.ndarray | None
     gauge: str
     provenance: str
     dims: tuple[int, int]
@@ -116,10 +117,15 @@ def ladder_sum(n_fock: int) -> np.ndarray:
     return ladder + ladder.T
 
 
+def _ladder_antisymmetric(n_fock: int) -> np.ndarray:
+    """Matrix of a - a' (real)."""
+    ladder = annihilation(n_fock)
+    return ladder - ladder.T
+
+
 def ladder_difference(n_fock: int) -> np.ndarray:
     """Matrix of -1j (a - a') (dimensionless q-type quadrature)."""
-    ladder = annihilation(n_fock)
-    return -1j * (ladder - ladder.T)
+    return -1j * _ladder_antisymmetric(n_fock)
 
 
 def qubit_node_energies(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
@@ -153,9 +159,31 @@ def charge_coupling_ghz(raw: RawCircuit, eff: EffectiveInductances) -> float:
 
 
 def _check_hermitian(h: np.ndarray) -> None:
-    scale = max(float(np.abs(h).max()), 1e-30)
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
+    """Raise unless max|h - h^H| <= 1e-12 max|h|, 256 rows at a time."""
+    scale = asym = 0.0
+    for start in range(0, h.shape[0], 256):
+        rows = h[start:start + 256]
+        scale = max(scale, float(np.abs(rows).max()))
+        asym = max(asym, float(np.abs(
+            rows - h[:, start:start + 256].conj().T).max()))
+    if asym > 1e-12 * max(scale, 1e-30):
         raise EigensolveError("assembled coupled Hamiltonian is not Hermitian")
+
+
+def _checked_part(elems: np.ndarray, part: str) -> np.ndarray:
+    """The real or imaginary part of a qubit element table, as float64.
+
+    The plane-wave phase convention makes phase elements real and number
+    elements purely imaginary; the other part must vanish to 1e-12 of the
+    elements' scale, so dropping it leaves the real Hamiltonian equal to
+    the complex one.
+    """
+    kept, dropped = ((elems.real, elems.imag) if part == "real"
+                     else (elems.imag, elems.real))
+    scale = max(float(np.abs(elems).max()), 1e-30)
+    if np.abs(dropped).max() > 1e-12 * scale:
+        raise EigensolveError(f"qubit element table is not purely {part}")
+    return kept
 
 
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
@@ -168,6 +196,11 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
     The qubit node is solved with the node parameters of the gauge (see
     qubit_node_energies).  verify repeats the solve with both truncations
     doubled and records the largest shift of the lowest eight levels.
+
+    The product Hamiltonian is assembled real symmetric in both gauges:
+    the flux coupling is (a + a') (x) <j|phase|i>, with a real table, and
+    the charge coupling -1j (a - a') (x) <j|n|i>, with a purely imaginary
+    table 1j B, equals (a - a') (x) B.
     """
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}")
@@ -183,25 +216,28 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
     if gauge == "flux":
         omega = scales.omega
         coupling = flux_coupling_ghz(raw, eff, scales)
-        qubit_elems = phase_matrix(qubit_spectrum, n_elems)
+        qubit_elems = _checked_part(phase_matrix(qubit_spectrum, n_elems), "real")
         phi1_per_ladder = (2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * (
             scales.Izpf * NA)
         osc_elems = ladder_sum
     else:
         omega = charge_gauge_frequency_ghz(raw, star, eff)
         coupling = charge_coupling_ghz(raw, eff)
-        qubit_elems = number_matrix(qubit_spectrum, n_elems)
+        qubit_elems = _checked_part(number_matrix(qubit_spectrum, n_elems),
+                                    "imaginary")
         izpf_prime = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
                                / (2.0 * eff.L_LC * PH))
         phi1_per_ladder = (2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf_prime
-        osc_elems = ladder_difference
+        osc_elems = _ladder_antisymmetric
 
     qubit_energies = qubit_spectrum.energies
 
     def assemble(nq: int, nf: int) -> np.ndarray:
         h = np.kron(np.diag(omega * (np.arange(nf) + 0.5)), np.eye(nq))
-        h = h + np.kron(np.eye(nf), np.diag(qubit_energies[:nq]))
-        h = h + coupling * np.kron(osc_elems(nf), qubit_elems[:nq, :nq])
+        h += np.kron(np.eye(nf), np.diag(qubit_energies[:nq]))
+        term = np.kron(osc_elems(nf), qubit_elems[:nq, :nq])
+        term *= coupling
+        h += term
         _check_hermitian(h)
         return h
 
@@ -227,8 +263,8 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductanc
     Dense, on 64 oscillator times 32 qubit waves (dimension 2048).  The
     matrix is real symmetric in both gauges: the flux-gauge coupling is
     diagonal and the charge-gauge coupling is a product of two imaginary
-    antisymmetric kernels.  The result carries no truncation check and no
-    observables context.
+    antisymmetric kernels.  It solves for levels only: the result carries
+    no eigenvectors, no truncation check and no observables context.
     """
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}")
@@ -245,22 +281,28 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductanc
     h_osc = oscillator_hamiltonian(ec_osc, scales.EL, basis_osc)
     h_qub = qubit_hamiltonian(ecj, ej, elfq, raw.phix, basis_qubit)
     dims = (basis_osc.n_waves, basis_qubit.n_waves)
-    h = np.kron(h_osc, np.eye(dims[1])) + np.kron(np.eye(dims[0]), h_qub)
+    h = np.kron(h_osc, np.eye(dims[1]))
+    h += np.kron(np.eye(dims[0]), h_qub)
     if star.is_coupled:
         if gauge == "flux":
             el12 = inductive_energy_ghz(star.L12 * PH)
-            h = h - el12 * np.kron(np.diag(basis_osc.wave_numbers),
-                                   np.diag(basis_qubit.wave_numbers))
+            term = np.kron(np.diag(basis_osc.wave_numbers),
+                           np.diag(basis_qubit.wave_numbers))
+            term *= el12
+            h -= term
         else:
             coef = (eff.L_LC * PH) * (2.0 * CONSTANTS.e) ** 2 / (
                 (raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ)
             a1 = linear_kernel(basis_osc).imag
             a2 = linear_kernel(basis_qubit).imag
             # -(coef) (1j a1) (x) (1j a2) = +coef a1 (x) a2
-            h = h + coef * np.kron(a1, a2)
+            term = np.kron(a1, a2)
+            term *= coef
+            h += term
+        del term  # freed before eigvalsh copies h
     _check_hermitian(h)
-    energies, vectors = np.linalg.eigh(h)
-    return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
+    energies = np.linalg.eigvalsh(h)
+    return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
                            provenance="planewave-product", dims=dims,
                            omega=omega, converged=True, truncation_shift=0.0,
                            context=None)

@@ -96,3 +96,37 @@ def n_representation(spectrum, index, grid_points=None):
                                  basis.wave_numbers))
     waves /= math.sqrt(2.0 * basis.n_max)
     return waves @ spectrum.coefficients[index]
+
+
+def complex_eigenbasis_hamiltonian(gauge, raw, eff, scales, n_qubit, n_fock,
+                                   n_table):
+    """Eigenbasis-product Hamiltonian assembled in complex arithmetic.
+
+    The coupling enters as written in the physics, (a + a') (x) <j|phase|i>
+    in the flux gauge and -1j (a - a') (x) <j|n|i> in the charge gauge,
+    with the complex element tables of the lowest n_table qubit levels and
+    no claim about which part of them vanishes.  Reference for the real
+    assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
+    cover the lowest 2 n_qubit levels of its first truncation.
+    """
+    from fluxrabi.circuit import charge_gauge_frequency_ghz, y_delta
+    from fluxrabi.coupled import (charge_coupling_ghz, flux_coupling_ghz,
+                                  ladder_difference, ladder_sum,
+                                  qubit_node_energies)
+    from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
+    from fluxrabi.qubit import number_matrix, phase_matrix
+
+    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
+    spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
+                                      PlaneWaveBasis.for_qubit())
+    if gauge == "flux":
+        omega = scales.omega
+        coupling = flux_coupling_ghz(raw, eff, scales)
+        elems, osc = phase_matrix(spectrum, n_table), ladder_sum(n_fock)
+    else:
+        omega = charge_gauge_frequency_ghz(raw, y_delta(raw), eff)
+        coupling = charge_coupling_ghz(raw, eff)
+        elems, osc = number_matrix(spectrum, n_table), ladder_difference(n_fock)
+    h = np.kron(np.diag(omega * (np.arange(n_fock) + 0.5)), np.eye(n_qubit))
+    h = h + np.kron(np.eye(n_fock), np.diag(spectrum.energies[:n_qubit]))
+    return h + coupling * np.kron(osc, elems[:n_qubit, :n_qubit])
