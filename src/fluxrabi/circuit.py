@@ -158,7 +158,7 @@ def charge_gauge_capacitance_pf(raw: RawCircuit, star: StarInductances,
 
     1/C' = 1/C + L_LC^2 / (CJ L12^2); equals C when the loops decouple.
     """
-    inv = 1.0 / (raw.C * PF) + (eff.L_LC * PH) ** 2 / ((raw.CJ * FF) * (star.L12 * PH) ** 2)
+    inv = 1.0 / (raw.C * PF) + (eff.L_LC / star.L12) ** 2 / (raw.CJ * FF)
     return 1.0 / inv / PF
 
 

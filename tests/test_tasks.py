@@ -138,6 +138,30 @@ def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
     assert probe["truncation_shift_GHz"] > 1e-3
 
 
+def test_rabi_fit_converges_from_decoupled_start(monkeypatch, tmp_path):
+    # at Lc = 0 the mapped start has g = 0 exactly; both fits must leave it
+    # and reach the minimum that Nelder-Mead found from the same start
+    results = {}
+    fit = tasks.fit_rabi
+
+    def recorded(data, initial):
+        results[initial.variant] = fit(data, initial)
+        return results[initial.variant]
+
+    monkeypatch.setattr(tasks, "fit_rabi", recorded)
+    numerics = NumericsConfig(gauge="both", n_qubit=6, n_fock=40)
+    cfg = reference_config(tasks=("rabi-fit",), lc=0.0, phix_start=0.494,
+                           phix_stop=0.506, phix_points=11, numerics=numerics,
+                           output_dir=str(tmp_path))
+    assert run(cfg) == 0
+    # Nelder-Mead's minima: g = 0.0385 (flux) and 0.0082 GHz (charge)
+    bound = {"flux": 0.200378871656, "charge": 0.199825245816}
+    for variant, result in results.items():
+        assert result.converged
+        assert result.params.g > 1e-3
+        assert result.objective_mhz2 < bound[variant] * (1 + 1e-9)
+
+
 def test_run_raises_exit_code_on_convergence_flag(tmp_path):
     # the charge-gauge eigenbasis at the default truncation is known to be
     # starved at large coupling; verify=True must trip the metadata flag
