@@ -23,29 +23,22 @@ from .constants import CONSTANTS, PACKAGE_VERSION
 from .coupled import (
     CoupledSpectrum,
     Observables,
+    ProductCoupling,
     build_coupled_eigenbasis,
     build_coupled_planewave,
+    circuit_coupling,
     observables,
-    transitions,
 )
 from .fitting import (RabiFitResult, TransitionData, fit_rabi,
                       fit_transition_pairs, ground_residual_mhz2,
                       model_pair_table)
-from .perturbation import (
-    ProductCoupling,
-    ShiftTable,
-    circuit_coupling,
-    dispersive_shift,
-    first_order_shift,
-    second_order_table,
-)
+from .perturbation import ShiftTable, first_order_shift, second_order_table
 from .planewave import (
     BasisRangeWarning,
     EigensolveError,
     PlaneWaveBasis,
     SubsystemSpectrum,
     diagonalize_flux_qubit,
-    diagonalize_oscillator,
 )
 from .qubit import (
     QubitMatrixElements,
@@ -100,9 +93,7 @@ __all__ = [
     "charge_gauge_frequency_ghz",
     "circuit_coupling",
     "diagonalize_flux_qubit",
-    "diagonalize_oscillator",
     "diagonalize_rabi",
-    "dispersive_shift",
     "effective_inductances",
     "energy_scales",
     "first_order_shift",
@@ -120,6 +111,5 @@ __all__ = [
     "reference_config",
     "run",
     "second_order_table",
-    "transitions",
     "y_delta",
 ]

@@ -37,12 +37,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class NumericsConfig:
-    """Basis sizes and truncations; defaults cover the reference circuits."""
+    """Truncations and task options; defaults cover the reference circuits."""
 
-    qubit_waves: int = 32
-    qubit_nmax: float = 8.0
-    osc_waves: int = 64
-    osc_widths: float = 10.0
     n_qubit: int = 6
     n_fock: int = 40
     fit_levels: int = 3
@@ -53,8 +49,7 @@ class NumericsConfig:
     def __post_init__(self) -> None:
         if self.gauge not in ("flux", "charge", "both"):
             raise ConfigError("numerics.gauge must be flux, charge, or both")
-        for name in ("qubit_waves", "osc_waves", "n_qubit", "n_fock",
-                     "fit_levels", "n_states"):
+        for name in ("n_qubit", "n_fock", "fit_levels", "n_states"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"numerics.{name} must be positive")
 

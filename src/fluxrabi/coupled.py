@@ -13,12 +13,15 @@ Two constructions of the same spectrum:
 In the flux gauge the coupling is -Phi1 Phi2 / L12; in the charge gauge it
 is -(L_LC / (CJ L12)) q1 q2 and the oscillator and qubit nodes carry the
 transformed parameters (C', frequency omega', qubit inductance Lc + L2).
+In the eigenbasis both factorize as c X (x) K; circuit_coupling builds that
+ProductCoupling once per bias point, and the eigenbasis build, the
+perturbation sums and the observables all read slices of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,13 +65,51 @@ N_FOCK_DEFAULT = 40
 # Largest dense product dimension the eigenbasis build will diagonalize.
 DENSE_DIM_LIMIT = 4096
 
+# Fock states and qubit levels the second-order perturbation sums run over;
+# the coupling of every eigenbasis build covers at least this slice.
+N_PERT_FOCK = 12
+N_PERT_LEVELS = 6
+
 
 @dataclass(frozen=True)
-class _EigenContext:
-    """Operator data needed to evaluate observables in the eigenbasis build."""
+class ProductCoupling:
+    """Factorized coupling c X (x) K of one gauge, with the bare energies.
 
+    X is the real oscillator quadrature on Fock states (a + a' in the flux
+    gauge, a - a' in the charge gauge) and K the real qubit element table
+    (<j|phase|i>, or the imaginary part B of <j|n|i> = 1j B, so that
+    -1j (a - a') (x) 1j B = (a - a') (x) B).  omega is the bare oscillator
+    frequency of the gauge; qubit_phase is <j|phase|i> and phi1_per_ladder
+    the phase of node 1 per unit of a + a', both read by observables().
+    """
+
+    strength: float
+    osc_elements: np.ndarray
+    qubit_elements: np.ndarray
+    omega: float
+    qubit_energies: np.ndarray
     qubit_phase: np.ndarray
     phi1_per_ladder: float
+
+    def __post_init__(self) -> None:
+        if self.osc_elements.shape[0] != self.osc_elements.shape[1]:
+            raise ValueError("oscillator elements must be square")
+        n_levels = len(self.qubit_energies)
+        if (self.qubit_elements.shape != (n_levels, n_levels)
+                or self.qubit_phase.shape != (n_levels, n_levels)):
+            raise ValueError("qubit tables do not match the qubit energies")
+
+    @property
+    def osc_energies(self) -> np.ndarray:
+        return self.omega * (np.arange(len(self.osc_elements)) + 0.5)
+
+    def truncated(self, n_fock: int, n_levels: int) -> "ProductCoupling":
+        """The coupling on the lowest n_fock Fock states and n_levels qubit
+        levels (at most the tabulated ones)."""
+        return replace(self, osc_elements=self.osc_elements[:n_fock, :n_fock],
+                       qubit_elements=self.qubit_elements[:n_levels, :n_levels],
+                       qubit_energies=self.qubit_energies[:n_levels],
+                       qubit_phase=self.qubit_phase[:n_levels, :n_levels])
 
 
 @dataclass(frozen=True)
@@ -78,8 +119,9 @@ class CoupledSpectrum:
     energies in GHz (full set of the product dimension, ascending); vectors
     holds the matching real eigencolumns, or None where the build solves
     for levels only (plane-wave product).  omega is the bare oscillator
-    frequency of this gauge, used for photon numbers.  context carries the
-    operator data observables() needs; only the eigenbasis build sets it.
+    frequency of this gauge, used for photon numbers.  coupling is the
+    product coupling the eigenbasis build assembled from, tabulated beyond
+    dims; the plane-wave build has none.
     """
 
     energies: np.ndarray
@@ -90,7 +132,7 @@ class CoupledSpectrum:
     omega: float
     converged: bool
     truncation_shift: float
-    context: _EigenContext | None
+    coupling: ProductCoupling | None
 
 
 @dataclass(frozen=True)
@@ -115,17 +157,6 @@ def ladder_sum(n_fock: int) -> np.ndarray:
     """Matrix of a + a' (dimensionless Phi-type quadrature)."""
     ladder = annihilation(n_fock)
     return ladder + ladder.T
-
-
-def _ladder_antisymmetric(n_fock: int) -> np.ndarray:
-    """Matrix of a - a' (real)."""
-    ladder = annihilation(n_fock)
-    return ladder - ladder.T
-
-
-def ladder_difference(n_fock: int) -> np.ndarray:
-    """Matrix of -1j (a - a') (dimensionless q-type quadrature)."""
-    return -1j * _ladder_antisymmetric(n_fock)
 
 
 def qubit_node_energies(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
@@ -186,6 +217,52 @@ def _checked_part(elems: np.ndarray, part: str) -> np.ndarray:
     return kept
 
 
+def circuit_coupling(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
+                     scales: EnergyScales, n_fock: int = N_PERT_FOCK,
+                     n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
+    """The physical product coupling of one gauge, in GHz units.
+
+    Solves the qubit node with the node parameters of the gauge (see
+    qubit_node_energies) and tabulates n_fock Fock states and n_levels
+    qubit levels (at most the plane-wave basis size).
+    """
+    if gauge not in GAUGES:
+        raise ValueError(f"gauge must be one of {GAUGES}")
+    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
+    qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
+                                            PlaneWaveBasis.for_qubit())
+    phase = _checked_part(phase_matrix(qubit_spectrum, n_levels), "real")
+    ladder = annihilation(n_fock)
+    if gauge == "flux":
+        omega = scales.omega
+        strength = flux_coupling_ghz(raw, eff, scales)
+        osc, qub = ladder + ladder.T, phase
+        izpf = scales.Izpf * NA
+    else:
+        omega = charge_gauge_frequency_ghz(raw, y_delta(raw), eff)
+        strength = charge_coupling_ghz(raw, eff)
+        osc = ladder - ladder.T
+        qub = _checked_part(number_matrix(qubit_spectrum, n_levels), "imaginary")
+        izpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
+                         / (2.0 * eff.L_LC * PH))
+    return ProductCoupling(
+        strength=strength, osc_elements=osc, qubit_elements=qub, omega=omega,
+        qubit_energies=qubit_spectrum.energies[:n_levels], qubit_phase=phase,
+        phi1_per_ladder=(2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf)
+
+
+def _assemble(coupling: ProductCoupling) -> np.ndarray:
+    """Real symmetric product Hamiltonian, oscillator-major."""
+    nf, nq = len(coupling.osc_elements), len(coupling.qubit_energies)
+    h = np.kron(np.diag(coupling.osc_energies), np.eye(nq))
+    h += np.kron(np.eye(nf), np.diag(coupling.qubit_energies))
+    term = np.kron(coupling.osc_elements, coupling.qubit_elements)
+    term *= coupling.strength
+    h += term
+    _check_hermitian(h)
+    return h
+
+
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
                              scales: EnergyScales,
                              n_qubit: int = N_QUBIT_DEFAULT,
@@ -193,67 +270,30 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
                              verify: bool = True) -> CoupledSpectrum:
     """Diagonalize in the Fock (x) qubit-eigenstate product basis.
 
-    The qubit node is solved with the node parameters of the gauge (see
-    qubit_node_energies).  verify repeats the solve with both truncations
-    doubled and records the largest shift of the lowest eight levels.
-
-    The product Hamiltonian is assembled real symmetric in both gauges:
-    the flux coupling is (a + a') (x) <j|phase|i>, with a real table, and
-    the charge coupling -1j (a - a') (x) <j|n|i>, with a purely imaginary
-    table 1j B, equals (a - a') (x) B.
+    One circuit_coupling, tabulated at the doubled truncation (and at
+    least N_PERT_FOCK x N_PERT_LEVELS), feeds the solve at (n_fock,
+    n_qubit) and, with verify, the re-solve at both truncations doubled,
+    which records the largest shift of the lowest eight levels.  The
+    product Hamiltonian is real symmetric in both gauges.
     """
-    if gauge not in GAUGES:
-        raise ValueError(f"gauge must be one of {GAUGES}")
     if n_qubit * n_fock > DENSE_DIM_LIMIT:
         raise EigensolveError(
             f"product dimension {n_qubit * n_fock} exceeds the dense-solver "
             f"budget {DENSE_DIM_LIMIT}")
-    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
-    qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
-                                            PlaneWaveBasis.for_qubit())
-    star = y_delta(raw)
-    n_elems = min(2 * n_qubit, qubit_spectrum.basis.n_waves)
-    if gauge == "flux":
-        omega = scales.omega
-        coupling = flux_coupling_ghz(raw, eff, scales)
-        qubit_elems = _checked_part(phase_matrix(qubit_spectrum, n_elems), "real")
-        phi1_per_ladder = (2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * (
-            scales.Izpf * NA)
-        osc_elems = ladder_sum
-    else:
-        omega = charge_gauge_frequency_ghz(raw, star, eff)
-        coupling = charge_coupling_ghz(raw, eff)
-        qubit_elems = _checked_part(number_matrix(qubit_spectrum, n_elems),
-                                    "imaginary")
-        izpf_prime = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
-                               / (2.0 * eff.L_LC * PH))
-        phi1_per_ladder = (2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf_prime
-        osc_elems = _ladder_antisymmetric
-
-    qubit_energies = qubit_spectrum.energies
-
-    def assemble(nq: int, nf: int) -> np.ndarray:
-        h = np.kron(np.diag(omega * (np.arange(nf) + 0.5)), np.eye(nq))
-        h += np.kron(np.eye(nf), np.diag(qubit_energies[:nq]))
-        term = np.kron(osc_elems(nf), qubit_elems[:nq, :nq])
-        term *= coupling
-        h += term
-        _check_hermitian(h)
-        return h
-
-    energies, vectors = np.linalg.eigh(assemble(n_qubit, n_fock))
+    coupling = circuit_coupling(gauge, raw, eff, scales,
+                                max(2 * n_fock, N_PERT_FOCK),
+                                max(2 * n_qubit, N_PERT_LEVELS))
+    energies, vectors = np.linalg.eigh(
+        _assemble(coupling.truncated(n_fock, n_qubit)))
     shift, converged = 0.0, True
     if verify:
-        nq_big = min(2 * n_qubit, len(qubit_energies), qubit_elems.shape[0])
-        shift, converged = truncation_shift(
-            energies, np.linalg.eigvalsh(assemble(nq_big, 2 * n_fock)))
-    context = _EigenContext(qubit_phase=phase_matrix(qubit_spectrum, n_qubit),
-                            phi1_per_ladder=phi1_per_ladder)
+        doubled = _assemble(coupling.truncated(2 * n_fock, 2 * n_qubit))
+        shift, converged = truncation_shift(energies, np.linalg.eigvalsh(doubled))
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            provenance="eigenbasis-product",
-                           dims=(n_fock, n_qubit), omega=omega,
+                           dims=(n_fock, n_qubit), omega=coupling.omega,
                            converged=converged, truncation_shift=shift,
-                           context=context)
+                           coupling=coupling)
 
 
 def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
@@ -264,7 +304,7 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductanc
     matrix is real symmetric in both gauges: the flux-gauge coupling is
     diagonal and the charge-gauge coupling is a product of two imaginary
     antisymmetric kernels.  It solves for levels only: the result carries
-    no eigenvectors, no truncation check and no observables context.
+    no eigenvectors, no truncation check and no product coupling.
     """
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}")
@@ -305,35 +345,30 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductanc
     return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
                            provenance="planewave-product", dims=dims,
                            omega=omega, converged=True, truncation_shift=0.0,
-                           context=None)
-
-
-def transitions(spec: CoupledSpectrum, pairs: list[tuple[int, int]]) -> np.ndarray:
-    """Transition frequencies E_j - E_i in GHz for (i, j) pairs."""
-    return np.array([spec.energies[j] - spec.energies[i] for i, j in pairs])
+                           coupling=None)
 
 
 def observables(spec: CoupledSpectrum, raw: RawCircuit, eff: EffectiveInductances,
                 scales: EnergyScales, state_index: int) -> Observables:
     """Photon number, flux expectations, and loop currents of one eigenstate.
 
-    Only an eigenbasis-product spectrum carries the operator data this
+    Only an eigenbasis-product spectrum carries the product coupling this
     needs; any other spectrum is rejected.
     """
-    ctx = spec.context
-    if not isinstance(ctx, _EigenContext):
+    if spec.coupling is None:
         raise ValueError("observables needs an eigenbasis-product spectrum")
     star = y_delta(raw)
     n_fock, n_qubit = spec.dims
+    coupling = spec.coupling.truncated(n_fock, n_qubit)
     psi = spec.vectors[:, state_index].reshape(n_fock, n_qubit)
     weights = np.sum(np.abs(psi) ** 2, axis=1)
     photon = float(weights @ np.arange(n_fock))
     # Phi1 is proportional to a + a' in both gauges (the zero-point
     # amplitude differs through the gauge's own omega).
     quad = ladder_sum(n_fock)
-    phi1 = float(np.real(np.einsum("mi,mn,ni->", psi.conj(), quad, psi)))
-    phi1 *= ctx.phi1_per_ladder
-    phi2 = float(np.real(np.einsum("mi,ij,mj->", psi.conj(), ctx.qubit_phase, psi)))
+    phi1 = float(np.einsum("mi,mn,ni->", psi, quad, psi))
+    phi1 *= coupling.phi1_per_ladder
+    phi2 = float(np.einsum("mi,ij,mj->", psi, coupling.qubit_phase, psi))
     phi1_physical = phi1
     if spec.gauge == "charge" and star.is_coupled:
         phi1_physical = phi1 + (eff.L_LC / star.L12) * phi2

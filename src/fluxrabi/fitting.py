@@ -146,8 +146,9 @@ def fit_rabi(data: TransitionData, initial: RabiParams,
     Runs Levenberg-Marquardt on the signed residuals from the start, then
     once more from the first minimum nudged by RESTART_STEP, and keeps the
     lower minimum; converged requires both runs to succeed and to agree
-    below 0.1% on every parameter.  n_eval counts every residual
-    evaluation, finite-difference Jacobian columns included.
+    below 0.1% on every parameter (relative to 1e-3 omega for a parameter
+    smaller than that).  n_eval counts every residual evaluation,
+    finite-difference Jacobian columns included.
     """
     if n_fock is None:
         n_fock = default_n_fock(initial.g / initial.omega)
@@ -181,7 +182,9 @@ def fit_rabi(data: TransitionData, initial: RabiParams,
     best = min(first, second, key=lambda sol: sol.cost)  # first on a tie
     theta = np.abs(best.x)
     gap = np.abs(np.abs(first.x) - np.abs(second.x))
-    spread = float((gap / np.maximum(theta, 1e-12)).max())
+    # gaps are judged against 1e-3 omega where a parameter is smaller, as in
+    # the start lift: a fitted g near 0 must not inflate them
+    spread = float((gap / np.maximum(theta, 1e-3 * theta[0])).max())
     params = replace(initial, omega=float(theta[0]), Delta_q=float(theta[1]),
                      g=float(theta[2]), Ip=float(theta[3]))
     reported = ground_residual_mhz2(params, data, n_fock)

@@ -169,11 +169,6 @@ def _solve(h: np.ndarray, basis: PlaneWaveBasis, label: str) -> SubsystemSpectru
                              degenerate_pairs=degenerate)
 
 
-def diagonalize_oscillator(ec: float, el: float, basis: PlaneWaveBasis) -> SubsystemSpectrum:
-    """All levels of the LC node Hamiltonian in the given basis."""
-    return _solve(oscillator_hamiltonian(ec, el, basis), basis, "oscillator")
-
-
 def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
                            basis: PlaneWaveBasis) -> SubsystemSpectrum:
     """All levels of the flux-qubit node Hamiltonian in the given basis."""

@@ -34,6 +34,8 @@ from .config import NumericsConfig, RunConfig
 from .constants import PACKAGE_VERSION
 from .coupled import (
     GAUGES,
+    N_PERT_FOCK,
+    N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     observables,
@@ -41,11 +43,7 @@ from .coupled import (
 )
 from .fitting import (TransitionData, fit_rabi, fit_transition_pairs,
                       model_pair_table)
-from .perturbation import (
-    circuit_coupling,
-    first_order_shift,
-    second_order_table,
-)
+from .perturbation import first_order_shift, second_order_table
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
                     matrix_elements)
@@ -60,7 +58,8 @@ TRUNCATION_LADDER = ((4, 10), (6, 20), (6, 40), (8, 60), (12, 80))
 
 # Coupled levels read per bias point; the fits use pairs among them.
 N_COUPLED_LEVELS = 8
-N_PERT_LEVELS = 6
+# Qubit levels the plane-wave qubit tasks report.
+N_QUBIT_LEVELS = 6
 
 OBSERVABLE_UNITS = (("photon_number", "1"), ("flux_1", "rad"),
                     ("flux_2", "rad"), ("current_1", "nA"),
@@ -82,21 +81,15 @@ def _context(raw: RawCircuit):
     return star, eff, scales
 
 
-def _qubit_basis(num: NumericsConfig) -> PlaneWaveBasis:
-    return PlaneWaveBasis(n_max=num.qubit_nmax, n_waves=num.qubit_waves)
-
-
 @lru_cache(maxsize=64)
-def _reduction(raw: RawCircuit, basis: PlaneWaveBasis,
-               gauge: str) -> tuple[TwoLevelFit, RabiParams]:
+def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
     """Two-level reduction of the qubit node of one gauge, and its mapping.
 
     characterize_qubit is looked up as a module global at call time, so a
     wrapper installed on that name sees every reduction.
     """
     _, eff, scales = _context(raw)
-    fit = characterize_qubit(*qubit_node_energies(gauge, raw, eff, scales),
-                             basis)
+    fit = characterize_qubit(*qubit_node_energies(gauge, raw, eff, scales))
     mapping = map_circuit_to_rabi if gauge == "flux" else map_circuit_to_rabi_charge
     return fit, mapping(raw, eff, scales, fit)
 
@@ -205,14 +198,14 @@ def _level_tails(provenance: str, energies: list[float]) -> list[tuple]:
                    "GHz") for i in range(1, len(energies))]
 
 
-def _qubit_solve(raw: RawCircuit, num: NumericsConfig):
+def _qubit_solve(raw: RawCircuit):
     _, _, scales = _context(raw)
     return diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ, raw.phix,
-                                  _qubit_basis(num))
+                                  PlaneWaveBasis.for_qubit())
 
 
 def _qubit_level_rows(gauge, raw, num):
-    energies = _qubit_solve(raw, num).energies[:min(6, num.qubit_waves)]
+    energies = _qubit_solve(raw).energies[:N_QUBIT_LEVELS]
     return _level_tails("planewave", [float(e) for e in energies])
 
 
@@ -233,7 +226,7 @@ def _observable_rows(gauge, raw, num):
 
 
 def _matrix_element_rows(gauge, raw, num):
-    elems = matrix_elements(_qubit_solve(raw, num), raw.phix, 3)
+    elems = matrix_elements(_qubit_solve(raw), raw.phix, 3)
     flux_re, charge_im = np.real(elems.flux_elems), np.imag(elems.charge_elems)
     out = []
     for j in range(3):
@@ -246,13 +239,15 @@ def _matrix_element_rows(gauge, raw, num):
 
 
 def _perturbation_rows(gauge, raw, num):
-    """Dispersive shifts; first_order_max_abs is NaN at guarded points."""
-    _, eff, scales = _context(raw)
-    coupling = circuit_coupling(gauge, raw, eff, scales, n_fock=12,
-                                n_levels=N_PERT_LEVELS)
+    """Dispersive shifts; first_order_max_abs is NaN at guarded points.
+
+    The sums run over the N_PERT_FOCK x N_PERT_LEVELS slice of the coupling
+    the eigenbasis build assembled from, so the qubit is solved once.
+    """
+    spec = _eigenbasis(gauge, raw, num)
+    coupling = spec.coupling.truncated(N_PERT_FOCK, N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
-    spec = _eigenbasis(gauge, raw, num)
     ok = True
     out = []
     for level in (0, 1):
@@ -275,9 +270,9 @@ def _perturbation_rows(gauge, raw, num):
 
 
 def _wavefunction_rows(gauge, raw, num):
-    spec = _qubit_solve(raw, num)
+    spec = _qubit_solve(raw)
     out = []
-    for i in range(min(6, num.qubit_waves)):
+    for i in range(N_QUBIT_LEVELS):
         for kk, a in zip(spec.basis.wave_numbers, spec.coefficients[i]):
             out.append(("planewave", f"state_{i}_amplitude_real", float(kk),
                         float(np.real(a)), "1"))
@@ -290,11 +285,10 @@ def _wavefunction_rows(gauge, raw, num):
 
 def task_qubit_spectrum(cfg: RunConfig) -> TaskResult:
     """Bare qubit levels over the bias grid plus the two-level reduction."""
-    basis = _qubit_basis(cfg.numerics)
     rows = _sweep(cfg, _qubit_level_rows)
     detail = {}
     for lc, raw in cfg.circuits():
-        fit, _ = _reduction(raw, basis, "flux")
+        fit, _ = _reduction(raw, "flux")
         rows += _scalar_rows(lc, "flux", "planewave", (
             ("Delta_q", fit.Delta_q, "GHz"), ("Ip", fit.Ip, "nA"),
             ("omega_os", fit.omega_os, "GHz"), ("Phi2max", fit.Phi2max, "Phi0"),
@@ -342,11 +336,10 @@ def task_circuit_spectrum(cfg: RunConfig) -> TaskResult:
 def task_rabi_map(cfg: RunConfig) -> TaskResult:
     """First-principles two-level model parameters in both gauges."""
     rows = []
-    basis = _qubit_basis(cfg.numerics)
     detail = {}
     for lc, raw in cfg.circuits():
         for gauge in GAUGES:
-            fit, params = _reduction(raw, basis, gauge)
+            fit, params = _reduction(raw, gauge)
             rows += _scalar_rows(lc, gauge, "mapped", (
                 ("omega", params.omega, "GHz"), ("Delta_q", params.Delta_q, "GHz"),
                 ("g", params.g, "GHz"), ("Ip", params.Ip, "nA"),
@@ -363,7 +356,6 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
     mid-bias; an unconverged check clears the converged flag.
     """
     rows = []
-    basis = _qubit_basis(cfg.numerics)
     grid = cfg.phix_grid
     pairs = fit_transition_pairs(cfg.numerics.fit_levels)
     level_rows = _sweep(cfg, _level_rows)
@@ -378,7 +370,7 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
         rows += _pair_rows(lc, "flux", "eigenbasis-product", "data_transition",
                            grid, pairs, table)
         for variant in GAUGES:
-            result = fit_rabi(data, _reduction(raw, basis, variant)[1])
+            result = fit_rabi(data, _reduction(raw, variant)[1])
             params = result.params
             rows += _scalar_rows(lc, variant, "fit", (
                 ("fitted_omega", params.omega, "GHz"),
@@ -502,13 +494,12 @@ REGRESSION_BOUNDS = (
 
 def compute_regression_values(cfg: RunConfig, workers: int = 1) -> dict:
     """All pinned benchmark quantities for the configured branch sums."""
-    basis = _qubit_basis(cfg.numerics)
     values = {}
     for lc in (20.0, 350.0):
         raw = cfg.circuit_at(lc)
         tag = f"{int(lc)}"
-        _, flux_params = _reduction(raw, basis, "flux")
-        _, charge_params = _reduction(raw, basis, "charge")
+        _, flux_params = _reduction(raw, "flux")
+        _, charge_params = _reduction(raw, "charge")
         values[f"map{tag}_omega_GHz"] = flux_params.omega
         values[f"map{tag}_Delta_q_GHz"] = flux_params.Delta_q
         values[f"map{tag}_g_GHz"] = flux_params.g
@@ -525,7 +516,7 @@ def compute_regression_values(cfg: RunConfig, workers: int = 1) -> dict:
         pairs = fit_transition_pairs(max_level)
         data = TransitionData.from_pair_table(
             grid, _pair_table(level_rows, 350.0, grid, pairs), pairs)
-        result = fit_rabi(data, _reduction(raw, basis, "flux")[1])
+        result = fit_rabi(data, _reduction(raw, "flux")[1])
         values[f"fit{max_level}_350_omega_GHz"] = result.params.omega
         values[f"fit{max_level}_350_Delta_q_GHz"] = result.params.Delta_q
         values[f"fit{max_level}_350_g_GHz"] = result.params.g

@@ -15,6 +15,7 @@ from fluxrabi.circuit import effective_inductances, energy_scales, y_delta
 from fluxrabi.config import reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis, qubit_node_energies
 from fluxrabi.fitting import TransitionData, fit_rabi, fit_transition_pairs
+from fluxrabi.perturbation import second_order_table
 from fluxrabi.qubit import characterize_qubit
 from fluxrabi.rabi import map_circuit_to_rabi, map_circuit_to_rabi_charge
 
@@ -40,6 +41,12 @@ def circuit_parts(lc, phix=0.5):
     eff = effective_inductances(star, raw)
     scales = energy_scales(raw, eff)
     return CircuitParts(raw=raw, star=star, eff=eff, scales=scales)
+
+
+def dispersive_shift(coupling, level=0):
+    """Second-order shift of the oscillator transition against a qubit level."""
+    return (second_order_table(coupling, 1, level).total
+            - second_order_table(coupling, 0, level).total)
 
 
 @lru_cache(maxsize=None)

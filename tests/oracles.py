@@ -98,6 +98,12 @@ def n_representation(spectrum, index, grid_points=None):
     return waves @ spectrum.coefficients[index]
 
 
+def ladder_difference(n_fock):
+    """Matrix of -1j (a - a') (dimensionless q-type quadrature), complex."""
+    ladder = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+    return -1j * (ladder - ladder.T)
+
+
 def complex_eigenbasis_hamiltonian(gauge, raw, eff, scales, n_qubit, n_fock,
                                    n_table):
     """Eigenbasis-product Hamiltonian assembled in complex arithmetic.
@@ -107,12 +113,13 @@ def complex_eigenbasis_hamiltonian(gauge, raw, eff, scales, n_qubit, n_fock,
     with the complex element tables of the lowest n_table qubit levels and
     no claim about which part of them vanishes.  Reference for the real
     assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
-    cover the lowest 2 n_qubit levels of its first truncation.
+    cover the lowest max(2 n_qubit, 6) levels of its first truncation.  It
+    keeps its own gauge branch and qubit solve, apart from the library's
+    circuit_coupling.
     """
     from fluxrabi.circuit import charge_gauge_frequency_ghz, y_delta
     from fluxrabi.coupled import (charge_coupling_ghz, flux_coupling_ghz,
-                                  ladder_difference, ladder_sum,
-                                  qubit_node_energies)
+                                  ladder_sum, qubit_node_energies)
     from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
     from fluxrabi.qubit import number_matrix, phase_matrix
 

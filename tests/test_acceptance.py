@@ -14,18 +14,15 @@ import pytest
 from fluxrabi.coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
+    circuit_coupling,
     observables,
     qubit_node_energies,
 )
-from fluxrabi.perturbation import (
-    circuit_coupling,
-    dispersive_shift,
-    first_order_shift,
-    second_order_table,
-)
+from fluxrabi.perturbation import first_order_shift, second_order_table
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 
-from conftest import FIT_GRID, circuit_parts, fit_result, mapped_params
+from conftest import (FIT_GRID, circuit_parts, dispersive_shift, fit_result,
+                      mapped_params)
 from oracles import finite_difference_qubit_levels, origin_r_squared
 
 

@@ -81,6 +81,9 @@ def test_unknown_keys_rejected_everywhere():
         lambda d: d["circuit"].update(R_ohm=50.0),
         lambda d: d.update(sweep={"step": 0.1}),
         lambda d: d.update(numerics={"fock": 40}),
+        # the plane-wave basis knobs are gone: every solve uses
+        # PlaneWaveBasis.for_qubit()
+        lambda d: d.update(numerics={"qubit_waves": 64}),
         lambda d: d.update(output={"dir": "x"}),
     ):
         doc = minimal_doc()

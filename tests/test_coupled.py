@@ -15,16 +15,15 @@ from fluxrabi.coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     charge_coupling_ghz,
+    circuit_coupling,
     flux_coupling_ghz,
-    ladder_difference,
     ladder_sum,
     observables,
-    transitions,
 )
 from fluxrabi.planewave import EigensolveError
 
 from conftest import circuit_parts
-from oracles import complex_eigenbasis_hamiltonian
+from oracles import complex_eigenbasis_hamiltonian, ladder_difference
 
 
 def _solver_inputs(monkeypatch):
@@ -41,7 +40,7 @@ def _solver_inputs(monkeypatch):
     return seen
 
 
-def test_ladder_quadratures():
+def test_ladder_quadratures(parts20):
     sum_mat = ladder_sum(4)
     expected = np.zeros((4, 4))
     for n in range(3):
@@ -51,6 +50,13 @@ def test_ladder_quadratures():
     assert np.abs(diff - diff.conj().T).max() == 0.0
     assert diff[0, 1] == pytest.approx(-1j)
     assert diff[1, 0] == pytest.approx(1j)
+    # the real quadratures of the product coupling: a + a' in the flux
+    # gauge, and a - a' = 1j * (-1j (a - a')) in the charge gauge
+    p = parts20
+    flux = circuit_coupling("flux", p.raw, p.eff, p.scales, n_fock=4)
+    charge = circuit_coupling("charge", p.raw, p.eff, p.scales, n_fock=4)
+    assert np.array_equal(flux.osc_elements, sum_mat)
+    assert np.array_equal(charge.osc_elements, (1j * diff).real)
 
 
 def test_coupling_coefficients_vanish_when_decoupled():
@@ -95,15 +101,6 @@ def test_flux_eigenbasis_converged_at_default_truncation(parts20):
                                     verify=True)
     assert spec.converged
     assert spec.truncation_shift < 1e-3
-
-
-def test_transitions_helper(parts20):
-    p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
-                                    verify=False)
-    t = transitions(spec, [(0, 1), (0, 2), (1, 3)])
-    e = spec.energies
-    assert t == pytest.approx([e[1] - e[0], e[2] - e[0], e[3] - e[1]])
 
 
 def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
@@ -153,12 +150,13 @@ def test_charge_gauge_frame_flux_vanishes(parts20):
 
 
 def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
-    # the plane-wave build sets no context; observables must not misread it
+    # the plane-wave build carries no product coupling; observables must
+    # not misread it
     p = parts20
     spec = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
                                     verify=False)
     with pytest.raises(ValueError):
-        observables(dataclasses.replace(spec, context=None), p.raw, p.eff,
+        observables(dataclasses.replace(spec, coupling=None), p.raw, p.eff,
                     p.scales, 0)
 
 
@@ -191,6 +189,24 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
                                                  nq, nf, n_table=12)
             assert np.all(ref.imag == 0.0)
             assert np.array_equal(h, ref.real)
+
+
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_truncated_coupling_equals_direct_tables(gauge, lc):
+    # a slice of the coupling an eigenbasis build tabulates at doubled
+    # truncation is bit for bit the coupling tabulated at the slice, so the
+    # perturbation sums and observables can read it without a second solve
+    for phix in (0.494, 0.5, 0.503):
+        p = circuit_parts(lc, phix)
+        direct = circuit_coupling(gauge, p.raw, p.eff, p.scales, 12, 6)
+        sliced = circuit_coupling(gauge, p.raw, p.eff, p.scales, 80,
+                                  12).truncated(12, 6)
+        assert direct.qubit_elements.dtype == np.float64
+        for field in dataclasses.fields(direct):
+            assert np.array_equal(getattr(direct, field.name),
+                                  getattr(sliced, field.name)), field.name
+        assert np.array_equal(direct.osc_energies, sliced.osc_energies)
 
 
 @settings(max_examples=30, deadline=None)

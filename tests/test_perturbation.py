@@ -1,20 +1,13 @@
 """Second-order dispersive shifts against exact diagonalization."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from fluxrabi.coupled import build_coupled_eigenbasis
-from fluxrabi.perturbation import (
-    ProductCoupling,
-    circuit_coupling,
-    dispersive_shift,
-    first_order_shift,
-    second_order_table,
-)
+from fluxrabi.coupled import (ProductCoupling, build_coupled_eigenbasis,
+                              circuit_coupling)
+from fluxrabi.perturbation import first_order_shift, second_order_table
 
-from conftest import circuit_parts
+from conftest import circuit_parts, dispersive_shift
 
 
 def synthetic_coupling(strength=0.1, qubit_gap=1.0, omega=1.0):
@@ -23,20 +16,30 @@ def synthetic_coupling(strength=0.1, qubit_gap=1.0, omega=1.0):
     osc[1, 2] = osc[2, 1] = np.sqrt(2.0)
     qub = np.array([[0.0, 1.0], [1.0, 0.0]])
     return ProductCoupling(strength=strength, osc_elements=osc,
-                           qubit_elements=qub,
-                           osc_energies=omega * (np.arange(3) + 0.5),
-                           qubit_energies=np.array([0.0, qubit_gap]))
+                           qubit_elements=qub, omega=omega,
+                           qubit_energies=np.array([0.0, qubit_gap]),
+                           qubit_phase=qub, phi1_per_ladder=1.0)
 
 
 def test_product_coupling_shape_validation():
     with pytest.raises(ValueError):
         ProductCoupling(strength=1.0, osc_elements=np.zeros((2, 3)),
-                        qubit_elements=np.eye(2),
-                        osc_energies=np.zeros(2), qubit_energies=np.zeros(2))
+                        qubit_elements=np.eye(2), omega=1.0,
+                        qubit_energies=np.zeros(2), qubit_phase=np.eye(2),
+                        phi1_per_ladder=1.0)
     with pytest.raises(ValueError):
         ProductCoupling(strength=1.0, osc_elements=np.eye(2),
-                        qubit_elements=np.eye(2),
-                        osc_energies=np.zeros(3), qubit_energies=np.zeros(2))
+                        qubit_elements=np.eye(2), omega=1.0,
+                        qubit_energies=np.zeros(3), qubit_phase=np.eye(2),
+                        phi1_per_ladder=1.0)
+    with pytest.raises(ValueError):
+        ProductCoupling(strength=1.0, osc_elements=np.eye(2),
+                        qubit_elements=np.eye(2), omega=1.0,
+                        qubit_energies=np.zeros(2), qubit_phase=np.eye(3),
+                        phi1_per_ladder=1.0)
+    # the oscillator energies follow the quadrature's Fock range
+    c = synthetic_coupling(omega=2.0)
+    assert np.array_equal(c.osc_energies, [1.0, 3.0, 5.0])
 
 
 def test_first_order_vanishes_for_ladder_quadratures(parts20):
@@ -75,11 +78,7 @@ def test_symmetric_shift_for_two_level_restriction(parts20):
     # antisymmetric between the two qubit levels
     p = parts20
     full = circuit_coupling("flux", p.raw, p.eff, p.scales)
-    restricted = ProductCoupling(strength=full.strength,
-                                 osc_elements=full.osc_elements,
-                                 qubit_elements=full.qubit_elements[:2, :2],
-                                 osc_energies=full.osc_energies,
-                                 qubit_energies=full.qubit_energies[:2])
+    restricted = full.truncated(len(full.osc_elements), 2)
     chi_g = dispersive_shift(restricted, 0)
     chi_e = dispersive_shift(restricted, 1)
     assert chi_g == pytest.approx(-chi_e, rel=1e-12)

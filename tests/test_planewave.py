@@ -8,8 +8,8 @@ from fluxrabi.planewave import (
     BasisRangeWarning,
     PlaneWaveBasis,
     diagonalize_flux_qubit,
-    diagonalize_oscillator,
     linear_kernel,
+    oscillator_hamiltonian,
     quadratic_kernel,
 )
 
@@ -64,19 +64,20 @@ def test_kernels_hermitian():
 def test_oscillator_reproduces_harmonic_ladder():
     p = circuit_parts(20.0)
     basis = PlaneWaveBasis.for_oscillator(p.scales.EC, p.scales.EL)
-    spec = diagonalize_oscillator(p.scales.EC, p.scales.EL, basis)
+    energies = np.linalg.eigvalsh(oscillator_hamiltonian(p.scales.EC,
+                                                         p.scales.EL, basis))
     exact = harmonic_levels(p.scales.EC, p.scales.EL, k=10)
-    assert np.abs(spec.energies[:10] - exact).max() < 1e-6
+    assert np.abs(energies[:10] - exact).max() < 1e-6
 
 
 def test_unresolvable_phase_extent_warns():
     p = circuit_parts(20.0)
     # a huge charge interval starves the phase-space coverage of the fixed
     # wave count, pushing ground-state weight onto the outermost waves
-    basis = PlaneWaveBasis.for_oscillator(p.scales.EC, p.scales.EL,
-                                          n_widths=60.0)
+    basis = PlaneWaveBasis.for_qubit(n_max=40.0)
     with pytest.warns(BasisRangeWarning):
-        diagonalize_oscillator(p.scales.EC, p.scales.EL, basis)
+        diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
+                               basis)
 
 
 def test_qubit_levels_ordered_and_converged_in_basis():

@@ -41,8 +41,7 @@ def test_qubit_spectrum_rows_match_direct_solve():
     result = task_qubit_spectrum(cfg)
     assert result.columns == SWEEP_COLUMNS
     assert result.rows == sorted(result.rows, key=_sort_key)
-    basis = PlaneWaveBasis(n_max=cfg.numerics.qubit_nmax,
-                           n_waves=cfg.numerics.qubit_waves)
+    basis = PlaneWaveBasis.for_qubit()
     raw = cfg.circuit_at(20.0)
     _, eff, scales = tasks._context(raw)
     spec = diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ, 0.498,
@@ -113,6 +112,48 @@ def test_pool_results_match_serial_path():
         assert len(serial) > 0
         assert ([[tasks._format_cell(c) for c in row] for row in serial]
                 == [[tasks._format_cell(c) for c in row] for row in pooled])
+
+
+def test_perturbation_point_solves_the_qubit_once(monkeypatch):
+    # the perturbation sums read a slice of the coupling the eigenbasis
+    # build assembled from, so one bias point costs one qubit solve
+    import fluxrabi.coupled as coupled
+    import fluxrabi.perturbation as perturbation
+
+    biases = []
+
+    def counted(ecj, ej, elfq, phix, basis):
+        biases.append(phix)
+        return diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
+
+    for module in (coupled, perturbation, tasks):
+        monkeypatch.setattr(module, "diagonalize_flux_qubit", counted,
+                            raising=False)
+    raw = reference_config(lc=350.0).circuit
+    for gauge in GAUGES:
+        for phix in (0.499, 0.5):
+            biases.clear()
+            tasks._perturbation_rows(gauge, replace(raw, phix=phix),
+                                     NumericsConfig())
+            assert biases == [phix]
+
+
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+def test_perturbative_rows_independent_of_eigenbasis_truncation(lc):
+    # the sums keep their 12 x 6 truncation at any eigenbasis truncation,
+    # including one smaller than that
+    raw = reference_config(lc=lc).circuit
+    for gauge in GAUGES:
+        for phix in (0.494, 0.5, 0.503):
+            tables = []
+            for nq, nf in ((2, 4), (6, 40)):
+                rows = tasks._perturbation_rows(
+                    gauge, replace(raw, phix=phix),
+                    NumericsConfig(n_qubit=nq, n_fock=nf))
+                tables.append([[tasks._format_cell(c) for c in row]
+                               for row in rows if row[0] == "perturbation"])
+            assert len(tables[0]) == 2 * 7 + 1
+            assert tables[0] == tables[1]
 
 
 def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
