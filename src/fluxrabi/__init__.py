@@ -10,12 +10,12 @@ the exact levels.
 from .circuit import (
     EffectiveInductances,
     EnergyScales,
+    GaugeCircuit,
     RawCircuit,
     StarInductances,
-    charge_gauge_capacitance_pf,
-    charge_gauge_frequency_ghz,
     effective_inductances,
     energy_scales,
+    gauge_circuit,
     y_delta,
 )
 from .config import ConfigError, NumericsConfig, RunConfig, load_config, reference_config
@@ -48,14 +48,7 @@ from .qubit import (
     fit_two_level,
     matrix_elements,
 )
-from .rabi import (
-    RabiParams,
-    RabiSpectrum,
-    diagonalize_rabi,
-    map_circuit_to_rabi,
-    map_circuit_to_rabi_charge,
-    rabi_hamiltonian,
-)
+from .rabi import RabiParams, map_circuit_to_rabi, rabi_hamiltonian
 from .tasks import TASKS, run
 
 __version__ = PACKAGE_VERSION
@@ -68,6 +61,7 @@ __all__ = [
     "EffectiveInductances",
     "EigensolveError",
     "EnergyScales",
+    "GaugeCircuit",
     "NumericsConfig",
     "Observables",
     "PACKAGE_VERSION",
@@ -76,7 +70,6 @@ __all__ = [
     "QubitMatrixElements",
     "RabiFitResult",
     "RabiParams",
-    "RabiSpectrum",
     "RawCircuit",
     "RunConfig",
     "ShiftTable",
@@ -89,21 +82,18 @@ __all__ = [
     "build_coupled_eigenbasis",
     "build_coupled_planewave",
     "characterize_qubit",
-    "charge_gauge_capacitance_pf",
-    "charge_gauge_frequency_ghz",
     "circuit_coupling",
     "diagonalize_flux_qubit",
-    "diagonalize_rabi",
     "effective_inductances",
     "energy_scales",
     "first_order_shift",
     "fit_rabi",
     "fit_transition_pairs",
     "fit_two_level",
+    "gauge_circuit",
     "ground_residual_mhz2",
     "load_config",
     "map_circuit_to_rabi",
-    "map_circuit_to_rabi_charge",
     "matrix_elements",
     "model_pair_table",
     "observables",

@@ -6,12 +6,19 @@ plus the junction) sharing the branch Lc with an LC oscillator loop
 the three inductors eliminates the shared branch and produces the effective
 inductances of the two-node Hamiltonian: the oscillator sees L_LC, the qubit
 sees L_FQ, and the nodes couple through the mutual term -Phi1 Phi2 / L12.
+
+The two gauges of the coupled Hamiltonian differ only in what gauge_circuit
+derives: the flux gauge keeps (C, omega, L_FQ) with the inductive coupling
+-Phi1 Phi2 / L12; the charge gauge has C', omega' and Lc + L2 with the
+capacitive coupling -(L_LC / (CJ L12)) q1 q2.  Every solver reads its node
+parameters, zero-point scales and coupling strengths from that one value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .constants import (
     CONSTANTS,
@@ -22,9 +29,16 @@ from .constants import (
     PH,
     UV,
     charging_energy_ghz,
+    current_flux_to_ghz,
     inductive_energy_ghz,
     josephson_inductance_ph,
 )
+
+if TYPE_CHECKING:
+    from .qubit import TwoLevelFit
+
+
+GAUGES = ("flux", "charge")
 
 
 @dataclass(frozen=True)
@@ -88,16 +102,12 @@ class EffectiveInductances:
 
     L_LC and L_FQ are the oscillator and qubit inductances of the exact
     two-node treatment.  L_FQ_charge = Lc + L2 is the qubit inductance left
-    after the momentum-shift transformation of the coupled Hamiltonian; the
-    sep_* fields are the nonreciprocal values obtained when each loop is
-    instead reduced separately with the other circuit removed.
+    after the momentum-shift transformation of the coupled Hamiltonian.
     """
 
     L_LC: float
     L_FQ: float
     L_FQ_charge: float
-    sep_LC: float
-    sep_FQ: float
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,68 @@ class EnergyScales:
     Vzpf: float
 
 
+@dataclass(frozen=True)
+class GaugeCircuit:
+    """Everything one gauge fixes of the two-node Hamiltonian.
+
+    Oscillator node: capacitance C (pF), frequency omega and the charging
+    and inductive energies EC, EL (GHz).  Qubit node: junction capacitance
+    CJ (fF) and ECJ, EJ, ELFQ (GHz).  L_LC and L12 are the loop and mutual
+    inductances (pH; L12 = inf when Lc = 0).  Oscillator zero-point scales
+    in this gauge: Izpf (nA), q1zpf (C) and phi1_zpf, the phase of node 1
+    per unit of a + a'.  strength is c of the eigenbasis coupling
+    c X (x) K, and node_coupling the coefficient of -phi1 phi2 (E_L12, flux
+    gauge) or of -n1 n2 (L_LC (2e)^2 / (CJ L12 h), charge gauge) between
+    the plane-wave nodes.
+    """
+
+    gauge: str
+    C: float
+    omega: float
+    EC: float
+    EL: float
+    CJ: float
+    ECJ: float
+    EJ: float
+    ELFQ: float
+    L_LC: float
+    L12: float
+    Izpf: float
+    q1zpf: float
+    phi1_zpf: float
+    strength: float
+    node_coupling: float
+
+    @property
+    def coupled(self) -> bool:
+        return math.isfinite(self.L12)
+
+    @property
+    def qubit_node(self) -> tuple[float, float, float]:
+        """(ECJ, EJ, ELFQ), the arguments of the qubit node solvers."""
+        return self.ECJ, self.EJ, self.ELFQ
+
+    def two_level_coupling(self, twolevel: TwoLevelFit) -> float:
+        """Rabi coupling g (GHz) of the coupling projected on two qubit levels.
+
+        twolevel is the reduction of this gauge's qubit node.  Flux gauge:
+        g = (L_LC / L12) Izpf Phi2max / h, the magnitude of the circuit's
+        -(L_LC / L12) Izpf Phi2max.  Charge gauge: g' = q1zpf (e q2max)
+        L_LC / (CJ L12 h), with e q2max half the g-e charge element (see
+        fluxrabi.rabi).
+        """
+        element = twolevel.Phi2max if self.gauge == "flux" else twolevel.q2max
+        if element is None:
+            raise ValueError(f"twolevel must carry the {self.gauge}-gauge "
+                             "element (Phi2max or q2max)")
+        if self.gauge == "flux":
+            return (self.L_LC / self.L12) * current_flux_to_ghz(self.Izpf, element)
+        if not self.coupled:
+            return 0.0
+        return (self.q1zpf * (element * CONSTANTS.e) * (self.L_LC * PH)
+                / ((self.CJ * FF) * (self.L12 * PH)) / (CONSTANTS.h * GHZ))
+
+
 def y_delta(raw: RawCircuit) -> StarInductances:
     """Triangle-to-star reduction of the inductor network."""
     num = raw.Lc * raw.L1 + raw.Lc * raw.L2 + raw.L1 * raw.L2
@@ -124,18 +196,11 @@ def effective_inductances(star: StarInductances, raw: RawCircuit) -> EffectiveIn
     """Parallel-combine the star inductances into the loop values.
 
     1/L_LC = 1/Lg1 + 1/L12 and 1/L_FQ = 1/Lg2 + 1/L12; with L12 = inf the
-    reciprocals contribute exactly zero.  The separate-treatment values
-    (Lc + L1, Lc + L2) ignore the presence of the other loop.
+    reciprocals contribute exactly zero.
     """
     l_lc = 1.0 / (1.0 / star.Lg1 + 1.0 / star.L12)
     l_fq = 1.0 / (1.0 / star.Lg2 + 1.0 / star.L12)
-    return EffectiveInductances(
-        L_LC=l_lc,
-        L_FQ=l_fq,
-        L_FQ_charge=raw.Lc + raw.L2,
-        sep_LC=raw.Lc + raw.L1,
-        sep_FQ=raw.Lc + raw.L2,
-    )
+    return EffectiveInductances(L_LC=l_lc, L_FQ=l_fq, L_FQ_charge=raw.Lc + raw.L2)
 
 
 def energy_scales(raw: RawCircuit, eff: EffectiveInductances) -> EnergyScales:
@@ -152,18 +217,46 @@ def energy_scales(raw: RawCircuit, eff: EffectiveInductances) -> EnergyScales:
                         omega=omega, Izpf=izpf, Vzpf=vzpf)
 
 
-def charge_gauge_capacitance_pf(raw: RawCircuit, star: StarInductances,
-                                eff: EffectiveInductances) -> float:
-    """Oscillator capacitance C' after the momentum-shift transformation.
+def gauge_circuit(gauge: str, raw: RawCircuit) -> GaugeCircuit:
+    """Node parameters, zero-point scales and couplings of one gauge.
 
-    1/C' = 1/C + L_LC^2 / (CJ L12^2); equals C when the loops decouple.
+    Charge gauge: 1/C' = 1/C + L_LC^2 / (CJ L12^2), omega' = 1 / sqrt(L_LC C'),
+    qubit inductance Lc + L2.  At Lc = 0 the momentum shift is the identity
+    and the charge gauge gets the flux-gauge node parameters bit for bit.
     """
-    inv = 1.0 / (raw.C * PF) + (eff.L_LC / star.L12) ** 2 / (raw.CJ * FF)
-    return 1.0 / inv / PF
-
-
-def charge_gauge_frequency_ghz(raw: RawCircuit, star: StarInductances,
-                               eff: EffectiveInductances) -> float:
-    """Oscillator frequency 1 / sqrt(L_LC C') of the transformed Hamiltonian."""
-    c_prime = charge_gauge_capacitance_pf(raw, star, eff) * PF
-    return 1.0 / math.sqrt((eff.L_LC * PH) * c_prime) / (2.0 * math.pi * GHZ)
+    if gauge not in GAUGES:
+        raise ValueError(f"gauge must be one of {GAUGES}")
+    star = y_delta(raw)
+    eff = effective_inductances(star, raw)
+    scales = energy_scales(raw, eff)
+    if gauge == "flux" or not star.is_coupled:
+        c_pf, omega, ec, elfq = raw.C, scales.omega, scales.EC, scales.ELFQ
+        izpf_na = scales.Izpf
+        izpf = izpf_na * NA
+    else:
+        inv = 1.0 / (raw.C * PF) + (eff.L_LC / star.L12) ** 2 / (raw.CJ * FF)
+        c_pf = 1.0 / inv / PF
+        omega = (1.0 / math.sqrt((eff.L_LC * PH) * (c_pf * PF))
+                 / (2.0 * math.pi * GHZ))
+        ec = charging_energy_ghz(c_pf * PF)
+        elfq = inductive_energy_ghz(eff.L_FQ_charge * PH)
+        izpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
+                         / (2.0 * eff.L_LC * PH))
+        izpf_na = izpf / NA
+    q1zpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
+                      * (c_pf * PF) / 2.0)
+    if gauge == "flux":
+        strength = -(eff.L_LC / star.L12) * current_flux_to_ghz(
+            izpf_na, 1.0 / (2.0 * math.pi))
+        node_coupling = inductive_energy_ghz(star.L12 * PH)
+    else:
+        scale = (raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ
+        strength = -(eff.L_LC * PH) * q1zpf * 2.0 * CONSTANTS.e / scale
+        node_coupling = (eff.L_LC * PH) * (2.0 * CONSTANTS.e) ** 2 / scale
+    return GaugeCircuit(
+        gauge=gauge, C=c_pf, omega=omega, EC=ec, EL=scales.EL, CJ=raw.CJ,
+        ECJ=scales.ECJ, EJ=raw.EJ, ELFQ=elfq, L_LC=eff.L_LC, L12=star.L12, Izpf=izpf_na,
+        q1zpf=q1zpf,
+        phi1_zpf=(2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf,
+        strength=strength if star.is_coupled else 0.0,
+        node_coupling=node_coupling)

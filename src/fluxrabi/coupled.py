@@ -10,12 +10,12 @@ Two constructions of the same spectrum:
   charge operators are kernel matrices (charge gauge).  Expensive but free
   of eigenbasis truncation; used as a cross-check.
 
-In the flux gauge the coupling is -Phi1 Phi2 / L12; in the charge gauge it
-is -(L_LC / (CJ L12)) q1 q2 and the oscillator and qubit nodes carry the
-transformed parameters (C', frequency omega', qubit inductance Lc + L2).
-In the eigenbasis both factorize as c X (x) K; circuit_coupling builds that
-ProductCoupling once per bias point, and the eigenbasis build, the
-perturbation sums and the observables all read slices of it.
+Both builds take (gauge, raw) and read the node parameters, zero-point
+scales and coupling strengths of the gauge from circuit.gauge_circuit; the
+gauge only chooses operators here.  In the eigenbasis the coupling
+factorizes as c X (x) K; circuit_coupling builds that ProductCoupling once
+per bias point, and the eigenbasis build, the perturbation sums and the
+observables all read slices of it.
 """
 
 from __future__ import annotations
@@ -25,27 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circuit import (
-    EffectiveInductances,
-    EnergyScales,
-    RawCircuit,
-    charge_gauge_capacitance_pf,
-    charge_gauge_frequency_ghz,
-    y_delta,
-)
-from .constants import (
-    CONSTANTS,
-    FF,
-    GHZ,
-    NA,
-    PF,
-    PH,
-    annihilation,
-    charging_energy_ghz,
-    current_flux_to_ghz,
-    inductive_energy_ghz,
-    truncation_shift,
-)
+from .circuit import RawCircuit, gauge_circuit
+from .constants import CONSTANTS, annihilation, truncation_shift
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -56,14 +37,15 @@ from .planewave import (
 )
 from .qubit import number_matrix, phase_matrix
 
-GAUGES = ("flux", "charge")
-
 # Canonical eigenbasis truncations.
 N_QUBIT_DEFAULT = 6
 N_FOCK_DEFAULT = 40
 
 # Largest dense product dimension the eigenbasis build will diagonalize.
 DENSE_DIM_LIMIT = 4096
+
+# Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
+QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
 
 # Fock states and qubit levels the second-order perturbation sums run over;
 # the coupling of every eigenbasis build covers at least this slice.
@@ -79,8 +61,8 @@ class ProductCoupling:
     gauge, a - a' in the charge gauge) and K the real qubit element table
     (<j|phase|i>, or the imaginary part B of <j|n|i> = 1j B, so that
     -1j (a - a') (x) 1j B = (a - a') (x) B).  omega is the bare oscillator
-    frequency of the gauge; qubit_phase is <j|phase|i> and phi1_per_ladder
-    the phase of node 1 per unit of a + a', both read by observables().
+    frequency of the gauge; qubit_phase is <j|phase|i>, read by
+    observables().
     """
 
     strength: float
@@ -89,7 +71,6 @@ class ProductCoupling:
     omega: float
     qubit_energies: np.ndarray
     qubit_phase: np.ndarray
-    phi1_per_ladder: float
 
     def __post_init__(self) -> None:
         if self.osc_elements.shape[0] != self.osc_elements.shape[1]:
@@ -159,36 +140,6 @@ def ladder_sum(n_fock: int) -> np.ndarray:
     return ladder + ladder.T
 
 
-def qubit_node_energies(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
-                        scales: EnergyScales) -> tuple[float, float, float]:
-    """(ECJ, EJ, ELFQ) of the qubit node in the requested gauge."""
-    if gauge == "flux":
-        return scales.ECJ, raw.EJ, scales.ELFQ
-    return scales.ECJ, raw.EJ, inductive_energy_ghz(eff.L_FQ_charge * PH)
-
-
-def flux_coupling_ghz(raw: RawCircuit, eff: EffectiveInductances,
-                      scales: EnergyScales) -> float:
-    """Coefficient of (a + a') (x) phase in -Phi1 Phi2 / L12, in GHz."""
-    star = y_delta(raw)
-    if not star.is_coupled:
-        return 0.0
-    return -(eff.L_LC / star.L12) * current_flux_to_ghz(
-        scales.Izpf, 1.0 / (2.0 * math.pi))
-
-
-def charge_coupling_ghz(raw: RawCircuit, eff: EffectiveInductances) -> float:
-    """Coefficient of -1j(a - a') (x) number in -(L_LC/(CJ L12)) q1 q2, GHz."""
-    star = y_delta(raw)
-    if not star.is_coupled:
-        return 0.0
-    omega_prime = charge_gauge_frequency_ghz(raw, star, eff)
-    c_prime = charge_gauge_capacitance_pf(raw, star, eff) * PF
-    q1zpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega_prime * GHZ) * c_prime / 2.0)
-    return -(eff.L_LC * PH) * q1zpf * 2.0 * CONSTANTS.e / (
-        (raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ)
-
-
 def _check_hermitian(h: np.ndarray) -> None:
     """Raise unless max|h - h^H| <= 1e-12 max|h|, 256 rows at a time."""
     scale = asym = 0.0
@@ -217,38 +168,31 @@ def _checked_part(elems: np.ndarray, part: str) -> np.ndarray:
     return kept
 
 
-def circuit_coupling(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
-                     scales: EnergyScales, n_fock: int = N_PERT_FOCK,
+def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
                      n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
 
-    Solves the qubit node with the node parameters of the gauge (see
-    qubit_node_energies) and tabulates n_fock Fock states and n_levels
-    qubit levels (at most the plane-wave basis size).
+    Solves the qubit node of gauge_circuit(gauge, raw) and tabulates n_fock
+    Fock states and n_levels qubit levels, at most QUBIT_LEVEL_LIMIT.
     """
-    if gauge not in GAUGES:
-        raise ValueError(f"gauge must be one of {GAUGES}")
-    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
-    qubit_spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
+    circuit = gauge_circuit(gauge, raw)
+    if n_levels > QUBIT_LEVEL_LIMIT:
+        raise EigensolveError(
+            f"{n_levels} qubit levels requested; the qubit basis resolves "
+            f"{QUBIT_LEVEL_LIMIT}")
+    qubit_spectrum = diagonalize_flux_qubit(*circuit.qubit_node, raw.phix,
                                             PlaneWaveBasis.for_qubit())
     phase = _checked_part(phase_matrix(qubit_spectrum, n_levels), "real")
     ladder = annihilation(n_fock)
     if gauge == "flux":
-        omega = scales.omega
-        strength = flux_coupling_ghz(raw, eff, scales)
         osc, qub = ladder + ladder.T, phase
-        izpf = scales.Izpf * NA
     else:
-        omega = charge_gauge_frequency_ghz(raw, y_delta(raw), eff)
-        strength = charge_coupling_ghz(raw, eff)
         osc = ladder - ladder.T
         qub = _checked_part(number_matrix(qubit_spectrum, n_levels), "imaginary")
-        izpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
-                         / (2.0 * eff.L_LC * PH))
     return ProductCoupling(
-        strength=strength, osc_elements=osc, qubit_elements=qub, omega=omega,
-        qubit_energies=qubit_spectrum.energies[:n_levels], qubit_phase=phase,
-        phi1_per_ladder=(2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf)
+        strength=circuit.strength, osc_elements=osc, qubit_elements=qub,
+        omega=circuit.omega, qubit_energies=qubit_spectrum.energies[:n_levels],
+        qubit_phase=phase)
 
 
 def _assemble(coupling: ProductCoupling) -> np.ndarray:
@@ -263,8 +207,7 @@ def _assemble(coupling: ProductCoupling) -> np.ndarray:
     return h
 
 
-def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
-                             scales: EnergyScales,
+def build_coupled_eigenbasis(gauge: str, raw: RawCircuit,
                              n_qubit: int = N_QUBIT_DEFAULT,
                              n_fock: int = N_FOCK_DEFAULT,
                              verify: bool = True) -> CoupledSpectrum:
@@ -274,15 +217,21 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
     least N_PERT_FOCK x N_PERT_LEVELS), feeds the solve at (n_fock,
     n_qubit) and, with verify, the re-solve at both truncations doubled,
     which records the largest shift of the lowest eight levels.  The
-    product Hamiltonian is real symmetric in both gauges.
+    product Hamiltonian is real symmetric in both gauges.  A solve that
+    needs more qubit levels than the qubit basis resolves is refused.
     """
     if n_qubit * n_fock > DENSE_DIM_LIMIT:
         raise EigensolveError(
             f"product dimension {n_qubit * n_fock} exceeds the dense-solver "
             f"budget {DENSE_DIM_LIMIT}")
-    coupling = circuit_coupling(gauge, raw, eff, scales,
-                                max(2 * n_fock, N_PERT_FOCK),
-                                max(2 * n_qubit, N_PERT_LEVELS))
+    needed = 2 * n_qubit if verify else n_qubit
+    if needed > QUBIT_LEVEL_LIMIT:
+        raise EigensolveError(
+            f"the solve needs {needed} qubit levels; the qubit basis resolves "
+            f"{QUBIT_LEVEL_LIMIT}")
+    coupling = circuit_coupling(
+        gauge, raw, max(2 * n_fock, N_PERT_FOCK),
+        min(max(2 * n_qubit, N_PERT_LEVELS), QUBIT_LEVEL_LIMIT))
     energies, vectors = np.linalg.eigh(
         _assemble(coupling.truncated(n_fock, n_qubit)))
     shift, converged = 0.0, True
@@ -296,8 +245,7 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, eff: EffectiveInductan
                            coupling=coupling)
 
 
-def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductances,
-                            scales: EnergyScales) -> CoupledSpectrum:
+def build_coupled_planewave(gauge: str, raw: RawCircuit) -> CoupledSpectrum:
     """Diagonalize the coupled Hamiltonian on a product of plane-wave bases.
 
     Dense, on 64 oscillator times 32 qubit waves (dimension 2048).  The
@@ -306,50 +254,38 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit, eff: EffectiveInductanc
     antisymmetric kernels.  It solves for levels only: the result carries
     no eigenvectors, no truncation check and no product coupling.
     """
-    if gauge not in GAUGES:
-        raise ValueError(f"gauge must be one of {GAUGES}")
-    star = y_delta(raw)
-    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
-    if gauge == "flux":
-        ec_osc = scales.EC
-        omega = scales.omega
-    else:
-        ec_osc = charging_energy_ghz(charge_gauge_capacitance_pf(raw, star, eff) * PF)
-        omega = charge_gauge_frequency_ghz(raw, star, eff)
-    basis_osc = PlaneWaveBasis.for_oscillator(ec_osc, scales.EL)
+    circuit = gauge_circuit(gauge, raw)
+    basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)
     basis_qubit = PlaneWaveBasis.for_qubit()
-    h_osc = oscillator_hamiltonian(ec_osc, scales.EL, basis_osc)
-    h_qub = qubit_hamiltonian(ecj, ej, elfq, raw.phix, basis_qubit)
+    h_osc = oscillator_hamiltonian(circuit.EC, circuit.EL, basis_osc)
+    h_qub = qubit_hamiltonian(*circuit.qubit_node, raw.phix, basis_qubit)
     dims = (basis_osc.n_waves, basis_qubit.n_waves)
     h = np.kron(h_osc, np.eye(dims[1]))
     h += np.kron(np.eye(dims[0]), h_qub)
-    if star.is_coupled:
+    if circuit.coupled:
         if gauge == "flux":
-            el12 = inductive_energy_ghz(star.L12 * PH)
             term = np.kron(np.diag(basis_osc.wave_numbers),
                            np.diag(basis_qubit.wave_numbers))
-            term *= el12
+            term *= circuit.node_coupling
             h -= term
         else:
-            coef = (eff.L_LC * PH) * (2.0 * CONSTANTS.e) ** 2 / (
-                (raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ)
             a1 = linear_kernel(basis_osc).imag
             a2 = linear_kernel(basis_qubit).imag
             # -(coef) (1j a1) (x) (1j a2) = +coef a1 (x) a2
             term = np.kron(a1, a2)
-            term *= coef
+            term *= circuit.node_coupling
             h += term
         del term  # freed before eigvalsh copies h
     _check_hermitian(h)
     energies = np.linalg.eigvalsh(h)
     return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
                            provenance="planewave-product", dims=dims,
-                           omega=omega, converged=True, truncation_shift=0.0,
-                           coupling=None)
+                           omega=circuit.omega, converged=True,
+                           truncation_shift=0.0, coupling=None)
 
 
-def observables(spec: CoupledSpectrum, raw: RawCircuit, eff: EffectiveInductances,
-                scales: EnergyScales, state_index: int) -> Observables:
+def observables(spec: CoupledSpectrum, raw: RawCircuit,
+                state_index: int) -> Observables:
     """Photon number, flux expectations, and loop currents of one eigenstate.
 
     Only an eigenbasis-product spectrum carries the product coupling this
@@ -357,9 +293,9 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit, eff: EffectiveInductance
     """
     if spec.coupling is None:
         raise ValueError("observables needs an eigenbasis-product spectrum")
-    star = y_delta(raw)
+    circuit = gauge_circuit(spec.gauge, raw)
     n_fock, n_qubit = spec.dims
-    coupling = spec.coupling.truncated(n_fock, n_qubit)
+    qubit_phase = spec.coupling.qubit_phase[:n_qubit, :n_qubit]
     psi = spec.vectors[:, state_index].reshape(n_fock, n_qubit)
     weights = np.sum(np.abs(psi) ** 2, axis=1)
     photon = float(weights @ np.arange(n_fock))
@@ -367,11 +303,11 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit, eff: EffectiveInductance
     # amplitude differs through the gauge's own omega).
     quad = ladder_sum(n_fock)
     phi1 = float(np.einsum("mi,mn,ni->", psi, quad, psi))
-    phi1 *= coupling.phi1_per_ladder
-    phi2 = float(np.einsum("mi,ij,mj->", psi, coupling.qubit_phase, psi))
+    phi1 *= circuit.phi1_zpf
+    phi2 = float(np.einsum("mi,ij,mj->", psi, qubit_phase, psi))
     phi1_physical = phi1
-    if spec.gauge == "charge" and star.is_coupled:
-        phi1_physical = phi1 + (eff.L_LC / star.L12) * phi2
+    if spec.gauge == "charge" and circuit.coupled:
+        phi1_physical = phi1 + (circuit.L_LC / circuit.L12) * phi2
     flux_quantum = CONSTANTS.Phi0 / (2.0 * math.pi)
     l_matrix = np.array([[raw.Lc + raw.L1, raw.Lc], [raw.Lc, raw.Lc + raw.L2]])
     flux_wb = np.array([phi1_physical, phi2]) * flux_quantum

@@ -88,15 +88,12 @@ class SubsystemSpectrum:
     coefficient vector of level i over basis.wave_numbers; its phase is fixed
     so the largest-magnitude coefficient is real and positive, which makes
     phase (flux) matrix elements real and charge matrix elements purely
-    imaginary.  degenerate_pairs lists indices i where level i + 1 lies
-    within 1 Hz.
+    imaginary.
     """
 
     energies: np.ndarray
     coefficients: np.ndarray
     basis: PlaneWaveBasis
-    label: str
-    degenerate_pairs: tuple[int, ...] = ()
 
 
 def quadratic_kernel(basis: PlaneWaveBasis) -> np.ndarray:
@@ -145,31 +142,25 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(h: np.ndarray, basis: PlaneWaveBasis, label: str) -> SubsystemSpectrum:
+def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
+                           basis: PlaneWaveBasis) -> SubsystemSpectrum:
+    """All levels of the flux-qubit node Hamiltonian in the given basis."""
+    h = qubit_hamiltonian(ecj, ej, elfq, phix, basis)
     scale = np.abs(h).max()
     if np.abs(h - h.conj().T).max() > 1e-12 * scale:
         raise EigensolveError("assembled Hamiltonian is not Hermitian")
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:
-        raise EigensolveError(f"{label} eigensolve failed: {err}") from err
+        raise EigensolveError(f"qubit eigensolve failed: {err}") from err
     coeffs = _fix_phases(vectors).T
     edge = np.abs(coeffs[0, 0]) ** 2 + np.abs(coeffs[0, -1]) ** 2
     if edge > EDGE_WEIGHT_LIMIT:
         warnings.warn(
-            f"{label} ground state has weight {edge:.2e} on the outermost "
+            f"qubit ground state has weight {edge:.2e} on the outermost "
             "waves; enlarge the basis",
             BasisRangeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    gaps = np.diff(energies)
-    degenerate = tuple(int(i) for i in np.nonzero(gaps < 1e-9)[0])
     return SubsystemSpectrum(energies=energies, coefficients=coeffs,
-                             basis=basis, label=label,
-                             degenerate_pairs=degenerate)
-
-
-def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
-                           basis: PlaneWaveBasis) -> SubsystemSpectrum:
-    """All levels of the flux-qubit node Hamiltonian in the given basis."""
-    return _solve(qubit_hamiltonian(ecj, ej, elfq, phix, basis), basis, "qubit")
+                             basis=basis)

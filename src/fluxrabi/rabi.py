@@ -13,33 +13,25 @@ g = (L_LC / L12) Izpf Phi2max / h and, in the charge gauge,
 
     g' = q1zpf (e q2max) L_LC / (CJ L12 h),   q1zpf = sqrt(hbar omega' C' / 2),
 
-in GHz, with q1zpf in coulombs and CJ, C' in farads.  q2max = |<g|n|e>| at
-phix = 0.5 is the qubit charge element in 2e (Cooper-pair) units, so the
-effective two-level charge e q2max is half the operator element
-<g|q2|e> = 2e q2max.  This is the quantity the g' benchmark values pin:
-with it g'(Lc = 350 pH) meets its 0.492 GHz pin to 0.1%, where the full
-element would double it.  PAPER.md holds only the abstract and does not
-settle the factor.
+in GHz, with q1zpf in coulombs and CJ, C' in farads; both are evaluated by
+circuit.GaugeCircuit.two_level_coupling, next to the omega or omega' and
+the zero-point scales of each gauge.  q2max = |<g|n|e>| at phix = 0.5 is
+the qubit charge element in 2e (Cooper-pair) units, so the effective
+two-level charge e q2max is half the operator element <g|q2|e> = 2e q2max.
+This is the quantity the g' benchmark values pin: with it g'(Lc = 350 pH)
+meets its 0.492 GHz pin to 0.1%, where the full element would double it.
+PAPER.md holds only the abstract and does not settle the factor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (
-    EffectiveInductances,
-    EnergyScales,
-    RawCircuit,
-    charge_gauge_capacitance_pf,
-    charge_gauge_frequency_ghz,
-    y_delta,
-)
-from .constants import (CONSTANTS, FF, GHZ, PF, PH, annihilation, bias_to_ghz,
-                        current_flux_to_ghz, truncation_shift)
+from .circuit import RawCircuit, gauge_circuit
+from .constants import annihilation, bias_to_ghz
 from .qubit import TwoLevelFit
 
 VARIANTS = ("flux", "charge")
@@ -53,8 +45,7 @@ N_FOCK_DEEP = 60
 class RabiParams:
     """Model parameters in GHz / nA; variant picks the coupling form.
 
-    For the charge variant, omega and g hold the primed values (also
-    reachable through the omega_prime / g_prime aliases).
+    For the charge variant, omega and g hold the primed values.
     """
 
     omega: float
@@ -67,32 +58,9 @@ class RabiParams:
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
-    @property
-    def omega_prime(self) -> float:
-        if self.variant != "charge":
-            raise AttributeError("omega_prime applies to the charge variant")
-        return self.omega
-
-    @property
-    def g_prime(self) -> float:
-        if self.variant != "charge":
-            raise AttributeError("g_prime applies to the charge variant")
-        return self.g
-
     def epsilon(self, phix: float) -> float:
         """Bias eps(phix) in GHz."""
         return bias_to_ghz(self.Ip, phix)
-
-
-@dataclass(frozen=True)
-class RabiSpectrum:
-    """Dense eigensolution of a Rabi model at one bias point."""
-
-    energies: np.ndarray
-    vectors: np.ndarray
-    n_fock: int
-    converged: bool
-    truncation_shift: float
 
 
 def default_n_fock(g_over_omega: float) -> int:
@@ -136,51 +104,15 @@ def rabi_energies(params: RabiParams, phix: float, n_fock: int) -> np.ndarray:
     return np.linalg.eigvalsh(rabi_hamiltonian(params, phix, n_fock))
 
 
-def diagonalize_rabi(params: RabiParams, phix: float = 0.5,
-                     n_fock: int | None = None,
-                     check_convergence: bool = True) -> RabiSpectrum:
-    """Dense eigensolution with a Fock-doubling convergence check."""
-    if n_fock is None:
-        n_fock = default_n_fock(params.g / params.omega)
-    energies, vectors = np.linalg.eigh(rabi_hamiltonian(params, phix, n_fock))
-    shift, converged = 0.0, True
-    if check_convergence:
-        shift, converged = truncation_shift(
-            energies, rabi_energies(params, phix, 2 * n_fock))
-    return RabiSpectrum(energies=energies, vectors=vectors, n_fock=n_fock,
-                        converged=converged, truncation_shift=shift)
+def map_circuit_to_rabi(gauge: str, raw: RawCircuit,
+                        twolevel: TwoLevelFit) -> RabiParams:
+    """First-principles model of one gauge, read from gauge_circuit.
 
-
-def map_circuit_to_rabi(raw: RawCircuit, eff: EffectiveInductances,
-                        scales: EnergyScales, twolevel: TwoLevelFit) -> RabiParams:
-    """Flux-gauge mapping; twolevel must describe the qubit with L_FQ.
-
-    The circuit coupling energy carries a minus sign,
-    -(L_LC/L12) Izpf Phi2max; the spectrum is invariant under g -> -g, so
-    the returned g is the positive magnitude.
+    twolevel must describe the qubit node of the same gauge (L_FQ in the
+    flux gauge, Lc + L2 in the charge gauge).  The spectrum is invariant
+    under g -> -g, so the returned g is the positive magnitude.
     """
-    if twolevel.Phi2max is None:
-        raise ValueError("twolevel must carry Phi2max")
-    star = y_delta(raw)
-    g = (eff.L_LC / star.L12) * current_flux_to_ghz(scales.Izpf, twolevel.Phi2max)
-    return RabiParams(omega=scales.omega, Delta_q=twolevel.Delta_q,
-                      Ip=twolevel.Ip, g=g, variant="flux")
-
-
-def map_circuit_to_rabi_charge(raw: RawCircuit, eff: EffectiveInductances,
-                               scales: EnergyScales,
-                               twolevel: TwoLevelFit) -> RabiParams:
-    """Charge-gauge mapping; twolevel must describe the qubit with Lc + L2."""
-    if twolevel.q2max is None:
-        raise ValueError("twolevel must carry q2max")
-    star = y_delta(raw)
-    c_prime = charge_gauge_capacitance_pf(raw, star, eff) * PF
-    omega_prime = charge_gauge_frequency_ghz(raw, star, eff)
-    q1zpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega_prime * GHZ) * c_prime / 2.0)
-    # e * q2max: half the g-e charge element (module docstring).
-    q2 = twolevel.q2max * CONSTANTS.e
-    g_prime = (q1zpf * q2 * (eff.L_LC * PH)
-               / ((raw.CJ * FF) * (star.L12 * PH)) / (CONSTANTS.h * GHZ)
-               if star.is_coupled else 0.0)
-    return RabiParams(omega=omega_prime, Delta_q=twolevel.Delta_q,
-                      Ip=twolevel.Ip, g=g_prime, variant="charge")
+    circuit = gauge_circuit(gauge, raw)
+    return RabiParams(omega=circuit.omega, Delta_q=twolevel.Delta_q,
+                      Ip=twolevel.Ip, g=circuit.two_level_coupling(twolevel),
+                      variant=gauge)

@@ -23,23 +23,21 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import (
+    GAUGES,
     RawCircuit,
-    charge_gauge_capacitance_pf,
-    charge_gauge_frequency_ghz,
     effective_inductances,
     energy_scales,
+    gauge_circuit,
     y_delta,
 )
 from .config import NumericsConfig, RunConfig
 from .constants import PACKAGE_VERSION
 from .coupled import (
-    GAUGES,
     N_PERT_FOCK,
     N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     observables,
-    qubit_node_energies,
 )
 from .fitting import (TransitionData, fit_rabi, fit_transition_pairs,
                       model_pair_table)
@@ -47,7 +45,7 @@ from .perturbation import first_order_shift, second_order_table
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
                     matrix_elements)
-from .rabi import RabiParams, map_circuit_to_rabi, map_circuit_to_rabi_charge
+from .rabi import RabiParams, map_circuit_to_rabi
 
 SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
                  "coordinate", "value", "unit")
@@ -74,13 +72,6 @@ class TaskResult:
     metadata: dict
 
 
-def _context(raw: RawCircuit):
-    star = y_delta(raw)
-    eff = effective_inductances(star, raw)
-    scales = energy_scales(raw, eff)
-    return star, eff, scales
-
-
 @lru_cache(maxsize=64)
 def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
     """Two-level reduction of the qubit node of one gauge, and its mapping.
@@ -88,10 +79,8 @@ def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
     characterize_qubit is looked up as a module global at call time, so a
     wrapper installed on that name sees every reduction.
     """
-    _, eff, scales = _context(raw)
-    fit = characterize_qubit(*qubit_node_energies(gauge, raw, eff, scales))
-    mapping = map_circuit_to_rabi if gauge == "flux" else map_circuit_to_rabi_charge
-    return fit, mapping(raw, eff, scales, fit)
+    fit = characterize_qubit(*gauge_circuit(gauge, raw).qubit_node)
+    return fit, map_circuit_to_rabi(gauge, raw, fit)
 
 
 def _sort_key(row: tuple):
@@ -161,10 +150,8 @@ def _base_metadata(cfg: RunConfig, task: str) -> dict:
 
 def _eigenbasis(gauge: str, raw: RawCircuit, num: NumericsConfig,
                 verify: bool = False):
-    _, eff, scales = _context(raw)
-    return build_coupled_eigenbasis(gauge, raw, eff, scales,
-                                    n_qubit=num.n_qubit, n_fock=num.n_fock,
-                                    verify=verify)
+    return build_coupled_eigenbasis(gauge, raw, n_qubit=num.n_qubit,
+                                    n_fock=num.n_fock, verify=verify)
 
 
 def _probe(cfg: RunConfig, raw: RawCircuit, gauge: str) -> dict:
@@ -199,9 +186,9 @@ def _level_tails(provenance: str, energies: list[float]) -> list[tuple]:
 
 
 def _qubit_solve(raw: RawCircuit):
-    _, _, scales = _context(raw)
-    return diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ, raw.phix,
-                                  PlaneWaveBasis.for_qubit())
+    """The flux-gauge qubit node at the bias of raw."""
+    return diagonalize_flux_qubit(*gauge_circuit("flux", raw).qubit_node,
+                                  raw.phix, PlaneWaveBasis.for_qubit())
 
 
 def _qubit_level_rows(gauge, raw, num):
@@ -215,11 +202,10 @@ def _level_rows(gauge, raw, num):
 
 
 def _observable_rows(gauge, raw, num):
-    _, eff, scales = _context(raw)
     spec = _eigenbasis(gauge, raw, num)
     out = []
     for state in range(num.n_states):
-        obs = observables(spec, raw, eff, scales, state)
+        obs = observables(spec, raw, state)
         out += [("eigenbasis-product", name, state, getattr(obs, name), unit)
                 for name, unit in OBSERVABLE_UNITS]
     return out
@@ -302,7 +288,10 @@ def task_inductance_compare(cfg: RunConfig) -> TaskResult:
     """Star-network and effective inductances plus derived energy scales."""
     rows = []
     for lc, raw in cfg.circuits():
-        star, eff, scales = _context(raw)
+        star = y_delta(raw)
+        eff = effective_inductances(star, raw)
+        scales = energy_scales(raw, eff)
+        charge = gauge_circuit("charge", raw)
         quantities = [
             ("Lg1", star.Lg1, "pH", "-"), ("Lg2", star.Lg2, "pH", "-"),
             ("L12", star.L12, "pH", "-"),
@@ -312,10 +301,8 @@ def task_inductance_compare(cfg: RunConfig) -> TaskResult:
             ("EL", scales.EL, "GHz", "flux"), ("ELFQ", scales.ELFQ, "GHz", "flux"),
             ("EJ", raw.EJ, "GHz", "-"),
             ("omega", scales.omega, "GHz", "flux"),
-            ("omega_prime", charge_gauge_frequency_ghz(raw, star, eff), "GHz",
-             "charge"),
-            ("C_prime", charge_gauge_capacitance_pf(raw, star, eff), "pF",
-             "charge"),
+            ("omega_prime", charge.omega, "GHz", "charge"),
+            ("C_prime", charge.C, "pF", "charge"),
             ("Izpf", scales.Izpf, "nA", "flux"), ("Vzpf", scales.Vzpf, "uV", "flux"),
         ]
         for name, value, unit, gauge in quantities:
@@ -429,11 +416,10 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
     count = N_COUPLED_LEVELS
     detail = {}
     for lc, raw in cfg.circuits():
-        _, eff, scales = _context(raw)
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
             levels = {gauge: build_coupled_eigenbasis(
-                gauge, raw, eff, scales, n_qubit=nq, n_fock=nf,
+                gauge, raw, n_qubit=nq, n_fock=nf,
                 verify=False).energies[:count] for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
@@ -446,7 +432,7 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
         eigen = _eigenbasis("flux", raw, cfg.numerics)
-        plane = build_coupled_planewave("flux", raw, eff, scales)
+        plane = build_coupled_planewave("flux", raw)
         cross = float(np.abs(eigen.energies[:count]
                              - plane.energies[:count]).max())
         rows.append((lc, raw.phix, "flux", "planewave-product",
@@ -492,7 +478,7 @@ REGRESSION_BOUNDS = (
 )
 
 
-def compute_regression_values(cfg: RunConfig, workers: int = 1) -> dict:
+def compute_regression_values(cfg: RunConfig) -> dict:
     """All pinned benchmark quantities for the configured branch sums."""
     values = {}
     for lc in (20.0, 350.0):
@@ -508,10 +494,9 @@ def compute_regression_values(cfg: RunConfig, workers: int = 1) -> dict:
         values[f"charge{tag}_g_GHz"] = charge_params.g
     raw = cfg.circuit_at(20.0)
     values["EJ_GHz"] = raw.EJ
-    values["ECJ_GHz"] = _context(raw)[2].ECJ
+    values["ECJ_GHz"] = gauge_circuit("flux", raw).ECJ
     raw, grid = cfg.circuit_at(350.0), cfg.phix_grid
-    level_rows = _sweep(replace(cfg, workers=workers), _level_rows,
-                        circuits=[(350.0, raw)])
+    level_rows = _sweep(cfg, _level_rows, circuits=[(350.0, raw)])
     for max_level in (3, 7):
         pairs = fit_transition_pairs(max_level)
         data = TransitionData.from_pair_table(
@@ -533,7 +518,7 @@ def task_regression(cfg: RunConfig) -> TaskResult:
     """
     meta = _base_metadata(cfg, "regression")
     probe = _probe(cfg, cfg.circuit_at(350.0), "flux")  # before fitting
-    values = compute_regression_values(cfg, cfg.workers)
+    values = compute_regression_values(cfg)
     meta["fit_data_convergence"] = {"Lc=350.0/flux": probe}
     meta["converged"] = probe["converged"]
     rows = []

@@ -11,13 +11,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from fluxrabi.circuit import effective_inductances, energy_scales, y_delta
+from fluxrabi.circuit import gauge_circuit
 from fluxrabi.config import reference_config
-from fluxrabi.coupled import build_coupled_eigenbasis, qubit_node_energies
+from fluxrabi.coupled import build_coupled_eigenbasis
 from fluxrabi.fitting import TransitionData, fit_rabi, fit_transition_pairs
 from fluxrabi.perturbation import second_order_table
 from fluxrabi.qubit import characterize_qubit
-from fluxrabi.rabi import map_circuit_to_rabi, map_circuit_to_rabi_charge
+from fluxrabi.rabi import map_circuit_to_rabi
 
 # Bias grid the spectrum fits run on.
 FIT_GRID = np.linspace(0.494, 0.506, 41)
@@ -25,22 +25,19 @@ FIT_GRID = np.linspace(0.494, 0.506, 41)
 
 @dataclasses.dataclass(frozen=True)
 class CircuitParts:
-    """A reference circuit with its derived network quantities."""
+    """A reference circuit with the node parameters of both gauges."""
 
     raw: object
-    star: object
-    eff: object
-    scales: object
+    flux: object
+    charge: object
 
 
 @lru_cache(maxsize=None)
 def circuit_parts(lc, phix=0.5):
     """Reference circuit (fixed branch sums 800 / 2050 pH) at one Lc."""
     raw = dataclasses.replace(reference_config(lc=lc).circuit, phix=phix)
-    star = y_delta(raw)
-    eff = effective_inductances(star, raw)
-    scales = energy_scales(raw, eff)
-    return CircuitParts(raw=raw, star=star, eff=eff, scales=scales)
+    return CircuitParts(raw=raw, flux=gauge_circuit("flux", raw),
+                        charge=gauge_circuit("charge", raw))
 
 
 def dispersive_shift(coupling, level=0):
@@ -52,12 +49,9 @@ def dispersive_shift(coupling, level=0):
 @lru_cache(maxsize=None)
 def mapped_params(lc, gauge):
     """First-principles model parameters of one gauge at one Lc."""
-    p = circuit_parts(lc)
-    ecj, ej, elfq = qubit_node_energies(gauge, p.raw, p.eff, p.scales)
-    fit = characterize_qubit(ecj, ej, elfq)
-    if gauge == "flux":
-        return map_circuit_to_rabi(p.raw, p.eff, p.scales, fit)
-    return map_circuit_to_rabi_charge(p.raw, p.eff, p.scales, fit)
+    raw = circuit_parts(lc).raw
+    fit = characterize_qubit(*gauge_circuit(gauge, raw).qubit_node)
+    return map_circuit_to_rabi(gauge, raw, fit)
 
 
 @lru_cache(maxsize=None)
@@ -67,8 +61,8 @@ def coupled_fit_levels(lc):
     rows = []
     for phix in FIT_GRID:
         raw = dataclasses.replace(p.raw, phix=float(phix))
-        spec = build_coupled_eigenbasis("flux", raw, p.eff, p.scales,
-                                        n_qubit=8, n_fock=60, verify=False)
+        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60,
+                                        verify=False)
         rows.append(spec.energies[:8])
     return np.array(rows)
 

@@ -104,8 +104,7 @@ def ladder_difference(n_fock):
     return -1j * (ladder - ladder.T)
 
 
-def complex_eigenbasis_hamiltonian(gauge, raw, eff, scales, n_qubit, n_fock,
-                                   n_table):
+def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     """Eigenbasis-product Hamiltonian assembled in complex arithmetic.
 
     The coupling enters as written in the physics, (a + a') (x) <j|phase|i>
@@ -113,27 +112,54 @@ def complex_eigenbasis_hamiltonian(gauge, raw, eff, scales, n_qubit, n_fock,
     with the complex element tables of the lowest n_table qubit levels and
     no claim about which part of them vanishes.  Reference for the real
     assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
-    cover the lowest max(2 n_qubit, 6) levels of its first truncation.  It
-    keeps its own gauge branch and qubit solve, apart from the library's
-    circuit_coupling.
+    cover the lowest max(2 n_qubit, 6) levels of its first truncation.
+
+    The gauge parameters are written out here rather than read from
+    fluxrabi.circuit.gauge_circuit:
+
+    * flux gauge: omega = 1 / sqrt(L_LC C), qubit inductance L_FQ and
+      c = -(L_LC / L12) Izpf Phi0 / (2 pi h), Izpf = sqrt(hbar omega / 2 L_LC);
+    * charge gauge: 1/C' = 1/C + L_LC^2 / (CJ L12^2), omega' =
+      1 / sqrt(L_LC C'), qubit inductance Lc + L2 and
+      c = -(L_LC / (CJ L12)) q1zpf 2e / h, q1zpf = sqrt(hbar omega' C' / 2).
+
+    Each is evaluated in the library's operation order (C' passes through
+    pF, as there), so the real part can be compared bit for bit.
     """
-    from fluxrabi.circuit import charge_gauge_frequency_ghz, y_delta
-    from fluxrabi.coupled import (charge_coupling_ghz, flux_coupling_ghz,
-                                  ladder_sum, qubit_node_energies)
+    from fluxrabi.circuit import effective_inductances, y_delta
+    from fluxrabi.constants import (CONSTANTS, FF, GHZ, NA, PF, PH,
+                                    charging_energy_ghz, current_flux_to_ghz,
+                                    inductive_energy_ghz)
+    from fluxrabi.coupled import ladder_sum
     from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
     from fluxrabi.qubit import number_matrix, phase_matrix
 
-    ecj, ej, elfq = qubit_node_energies(gauge, raw, eff, scales)
-    spectrum = diagonalize_flux_qubit(ecj, ej, elfq, raw.phix,
-                                      PlaneWaveBasis.for_qubit())
+    star = y_delta(raw)
+    eff = effective_inductances(star, raw)
+    coupled = star.is_coupled
     if gauge == "flux":
-        omega = scales.omega
-        coupling = flux_coupling_ghz(raw, eff, scales)
-        elems, osc = phase_matrix(spectrum, n_table), ladder_sum(n_fock)
+        omega_rad = 1.0 / math.sqrt((eff.L_LC * PH) * (raw.C * PF))
+        omega = omega_rad / (2.0 * math.pi * GHZ)
+        izpf_na = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * eff.L_LC * PH)) / NA
+        coupling = (-(eff.L_LC / star.L12)
+                    * current_flux_to_ghz(izpf_na, 1.0 / (2.0 * math.pi))
+                    if coupled else 0.0)
+        elfq = inductive_energy_ghz(eff.L_FQ * PH)
+        table, osc = phase_matrix, ladder_sum(n_fock)
     else:
-        omega = charge_gauge_frequency_ghz(raw, y_delta(raw), eff)
-        coupling = charge_coupling_ghz(raw, eff)
-        elems, osc = number_matrix(spectrum, n_table), ladder_difference(n_fock)
+        inv_c = 1.0 / (raw.C * PF) + (eff.L_LC / star.L12) ** 2 / (raw.CJ * FF)
+        c_prime = 1.0 / inv_c / PF * PF
+        omega = 1.0 / math.sqrt((eff.L_LC * PH) * c_prime) / (2.0 * math.pi * GHZ)
+        q1zpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
+                          * c_prime / 2.0)
+        coupling = (-(eff.L_LC * PH) * q1zpf * 2.0 * CONSTANTS.e
+                    / ((raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ)
+                    if coupled else 0.0)
+        elfq = inductive_energy_ghz((raw.Lc + raw.L2) * PH)
+        table, osc = number_matrix, ladder_difference(n_fock)
+    spectrum = diagonalize_flux_qubit(charging_energy_ghz(raw.CJ * FF), raw.EJ,
+                                      elfq, raw.phix, PlaneWaveBasis.for_qubit())
+    elems = table(spectrum, n_table)
     h = np.kron(np.diag(omega * (np.arange(n_fock) + 0.5)), np.eye(n_qubit))
     h = h + np.kron(np.eye(n_fock), np.diag(spectrum.energies[:n_qubit]))
     return h + coupling * np.kron(osc, elems[:n_qubit, :n_qubit])

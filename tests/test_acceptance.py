@@ -16,7 +16,6 @@ from fluxrabi.coupled import (
     build_coupled_planewave,
     circuit_coupling,
     observables,
-    qubit_node_energies,
 )
 from fluxrabi.perturbation import first_order_shift, second_order_table
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
@@ -47,7 +46,7 @@ def test_c01_junction_energy_scales():
     p = circuit_parts(20.0)
     report("junction energy scales", [
         ("EJ_GHz", p.raw.EJ, 165.1, 0.1),
-        ("ECJ_GHz", p.scales.ECJ, 4.0, 0.5),
+        ("ECJ_GHz", p.flux.ECJ, 4.0, 0.5),
     ])
 
 
@@ -85,10 +84,10 @@ def test_c04_charge_map():
     m20 = mapped_params(20.0, "charge")
     m350 = mapped_params(350.0, "charge")
     report("charge-gauge mapping", [
-        ("omega_prime20_GHz", m20.omega_prime, 6.085, 1.0),
-        ("g_prime20_GHz", m20.g_prime, 0.043, 0.0005 / 0.043 * 100.0),
-        ("omega_prime350_GHz", m350.omega_prime, 15.66, 1.0),
-        ("g_prime350_GHz", m350.g_prime, 0.492, 1.0),
+        ("omega_prime20_GHz", m20.omega, 6.085, 1.0),
+        ("g_prime20_GHz", m20.g, 0.043, 0.0005 / 0.043 * 100.0),
+        ("omega_prime350_GHz", m350.omega, 15.66, 1.0),
+        ("g_prime350_GHz", m350.g, 0.492, 1.0),
     ])
 
 
@@ -135,8 +134,7 @@ def test_c07_qubit_higher_levels():
     grid = np.linspace(0.49, 0.51, 21)
     above_ground, above_first = [], []
     for phix in grid:
-        spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ,
-                                      float(phix), basis)
+        spec = diagonalize_flux_qubit(*p.flux.qubit_node, float(phix), basis)
         above_ground.append(float(spec.energies[2] - spec.energies[0]))
         above_first.append(float(spec.energies[2] - spec.energies[1]))
     worst = min(above_ground)
@@ -160,7 +158,7 @@ def test_c08_gauge_invariance():
         for nq, nf in ((6, 40), (12, 80), (20, 100)):
             levels = {}
             for gauge in ("flux", "charge"):
-                spec = build_coupled_eigenbasis(gauge, p.raw, p.eff, p.scales,
+                spec = build_coupled_eigenbasis(gauge, p.raw,
                                                 n_qubit=nq, n_fock=nf,
                                                 verify=False)
                 levels[gauge] = spec.energies[:8]
@@ -187,10 +185,9 @@ def test_c09_observables():
         for phix in (0.494, 0.5, 0.506):
             p = circuit_parts(lc, phix)
             for gauge in ("flux", "charge"):
-                spec = build_coupled_eigenbasis(gauge, p.raw, p.eff,
-                                                p.scales, verify=False)
+                spec = build_coupled_eigenbasis(gauge, p.raw, verify=False)
                 for state in range(4):
-                    obs = observables(spec, p.raw, p.eff, p.scales, state)
+                    obs = observables(spec, p.raw, state)
                     worst_current = max(worst_current, abs(obs.current_1))
     ok = ok and worst_current < 0.01
     lines.append(f"  max |<I1>| over states/biases/gauges: "
@@ -200,18 +197,16 @@ def test_c09_observables():
     phi1 = []
     for lc in lcs:
         p = circuit_parts(lc, 0.498)
-        spec = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
-                                        verify=False)
-        phi1.append(observables(spec, p.raw, p.eff, p.scales, 0).flux_1)
+        spec = build_coupled_eigenbasis("flux", p.raw, verify=False)
+        phi1.append(observables(spec, p.raw, 0).flux_1)
     r2, slope = origin_r_squared(lcs, np.array(phi1))
     ok = ok and r2 > 0.999
     lines.append(f"  flux-gauge phase_1 vs Lc at phix=0.498: through-origin "
                  f"R^2 = {r2:.6f} (> 0.999 required), slope {slope:.3e}/pH")
 
     p = circuit_parts(350.0, 0.498)
-    spec = build_coupled_eigenbasis("charge", p.raw, p.eff, p.scales,
-                                    verify=False)
-    frame_phi1 = observables(spec, p.raw, p.eff, p.scales, 0).flux_1
+    spec = build_coupled_eigenbasis("charge", p.raw, verify=False)
+    frame_phi1 = observables(spec, p.raw, 0).flux_1
     ok = ok and abs(frame_phi1) < 1e-6
     lines.append(f"  charge-gauge frame <Phi1>: {frame_phi1:.2e} "
                  f"(= 0 required)")
@@ -221,10 +216,9 @@ def test_c09_observables():
     for gauge in ("flux", "charge"):
         # deep coupling needs the enlarged truncation for a converged
         # charge-frame photon number
-        spec = build_coupled_eigenbasis(gauge, p.raw, p.eff, p.scales,
+        spec = build_coupled_eigenbasis(gauge, p.raw,
                                         n_qubit=12, n_fock=80, verify=False)
-        photon[gauge] = observables(spec, p.raw, p.eff, p.scales,
-                                    0).photon_number
+        photon[gauge] = observables(spec, p.raw, 0).photon_number
     ok = ok and photon["charge"] < 0.2 * photon["flux"]
     lines.append(f"  ground photon number at Lc=350: charge "
                  f"{photon['charge']:.4f} vs flux {photon['flux']:.4f} "
@@ -243,9 +237,9 @@ def test_c10_oracle_equivalence():
         p = circuit_parts(lc)
         # truncation that holds the lowest 8 levels at deep coupling (the
         # same one the spectrum-fit data uses)
-        eig = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
+        eig = build_coupled_eigenbasis("flux", p.raw,
                                        n_qubit=8, n_fock=60, verify=False)
-        pw = build_coupled_planewave("flux", p.raw, p.eff, p.scales)
+        pw = build_coupled_planewave("flux", p.raw)
         gap = float(np.abs(eig.energies[:8] - pw.energies[:8]).max()) * 1e3
         ok = ok and gap < 1.0
         lines.append(f"  eigenbasis vs plane-wave product, Lc={lc:g}: "
@@ -253,10 +247,9 @@ def test_c10_oracle_equivalence():
     p = circuit_parts(20.0)
     basis = PlaneWaveBasis.for_qubit()
     for phix in (0.5, 0.503):
-        spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ,
-                                      phix, basis)
-        oracle = finite_difference_qubit_levels(p.scales.ECJ, p.raw.EJ,
-                                                p.scales.ELFQ, phix, k=6)
+        spec = diagonalize_flux_qubit(*p.flux.qubit_node, phix, basis)
+        oracle = finite_difference_qubit_levels(p.flux.ECJ, p.raw.EJ,
+                                                p.flux.ELFQ, phix, k=6)
         gap = float(np.abs(spec.energies[:6] - oracle[:6]).max()) * 1e3
         ok = ok and gap < 1.0
         lines.append(f"  plane-wave vs finite-difference qubit oracle at "
@@ -274,7 +267,7 @@ def test_c11_perturbation_suite():
     p = circuit_parts(20.0)
     worst_first = 0.0
     for gauge in ("flux", "charge"):
-        coupling = circuit_coupling(gauge, p.raw, p.eff, p.scales)
+        coupling = circuit_coupling(gauge, p.raw)
         for m in range(3):
             for i in range(4):
                 worst_first = max(worst_first,
@@ -286,13 +279,11 @@ def test_c11_perturbation_suite():
     worst_rel = 0.0
     for phix in np.linspace(0.4985, 0.5015, 13):
         parts = circuit_parts(20.0, float(phix))
-        coupling = circuit_coupling("flux", parts.raw, parts.eff,
-                                    parts.scales)
-        spec = build_coupled_eigenbasis("flux", parts.raw, parts.eff,
-                                        parts.scales, verify=False)
+        coupling = circuit_coupling("flux", parts.raw)
+        spec = build_coupled_eigenbasis("flux", parts.raw, verify=False)
         e = spec.energies
-        for level, exact in ((0, float(e[2] - e[0] - parts.scales.omega)),
-                             (1, float(e[3] - e[1] - parts.scales.omega))):
+        for level, exact in ((0, float(e[2] - e[0] - parts.flux.omega)),
+                             (1, float(e[3] - e[1] - parts.flux.omega))):
             pert = dispersive_shift(coupling, level)
             worst_rel = max(worst_rel, abs(pert - exact) / abs(exact))
     ok = ok and worst_rel <= 0.10
@@ -303,8 +294,7 @@ def test_c11_perturbation_suite():
     hits = 0
     for phix in FIT_GRID:
         parts = circuit_parts(20.0, float(phix))
-        coupling = circuit_coupling("charge", parts.raw, parts.eff,
-                                    parts.scales)
+        coupling = circuit_coupling("charge", parts.raw)
         net = (second_order_table(coupling, 1, 0).contributions
                - second_order_table(coupling, 0, 0).contributions)
         if abs(net[2]) + abs(net[3]) > abs(net[0]) + abs(net[1]):

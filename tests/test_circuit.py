@@ -6,10 +6,9 @@ import pytest
 
 from fluxrabi.circuit import (
     RawCircuit,
-    charge_gauge_capacitance_pf,
-    charge_gauge_frequency_ghz,
     effective_inductances,
     energy_scales,
+    gauge_circuit,
     y_delta,
 )
 from fluxrabi.constants import PF, PH
@@ -56,8 +55,7 @@ def test_star_reduction_decoupled_limit():
     # with the coupling branch removed each loop sees its own inductor
     assert eff.L_LC == pytest.approx(800.0, rel=1e-14)
     assert eff.L_FQ == pytest.approx(2050.0, rel=1e-14)
-    assert charge_gauge_capacitance_pf(raw, star, eff) == pytest.approx(
-        0.87, rel=1e-14)
+    assert gauge_circuit("charge", raw).C == pytest.approx(0.87, rel=1e-14)
 
 
 def test_effective_inductances_parallel_combination():
@@ -69,10 +67,10 @@ def test_effective_inductances_parallel_combination():
     assert eff.L_FQ == pytest.approx(
         1.0 / (1.0 / star.Lg2 + 1.0 / star.L12), rel=1e-14)
     assert eff.L_FQ_charge == raw.Lc + raw.L2
-    assert eff.sep_LC == raw.Lc + raw.L1
-    # exact loop inductances sit below the separate-treatment values
-    assert eff.L_LC < eff.sep_LC
-    assert eff.L_FQ < eff.sep_FQ
+    # exact loop inductances sit below the separate-treatment values, each
+    # loop reduced with the other circuit removed
+    assert eff.L_LC < raw.Lc + raw.L1
+    assert eff.L_FQ < raw.Lc + raw.L2
 
 
 def test_energy_scales_oscillator_frequency():
@@ -92,14 +90,19 @@ def test_charge_gauge_frequency_above_bare():
     raw = make(lc=350.0)
     star = y_delta(raw)
     eff = effective_inductances(star, raw)
-    scales = energy_scales(raw, eff)
-    c_prime = charge_gauge_capacitance_pf(raw, star, eff)
+    flux, charge = gauge_circuit("flux", raw), gauge_circuit("charge", raw)
+    c_prime = charge.C
+    assert c_prime == pytest.approx(1.0 / (
+        1.0 / raw.C + (eff.L_LC / star.L12) ** 2 / (raw.CJ * 1e-3)), rel=1e-14)
     assert c_prime < raw.C
-    omega_prime = charge_gauge_frequency_ghz(raw, star, eff)
-    assert omega_prime > scales.omega
+    omega_prime = charge.omega
+    assert omega_prime > flux.omega
     assert omega_prime == pytest.approx(
         1.0 / math.sqrt(eff.L_LC * PH * c_prime * PF) / (2.0 * math.pi) / 1e9,
         rel=1e-14)
+    # the charge-gauge qubit node sees Lc + L2, the flux-gauge node L_FQ
+    assert charge.ELFQ < flux.ELFQ
+    assert (charge.ECJ, charge.EJ) == (flux.ECJ, flux.EJ)
 
 
 def test_stronger_coupling_branch_raises_mutual_term():
@@ -107,3 +110,18 @@ def test_stronger_coupling_branch_raises_mutual_term():
     l12_large = y_delta(make(lc=350.0)).L12
     # larger shared inductance means smaller L12, hence stronger coupling
     assert l12_large < l12_small
+
+
+def test_gauge_circuit_validates_gauge():
+    with pytest.raises(ValueError):
+        gauge_circuit("mixed", make())
+
+
+def test_flux_gauge_values_match_energy_scales():
+    raw = make(lc=350.0)
+    scales = energy_scales(raw, effective_inductances(y_delta(raw), raw))
+    flux = gauge_circuit("flux", raw)
+    assert (flux.C, flux.omega, flux.EC, flux.EL, flux.ECJ, flux.ELFQ,
+            flux.Izpf) == (raw.C, scales.omega, scales.EC, scales.EL,
+                           scales.ECJ, scales.ELFQ, scales.Izpf)
+    assert flux.qubit_node == (scales.ECJ, raw.EJ, scales.ELFQ)

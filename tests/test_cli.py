@@ -98,6 +98,18 @@ def test_numeric_failure_exits_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
+    # 40 qubit levels do not fit the 32-wave qubit basis: the run stops
+    # with the limit named instead of solving a smaller basis
+    doc = small_doc(n_qubit=40, n_fock=20)
+    doc["tasks"] = ["observables"]
+    doc["sweep"]["phix_points"] = 1
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "32" in err
+
+
 def test_io_failure_exits_4(tmp_path):
     cfg = write_doc(tmp_path, small_doc())
     blocker = tmp_path / "blocked"

@@ -18,25 +18,22 @@ def synthetic_coupling(strength=0.1, qubit_gap=1.0, omega=1.0):
     return ProductCoupling(strength=strength, osc_elements=osc,
                            qubit_elements=qub, omega=omega,
                            qubit_energies=np.array([0.0, qubit_gap]),
-                           qubit_phase=qub, phi1_per_ladder=1.0)
+                           qubit_phase=qub)
 
 
 def test_product_coupling_shape_validation():
     with pytest.raises(ValueError):
         ProductCoupling(strength=1.0, osc_elements=np.zeros((2, 3)),
                         qubit_elements=np.eye(2), omega=1.0,
-                        qubit_energies=np.zeros(2), qubit_phase=np.eye(2),
-                        phi1_per_ladder=1.0)
+                        qubit_energies=np.zeros(2), qubit_phase=np.eye(2))
     with pytest.raises(ValueError):
         ProductCoupling(strength=1.0, osc_elements=np.eye(2),
                         qubit_elements=np.eye(2), omega=1.0,
-                        qubit_energies=np.zeros(3), qubit_phase=np.eye(2),
-                        phi1_per_ladder=1.0)
+                        qubit_energies=np.zeros(3), qubit_phase=np.eye(2))
     with pytest.raises(ValueError):
         ProductCoupling(strength=1.0, osc_elements=np.eye(2),
                         qubit_elements=np.eye(2), omega=1.0,
-                        qubit_energies=np.zeros(2), qubit_phase=np.eye(3),
-                        phi1_per_ladder=1.0)
+                        qubit_energies=np.zeros(2), qubit_phase=np.eye(3))
     # the oscillator energies follow the quadrature's Fock range
     c = synthetic_coupling(omega=2.0)
     assert np.array_equal(c.osc_energies, [1.0, 3.0, 5.0])
@@ -45,7 +42,7 @@ def test_product_coupling_shape_validation():
 def test_first_order_vanishes_for_ladder_quadratures(parts20):
     p = parts20
     for gauge in ("flux", "charge"):
-        coupling = circuit_coupling(gauge, p.raw, p.eff, p.scales)
+        coupling = circuit_coupling(gauge, p.raw)
         for m in range(3):
             for i in range(4):
                 assert first_order_shift(coupling, m, i) == 0.0
@@ -77,7 +74,7 @@ def test_symmetric_shift_for_two_level_restriction(parts20):
     # restricting the qubit to (g, e) makes the oscillator shift exactly
     # antisymmetric between the two qubit levels
     p = parts20
-    full = circuit_coupling("flux", p.raw, p.eff, p.scales)
+    full = circuit_coupling("flux", p.raw)
     restricted = full.truncated(len(full.osc_elements), 2)
     chi_g = dispersive_shift(restricted, 0)
     chi_e = dispersive_shift(restricted, 1)
@@ -88,7 +85,7 @@ def test_higher_levels_break_shift_symmetry(parts20):
     # with the full level set the (g, e) shifts are close to opposite but
     # not equal; the residual asymmetry comes from the f and h routes
     p = parts20
-    coupling = circuit_coupling("flux", p.raw, p.eff, p.scales)
+    coupling = circuit_coupling("flux", p.raw)
     chi_g = dispersive_shift(coupling, 0)
     chi_e = dispersive_shift(coupling, 1)
     asymmetry = abs(chi_g + chi_e) / abs(chi_g)
@@ -99,21 +96,17 @@ def test_ground_shift_matches_exact_at_weak_coupling():
     # g / omega < 0.05 at Lc = 5: second order accounts for the exact
     # ground-state repulsion to a few percent
     p = circuit_parts(5.0)
-    coupling = circuit_coupling("flux", p.raw, p.eff, p.scales)
+    coupling = circuit_coupling("flux", p.raw)
     pert = second_order_table(coupling, 0, 0).total
-    coupled = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
-                                       verify=False)
-    exact = float(coupled.energies[0]) - (0.5 * p.scales.omega
+    coupled = build_coupled_eigenbasis("flux", p.raw, verify=False)
+    exact = float(coupled.energies[0]) - (0.5 * p.flux.omega
                                           + _qubit_ground(p))
     assert pert == pytest.approx(exact, rel=0.05)
 
 
 def _qubit_ground(parts):
-    from fluxrabi.coupled import qubit_node_energies
     from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
-    ecj, ej, elfq = qubit_node_energies("flux", parts.raw, parts.eff,
-                                        parts.scales)
-    spec = diagonalize_flux_qubit(ecj, ej, elfq, parts.raw.phix,
+    spec = diagonalize_flux_qubit(*parts.flux.qubit_node, parts.raw.phix,
                                   PlaneWaveBasis.for_qubit())
     return float(spec.energies[0])
 
@@ -124,11 +117,10 @@ def test_shift_error_decays_faster_than_coupling_squared():
     errors, couplings = [], []
     for lc in (5.0, 10.0, 20.0):
         p = circuit_parts(lc)
-        coupling = circuit_coupling("flux", p.raw, p.eff, p.scales)
+        coupling = circuit_coupling("flux", p.raw)
         pert = dispersive_shift(coupling, 0)
-        spec = build_coupled_eigenbasis("flux", p.raw, p.eff, p.scales,
-                                        verify=False)
-        exact = float(spec.energies[2] - spec.energies[0] - p.scales.omega)
+        spec = build_coupled_eigenbasis("flux", p.raw, verify=False)
+        exact = float(spec.energies[2] - spec.energies[0] - p.flux.omega)
         errors.append(abs(pert - exact))
         couplings.append(abs(coupling.strength))
     slope = np.polyfit(np.log(couplings), np.log(errors), 1)[0]
@@ -137,8 +129,8 @@ def test_shift_error_decays_faster_than_coupling_squared():
 
 def test_intermediate_level_truncation_converged(parts20):
     p = parts20
-    wide = circuit_coupling("flux", p.raw, p.eff, p.scales, n_levels=6)
-    narrow = circuit_coupling("flux", p.raw, p.eff, p.scales, n_levels=4)
+    wide = circuit_coupling("flux", p.raw, n_levels=6)
+    narrow = circuit_coupling("flux", p.raw, n_levels=4)
     chi_wide = dispersive_shift(wide, 0)
     chi_narrow = dispersive_shift(narrow, 0)
     assert chi_narrow == pytest.approx(chi_wide, rel=0.05)
@@ -148,7 +140,7 @@ def test_charge_gauge_routes_through_higher_levels(parts20):
     # the charge-gauge virtual transitions run mostly through the f and h
     # qubit levels rather than the low doublet
     p = parts20
-    coupling = circuit_coupling("charge", p.raw, p.eff, p.scales)
+    coupling = circuit_coupling("charge", p.raw)
     upper = second_order_table(coupling, 1, 0)
     lower = second_order_table(coupling, 0, 0)
     net = upper.contributions - lower.contributions

@@ -63,10 +63,10 @@ def test_kernels_hermitian():
 
 def test_oscillator_reproduces_harmonic_ladder():
     p = circuit_parts(20.0)
-    basis = PlaneWaveBasis.for_oscillator(p.scales.EC, p.scales.EL)
-    energies = np.linalg.eigvalsh(oscillator_hamiltonian(p.scales.EC,
-                                                         p.scales.EL, basis))
-    exact = harmonic_levels(p.scales.EC, p.scales.EL, k=10)
+    basis = PlaneWaveBasis.for_oscillator(p.flux.EC, p.flux.EL)
+    energies = np.linalg.eigvalsh(oscillator_hamiltonian(p.flux.EC,
+                                                         p.flux.EL, basis))
+    exact = harmonic_levels(p.flux.EC, p.flux.EL, k=10)
     assert np.abs(energies[:10] - exact).max() < 1e-6
 
 
@@ -76,24 +76,23 @@ def test_unresolvable_phase_extent_warns():
     # wave count, pushing ground-state weight onto the outermost waves
     basis = PlaneWaveBasis.for_qubit(n_max=40.0)
     with pytest.warns(BasisRangeWarning):
-        diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
-                               basis)
+        diagonalize_flux_qubit(*p.flux.qubit_node, 0.5, basis)
 
 
 def test_qubit_levels_ordered_and_converged_in_basis():
     p = circuit_parts(20.0)
-    small = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
+    small = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                    PlaneWaveBasis.for_qubit())
-    big = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
+    big = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                  PlaneWaveBasis.for_qubit(n_waves=64))
-    assert np.all(np.diff(small.energies) >= 0)
+    # ascending and free of degenerate pairs (no two levels within 1 Hz)
+    assert np.diff(small.energies).min() >= 1e-9
     assert np.abs(small.energies[:6] - big.energies[:6]).max() < 1e-6
-    assert small.degenerate_pairs == ()
 
 
 def test_phase_convention_fixes_coefficients():
     p = circuit_parts(20.0)
-    spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
+    spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                   PlaneWaveBasis.for_qubit())
     for i in range(4):
         coeff = spec.coefficients[i]
@@ -104,7 +103,7 @@ def test_phase_convention_fixes_coefficients():
 
 def test_charge_wavefunction_normalized():
     p = circuit_parts(20.0)
-    spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
+    spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                   PlaneWaveBasis.for_qubit())
     grid = charge_grid(spec.basis)
     dn = 2.0 * spec.basis.n_max / len(grid)

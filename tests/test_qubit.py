@@ -5,7 +5,6 @@ import pytest
 
 from oracles import hyperbola_levels
 from fluxrabi.constants import CONSTANTS
-from fluxrabi.coupled import qubit_node_energies
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.qubit import (
     TwoLevelFit,
@@ -35,7 +34,7 @@ def test_two_level_fit_recovers_exact_hyperbola():
 
 def test_characterization_of_reference_qubit(parts20):
     p = parts20
-    fit = characterize_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ)
+    fit = characterize_qubit(*p.flux.qubit_node)
     assert fit.Delta_q == pytest.approx(1.2420424170016595, rel=1e-6)
     assert fit.Ip == pytest.approx(281.24168705083804, rel=1e-6)
     assert fit.Phi2max == pytest.approx(0.27873026608256585, rel=1e-6)
@@ -48,9 +47,7 @@ def test_charge_node_parameters_fixed_along_lc_sweep():
     # the charge-gauge qubit node sees Lc + L2, which the sweep holds fixed
     fits = []
     for lc in (20.0, 350.0):
-        p = circuit_parts(lc)
-        ecj, ej, elfq = qubit_node_energies("charge", p.raw, p.eff, p.scales)
-        fits.append(characterize_qubit(ecj, ej, elfq))
+        fits.append(characterize_qubit(*circuit_parts(lc).charge.qubit_node))
     assert fits[0].Delta_q == pytest.approx(fits[1].Delta_q, rel=1e-12)
     assert fits[0].q2max == pytest.approx(fits[1].q2max, rel=1e-12)
 
@@ -75,7 +72,7 @@ def test_extract_phi2max_recovers_scale():
 
 def test_matrix_element_tables_follow_phase_convention(parts20):
     p = parts20
-    spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ, 0.5,
+    spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                   PlaneWaveBasis.for_qubit())
     elems = matrix_elements(spec, 0.5, n_levels=4)
     assert np.abs(np.imag(elems.flux_elems)).max() < 1e-10
@@ -86,7 +83,7 @@ def test_matrix_element_tables_follow_phase_convention(parts20):
 
 def test_diagonal_flux_elements_split_off_symmetry(parts20):
     p = parts20
-    spec = diagonalize_flux_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ,
+    spec = diagonalize_flux_qubit(*p.flux.qubit_node,
                                   0.503, PlaneWaveBasis.for_qubit())
     elems = matrix_elements(spec, 0.503, n_levels=2)
     gg = float(np.real(elems.flux_elems[0, 0]))
@@ -97,8 +94,8 @@ def test_diagonal_flux_elements_split_off_symmetry(parts20):
 
 def test_default_bias_grid_used_when_omitted(parts20):
     p = parts20
-    explicit = characterize_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ,
+    explicit = characterize_qubit(*p.flux.qubit_node,
                                   phix_grid=np.linspace(0.496, 0.504, 41))
-    default = characterize_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ)
+    default = characterize_qubit(*p.flux.qubit_node)
     assert default.Delta_q == explicit.Delta_q
     assert default.Ip == explicit.Ip

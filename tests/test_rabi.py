@@ -6,17 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from fluxrabi.constants import truncation_shift
 from fluxrabi.rabi import (
     RabiParams,
     default_n_fock,
-    diagonalize_rabi,
     map_circuit_to_rabi,
-    map_circuit_to_rabi_charge,
     rabi_energies,
     rabi_hamiltonian,
 )
-from fluxrabi.qubit import characterize_qubit
-from fluxrabi.coupled import qubit_node_energies
+from fluxrabi.qubit import TwoLevelFit, characterize_qubit
 
 from conftest import circuit_parts, mapped_params
 
@@ -24,16 +22,6 @@ from conftest import circuit_parts, mapped_params
 def test_variant_validation():
     with pytest.raises(ValueError):
         RabiParams(omega=6.0, Delta_q=1.2, Ip=280.0, g=0.4, variant="mixed")
-
-
-def test_primed_aliases_only_for_charge_variant():
-    charge = RabiParams(omega=6.0, Delta_q=1.2, Ip=280.0, g=0.4,
-                        variant="charge")
-    assert charge.omega_prime == charge.omega
-    assert charge.g_prime == charge.g
-    flux = RabiParams(omega=6.0, Delta_q=1.2, Ip=280.0, g=0.4)
-    with pytest.raises(AttributeError):
-        flux.omega_prime
 
 
 def test_default_fock_truncation_threshold():
@@ -60,12 +48,11 @@ def test_displaced_oscillator_limit():
     # ground energy omega/2 - g^2/omega and mean photon number (g/omega)^2
     omega, g = 6.0, 1.2
     params = RabiParams(omega=omega, Delta_q=0.0, Ip=281.0, g=g)
-    spec = diagonalize_rabi(params, 0.5, n_fock=60)
-    assert spec.energies[0] == pytest.approx(omega / 2.0 - g**2 / omega,
-                                             abs=1e-10)
+    energies, vectors = np.linalg.eigh(rabi_hamiltonian(params, 0.5, 60))
+    assert energies[0] == pytest.approx(omega / 2.0 - g**2 / omega, abs=1e-10)
     # every level is twofold degenerate in this limit
-    assert np.abs(spec.energies[1] - spec.energies[0]) < 1e-10
-    psi = spec.vectors[:, 0].reshape(60, 2)
+    assert np.abs(energies[1] - energies[0]) < 1e-10
+    psi = vectors[:, 0].reshape(60, 2)
     photon = float(np.sum(np.abs(psi) ** 2, axis=1) @ np.arange(60))
     assert photon == pytest.approx((g / omega) ** 2, abs=1e-10)
 
@@ -110,11 +97,15 @@ def test_hamiltonian_is_real_symmetric():
 
 
 def test_truncation_flag_is_honest():
+    # the deep-coupling Rabi model converges at 60 Fock states and a
+    # starved 6-state truncation is flagged against its doubled solve
     deep = RabiParams(omega=6.27, Delta_q=2.14, Ip=282.0, g=7.31)
-    assert diagonalize_rabi(deep, 0.5, n_fock=60).converged
-    starved = diagonalize_rabi(deep, 0.5, n_fock=6)
-    assert not starved.converged
-    assert starved.truncation_shift > 0.1
+    assert truncation_shift(rabi_energies(deep, 0.5, 60),
+                            rabi_energies(deep, 0.5, 120))[1]
+    shift, converged = truncation_shift(rabi_energies(deep, 0.5, 6),
+                                        rabi_energies(deep, 0.5, 12))
+    assert not converged
+    assert shift > 0.1
 
 
 def test_fock_truncation_converged_at_mapped_deep_coupling():
@@ -138,26 +129,24 @@ def test_avoided_crossing_location_and_gap():
 
 
 def test_decoupled_circuit_maps_to_zero_coupling():
+    # at Lc = 0 the charge gauge is the flux gauge, bit for bit
     p = circuit_parts(0.0)
-    fit_flux = characterize_qubit(p.scales.ECJ, p.raw.EJ, p.scales.ELFQ)
-    flux = map_circuit_to_rabi(p.raw, p.eff, p.scales, fit_flux)
-    ecj, ej, elfq = qubit_node_energies("charge", p.raw, p.eff, p.scales)
-    charge = map_circuit_to_rabi_charge(p.raw, p.eff, p.scales,
-                                        characterize_qubit(ecj, ej, elfq))
+    flux = map_circuit_to_rabi("flux", p.raw,
+                               characterize_qubit(*p.flux.qubit_node))
+    charge = map_circuit_to_rabi("charge", p.raw,
+                                 characterize_qubit(*p.charge.qubit_node))
     assert flux.g == 0.0
     assert charge.g == 0.0
-    assert flux.omega == pytest.approx(charge.omega, rel=1e-12)
+    assert flux.omega == charge.omega
 
 
 def test_mapping_requires_matrix_element_scales(parts20):
     p = parts20
-    from fluxrabi.qubit import TwoLevelFit
     bare = TwoLevelFit(Delta_q=1.24, Ip=281.0, omega_os=40.0,
                        fit_residual=0.0)
-    with pytest.raises(ValueError):
-        map_circuit_to_rabi(p.raw, p.eff, p.scales, bare)
-    with pytest.raises(ValueError):
-        map_circuit_to_rabi_charge(p.raw, p.eff, p.scales, bare)
+    for gauge in ("flux", "charge"):
+        with pytest.raises(ValueError):
+            map_circuit_to_rabi(gauge, p.raw, bare)
 
 
 def test_mapped_variants_are_physically_different_models():

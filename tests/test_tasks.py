@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import fluxrabi.tasks as tasks
-from fluxrabi.circuit import effective_inductances, energy_scales, y_delta
+from fluxrabi.circuit import (GAUGES, effective_inductances, energy_scales,
+                              gauge_circuit, y_delta)
 from fluxrabi.config import NumericsConfig, reference_config
-from fluxrabi.coupled import GAUGES
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.tasks import (
@@ -43,7 +43,7 @@ def test_qubit_spectrum_rows_match_direct_solve():
     assert result.rows == sorted(result.rows, key=_sort_key)
     basis = PlaneWaveBasis.for_qubit()
     raw = cfg.circuit_at(20.0)
-    _, eff, scales = tasks._context(raw)
+    scales = energy_scales(raw, effective_inductances(y_delta(raw), raw))
     spec = diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ, 0.498,
                                   basis)
     lookup = {(r[0], r[1], r[4]): r[6] for r in result.rows
@@ -77,6 +77,10 @@ def test_inductance_rows_match_closed_forms():
     assert values["L_FQ_charge"] == pytest.approx(cfg.circuit.Lc
                                                   + cfg.circuit.L2, rel=1e-12)
     assert values["omega"] == pytest.approx(scales.omega, rel=1e-12)
+    # the charge-gauge rows are the oscillator node of the charge gauge
+    charge = gauge_circuit("charge", cfg.circuit)
+    assert values["omega_prime"] == charge.omega
+    assert values["C_prime"] == charge.C
     assert values["EJ"] == pytest.approx(165.1, rel=1e-3)
 
 
@@ -222,7 +226,7 @@ def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     exact = {name: expected for name, expected, _ in REGRESSION_PINS}
     exact.update({name: bound for name, bound in REGRESSION_BOUNDS})
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg, workers=1: dict(exact))
+                        lambda cfg: dict(exact))
     cfg = reference_config(output_dir=str(tmp_path / "pass"))
     result = task_regression(cfg)
     assert result.metadata["n_fail"] == 0
@@ -232,7 +236,7 @@ def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     off = dict(exact)
     off["map20_g_GHz"] = exact["map20_g_GHz"] * 1.05  # outside the 1% pin
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg, workers=1: dict(off))
+                        lambda cfg: dict(off))
     result = task_regression(cfg)
     assert result.metadata["n_fail"] == 1
     statuses = {row[0]: row[5] for row in result.rows}
@@ -243,7 +247,7 @@ def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     # other coarse pins keep their stated bands.
     stub = dict(exact)
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg, workers=1: dict(stub))
+                        lambda cfg: dict(stub))
     for value, expected_status in ((0.04344, "pass"), (0.0436, "fail")):
         stub["charge20_g_GHz"] = value
         rows = {row[0]: row for row in task_regression(cfg).rows}
@@ -261,7 +265,7 @@ def test_regression_residual_bound_is_one_sided(monkeypatch):
     values = {name: expected for name, expected, _ in REGRESSION_PINS}
     values["fit3_350_residual_MHz2"] = 24.9  # under the ceiling: fine
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg, workers=1: dict(values))
+                        lambda cfg: dict(values))
     result = task_regression(reference_config())
     statuses = {row[0]: row[5] for row in result.rows}
     assert statuses["fit3_350_residual_MHz2"] == "pass"
