@@ -28,6 +28,7 @@ from .coupled import (
     build_coupled_planewave,
     circuit_coupling,
     observables,
+    truncation_check,
 )
 from .fitting import (RabiFitResult, TransitionData, fit_rabi,
                       fit_transition_pairs, ground_residual_mhz2,
@@ -101,5 +102,6 @@ __all__ = [
     "reference_config",
     "run",
     "second_order_table",
+    "truncation_check",
     "y_delta",
 ]

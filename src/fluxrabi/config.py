@@ -8,7 +8,8 @@ rejected rather than ignored.  schema_version 1 is the only version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -31,8 +32,26 @@ TASK_NAMES = (
 )
 
 
+# Coupled levels each sweep point keeps; the fits use pairs among them.
+N_COUPLED_LEVELS = 8
+
+
 class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
+
+
+def _check_count(value, name: str) -> None:
+    """Raise unless value is a positive int (bool is not a count)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _number(value, name: str) -> float:
+    """value as a float; raise unless it is a finite real number, not bool."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -50,8 +69,15 @@ class NumericsConfig:
         if self.gauge not in ("flux", "charge", "both"):
             raise ConfigError("numerics.gauge must be flux, charge, or both")
         for name in ("n_qubit", "n_fock", "fit_levels", "n_states"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"numerics.{name} must be positive")
+            _check_count(getattr(self, name), f"numerics.{name}")
+        if not isinstance(self.verify, bool):
+            raise ConfigError("numerics.verify must be true or false")
+        dim = self.n_qubit * self.n_fock
+        if self.fit_levels >= min(N_COUPLED_LEVELS, dim):
+            raise ConfigError("numerics.fit_levels must be below "
+                              f"min({N_COUPLED_LEVELS}, n_qubit * n_fock)")
+        if self.n_states > dim:
+            raise ConfigError("numerics.n_states exceeds n_qubit * n_fock")
 
     @property
     def gauges(self) -> tuple[str, ...]:
@@ -71,8 +97,7 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.phix_points < 1:
-            raise ConfigError("sweep.phix_points must be >= 1")
+        _check_count(self.phix_points, "sweep.phix_points")
         if self.phix_points > 1 and not self.phix_stop > self.phix_start:
             raise ConfigError("sweep needs phix_stop > phix_start")
         for task in self.tasks:
@@ -90,26 +115,27 @@ class RunConfig:
             return np.array([self.phix_start])
         return np.linspace(self.phix_start, self.phix_stop, self.phix_points)
 
-    @property
-    def sum_osc(self) -> float:
-        """Fixed Lc + L1 branch total preserved along an Lc sweep."""
-        return self.circuit.Lc + self.circuit.L1
-
-    @property
-    def sum_qubit(self) -> float:
-        """Fixed Lc + L2 branch total preserved along an Lc sweep."""
-        return self.circuit.Lc + self.circuit.L2
-
     def circuit_at(self, lc: float) -> RawCircuit:
-        return RawCircuit(Lc=lc, L1=self.sum_osc - lc, L2=self.sum_qubit - lc,
-                          C=self.circuit.C, CJ=self.circuit.CJ,
-                          EJ=self.circuit.EJ, phix=self.circuit.phix)
+        """The base circuit with coupler lc; Lc + L1 and Lc + L2 stay fixed."""
+        base = self.circuit
+        return replace(base, Lc=lc, L1=(base.Lc + base.L1) - lc,
+                       L2=(base.Lc + base.L2) - lc)
 
     def circuits(self) -> list[tuple[float, RawCircuit]]:
         """(Lc, circuit) pairs: the Lc sweep, or just the base circuit."""
         if self.lc_list is None:
             return [(self.circuit.Lc, self.circuit)]
         return [(lc, self.circuit_at(lc)) for lc in self.lc_list]
+
+
+def _section(doc: dict, key: str) -> dict:
+    """A copy of the optional object doc[key]; absent or null gives {}."""
+    section = doc.pop(key, None)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return dict(section)
 
 
 def _take(section: dict, context: str, known: dict) -> dict:
@@ -136,19 +162,12 @@ def _build_circuit(section: dict) -> RawCircuit:
         raise ConfigError(f"circuit is missing required keys: {missing}")
     if (vals["LJ_pH"] is None) == (vals["EJ_GHz"] is None):
         raise ConfigError("circuit needs exactly one of LJ_pH or EJ_GHz")
+    del vals["EJ_GHz" if vals["EJ_GHz"] is None else "LJ_pH"]
+    # each key is a RawCircuit argument name with its unit appended
+    args = {key.split("_")[0]: _number(value, f"circuit.{key}")
+            for key, value in vals.items()}
     try:
-        if vals["LJ_pH"] is not None:
-            return RawCircuit.from_lj(Lc=float(vals["Lc_pH"]),
-                                      L1=float(vals["L1_pH"]),
-                                      L2=float(vals["L2_pH"]),
-                                      C=float(vals["C_pF"]),
-                                      CJ=float(vals["CJ_fF"]),
-                                      LJ=float(vals["LJ_pH"]),
-                                      phix=float(vals["phix_Phi0"]))
-        return RawCircuit(Lc=float(vals["Lc_pH"]), L1=float(vals["L1_pH"]),
-                          L2=float(vals["L2_pH"]), C=float(vals["C_pF"]),
-                          CJ=float(vals["CJ_fF"]), EJ=float(vals["EJ_GHz"]),
-                          phix=float(vals["phix_Phi0"]))
+        return (RawCircuit.from_lj if "LJ" in args else RawCircuit)(**args)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -163,12 +182,9 @@ def parse_config(doc: dict, output_override: str | None = None,
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}, got {version!r}")
 
-    circuit_sec = doc.pop("circuit", None)
-    if not isinstance(circuit_sec, dict):
-        raise ConfigError("config requires a circuit object")
-    circuit = _build_circuit(dict(circuit_sec))
+    circuit = _build_circuit(_section(doc, "circuit"))
 
-    sweep = _take(dict(doc.pop("sweep", {}) or {}), "sweep", {
+    sweep = _take(_section(doc, "sweep"), "sweep", {
         "phix_start_Phi0": 0.494, "phix_stop_Phi0": 0.506, "phix_points": 41,
         "Lc_list_pH": None,
     })
@@ -176,31 +192,31 @@ def parse_config(doc: dict, output_override: str | None = None,
     if lc_list is not None:
         if not isinstance(lc_list, list) or not lc_list:
             raise ConfigError("sweep.Lc_list_pH must be a non-empty list")
-        lc_list = tuple(float(x) for x in lc_list)
+        lc_list = tuple(_number(x, "sweep.Lc_list_pH") for x in lc_list)
 
-    numerics_sec = dict(doc.pop("numerics", {}) or {})
     defaults = {f.name: getattr(NumericsConfig(), f.name)
                 for f in fields(NumericsConfig)}
-    numerics = NumericsConfig(**_take(numerics_sec, "numerics", defaults))
+    numerics = NumericsConfig(**_take(_section(doc, "numerics"), "numerics",
+                                      defaults))
 
     tasks = tasks_override if tasks_override is not None else doc.pop("tasks", None)
     doc.pop("tasks", None)
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("config requires a non-empty tasks list")
 
-    output = _take(dict(doc.pop("output", {}) or {}), "output",
-                   {"directory": "out"})
+    output = _take(_section(doc, "output"), "output", {"directory": "out"})
     out_dir = output_override if output_override is not None else output["directory"]
 
     if doc:
         raise ConfigError(f"unknown top-level keys: {sorted(doc)}")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
+    _check_count(workers, "workers")
 
     return RunConfig(circuit=circuit,
-                     phix_start=float(sweep["phix_start_Phi0"]),
-                     phix_stop=float(sweep["phix_stop_Phi0"]),
-                     phix_points=int(sweep["phix_points"]),
+                     phix_start=_number(sweep["phix_start_Phi0"],
+                                        "sweep.phix_start_Phi0"),
+                     phix_stop=_number(sweep["phix_stop_Phi0"],
+                                       "sweep.phix_stop_Phi0"),
+                     phix_points=sweep["phix_points"],
                      lc_list=lc_list, numerics=numerics,
                      tasks=tuple(tasks), output_dir=str(out_dir),
                      workers=int(workers))

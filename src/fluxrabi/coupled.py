@@ -8,14 +8,15 @@ Two constructions of the same spectrum:
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Expensive but free
-  of eigenbasis truncation; used as a cross-check.
+  of eigenbasis truncation; used as a cross-check, levels only.
 
 Both builds take (gauge, raw) and read the node parameters, zero-point
 scales and coupling strengths of the gauge from circuit.gauge_circuit; the
 gauge only chooses operators here.  In the eigenbasis the coupling
 factorizes as c X (x) K; circuit_coupling builds that ProductCoupling once
 per bias point, and the eigenbasis build, the perturbation sums and the
-observables all read slices of it.
+observables all read slices of it.  truncation_check compares a build with
+a levels-only build at both truncations doubled.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .constants import CONSTANTS, annihilation, truncation_shift
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
+    check_hermitian,
     diagonalize_flux_qubit,
     linear_kernel,
     oscillator_hamiltonian,
@@ -95,25 +97,19 @@ class ProductCoupling:
 
 @dataclass(frozen=True)
 class CoupledSpectrum:
-    """Eigensolution of the coupled circuit in one gauge.
+    """Eigensolution of the eigenbasis-product build in one gauge.
 
     energies in GHz (full set of the product dimension, ascending); vectors
-    holds the matching real eigencolumns, or None where the build solves
-    for levels only (plane-wave product).  omega is the bare oscillator
-    frequency of this gauge, used for photon numbers.  coupling is the
-    product coupling the eigenbasis build assembled from, tabulated beyond
-    dims; the plane-wave build has none.
+    holds the matching real eigencolumns, or None for a levels-only build.
+    coupling is the product coupling the build assembled from, tabulated
+    at dims and at least N_PERT_FOCK x N_PERT_LEVELS.
     """
 
     energies: np.ndarray
     vectors: np.ndarray | None
     gauge: str
-    provenance: str
     dims: tuple[int, int]
-    omega: float
-    converged: bool
-    truncation_shift: float
-    coupling: ProductCoupling | None
+    coupling: ProductCoupling
 
 
 @dataclass(frozen=True)
@@ -125,31 +121,17 @@ class Observables:
     (gauge-transformed) flux in the charge gauge.
     """
 
-    state_index: int
     photon_number: float
     flux_1: float
     flux_2: float
     current_1: float
     current_2: float
-    gauge: str
 
 
 def ladder_sum(n_fock: int) -> np.ndarray:
     """Matrix of a + a' (dimensionless Phi-type quadrature)."""
     ladder = annihilation(n_fock)
     return ladder + ladder.T
-
-
-def _check_hermitian(h: np.ndarray) -> None:
-    """Raise unless max|h - h^H| <= 1e-12 max|h|, 256 rows at a time."""
-    scale = asym = 0.0
-    for start in range(0, h.shape[0], 256):
-        rows = h[start:start + 256]
-        scale = max(scale, float(np.abs(rows).max()))
-        asym = max(asym, float(np.abs(
-            rows - h[:, start:start + 256].conj().T).max()))
-    if asym > 1e-12 * max(scale, 1e-30):
-        raise EigensolveError("assembled coupled Hamiltonian is not Hermitian")
 
 
 def _checked_part(elems: np.ndarray, part: str) -> np.ndarray:
@@ -203,56 +185,54 @@ def _assemble(coupling: ProductCoupling) -> np.ndarray:
     term = np.kron(coupling.osc_elements, coupling.qubit_elements)
     term *= coupling.strength
     h += term
-    _check_hermitian(h)
+    check_hermitian(h, "assembled coupled Hamiltonian")
     return h
 
 
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit,
                              n_qubit: int = N_QUBIT_DEFAULT,
                              n_fock: int = N_FOCK_DEFAULT,
-                             verify: bool = True) -> CoupledSpectrum:
+                             vectors: bool = True) -> CoupledSpectrum:
     """Diagonalize in the Fock (x) qubit-eigenstate product basis.
 
-    One circuit_coupling, tabulated at the doubled truncation (and at
-    least N_PERT_FOCK x N_PERT_LEVELS), feeds the solve at (n_fock,
-    n_qubit) and, with verify, the re-solve at both truncations doubled,
-    which records the largest shift of the lowest eight levels.  The
-    product Hamiltonian is real symmetric in both gauges.  A solve that
-    needs more qubit levels than the qubit basis resolves is refused.
+    One circuit_coupling, tabulated at (n_fock, n_qubit) and at least
+    N_PERT_FOCK x N_PERT_LEVELS, feeds one solve of the real symmetric
+    product Hamiltonian: eigh, or eigvalsh for levels only.  A product
+    dimension above DENSE_DIM_LIMIT, or more qubit levels than the qubit
+    basis resolves, is refused before anything is assembled.
     """
     if n_qubit * n_fock > DENSE_DIM_LIMIT:
         raise EigensolveError(
-            f"product dimension {n_qubit * n_fock} exceeds the dense-solver "
-            f"budget {DENSE_DIM_LIMIT}")
-    needed = 2 * n_qubit if verify else n_qubit
-    if needed > QUBIT_LEVEL_LIMIT:
-        raise EigensolveError(
-            f"the solve needs {needed} qubit levels; the qubit basis resolves "
-            f"{QUBIT_LEVEL_LIMIT}")
-    coupling = circuit_coupling(
-        gauge, raw, max(2 * n_fock, N_PERT_FOCK),
-        min(max(2 * n_qubit, N_PERT_LEVELS), QUBIT_LEVEL_LIMIT))
-    energies, vectors = np.linalg.eigh(
-        _assemble(coupling.truncated(n_fock, n_qubit)))
-    shift, converged = 0.0, True
-    if verify:
-        doubled = _assemble(coupling.truncated(2 * n_fock, 2 * n_qubit))
-        shift, converged = truncation_shift(energies, np.linalg.eigvalsh(doubled))
-    return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
-                           provenance="eigenbasis-product",
-                           dims=(n_fock, n_qubit), omega=coupling.omega,
-                           converged=converged, truncation_shift=shift,
-                           coupling=coupling)
+            f"product dimension {n_qubit * n_fock} exceeds DENSE_DIM_LIMIT = "
+            f"{DENSE_DIM_LIMIT}")
+    coupling = circuit_coupling(gauge, raw, max(n_fock, N_PERT_FOCK),
+                                max(n_qubit, N_PERT_LEVELS))
+    h = _assemble(coupling.truncated(n_fock, n_qubit))
+    energies, eigvecs = (np.linalg.eigh(h) if vectors
+                         else (np.linalg.eigvalsh(h), None))
+    return CoupledSpectrum(energies=energies, vectors=eigvecs, gauge=gauge,
+                           dims=(n_fock, n_qubit), coupling=coupling)
 
 
-def build_coupled_planewave(gauge: str, raw: RawCircuit) -> CoupledSpectrum:
+def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
+                     n_fock: int) -> tuple[float, bool]:
+    """(shift, converged) of the lowest eight levels of the eigenbasis
+    build at (n_qubit, n_fock) against a levels-only build at (2 n_qubit,
+    2 n_fock), as constants.truncation_shift; both pass the build's guards.
+    """
+    spec = build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock)
+    doubled = build_coupled_eigenbasis(gauge, raw, 2 * n_qubit, 2 * n_fock,
+                                       vectors=False)
+    return truncation_shift(spec.energies, doubled.energies)
+
+
+def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
     """Diagonalize the coupled Hamiltonian on a product of plane-wave bases.
 
     Dense, on 64 oscillator times 32 qubit waves (dimension 2048).  The
     matrix is real symmetric in both gauges: the flux-gauge coupling is
     diagonal and the charge-gauge coupling is a product of two imaginary
-    antisymmetric kernels.  It solves for levels only: the result carries
-    no eigenvectors, no truncation check and no product coupling.
+    antisymmetric kernels.  Returns the ascending levels only.
     """
     circuit = gauge_circuit(gauge, raw)
     basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)
@@ -276,23 +256,18 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> CoupledSpectrum:
             term *= circuit.node_coupling
             h += term
         del term  # freed before eigvalsh copies h
-    _check_hermitian(h)
-    energies = np.linalg.eigvalsh(h)
-    return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
-                           provenance="planewave-product", dims=dims,
-                           omega=circuit.omega, converged=True,
-                           truncation_shift=0.0, coupling=None)
+    check_hermitian(h, "assembled coupled Hamiltonian")
+    return np.linalg.eigvalsh(h)
 
 
 def observables(spec: CoupledSpectrum, raw: RawCircuit,
                 state_index: int) -> Observables:
     """Photon number, flux expectations, and loop currents of one eigenstate.
 
-    Only an eigenbasis-product spectrum carries the product coupling this
-    needs; any other spectrum is rejected.
+    A levels-only spectrum carries no eigenvectors and is rejected.
     """
-    if spec.coupling is None:
-        raise ValueError("observables needs an eigenbasis-product spectrum")
+    if spec.vectors is None:
+        raise ValueError("observables needs a spectrum built with vectors")
     circuit = gauge_circuit(spec.gauge, raw)
     n_fock, n_qubit = spec.dims
     qubit_phase = spec.coupling.qubit_phase[:n_qubit, :n_qubit]
@@ -312,7 +287,5 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit,
     l_matrix = np.array([[raw.Lc + raw.L1, raw.Lc], [raw.Lc, raw.Lc + raw.L2]])
     flux_wb = np.array([phi1_physical, phi2]) * flux_quantum
     currents = np.linalg.solve(l_matrix, flux_wb) * 1e21
-    return Observables(state_index=state_index, photon_number=photon,
-                       flux_1=phi1, flux_2=phi2,
-                       current_1=float(currents[0]), current_2=float(currents[1]),
-                       gauge=spec.gauge)
+    return Observables(photon_number=photon, flux_1=phi1, flux_2=phi2,
+                       current_1=float(currents[0]), current_2=float(currents[1]))

@@ -132,6 +132,18 @@ def qubit_hamiltonian(ecj: float, ej: float, elfq: float, phix: float,
     return 4.0 * ecj * quadratic_kernel(basis) + np.diag(diag)
 
 
+def check_hermitian(h: np.ndarray, what: str) -> None:
+    """Raise unless max|h - h^H| <= 1e-12 max|h|, 256 rows at a time."""
+    scale = asym = 0.0
+    for start in range(0, h.shape[0], 256):
+        rows = h[start:start + 256]
+        scale = max(scale, float(np.abs(rows).max()))
+        asym = max(asym, float(np.abs(
+            rows - h[:, start:start + 256].conj().T).max()))
+    if asym > 1e-12 * max(scale, 1e-30):
+        raise EigensolveError(f"{what} is not Hermitian")
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its largest-magnitude entry is real positive."""
     out = vectors.astype(complex)
@@ -146,9 +158,7 @@ def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
                            basis: PlaneWaveBasis) -> SubsystemSpectrum:
     """All levels of the flux-qubit node Hamiltonian in the given basis."""
     h = qubit_hamiltonian(ecj, ej, elfq, phix, basis)
-    scale = np.abs(h).max()
-    if np.abs(h - h.conj().T).max() > 1e-12 * scale:
-        raise EigensolveError("assembled Hamiltonian is not Hermitian")
+    check_hermitian(h, "assembled qubit Hamiltonian")
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:

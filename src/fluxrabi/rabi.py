@@ -30,11 +30,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import RawCircuit, gauge_circuit
+from .circuit import GAUGES, RawCircuit, gauge_circuit
 from .constants import annihilation, bias_to_ghz
 from .qubit import TwoLevelFit
-
-VARIANTS = ("flux", "charge")
 
 # Fock truncation defaults: deep-strong coupling needs the large basis.
 N_FOCK_WEAK = 20
@@ -55,8 +53,8 @@ class RabiParams:
     variant: str = "flux"
 
     def __post_init__(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.variant not in GAUGES:
+            raise ValueError(f"variant must be one of {GAUGES}")
 
     def epsilon(self, phix: float) -> float:
         """Bias eps(phix) in GHz."""

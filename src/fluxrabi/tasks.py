@@ -30,7 +30,7 @@ from .circuit import (
     gauge_circuit,
     y_delta,
 )
-from .config import NumericsConfig, RunConfig
+from .config import N_COUPLED_LEVELS, RunConfig
 from .constants import PACKAGE_VERSION
 from .coupled import (
     N_PERT_FOCK,
@@ -38,6 +38,7 @@ from .coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     observables,
+    truncation_check,
 )
 from .fitting import (TransitionData, fit_rabi, fit_transition_pairs,
                       model_pair_table)
@@ -54,8 +55,6 @@ SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
 # rung is the canonical working truncation.
 TRUNCATION_LADDER = ((4, 10), (6, 20), (6, 40), (8, 60), (12, 80))
 
-# Coupled levels read per bias point; the fits use pairs among them.
-N_COUPLED_LEVELS = 8
 # Qubit levels the plane-wave qubit tasks report.
 N_QUBIT_LEVELS = 6
 
@@ -148,18 +147,15 @@ def _base_metadata(cfg: RunConfig, task: str) -> dict:
     }
 
 
-def _eigenbasis(gauge: str, raw: RawCircuit, num: NumericsConfig,
-                verify: bool = False):
-    return build_coupled_eigenbasis(gauge, raw, n_qubit=num.n_qubit,
-                                    n_fock=num.n_fock, verify=verify)
-
-
 def _probe(cfg: RunConfig, raw: RawCircuit, gauge: str) -> dict:
-    """Truncation check of the configured eigenbasis build at mid-bias."""
+    """Truncation check of the configured build at mid-bias; with
+    numerics.verify off nothing is solved and the shift is None (null)."""
+    num = cfg.numerics
+    if not num.verify:
+        return {"converged": True, "truncation_shift_GHz": None}
     mid = replace(raw, phix=cfg.phix_grid[len(cfg.phix_grid) // 2])
-    spec = _eigenbasis(gauge, mid, cfg.numerics, verify=cfg.numerics.verify)
-    return {"converged": spec.converged,
-            "truncation_shift_GHz": spec.truncation_shift}
+    shift, converged = truncation_check(gauge, mid, num.n_qubit, num.n_fock)
+    return {"converged": converged, "truncation_shift_GHz": shift}
 
 
 def _pair_table(rows: list[tuple], lc: float, grid, pairs) -> np.ndarray:
@@ -197,12 +193,13 @@ def _qubit_level_rows(gauge, raw, num):
 
 
 def _level_rows(gauge, raw, num):
-    energies = _eigenbasis(gauge, raw, num).energies[:N_COUPLED_LEVELS]
+    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
+    energies = spec.energies[:N_COUPLED_LEVELS]
     return _level_tails("eigenbasis-product", [float(e) for e in energies])
 
 
 def _observable_rows(gauge, raw, num):
-    spec = _eigenbasis(gauge, raw, num)
+    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
     out = []
     for state in range(num.n_states):
         obs = observables(spec, raw, state)
@@ -230,7 +227,7 @@ def _perturbation_rows(gauge, raw, num):
     The sums run over the N_PERT_FOCK x N_PERT_LEVELS slice of the coupling
     the eigenbasis build assembled from, so the qubit is solved once.
     """
-    spec = _eigenbasis(gauge, raw, num)
+    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
     coupling = spec.coupling.truncated(N_PERT_FOCK, N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
@@ -242,7 +239,8 @@ def _perturbation_rows(gauge, raw, num):
         # a state pushed onto a quasi-degenerate contributor invalidates
         # the series at this bias point
         ok = ok and not upper.excluded and not lower.excluded
-        exact = float(spec.energies[2 + level] - spec.energies[level] - spec.omega)
+        exact = float(spec.energies[2 + level] - spec.energies[level]
+                      - coupling.omega)
         out.append(("perturbation", "net_shift_perturbative", level,
                     upper.total - lower.total, "GHz"))
         out.append(("eigenbasis-product", "net_shift_exact", level, exact, "GHz"))
@@ -419,8 +417,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
             levels = {gauge: build_coupled_eigenbasis(
-                gauge, raw, n_qubit=nq, n_fock=nf,
-                verify=False).energies[:count] for gauge in GAUGES}
+                gauge, raw, n_qubit=nq, n_fock=nf).energies[:count]
+                for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
                 (levels["flux"] - levels["flux"][0])
@@ -431,10 +429,10 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                          "lowest8_gauge_gap", coord, gap, "GHz"))
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
-        eigen = _eigenbasis("flux", raw, cfg.numerics)
+        eigen = build_coupled_eigenbasis("flux", raw, cfg.numerics.n_qubit,
+                                         cfg.numerics.n_fock)
         plane = build_coupled_planewave("flux", raw)
-        cross = float(np.abs(eigen.energies[:count]
-                             - plane.energies[:count]).max())
+        cross = float(np.abs(eigen.energies[:count] - plane[:count]).max())
         rows.append((lc, raw.phix, "flux", "planewave-product",
                      "planewave_vs_eigenbasis_gap",
                      f"{cfg.numerics.n_qubit}x{cfg.numerics.n_fock}",

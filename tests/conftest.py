@@ -11,6 +11,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import fluxrabi.coupled as coupled
 from fluxrabi.circuit import gauge_circuit
 from fluxrabi.config import reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis
@@ -61,8 +62,7 @@ def coupled_fit_levels(lc):
     rows = []
     for phix in FIT_GRID:
         raw = dataclasses.replace(p.raw, phix=float(phix))
-        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60,
-                                        verify=False)
+        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60)
         rows.append(spec.energies[:8])
     return np.array(rows)
 
@@ -100,3 +100,20 @@ def mapped():
 @pytest.fixture(scope="session")
 def fits():
     return fit_result
+
+
+@pytest.fixture
+def assembled_dims(monkeypatch):
+    """Dimensions of every dense coupled assembly; one above
+    DENSE_DIM_LIMIT fails the test before it is allocated."""
+    dims = []
+    assemble = coupled._assemble
+
+    def recorder(coupling):
+        dim = len(coupling.osc_elements) * len(coupling.qubit_energies)
+        dims.append(dim)
+        assert dim <= coupled.DENSE_DIM_LIMIT, f"dense assembly at {dim}"
+        return assemble(coupling)
+
+    monkeypatch.setattr(coupled, "_assemble", recorder)
+    return dims

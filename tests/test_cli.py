@@ -110,6 +110,19 @@ def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "32" in err
 
 
+def test_doubled_truncation_over_dense_limit_exits_3(assembled_dims, tmp_path,
+                                                     capsys):
+    # (16, 128) solves at dimension 2048; its doubled-truncation check would
+    # be 8192 and must stop at the dense-dimension guard, not assemble it
+    doc = small_doc(n_qubit=16, n_fock=128, verify=True)
+    doc["tasks"] = ["circuit-spectrum"]
+    doc["sweep"]["phix_points"] = 1
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "DENSE_DIM_LIMIT" in capsys.readouterr().err
+    assert assembled_dims == [2048]
+
+
 def test_io_failure_exits_4(tmp_path):
     cfg = write_doc(tmp_path, small_doc())
     blocker = tmp_path / "blocked"

@@ -182,6 +182,39 @@ def test_numerics_validation():
     assert parse_config(doc).numerics.gauge == "charge"
 
 
+@pytest.mark.parametrize("section, key, value, match", [
+    ("circuit", "C_pF", None, "circuit.C_pF"),
+    ("circuit", "Lc_pH", True, "circuit.Lc_pH"),
+    ("circuit", "L1_pH", "780", "circuit.L1_pH"),
+    ("sweep", "Lc_list_pH", ["abc"], "Lc_list_pH"),
+    ("sweep", "phix_start_Phi0", "x", "phix_start_Phi0"),
+    ("sweep", "phix_points", 2.5, "phix_points"),
+    ("sweep", "phix_points", "3", "phix_points"),
+    ("sweep", None, [1], "sweep must be a JSON object"),
+    ("numerics", None, [1], "numerics must be a JSON object"),
+    ("output", None, "out", "output must be a JSON object"),
+    ("numerics", "n_qubit", "6", "n_qubit"),
+    ("numerics", "n_qubit", 6.5, "n_qubit"),
+    ("numerics", "n_fock", True, "n_fock"),
+    ("numerics", "verify", "no", "verify"),
+    # each sweep point keeps 8 levels, so fit pairs reach level 7 at most
+    ("numerics", "fit_levels", 8, "fit_levels"),
+    # a (1, 2) truncation has two levels: fit level 2 and state 3 are absent
+    ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 2,
+                        "n_states": 1}, "fit_levels"),
+    ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 1,
+                        "n_states": 4}, "n_states"),
+])
+def test_malformed_values_rejected(section, key, value, match):
+    doc = minimal_doc()
+    if key is None:
+        doc[section] = value
+    else:
+        doc.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
+
+
 def test_overrides_and_workers():
     cfg = parse_config(minimal_doc(), output_override="elsewhere",
                        tasks_override=["rabi-map"], workers=3)

@@ -16,6 +16,7 @@ from fluxrabi.coupled import (
     circuit_coupling,
     ladder_sum,
     observables,
+    truncation_check,
 )
 from fluxrabi.planewave import EigensolveError
 from fluxrabi.qubit import TwoLevelFit
@@ -87,26 +88,39 @@ def test_dense_dimension_guard(parts20):
     assert 60 * 80 > DENSE_DIM_LIMIT
 
 
-@pytest.mark.parametrize("n_qubit, verify, needed", [
-    (17, True, 34),   # verify would compare against 32 levels, not 34
+def test_truncation_check_obeys_dense_dimension_guard(assembled_dims, parts20):
+    # (16, 128) solves at dimension 2048, but the doubled solve would be
+    # 8192; it is refused before a matrix that large is assembled
+    with pytest.raises(EigensolveError, match="8192 exceeds DENSE_DIM_LIMIT"):
+        truncation_check("flux", parts20.raw, 16, 128)
+    assert assembled_dims == [2048]
+
+
+@pytest.mark.parametrize("n_qubit, checked, needed", [
+    (17, True, 34),   # the doubled solve would compare against 32 levels
     (32, True, 64),   # the doubled solve would double only the Fock states
     (40, False, 40),  # the build would solve 32 levels and report 40
 ])
-def test_qubit_slice_beyond_basis_refused(n_qubit, verify, needed):
+def test_qubit_slice_beyond_basis_refused(n_qubit, checked, needed):
     p = circuit_parts(350.0)
-    with pytest.raises(EigensolveError,
-                       match=f"needs {needed} qubit levels.* resolves 32"):
-        build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit, n_fock=20,
-                                 verify=verify)
+    with pytest.raises(EigensolveError, match=(
+            f"{needed} qubit levels requested; the qubit basis resolves 32")):
+        if checked:
+            truncation_check("charge", p.raw, n_qubit, 20)
+        else:
+            build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit, n_fock=20)
     with pytest.raises(EigensolveError, match="resolves 32"):
         circuit_coupling("charge", p.raw, n_levels=33)
 
 
 def test_qubit_slice_at_basis_edge_solves():
     p = circuit_parts(350.0)
-    for n_qubit, verify in ((16, True), (32, False)):
+    # the doubled solve of 16 levels uses every level the basis resolves
+    shift, _ = truncation_check("charge", p.raw, 16, 20)
+    assert np.isfinite(shift)
+    for n_qubit in (16, 32):
         spec = build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
-                                        n_fock=20, verify=verify)
+                                        n_fock=20)
         assert spec.dims == (20, n_qubit)
         assert spec.vectors.shape == (20 * n_qubit, 20 * n_qubit)
         assert observables(spec, p.raw, 0).photon_number >= 0.0
@@ -114,35 +128,43 @@ def test_qubit_slice_at_basis_edge_solves():
 
 def test_truncation_flag_honest_for_starved_charge_solve():
     # at Lc = 350 the charge-gauge build needs far more qubit levels than
-    # the default truncation; the verify pass must say so
+    # the default truncation; the truncation check must say so
     p = circuit_parts(350.0)
-    spec = build_coupled_eigenbasis("charge", p.raw,
-                                    n_qubit=6, n_fock=40, verify=True)
-    assert not spec.converged
-    assert spec.truncation_shift > 0.1
+    shift, converged = truncation_check("charge", p.raw, 6, 40)
+    assert not converged
+    assert shift > 0.1
 
 
 def test_flux_eigenbasis_converged_at_default_truncation(parts20):
+    shift, converged = truncation_check("flux", parts20.raw, 6, 40)
+    assert converged
+    assert shift < 1e-3
+
+
+def test_levels_only_build_matches_eigh_levels(parts20):
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, verify=True)
-    assert spec.converged
-    assert spec.truncation_shift < 1e-3
+    full = build_coupled_eigenbasis("charge", p.raw)
+    levels = build_coupled_eigenbasis("charge", p.raw, vectors=False)
+    assert levels.vectors is None
+    assert levels.dims == full.dims
+    assert np.abs(levels.energies - full.energies).max() < 1e-9
 
 
 def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
     p = parts20
-    eigen = build_coupled_eigenbasis("charge", p.raw, verify=False)
+    eigen = build_coupled_eigenbasis("charge", p.raw)
     plane = build_coupled_planewave("charge", p.raw)
-    gap = np.abs(eigen.energies[:8] - plane.energies[:8]).max()
+    gap = np.abs(eigen.energies[:8] - plane[:8]).max()
     assert gap < 1e-3
-    # the cross-check solves for levels only
-    assert plane.vectors is None
+    # the cross-check returns its ascending levels only
+    assert plane.shape == (2048,)
+    assert np.all(np.diff(plane) >= 0.0)
 
 
 def test_loop_one_carries_no_current(parts20):
     p = parts20
     for gauge in ("flux", "charge"):
-        spec = build_coupled_eigenbasis(gauge, p.raw, verify=False)
+        spec = build_coupled_eigenbasis(gauge, p.raw)
         for state in range(4):
             obs = observables(spec, p.raw, state)
             assert abs(obs.current_1) < 1e-2
@@ -153,7 +175,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
     values = []
     for phix in (0.498, 0.502):
         raw = dataclasses.replace(p.raw, phix=phix)
-        spec = build_coupled_eigenbasis("flux", raw, verify=False)
+        spec = build_coupled_eigenbasis("flux", raw)
         values.append(observables(spec, raw, 0))
     assert values[0].flux_2 == pytest.approx(-values[1].flux_2, rel=1e-6)
     assert values[0].flux_1 == pytest.approx(-values[1].flux_1, rel=1e-6)
@@ -163,7 +185,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
 def test_charge_gauge_frame_flux_vanishes(parts20):
     p = parts20
     raw = dataclasses.replace(p.raw, phix=0.498)
-    spec = build_coupled_eigenbasis("charge", raw, verify=False)
+    spec = build_coupled_eigenbasis("charge", raw)
     obs = observables(spec, raw, 0)
     # the momentum-shifted oscillator mode has no flux displacement; the
     # loop currents still come out through the gauge-restored flux
@@ -172,17 +194,17 @@ def test_charge_gauge_frame_flux_vanishes(parts20):
 
 
 def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
-    # the plane-wave build carries no product coupling; observables must
-    # not misread it
+    # a levels-only build carries no eigenvectors; observables must not
+    # misread it
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, verify=False)
-    with pytest.raises(ValueError):
-        observables(dataclasses.replace(spec, coupling=None), p.raw, 0)
+    spec = build_coupled_eigenbasis("flux", p.raw, vectors=False)
+    with pytest.raises(ValueError, match="vectors"):
+        observables(spec, p.raw, 0)
 
 
 def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, verify=False)
+    spec = build_coupled_eigenbasis("flux", p.raw)
     obs = observables(spec, p.raw, 0)
     assert 0.0 <= obs.photon_number < 0.1
 
@@ -191,18 +213,16 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
     # the complex assembly has an imaginary part of exactly 0, and the real
-    # matrices handed to LAPACK, first and doubled truncation, equal its
-    # real part bit for bit
+    # matrices the truncation check hands to LAPACK, first and doubled
+    # truncation, equal its real part bit for bit
     seen = _solver_inputs(monkeypatch)
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
         seen.clear()
-        spec = build_coupled_eigenbasis(gauge, p.raw,
-                                        n_qubit=6, n_fock=40, verify=True)
+        truncation_check(gauge, p.raw, 6, 40)
         assert all(h.dtype == np.float64 for h in seen)
         product = [h for h in seen if h.shape[0] > 32]
         assert [h.shape[0] for h in product] == [240, 960]
-        assert spec.vectors.dtype == np.float64
         for h, (nq, nf) in zip(product, ((6, 40), (12, 80))):
             ref = complex_eigenbasis_hamiltonian(gauge, p.raw, nq, nf,
                                                  n_table=12)
@@ -213,9 +233,9 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_truncated_coupling_equals_direct_tables(gauge, lc):
-    # a slice of the coupling an eigenbasis build tabulates at doubled
-    # truncation is bit for bit the coupling tabulated at the slice, so the
-    # perturbation sums and observables can read it without a second solve
+    # a slice of a coupling tabulated at a larger truncation is bit for bit
+    # the coupling tabulated at the slice, so the perturbation sums can read
+    # the 12 x 6 slice of any eigenbasis build without a second solve
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
         direct = circuit_coupling(gauge, p.raw, 12, 6)
@@ -238,8 +258,7 @@ def test_real_path_levels_match_complex_reference(lc, l1, l2, c, cj, lj, phix,
                                                   gauge, dims):
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
-    spec = build_coupled_eigenbasis(gauge, raw, n_qubit=nq, n_fock=nf,
-                                    verify=False)
+    spec = build_coupled_eigenbasis(gauge, raw, n_qubit=nq, n_fock=nf)
     ref = np.linalg.eigvalsh(complex_eigenbasis_hamiltonian(
         gauge, raw, nq, nf, n_table=2 * nq))
     assert spec.vectors.dtype == np.float64
@@ -258,7 +277,7 @@ def test_non_real_qubit_elements_rejected(monkeypatch, parts20, gauge, table,
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
     p = parts20
     with pytest.raises(EigensolveError, match="qubit element table"):
-        build_coupled_eigenbasis(gauge, p.raw, verify=False)
+        build_coupled_eigenbasis(gauge, p.raw)
 
 
 # a two-level reduction whose elements only the coupling strength reads
@@ -273,21 +292,16 @@ _TWOLEVEL = TwoLevelFit(Delta_q=1.24, Ip=281.0, omega_os=40.0,
        lj=st.floats(600.0, 2000.0), phix=st.floats(0.48, 0.52))
 @example(lc=0.0, l1=780.0, l2=2030.0, c=0.87, cj=4.84, lj=990.0, phix=0.5)
 def test_every_consumer_reads_the_gauge_omega(lc, l1, l2, c, cj, lj, phix):
-    # the coupling, both coupled builds and the Rabi mapping report the
-    # omega of gauge_circuit bit for bit; at Lc = 0 the two gauges are one
+    # the coupling, the eigenbasis build's coupling and the Rabi mapping
+    # report the omega of gauge_circuit bit for bit; at Lc = 0 the two
+    # gauges are one
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     circuits = {gauge: gauge_circuit(gauge, raw) for gauge in GAUGES}
     for gauge, circuit in circuits.items():
-        with pytest.MonkeyPatch.context() as mp:
-            # only omega is read from the plane-wave build: skip its
-            # dimension-2048 eigensolve
-            mp.setattr(np.linalg, "eigvalsh", lambda h: np.zeros(len(h)))
-            plane = build_coupled_planewave(gauge, raw)
         reported = [
             circuit_coupling(gauge, raw).omega,
-            build_coupled_eigenbasis(gauge, raw, n_qubit=2, n_fock=4,
-                                     verify=False).omega,
-            plane.omega,
+            build_coupled_eigenbasis(gauge, raw, n_qubit=2,
+                                     n_fock=4).coupling.omega,
             map_circuit_to_rabi(gauge, raw, _TWOLEVEL).omega,
         ]
         assert all(omega == circuit.omega for omega in reported), reported

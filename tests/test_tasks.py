@@ -222,6 +222,24 @@ def test_run_raises_exit_code_on_convergence_flag(tmp_path):
     assert os.path.exists(tmp_path / "circuit-spectrum.csv")
 
 
+def test_unchecked_probe_writes_null_shift(monkeypatch, tmp_path):
+    # with verify off no doubled solve runs, so no shift was measured: the
+    # probe writes null, not a 0.0 that reads as a perfect check
+    def refuse(*args):
+        raise AssertionError("truncation_check ran with verify off")
+
+    monkeypatch.setattr(tasks, "truncation_check", refuse)
+    numerics = NumericsConfig(gauge="flux", n_qubit=4, n_fock=10, verify=False)
+    cfg = reference_config(tasks=("circuit-spectrum",), phix_start=0.5,
+                           phix_stop=0.5, phix_points=1, numerics=numerics,
+                           output_dir=str(tmp_path))
+    assert run(cfg) == 0
+    text = open(tmp_path / "circuit-spectrum.json").read()
+    detail = json.loads(text)["convergence_detail"]["Lc=20.0/flux"]
+    assert detail == {"converged": True, "truncation_shift_GHz": None}
+    assert '"truncation_shift_GHz": null' in text
+
+
 def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     exact = {name: expected for name, expected, _ in REGRESSION_PINS}
     exact.update({name: bound for name, bound in REGRESSION_BOUNDS})
