@@ -30,9 +30,8 @@ from .coupled import (
     observables,
     truncation_check,
 )
-from .fitting import (RabiFitResult, TransitionData, fit_rabi,
-                      fit_transition_pairs, ground_residual_mhz2,
-                      model_pair_table)
+from .fitting import (RabiFitResult, fit_rabi, fit_transition_pairs,
+                      ground_residual_mhz2, model_pair_table)
 from .perturbation import ShiftTable, first_order_shift, second_order_table
 from .planewave import (
     BasisRangeWarning,
@@ -77,7 +76,6 @@ __all__ = [
     "StarInductances",
     "SubsystemSpectrum",
     "TASKS",
-    "TransitionData",
     "TwoLevelFit",
     "TwoLevelFitError",
     "build_coupled_eigenbasis",

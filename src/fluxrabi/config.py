@@ -206,6 +206,9 @@ def parse_config(doc: dict, output_override: str | None = None,
 
     output = _take(_section(doc, "output"), "output", {"directory": "out"})
     out_dir = output_override if output_override is not None else output["directory"]
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output directory must be a non-empty string, "
+                          f"got {out_dir!r}")
 
     if doc:
         raise ConfigError(f"unknown top-level keys: {sorted(doc)}")
@@ -218,7 +221,7 @@ def parse_config(doc: dict, output_override: str | None = None,
                                        "sweep.phix_stop_Phi0"),
                      phix_points=sweep["phix_points"],
                      lc_list=lc_list, numerics=numerics,
-                     tasks=tuple(tasks), output_dir=str(out_dir),
+                     tasks=tuple(tasks), output_dir=out_dir,
                      workers=int(workers))
 
 

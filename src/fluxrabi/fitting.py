@@ -1,13 +1,15 @@
 """Least-squares extraction of two-level model parameters from spectra.
 
 Fits the four parameters (omega, Delta_q, g, Ip) of the qubit-oscillator
-model to a table of transition frequencies sampled on a flux grid.  The
-objective is the mean squared residual over all (flux, transition) points
-in MHz^2, minimized by Levenberg-Marquardt with one re-start from the
-nudged minimum; nothing is random, so repeated runs give identical
-results.  The residual reported alongside the fitted parameters is
-restricted to transitions from the ground state, which is the
-conventional figure of merit for this kind of spectrum fit.
+model to a table of transition frequencies sampled on a flux grid:
+table[p, c] is transition pairs[c] at grid[p], and model_pair_table
+evaluates the model on the same layout.  The objective is the mean squared
+residual over all (flux, transition) points in MHz^2, minimized by
+Levenberg-Marquardt with one re-start from the nudged minimum; nothing is
+random, so repeated runs give identical results.  The residual reported
+alongside the fitted parameters is restricted to transitions from the
+ground state, which is the conventional figure of merit for this kind of
+spectrum fit.
 """
 
 from __future__ import annotations
@@ -21,9 +23,12 @@ from .rabi import RabiParams, default_n_fock, rabi_energies
 # Relative nudge of the first minimum that the agreement re-start runs from.
 RESTART_STEP = (1.02, 0.98, 1.05, 1.001)
 
+# Order of the fitted parameters in the optimizer's vector.
+PARAM_NAMES = ("omega", "Delta_q", "g", "Ip")
+
 
 class FitDataError(ValueError):
-    """The transition table cannot be fit (wrong shape or empty)."""
+    """The transition table or the start cannot be fit."""
 
 
 def fit_transition_pairs(max_level: int) -> tuple[tuple[int, int], ...]:
@@ -40,50 +45,6 @@ def fit_transition_pairs(max_level: int) -> tuple[tuple[int, int], ...]:
     if max_level == 3:
         pairs += [(1, 2), (1, 3)]
     return tuple(pairs)
-
-
-@dataclass(frozen=True)
-class TransitionData:
-    """Long-format transition table: freqs[p] couples sources[p] to levels[p].
-
-    sources defaults to the ground state for every point.
-    """
-
-    phix: np.ndarray
-    levels: np.ndarray
-    freqs: np.ndarray
-    sources: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.sources is None:
-            object.__setattr__(self, "sources",
-                               np.zeros(len(self.levels, ), dtype=int))
-        if not (len(self.phix) == len(self.levels) == len(self.freqs)
-                == len(self.sources)):
-            raise FitDataError("phix, levels, freqs, sources must have equal "
-                               "length")
-        if len(self.phix) < 4:
-            raise FitDataError("need at least as many points as parameters")
-        if np.any(self.sources < 0) or np.any(self.levels <= self.sources):
-            raise FitDataError("each transition must go up the level ladder")
-
-    @classmethod
-    def from_pair_table(cls, phix_grid: np.ndarray, table: np.ndarray,
-                        pairs: tuple[tuple[int, int], ...]) -> "TransitionData":
-        """table[p, c] = transition pairs[c] at phix_grid[p]."""
-        table = np.asarray(table, dtype=float)
-        n_phix, n_pairs = table.shape
-        if n_pairs != len(pairs):
-            raise FitDataError("table columns must match the pair list")
-        phix = np.repeat(np.asarray(phix_grid, dtype=float), n_pairs)
-        sources = np.tile(np.array([p[0] for p in pairs], dtype=int), n_phix)
-        levels = np.tile(np.array([p[1] for p in pairs], dtype=int), n_phix)
-        return cls(phix=phix, levels=levels, freqs=table.reshape(-1),
-                   sources=sources)
-
-    @property
-    def max_level(self) -> int:
-        return int(self.levels.max())
 
 
 @dataclass(frozen=True)
@@ -112,57 +73,66 @@ def model_pair_table(params: RabiParams, phix_grid: np.ndarray,
     return out
 
 
-def _residuals_mhz(theta: np.ndarray, data: TransitionData, variant: str,
-                   n_fock: int) -> np.ndarray:
-    """Per-point residuals model - data in MHz, in data order."""
-    params = RabiParams(omega=theta[0], Delta_q=theta[1], Ip=theta[3],
-                        g=theta[2], variant=variant)
-    out = np.empty(len(data.freqs))
-    for phix in np.unique(data.phix):
-        mask = data.phix == phix
-        energies = rabi_energies(params, phix, n_fock)
-        model = energies[data.levels[mask]] - energies[data.sources[mask]]
-        out[mask] = 1e3 * (model - data.freqs[mask])
-    return out
+def _check_table(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
+                 table: np.ndarray) -> np.ndarray:
+    """table as a float array; FitDataError unless it can be fit."""
+    table = np.asarray(table, dtype=float)
+    if table.shape != (len(grid), len(pairs)):
+        raise FitDataError(f"table shape {table.shape} is not (grid, pairs) "
+                           f"= ({len(grid)}, {len(pairs)})")
+    if table.size < 4:
+        raise FitDataError("need at least as many points as parameters")
+    if any(i < 0 or j <= i for i, j in pairs):
+        raise FitDataError("each transition must go up the level ladder")
+    if all(i != 0 for i, _ in pairs):
+        raise FitDataError("no ground-state transitions in the data")
+    if not np.isfinite(table).all():
+        raise FitDataError("transition table entries must be finite")
+    return table
 
 
-def ground_residual_mhz2(params: RabiParams, data: TransitionData,
+def ground_residual_mhz2(params: RabiParams, grid: np.ndarray,
+                         pairs: tuple[tuple[int, int], ...], table: np.ndarray,
                          n_fock: int | None = None) -> float:
     """Mean squared residual restricted to transitions from the ground state."""
-    if n_fock is None:
-        n_fock = default_n_fock(params.g / params.omega)
-    theta = np.array([params.omega, params.Delta_q, params.g, params.Ip])
-    residuals = _residuals_mhz(theta, data, params.variant, n_fock)
-    mask = data.sources == 0
-    if not mask.any():
-        raise FitDataError("no ground-state transitions in the data")
-    return float((residuals[mask] ** 2).mean())
+    table = _check_table(grid, pairs, table)
+    ground = [c for c, (i, _) in enumerate(pairs) if i == 0]
+    residuals = 1e3 * (model_pair_table(params, grid, pairs, n_fock) - table)
+    return float((residuals[:, ground].ravel() ** 2).mean())
 
 
-def fit_rabi(data: TransitionData, initial: RabiParams,
+def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
+             table: np.ndarray, initial: RabiParams,
              n_fock: int | None = None) -> RabiFitResult:
     """Minimize the mean squared transition residual from a mapped start.
 
-    Runs Levenberg-Marquardt on the signed residuals from the start, then
-    once more from the first minimum nudged by RESTART_STEP, and keeps the
-    lower minimum; converged requires both runs to succeed and to agree
-    below 0.1% on every parameter (relative to 1e-3 omega for a parameter
-    smaller than that).  n_eval counts every residual evaluation,
-    finite-difference Jacobian columns included.
+    table[p, c] is transition pairs[c] at grid[p], in GHz; the residuals
+    run over it in row-major order.  Runs Levenberg-Marquardt on the signed
+    residuals from the start, then once more from the first minimum nudged
+    by RESTART_STEP, and keeps the lower minimum; converged requires both
+    runs to succeed and to agree below 0.1% on every parameter (relative to
+    1e-3 omega for a parameter smaller than that).  n_eval counts every
+    residual evaluation, finite-difference Jacobian columns included.
     """
+    table = _check_table(grid, pairs, table)
+    start = np.array([getattr(initial, name) for name in PARAM_NAMES])
+    if not np.isfinite(start).all() or not start[0] > 0.0:
+        raise FitDataError("initial parameters must be finite, omega > 0")
     if n_fock is None:
         n_fock = default_n_fock(initial.g / initial.omega)
-    start = np.array([initial.omega, initial.Delta_q, initial.g, initial.Ip])
-    if np.any(~np.isfinite(start)):
-        raise FitDataError("initial parameters must be finite")
     from scipy.optimize import least_squares  # on first use, as in qubit.py
+
+    def with_theta(theta: np.ndarray) -> RabiParams:
+        return replace(initial, **{name: float(value)
+                                   for name, value in zip(PARAM_NAMES, theta)})
 
     n_eval = 0
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         nonlocal n_eval
         n_eval += 1
-        return _residuals_mhz(theta, data, initial.variant, n_fock)
+        model = model_pair_table(with_theta(theta), grid, pairs, n_fock)
+        return 1e3 * (model - table).ravel()
 
     # Levenberg-Marquardt in scipy's trust-region form, scaled to the run's
     # start so that the first step stays within about twice each parameter;
@@ -185,10 +155,10 @@ def fit_rabi(data: TransitionData, initial: RabiParams,
     # gaps are judged against 1e-3 omega where a parameter is smaller, as in
     # the start lift: a fitted g near 0 must not inflate them
     spread = float((gap / np.maximum(theta, 1e-3 * theta[0])).max())
-    params = replace(initial, omega=float(theta[0]), Delta_q=float(theta[1]),
-                     g=float(theta[2]), Ip=float(theta[3]))
-    reported = ground_residual_mhz2(params, data, n_fock)
-    return RabiFitResult(params=params, residual_mhz2=reported,
+    params = with_theta(theta)
+    return RabiFitResult(params=params,
+                         residual_mhz2=ground_residual_mhz2(params, grid, pairs,
+                                                            table, n_fock),
                          objective_mhz2=float(np.mean(best.fun ** 2)),
                          n_eval=n_eval,
                          converged=first.success and second.success

@@ -27,7 +27,7 @@ from .planewave import (
     linear_kernel,
 )
 
-# Default bias grid for the two-level reduction.
+# Bias grid of the two-level reduction.
 PHIX_FIT_GRID = np.linspace(0.496, 0.504, 41)
 
 QUBIT_LEVEL_TAGS = ("g", "e", "f", "h", "k", "l")
@@ -152,28 +152,24 @@ def extract_phi2max(phix: np.ndarray, flux_gg: np.ndarray, flux_ee: np.ndarray,
     return scale
 
 
-def characterize_qubit(ecj: float, ej: float, elfq: float,
-                       basis: PlaneWaveBasis | None = None,
-                       phix_grid: np.ndarray | None = None) -> TwoLevelFit:
-    """Complete two-level reduction of a qubit node over a bias grid.
+def characterize_qubit(ecj: float, ej: float, elfq: float) -> TwoLevelFit:
+    """Complete two-level reduction of a qubit node over PHIX_FIT_GRID.
 
-    Sweeps the plane-wave solve, fits the level doublet, extracts Phi2max
-    from the diagonal flux elements, and evaluates q2max at phix = 0.5.
+    Sweeps the plane-wave solve on PlaneWaveBasis.for_qubit(), fits the
+    level doublet, extracts Phi2max from the diagonal flux elements, and
+    evaluates q2max at phix = 0.5.
     """
-    if basis is None:
-        basis = PlaneWaveBasis.for_qubit()
-    if phix_grid is None:
-        phix_grid = PHIX_FIT_GRID
+    basis = PlaneWaveBasis.for_qubit()
     e0, e1, gg, ee = [], [], [], []
-    for phix in phix_grid:
+    for phix in PHIX_FIT_GRID:
         spectrum = diagonalize_flux_qubit(ecj, ej, elfq, float(phix), basis)
         phase = phase_matrix(spectrum, 2)
         e0.append(spectrum.energies[0])
         e1.append(spectrum.energies[1])
         gg.append(phase[0, 0].real / (2.0 * math.pi))
         ee.append(phase[1, 1].real / (2.0 * math.pi))
-    fit = fit_two_level(np.asarray(phix_grid), np.array(e0), np.array(e1))
-    phi2max = extract_phi2max(np.asarray(phix_grid), np.array(gg), np.array(ee), fit)
+    fit = fit_two_level(PHIX_FIT_GRID, np.array(e0), np.array(e1))
+    phi2max = extract_phi2max(PHIX_FIT_GRID, np.array(gg), np.array(ee), fit)
     symmetric = diagonalize_flux_qubit(ecj, ej, elfq, 0.5, basis)
     q2max = abs(number_matrix(symmetric, 2)[0, 1])
     return replace(fit, Phi2max=phi2max, q2max=float(q2max))

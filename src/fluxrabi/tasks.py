@@ -40,8 +40,7 @@ from .coupled import (
     observables,
     truncation_check,
 )
-from .fitting import (TransitionData, fit_rabi, fit_transition_pairs,
-                      model_pair_table)
+from .fitting import fit_rabi, fit_transition_pairs, model_pair_table
 from .perturbation import first_order_shift, second_order_table
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
@@ -351,11 +350,10 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
     detail = {}
     for lc, raw in cfg.circuits():
         table = _pair_table(level_rows, lc, grid, pairs)
-        data = TransitionData.from_pair_table(grid, table, pairs)
         rows += _pair_rows(lc, "flux", "eigenbasis-product", "data_transition",
                            grid, pairs, table)
         for variant in GAUGES:
-            result = fit_rabi(data, _reduction(raw, variant)[1])
+            result = fit_rabi(grid, pairs, table, _reduction(raw, variant)[1])
             params = result.params
             rows += _scalar_rows(lc, variant, "fit", (
                 ("fitted_omega", params.omega, "GHz"),
@@ -497,9 +495,8 @@ def compute_regression_values(cfg: RunConfig) -> dict:
     level_rows = _sweep(cfg, _level_rows, circuits=[(350.0, raw)])
     for max_level in (3, 7):
         pairs = fit_transition_pairs(max_level)
-        data = TransitionData.from_pair_table(
-            grid, _pair_table(level_rows, 350.0, grid, pairs), pairs)
-        result = fit_rabi(data, _reduction(raw, "flux")[1])
+        table = _pair_table(level_rows, 350.0, grid, pairs)
+        result = fit_rabi(grid, pairs, table, _reduction(raw, "flux")[1])
         values[f"fit{max_level}_350_omega_GHz"] = result.params.omega
         values[f"fit{max_level}_350_Delta_q_GHz"] = result.params.Delta_q
         values[f"fit{max_level}_350_g_GHz"] = result.params.g

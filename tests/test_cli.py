@@ -88,6 +88,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_empty_out_flag_exits_2(tmp_path, capsys):
+    cfg = write_doc(tmp_path, small_doc())
+    assert main(["run", "--config", cfg, "--out", ""]) == 2
+    assert "output directory" in capsys.readouterr().err
+
+
 def test_numeric_failure_exits_3(tmp_path, capsys):
     doc = small_doc(n_qubit=60, n_fock=80)
     doc["tasks"] = ["gauge-check"]

@@ -204,6 +204,10 @@ def test_numerics_validation():
                         "n_states": 1}, "fit_levels"),
     ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 1,
                         "n_states": 4}, "n_states"),
+    ("output", "directory", None, "output directory"),
+    ("output", "directory", 5, "output directory"),
+    ("output", "directory", ["x"], "output directory"),
+    ("output", "directory", "", "output directory"),
 ])
 def test_malformed_values_rejected(section, key, value, match):
     doc = minimal_doc()

@@ -1,4 +1,4 @@
-"""Transition-table fitting: data containers, model tables, optimizer."""
+"""Transition-table fitting: table checks, model tables, optimizer."""
 
 import dataclasses
 
@@ -8,10 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fluxrabi.fitting as fitting
-from conftest import fit_data, fit_result, mapped_params
+from conftest import FIT_GRID, fit_data, fit_result, mapped_params
 from fluxrabi.fitting import (
     FitDataError,
-    TransitionData,
     fit_rabi,
     fit_transition_pairs,
     ground_residual_mhz2,
@@ -32,33 +31,55 @@ def test_transition_pair_sets():
         fit_transition_pairs(0)
 
 
-def test_transition_data_validation():
-    with pytest.raises(FitDataError):
-        TransitionData(phix=np.zeros(4), levels=np.ones(3, dtype=int),
-                       freqs=np.zeros(4))
-    with pytest.raises(FitDataError):
-        TransitionData(phix=np.zeros(3), levels=np.ones(3, dtype=int),
-                       freqs=np.zeros(3))
-    with pytest.raises(FitDataError):
-        TransitionData(phix=np.zeros(4), levels=np.zeros(4, dtype=int),
-                       freqs=np.zeros(4))
-    data = TransitionData(phix=np.zeros(4), levels=np.ones(4, dtype=int),
-                          freqs=np.zeros(4))
-    assert np.array_equal(data.sources, np.zeros(4, dtype=int))
-    assert data.max_level == 1
+START = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
 
 
-def test_from_pair_table_layout():
-    pairs = ((0, 1), (1, 2))
-    table = np.array([[1.0, 2.0], [3.0, 4.0]])
-    data = TransitionData.from_pair_table(np.array([0.5, 0.501]), table, pairs)
-    assert np.array_equal(data.phix, [0.5, 0.5, 0.501, 0.501])
-    assert np.array_equal(data.sources, [0, 1, 0, 1])
-    assert np.array_equal(data.levels, [1, 2, 1, 2])
-    assert np.array_equal(data.freqs, [1.0, 2.0, 3.0, 4.0])
+@pytest.fixture
+def solves(monkeypatch):
+    """Arguments of every rabi_energies call the fitting module makes."""
+    calls = []
+    original = fitting.rabi_energies
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fitting, "rabi_energies", counted)
+    return calls
+
+
+def ones_with(value, row, col):
+    table = np.ones((len(GRID), 2))
+    table[row, col] = value
+    return table
+
+
+@pytest.mark.parametrize("grid, pairs, table, start", [
+    (GRID, ((0, 1), (1, 2)), np.ones((len(GRID) - 1, 2)), START),
+    (GRID, ((0, 1), (1, 2)), np.ones((len(GRID), 3)), START),
+    (GRID, ((0, 1), (1, 2)), np.ones(2 * len(GRID)), START),
+    (GRID[:1], ((0, 1), (0, 2), (0, 3)), np.ones((1, 3)), START),
+    (GRID, ((0, 1), (2, 2)), np.ones((len(GRID), 2)), START),
+    (GRID, ((0, 2), (2, 1)), np.ones((len(GRID), 2)), START),
+    (GRID, ((0, 1), (-1, 1)), np.ones((len(GRID), 2)), START),
+    (GRID, ((1, 2), (1, 3)), np.ones((len(GRID), 2)), START),
+    (GRID, ((0, 1), (1, 2)), ones_with(np.nan, 3, 1), START),
+    (GRID, ((0, 1), (1, 2)), ones_with(-np.inf, 10, 0), START),
+    (GRID, ((0, 1), (1, 2)), np.ones((len(GRID), 2)),
+     dataclasses.replace(START, omega=0.0)),
+    (GRID, ((0, 1), (1, 2)), np.ones((len(GRID), 2)),
+     dataclasses.replace(START, omega=-6.0)),
+    (GRID, ((0, 1), (1, 2)), np.ones((len(GRID), 2)),
+     dataclasses.replace(START, Ip=np.inf)),
+], ids=["missing-row", "extra-column", "flat", "three-entries",
+        "level-to-itself", "down-the-ladder", "negative-source",
+        "no-ground-pair", "nan-entry", "inf-entry", "zero-omega",
+        "negative-omega", "infinite-start"])
+def test_unfittable_input_rejected_before_any_solve(solves, grid, pairs,
+                                                    table, start):
     with pytest.raises(FitDataError):
-        TransitionData.from_pair_table(np.array([0.5, 0.501]), table,
-                                       ((0, 1),))
+        fit_rabi(grid, pairs, table, start)
+    assert solves == []
 
 
 def test_model_tables_agree_with_direct_diagonalization():
@@ -78,20 +99,15 @@ def test_ground_residual_ignores_excited_source_rows():
     clean = model_pair_table(params, GRID, pairs, n_fock=24)
     noisy = clean.copy()
     noisy[:, 3:] += 0.25  # corrupt only the 1->2 and 1->3 columns
-    data_clean = TransitionData.from_pair_table(GRID, clean, pairs)
-    data_noisy = TransitionData.from_pair_table(GRID, noisy, pairs)
-    assert ground_residual_mhz2(params, data_clean, n_fock=24) < 1e-12
-    assert ground_residual_mhz2(params, data_noisy, n_fock=24) < 1e-12
+    assert ground_residual_mhz2(params, GRID, pairs, clean, n_fock=24) < 1e-12
+    assert ground_residual_mhz2(params, GRID, pairs, noisy, n_fock=24) < 1e-12
 
 
 def test_ground_residual_requires_ground_rows():
     params = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.5)
-    data = TransitionData(phix=np.full(4, 0.5),
-                          levels=np.array([2, 2, 3, 3]),
-                          freqs=np.ones(4),
-                          sources=np.array([1, 1, 1, 1]))
     with pytest.raises(FitDataError):
-        ground_residual_mhz2(params, data, n_fock=16)
+        ground_residual_mhz2(params, np.full(2, 0.5), ((1, 2), (1, 3)),
+                             np.ones((2, 2)), n_fock=16)
 
 
 @pytest.mark.parametrize("variant", ["flux", "charge"])
@@ -111,11 +127,10 @@ def test_self_fit_recovers_generating_parameters(variant, omega, delta_q, ip,
                        variant=variant)
     pairs = fit_transition_pairs(3)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
-    data = TransitionData.from_pair_table(GRID, table, pairs)
     nudge = 1.0 + np.array(signs) * (0.03, 0.05, 0.10, 0.01)
     start = RabiParams(omega=omega * nudge[0], Delta_q=delta_q * nudge[1],
                        g=truth.g * nudge[2], Ip=ip * nudge[3], variant=variant)
-    result = fit_rabi(data, start, n_fock=16)
+    result = fit_rabi(GRID, pairs, table, start, n_fock=16)
     assert result.converged
     assert result.objective_mhz2 < 1e-10
     assert result.params.omega == pytest.approx(truth.omega, rel=1e-5)
@@ -125,22 +140,14 @@ def test_self_fit_recovers_generating_parameters(variant, omega, delta_q, ip,
     assert result.params.variant == variant
 
 
-def test_n_eval_counts_every_residual_evaluation(monkeypatch):
+def test_n_eval_counts_every_residual_evaluation(solves):
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(3)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
-    data = TransitionData.from_pair_table(GRID, table, pairs)
-    calls = 0
-    original = fitting.rabi_energies
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return original(*args)
-
-    monkeypatch.setattr(fitting, "rabi_energies", counted)
     start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.45)
-    result = fit_rabi(data, start, n_fock=16)
+    solves.clear()
+    result = fit_rabi(GRID, pairs, table, start, n_fock=16)
+    calls = len(solves)
     # one model solve per bias point per evaluation, finite-difference
     # Jacobian columns included, plus the reported ground residual's pass
     assert calls == result.n_eval * len(GRID) + len(GRID)
@@ -149,12 +156,14 @@ def test_n_eval_counts_every_residual_evaluation(monkeypatch):
 def test_fit_stable_under_last_bit_data_changes():
     # fit data moves by a few ulp between LAPACK paths; the fitted minimum
     # and its verdict must not
-    data = fit_data(20.0, 3)
+    table = fit_data(20.0, 3)
     base = fit_result(20.0, "charge")
-    alternating = np.where(np.arange(len(data.freqs)) % 2, 4e-13, -4e-13)
+    # alternating in row-major order, the order the residuals run in
+    alternating = np.where(np.arange(table.size) % 2, 4e-13,
+                           -4e-13).reshape(table.shape)
     for shift in (4e-13, -4e-13, alternating):
-        moved = dataclasses.replace(data, freqs=data.freqs + shift)
-        result = fit_rabi(moved, mapped_params(20.0, "charge"))
+        result = fit_rabi(FIT_GRID, fit_transition_pairs(3), table + shift,
+                          mapped_params(20.0, "charge"))
         assert result.converged == base.converged
         for name in ("omega", "Delta_q", "g", "Ip"):
             assert getattr(result.params, name) == pytest.approx(
@@ -165,10 +174,9 @@ def test_fit_is_deterministic():
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(2)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
-    data = TransitionData.from_pair_table(GRID, table, pairs)
     start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.45)
-    a = fit_rabi(data, start, n_fock=16)
-    b = fit_rabi(data, start, n_fock=16)
+    a = fit_rabi(GRID, pairs, table, start, n_fock=16)
+    b = fit_rabi(GRID, pairs, table, start, n_fock=16)
     assert a.params == b.params
     assert a.objective_mhz2 == b.objective_mhz2
     assert a.n_eval == b.n_eval
@@ -178,12 +186,11 @@ def test_fit_insensitive_to_tiny_start_perturbation():
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(2)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
-    data = TransitionData.from_pair_table(GRID, table, pairs)
     base = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.45)
     nudged = RabiParams(omega=6.1 * (1 + 1e-9), Delta_q=1.25, Ip=282.0,
                         g=0.45)
-    a = fit_rabi(data, base, n_fock=16)
-    b = fit_rabi(data, nudged, n_fock=16)
+    a = fit_rabi(GRID, pairs, table, base, n_fock=16)
+    b = fit_rabi(GRID, pairs, table, nudged, n_fock=16)
     assert a.params.omega == pytest.approx(b.params.omega, abs=1e-6)
     assert a.params.Delta_q == pytest.approx(b.params.Delta_q, abs=1e-6)
     assert a.params.g == pytest.approx(b.params.g, abs=1e-6)
@@ -194,9 +201,8 @@ def test_fit_reports_positive_coupling():
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(2)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
-    data = TransitionData.from_pair_table(GRID, table, pairs)
     start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=-0.45)
-    result = fit_rabi(data, start, n_fock=16)
+    result = fit_rabi(GRID, pairs, table, start, n_fock=16)
     assert result.params.g == pytest.approx(truth.g, rel=1e-5)
     assert result.params.g > 0
 
@@ -208,21 +214,18 @@ def test_fit_leaves_zero_coupling_start(g):
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=g)
     pairs = fit_transition_pairs(2)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
-    data = TransitionData.from_pair_table(GRID, table, pairs)
     start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.0)
-    result = fit_rabi(data, start, n_fock=16)
+    result = fit_rabi(GRID, pairs, table, start, n_fock=16)
     assert result.converged
     assert result.objective_mhz2 < 1e-10
     assert result.params.g == pytest.approx(g, rel=1e-5)
 
 
 def test_fit_rejects_nonfinite_start():
-    pairs = fit_transition_pairs(1)
-    data = TransitionData.from_pair_table(
-        GRID, np.ones((len(GRID), 1)), pairs)
     bad = RabiParams(omega=np.nan, Delta_q=1.0, Ip=280.0, g=0.1)
     with pytest.raises(FitDataError):
-        fit_rabi(data, bad, n_fock=16)
+        fit_rabi(GRID, fit_transition_pairs(1), np.ones((len(GRID), 1)), bad,
+                 n_fock=16)
 
 
 @pytest.mark.parametrize("variant", ["flux", "charge"])

@@ -90,12 +90,3 @@ def test_diagonal_flux_elements_split_off_symmetry(parts20):
     ee = float(np.real(elems.flux_elems[1, 1]))
     assert gg < 0.0 < ee
     assert abs(gg + ee) < 0.01 * abs(ee)
-
-
-def test_default_bias_grid_used_when_omitted(parts20):
-    p = parts20
-    explicit = characterize_qubit(*p.flux.qubit_node,
-                                  phix_grid=np.linspace(0.496, 0.504, 41))
-    default = characterize_qubit(*p.flux.qubit_node)
-    assert default.Delta_q == explicit.Delta_q
-    assert default.Ip == explicit.Ip

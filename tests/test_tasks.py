@@ -164,7 +164,7 @@ def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
     # at Lc = 350 pH the (6, 40) flux-gauge levels shift by megahertz when
     # the truncation doubles; rabi-fit must flag its fit data even when
     # every fit converges
-    def converged_fit(data, initial):
+    def converged_fit(grid, pairs, table, initial):
         return RabiFitResult(params=initial, residual_mhz2=0.0,
                              objective_mhz2=0.0, n_eval=0, converged=True,
                              restart_spread=0.0)
@@ -189,8 +189,8 @@ def test_rabi_fit_converges_from_decoupled_start(monkeypatch, tmp_path):
     results = {}
     fit = tasks.fit_rabi
 
-    def recorded(data, initial):
-        results[initial.variant] = fit(data, initial)
+    def recorded(grid, pairs, table, initial):
+        results[initial.variant] = fit(grid, pairs, table, initial)
         return results[initial.variant]
 
     monkeypatch.setattr(tasks, "fit_rabi", recorded)
