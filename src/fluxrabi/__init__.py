@@ -7,17 +7,7 @@ two-level oscillator models, and quantifies how well those models track
 the exact levels.
 """
 
-from .circuit import (
-    EffectiveInductances,
-    EnergyScales,
-    GaugeCircuit,
-    RawCircuit,
-    StarInductances,
-    effective_inductances,
-    energy_scales,
-    gauge_circuit,
-    y_delta,
-)
+from .circuit import GaugeCircuit, RawCircuit, gauge_circuit
 from .config import ConfigError, NumericsConfig, RunConfig, load_config, reference_config
 from .constants import CONSTANTS, PACKAGE_VERSION
 from .coupled import (
@@ -58,9 +48,7 @@ __all__ = [
     "CONSTANTS",
     "ConfigError",
     "CoupledSpectrum",
-    "EffectiveInductances",
     "EigensolveError",
-    "EnergyScales",
     "GaugeCircuit",
     "NumericsConfig",
     "Observables",
@@ -73,7 +61,6 @@ __all__ = [
     "RawCircuit",
     "RunConfig",
     "ShiftTable",
-    "StarInductances",
     "SubsystemSpectrum",
     "TASKS",
     "TwoLevelFit",
@@ -83,8 +70,6 @@ __all__ = [
     "characterize_qubit",
     "circuit_coupling",
     "diagonalize_flux_qubit",
-    "effective_inductances",
-    "energy_scales",
     "first_order_shift",
     "fit_rabi",
     "fit_transition_pairs",
@@ -101,5 +86,4 @@ __all__ = [
     "run",
     "second_order_table",
     "truncation_check",
-    "y_delta",
 ]

@@ -1,11 +1,12 @@
-"""Inductor network reduction and derived circuit energy scales.
+"""The circuit and what each gauge derives of it.
 
 The fixed topology is a single-junction flux qubit loop (inductance Lc + L2
 plus the junction) sharing the branch Lc with an LC oscillator loop
 (inductance Lc + L1, capacitance C).  A triangle-to-star transformation of
-the three inductors eliminates the shared branch and produces the effective
-inductances of the two-node Hamiltonian: the oscillator sees L_LC, the qubit
-sees L_FQ, and the nodes couple through the mutual term -Phi1 Phi2 / L12.
+the three inductors, done once in gauge_circuit, eliminates the shared
+branch and produces the effective inductances of the two-node Hamiltonian:
+the oscillator sees L_LC, the qubit sees L_FQ, and the nodes couple through
+the mutual term -Phi1 Phi2 / L12.
 
 The two gauges of the coupled Hamiltonian differ only in what gauge_circuit
 derives: the flux gauge keeps (C, omega, L_FQ) with the inductive coupling
@@ -31,7 +32,6 @@ from .constants import (
     charging_energy_ghz,
     current_flux_to_ghz,
     inductive_energy_ghz,
-    josephson_inductance_ph,
 )
 
 if TYPE_CHECKING:
@@ -73,55 +73,6 @@ class RawCircuit:
         return cls(Lc=Lc, L1=L1, L2=L2, C=C, CJ=CJ,
                    EJ=inductive_energy_ghz(LJ * PH), phix=phix)
 
-    @property
-    def LJ(self) -> float:
-        """Equivalent junction inductance in pH."""
-        return josephson_inductance_ph(self.EJ)
-
-
-@dataclass(frozen=True)
-class StarInductances:
-    """Star-equivalent inductances of the (Lc, L1, L2) triangle, in pH.
-
-    L12 is the mutual inductance of the two loops; it is math.inf when
-    Lc = 0, which makes every downstream coupling coefficient exactly zero.
-    """
-
-    Lg1: float
-    Lg2: float
-    L12: float
-
-    @property
-    def is_coupled(self) -> bool:
-        return math.isfinite(self.L12)
-
-
-@dataclass(frozen=True)
-class EffectiveInductances:
-    """Loop inductances after the star reduction, in pH.
-
-    L_LC and L_FQ are the oscillator and qubit inductances of the exact
-    two-node treatment.  L_FQ_charge = Lc + L2 is the qubit inductance left
-    after the momentum-shift transformation of the coupled Hamiltonian.
-    """
-
-    L_LC: float
-    L_FQ: float
-    L_FQ_charge: float
-
-
-@dataclass(frozen=True)
-class EnergyScales:
-    """Derived scales: energies in GHz, Izpf in nA, Vzpf in uV."""
-
-    EC: float
-    ECJ: float
-    EL: float
-    ELFQ: float
-    omega: float
-    Izpf: float
-    Vzpf: float
-
 
 @dataclass(frozen=True)
 class GaugeCircuit:
@@ -129,13 +80,14 @@ class GaugeCircuit:
 
     Oscillator node: capacitance C (pF), frequency omega and the charging
     and inductive energies EC, EL (GHz).  Qubit node: junction capacitance
-    CJ (fF) and ECJ, EJ, ELFQ (GHz).  L_LC and L12 are the loop and mutual
-    inductances (pH; L12 = inf when Lc = 0).  Oscillator zero-point scales
-    in this gauge: Izpf (nA), q1zpf (C) and phi1_zpf, the phase of node 1
-    per unit of a + a'.  strength is c of the eigenbasis coupling
-    c X (x) K, and node_coupling the coefficient of -phi1 phi2 (E_L12, flux
-    gauge) or of -n1 n2 (L_LC (2e)^2 / (CJ L12 h), charge gauge) between
-    the plane-wave nodes.
+    CJ (fF) and ECJ, EJ, ELFQ (GHz).  Inductances (pH): the star values
+    Lg1, Lg2 and L12 (L12 = inf when Lc = 0), the oscillator loop L_LC and
+    L_FQ, the qubit loop that ELFQ is computed from.  Oscillator zero-point
+    scales in this gauge: Izpf (nA), Vzpf (uV), q1zpf (C) and phi1_zpf, the
+    phase of node 1 per unit of a + a'.  strength is c of the eigenbasis
+    coupling c X (x) K, and node_coupling the coefficient of -phi1 phi2
+    (E_L12, flux gauge) or of -n1 n2 (L_LC (2e)^2 / (CJ L12 h), charge
+    gauge) between the plane-wave nodes.
     """
 
     gauge: str
@@ -147,9 +99,13 @@ class GaugeCircuit:
     ECJ: float
     EJ: float
     ELFQ: float
-    L_LC: float
+    Lg1: float
+    Lg2: float
     L12: float
+    L_LC: float
+    L_FQ: float
     Izpf: float
+    Vzpf: float
     q1zpf: float
     phi1_zpf: float
     strength: float
@@ -185,78 +141,57 @@ class GaugeCircuit:
                 / ((self.CJ * FF) * (self.L12 * PH)) / (CONSTANTS.h * GHZ))
 
 
-def y_delta(raw: RawCircuit) -> StarInductances:
-    """Triangle-to-star reduction of the inductor network."""
-    num = raw.Lc * raw.L1 + raw.Lc * raw.L2 + raw.L1 * raw.L2
-    l12 = num / raw.Lc if raw.Lc > 0.0 else math.inf
-    return StarInductances(Lg1=num / raw.L2, Lg2=num / raw.L1, L12=l12)
-
-
-def effective_inductances(star: StarInductances, raw: RawCircuit) -> EffectiveInductances:
-    """Parallel-combine the star inductances into the loop values.
-
-    1/L_LC = 1/Lg1 + 1/L12 and 1/L_FQ = 1/Lg2 + 1/L12; with L12 = inf the
-    reciprocals contribute exactly zero.
-    """
-    l_lc = 1.0 / (1.0 / star.Lg1 + 1.0 / star.L12)
-    l_fq = 1.0 / (1.0 / star.Lg2 + 1.0 / star.L12)
-    return EffectiveInductances(L_LC=l_lc, L_FQ=l_fq, L_FQ_charge=raw.Lc + raw.L2)
-
-
-def energy_scales(raw: RawCircuit, eff: EffectiveInductances) -> EnergyScales:
-    """Charging/inductive energies, oscillator frequency, and zero-point scales."""
-    ec = charging_energy_ghz(raw.C * PF)
-    ecj = charging_energy_ghz(raw.CJ * FF)
-    el = inductive_energy_ghz(eff.L_LC * PH)
-    elfq = inductive_energy_ghz(eff.L_FQ * PH)
-    omega_rad = 1.0 / math.sqrt((eff.L_LC * PH) * (raw.C * PF))
-    omega = omega_rad / (2.0 * math.pi * GHZ)
-    izpf = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * eff.L_LC * PH)) / NA
-    vzpf = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * raw.C * PF)) / UV
-    return EnergyScales(EC=ec, ECJ=ecj, EL=el, ELFQ=elfq,
-                        omega=omega, Izpf=izpf, Vzpf=vzpf)
-
-
 def gauge_circuit(gauge: str, raw: RawCircuit) -> GaugeCircuit:
     """Node parameters, zero-point scales and couplings of one gauge.
 
-    Charge gauge: 1/C' = 1/C + L_LC^2 / (CJ L12^2), omega' = 1 / sqrt(L_LC C'),
-    qubit inductance Lc + L2.  At Lc = 0 the momentum shift is the identity
-    and the charge gauge gets the flux-gauge node parameters bit for bit.
+    The triangle (Lc, L1, L2) becomes the star (Lg1, Lg2, L12), and the loop
+    inductances are the parallel combinations 1/L_LC = 1/Lg1 + 1/L12 and
+    1/L_FQ = 1/Lg2 + 1/L12; with L12 = inf the reciprocals contribute
+    exactly zero.  Flux gauge: C, omega = 1 / sqrt(L_LC C), qubit inductance
+    L_FQ.  Charge gauge: 1/C' = 1/C + L_LC^2 / (CJ L12^2), omega' =
+    1 / sqrt(L_LC C'), qubit inductance Lc + L2.  At Lc = 0 the momentum
+    shift is the identity and the charge gauge gets the flux-gauge values
+    bit for bit.
     """
     if gauge not in GAUGES:
         raise ValueError(f"gauge must be one of {GAUGES}")
-    star = y_delta(raw)
-    eff = effective_inductances(star, raw)
-    scales = energy_scales(raw, eff)
-    if gauge == "flux" or not star.is_coupled:
-        c_pf, omega, ec, elfq = raw.C, scales.omega, scales.EC, scales.ELFQ
-        izpf_na = scales.Izpf
+    num = raw.Lc * raw.L1 + raw.Lc * raw.L2 + raw.L1 * raw.L2
+    lg1, lg2 = num / raw.L2, num / raw.L1
+    l12 = num / raw.Lc if raw.Lc > 0.0 else math.inf
+    l_lc = 1.0 / (1.0 / lg1 + 1.0 / l12)
+    coupled = math.isfinite(l12)
+    if gauge == "flux" or not coupled:
+        c_pf, l_fq = raw.C, 1.0 / (1.0 / lg2 + 1.0 / l12)
+        omega_rad = 1.0 / math.sqrt((l_lc * PH) * (raw.C * PF))
+        omega = omega_rad / (2.0 * math.pi * GHZ)
+        izpf_na = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * l_lc * PH)) / NA
         izpf = izpf_na * NA
     else:
-        inv = 1.0 / (raw.C * PF) + (eff.L_LC / star.L12) ** 2 / (raw.CJ * FF)
-        c_pf = 1.0 / inv / PF
-        omega = (1.0 / math.sqrt((eff.L_LC * PH) * (c_pf * PF))
+        inv = 1.0 / (raw.C * PF) + (l_lc / l12) ** 2 / (raw.CJ * FF)
+        c_pf, l_fq = 1.0 / inv / PF, raw.Lc + raw.L2
+        omega = (1.0 / math.sqrt((l_lc * PH) * (c_pf * PF))
                  / (2.0 * math.pi * GHZ))
-        ec = charging_energy_ghz(c_pf * PF)
-        elfq = inductive_energy_ghz(eff.L_FQ_charge * PH)
-        izpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
-                         / (2.0 * eff.L_LC * PH))
+        omega_rad = 2.0 * math.pi * omega * GHZ
+        izpf = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * l_lc * PH))
         izpf_na = izpf / NA
     q1zpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
                       * (c_pf * PF) / 2.0)
     if gauge == "flux":
-        strength = -(eff.L_LC / star.L12) * current_flux_to_ghz(
+        strength = -(l_lc / l12) * current_flux_to_ghz(
             izpf_na, 1.0 / (2.0 * math.pi))
-        node_coupling = inductive_energy_ghz(star.L12 * PH)
+        node_coupling = inductive_energy_ghz(l12 * PH)
     else:
-        scale = (raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ
-        strength = -(eff.L_LC * PH) * q1zpf * 2.0 * CONSTANTS.e / scale
-        node_coupling = (eff.L_LC * PH) * (2.0 * CONSTANTS.e) ** 2 / scale
+        scale = (raw.CJ * FF) * (l12 * PH) * CONSTANTS.h * GHZ
+        strength = -(l_lc * PH) * q1zpf * 2.0 * CONSTANTS.e / scale
+        node_coupling = (l_lc * PH) * (2.0 * CONSTANTS.e) ** 2 / scale
     return GaugeCircuit(
-        gauge=gauge, C=c_pf, omega=omega, EC=ec, EL=scales.EL, CJ=raw.CJ,
-        ECJ=scales.ECJ, EJ=raw.EJ, ELFQ=elfq, L_LC=eff.L_LC, L12=star.L12, Izpf=izpf_na,
+        gauge=gauge, C=c_pf, omega=omega, EC=charging_energy_ghz(c_pf * PF),
+        EL=inductive_energy_ghz(l_lc * PH), CJ=raw.CJ,
+        ECJ=charging_energy_ghz(raw.CJ * FF), EJ=raw.EJ,
+        ELFQ=inductive_energy_ghz(l_fq * PH), Lg1=lg1, Lg2=lg2, L12=l12,
+        L_LC=l_lc, L_FQ=l_fq, Izpf=izpf_na,
+        Vzpf=math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * c_pf * PF)) / UV,
         q1zpf=q1zpf,
-        phi1_zpf=(2.0 * math.pi / CONSTANTS.Phi0) * (eff.L_LC * PH) * izpf,
-        strength=strength if star.is_coupled else 0.0,
+        phi1_zpf=(2.0 * math.pi / CONSTANTS.Phi0) * (l_lc * PH) * izpf,
+        strength=strength if coupled else 0.0,
         node_coupling=node_coupling)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .circuit import RawCircuit
+from .constants import N_COUPLED_LEVELS
 
 SCHEMA_VERSION = 1
 
@@ -30,10 +31,6 @@ TASK_NAMES = (
     "gauge-check",
     "regression",
 )
-
-
-# Coupled levels each sweep point keeps; the fits use pairs among them.
-N_COUPLED_LEVELS = 8
 
 
 class ConfigError(ValueError):

@@ -6,9 +6,10 @@ inductances, pF for the oscillator capacitance, fF for the junction
 capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
 
-The coupled-circuit and Rabi-model builds share two numerical pieces kept
-here: the Fock-basis annihilation matrix and the truncation check that
-compares the lowest levels against a solve at doubled truncation.
+Two numerical pieces are kept here: the Fock-basis annihilation matrix,
+shared by the coupled-circuit and Rabi-model builds, and the truncation
+shift of the lowest N_COUPLED_LEVELS levels against a solve at doubled
+truncation, which the coupled build's truncation check reports.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ UV = 1e-6
 # still counts as converged.
 CONVERGENCE_LIMIT_GHZ = 1e-3
 
+# Coupled levels each sweep point keeps and the truncation shift compares;
+# the fits use pairs among them.
+N_COUPLED_LEVELS = 8
+
 
 def charging_energy_ghz(c_farad: float) -> float:
     """Charging energy e^2 / (2 C) of a capacitance in Farad, as GHz."""
@@ -66,12 +71,6 @@ def inductive_energy_ghz(l_henry: float) -> float:
     """Inductive energy [Phi0/(2 pi)]^2 / L of an inductance in Henry, as GHz."""
     phi_j = CONSTANTS.Phi0 / (2.0 * math.pi)
     return phi_j**2 / (l_henry * CONSTANTS.h * GHZ)
-
-
-def josephson_inductance_ph(ej_ghz: float) -> float:
-    """Junction inductance [Phi0/(2 pi)]^2 / EJ for EJ in GHz, as pH."""
-    phi_j = CONSTANTS.Phi0 / (2.0 * math.pi)
-    return phi_j**2 / (ej_ghz * GHZ * CONSTANTS.h) / PH
 
 
 def current_flux_to_ghz(current_na: float, flux_phi0: float) -> float:
@@ -92,11 +91,12 @@ def annihilation(n_fock: int) -> np.ndarray:
 
 def truncation_shift(energies: np.ndarray,
                      doubled: np.ndarray) -> tuple[float, bool]:
-    """Largest shift of the lowest eight levels against the doubled solve.
+    """Largest shift of the lowest N_COUPLED_LEVELS levels against the
+    doubled solve.
 
     Returns the shift in GHz and whether it stays under
     CONVERGENCE_LIMIT_GHZ.
     """
-    count = min(8, len(energies))
+    count = min(N_COUPLED_LEVELS, len(energies))
     shift = float(np.abs(energies[:count] - doubled[:count]).max())
     return shift, shift < CONVERGENCE_LIMIT_GHZ

@@ -39,10 +39,6 @@ from .planewave import (
 )
 from .qubit import number_matrix, phase_matrix
 
-# Canonical eigenbasis truncations.
-N_QUBIT_DEFAULT = 6
-N_FOCK_DEFAULT = 40
-
 # Largest dense product dimension the eigenbasis build will diagonalize.
 DENSE_DIM_LIMIT = 4096
 
@@ -189,10 +185,8 @@ def _assemble(coupling: ProductCoupling) -> np.ndarray:
     return h
 
 
-def build_coupled_eigenbasis(gauge: str, raw: RawCircuit,
-                             n_qubit: int = N_QUBIT_DEFAULT,
-                             n_fock: int = N_FOCK_DEFAULT,
-                             vectors: bool = True) -> CoupledSpectrum:
+def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
+                             n_fock: int, vectors: bool = True) -> CoupledSpectrum:
     """Diagonalize in the Fock (x) qubit-eigenstate product basis.
 
     One circuit_coupling, tabulated at (n_fock, n_qubit) and at least
@@ -216,9 +210,10 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit,
 
 def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
                      n_fock: int) -> tuple[float, bool]:
-    """(shift, converged) of the lowest eight levels of the eigenbasis
-    build at (n_qubit, n_fock) against a levels-only build at (2 n_qubit,
-    2 n_fock), as constants.truncation_shift; both pass the build's guards.
+    """(shift, converged) of the lowest N_COUPLED_LEVELS levels of the
+    eigenbasis build at (n_qubit, n_fock) against a levels-only build at
+    (2 n_qubit, 2 n_fock), as constants.truncation_shift; both pass the
+    build's guards.
     """
     spec = build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock)
     doubled = build_coupled_eigenbasis(gauge, raw, 2 * n_qubit, 2 * n_fock,

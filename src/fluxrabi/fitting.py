@@ -60,12 +60,28 @@ class RabiFitResult:
     restart_spread: float
 
 
+def _check_params(params: RabiParams) -> None:
+    """FitDataError unless every model parameter is finite and omega > 0."""
+    values = [getattr(params, name) for name in PARAM_NAMES]
+    if not np.isfinite(values).all() or not params.omega > 0.0:
+        raise FitDataError("model parameters must be finite, omega > 0")
+
+
 def model_pair_table(params: RabiParams, phix_grid: np.ndarray,
                      pairs: tuple[tuple[int, int], ...],
                      n_fock: int | None = None) -> np.ndarray:
-    """table[p, c] = model transition pairs[c] at phix_grid[p], in GHz."""
+    """table[p, c] = model transition pairs[c] at phix_grid[p], in GHz.
+
+    Raises FitDataError before any solve unless params pass _check_params.
+    """
+    _check_params(params)
     if n_fock is None:
         n_fock = default_n_fock(params.g / params.omega)
+    return _pair_table(params, phix_grid, pairs, n_fock)
+
+
+def _pair_table(params: RabiParams, phix_grid: np.ndarray,
+                pairs: tuple[tuple[int, int], ...], n_fock: int) -> np.ndarray:
     out = np.empty((len(phix_grid), len(pairs)))
     for p, phix in enumerate(phix_grid):
         energies = rabi_energies(params, phix, n_fock)
@@ -115,9 +131,8 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     residual evaluation, finite-difference Jacobian columns included.
     """
     table = _check_table(grid, pairs, table)
+    _check_params(initial)
     start = np.array([getattr(initial, name) for name in PARAM_NAMES])
-    if not np.isfinite(start).all() or not start[0] > 0.0:
-        raise FitDataError("initial parameters must be finite, omega > 0")
     if n_fock is None:
         n_fock = default_n_fock(initial.g / initial.omega)
     from scipy.optimize import least_squares  # on first use, as in qubit.py
@@ -131,7 +146,8 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     def residuals(theta: np.ndarray) -> np.ndarray:
         nonlocal n_eval
         n_eval += 1
-        model = model_pair_table(with_theta(theta), grid, pairs, n_fock)
+        # unchecked: a step may leave the physical region and come back
+        model = _pair_table(with_theta(theta), grid, pairs, n_fock)
         return 1e3 * (model - table).ravel()
 
     # Levenberg-Marquardt in scipy's trust-region form, scaled to the run's

@@ -42,8 +42,6 @@ class ShiftTable:
     (photon, level) pairs in excluded.
     """
 
-    photon: int
-    level: int
     total: float
     contributions: np.ndarray
     excluded: tuple[tuple[int, int], ...] = ()
@@ -71,6 +69,5 @@ def second_order_table(coupling: ProductCoupling, photon: int, level: int) -> Sh
     terms[active] = amp2[active] / denom[active]
     contributions = terms.sum(axis=0)
     excluded = tuple((int(m), int(j)) for m, j in zip(*np.nonzero(degenerate)))
-    return ShiftTable(photon=photon, level=level,
-                      total=float(terms.sum()), contributions=contributions,
+    return ShiftTable(total=float(terms.sum()), contributions=contributions,
                       excluded=excluded)

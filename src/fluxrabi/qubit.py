@@ -65,7 +65,6 @@ class QubitMatrixElements:
 
     flux_elems: np.ndarray
     charge_elems: np.ndarray
-    phix: float
 
 
 def phase_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
@@ -82,7 +81,7 @@ def number_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
     return np.conj(coeffs) @ n_op @ coeffs.T
 
 
-def matrix_elements(spectrum: SubsystemSpectrum, phix: float = math.nan,
+def matrix_elements(spectrum: SubsystemSpectrum,
                     n_levels: int = 6) -> QubitMatrixElements:
     """Tabulate <j|Phi2|i> (Phi0 units) and <j|q2|i> (2e units), i in (g, e)."""
     phase = phase_matrix(spectrum, n_levels)
@@ -93,7 +92,6 @@ def matrix_elements(spectrum: SubsystemSpectrum, phix: float = math.nan,
     return QubitMatrixElements(
         flux_elems=phase[:, :2] / (2.0 * math.pi),
         charge_elems=number[:, :2],
-        phix=phix,
     )
 
 

@@ -22,16 +22,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import (
-    GAUGES,
-    RawCircuit,
-    effective_inductances,
-    energy_scales,
-    gauge_circuit,
-    y_delta,
-)
-from .config import N_COUPLED_LEVELS, RunConfig
-from .constants import PACKAGE_VERSION
+from .circuit import GAUGES, RawCircuit, gauge_circuit
+from .config import RunConfig
+from .constants import N_COUPLED_LEVELS, PACKAGE_VERSION
 from .coupled import (
     N_PERT_FOCK,
     N_PERT_LEVELS,
@@ -208,7 +201,7 @@ def _observable_rows(gauge, raw, num):
 
 
 def _matrix_element_rows(gauge, raw, num):
-    elems = matrix_elements(_qubit_solve(raw), raw.phix, 3)
+    elems = matrix_elements(_qubit_solve(raw), 3)
     flux_re, charge_im = np.real(elems.flux_elems), np.imag(elems.charge_elems)
     out = []
     for j in range(3):
@@ -285,22 +278,21 @@ def task_inductance_compare(cfg: RunConfig) -> TaskResult:
     """Star-network and effective inductances plus derived energy scales."""
     rows = []
     for lc, raw in cfg.circuits():
-        star = y_delta(raw)
-        eff = effective_inductances(star, raw)
-        scales = energy_scales(raw, eff)
+        flux = gauge_circuit("flux", raw)
         charge = gauge_circuit("charge", raw)
         quantities = [
-            ("Lg1", star.Lg1, "pH", "-"), ("Lg2", star.Lg2, "pH", "-"),
-            ("L12", star.L12, "pH", "-"),
-            ("L_LC", eff.L_LC, "pH", "flux"), ("L_FQ", eff.L_FQ, "pH", "flux"),
-            ("L_FQ_charge", eff.L_FQ_charge, "pH", "charge"),
-            ("EC", scales.EC, "GHz", "-"), ("ECJ", scales.ECJ, "GHz", "-"),
-            ("EL", scales.EL, "GHz", "flux"), ("ELFQ", scales.ELFQ, "GHz", "flux"),
+            ("Lg1", flux.Lg1, "pH", "-"), ("Lg2", flux.Lg2, "pH", "-"),
+            ("L12", flux.L12, "pH", "-"),
+            ("L_LC", flux.L_LC, "pH", "flux"), ("L_FQ", flux.L_FQ, "pH", "flux"),
+            # not charge.L_FQ: at Lc = 0 that is the flux-gauge value
+            ("L_FQ_charge", raw.Lc + raw.L2, "pH", "charge"),
+            ("EC", flux.EC, "GHz", "-"), ("ECJ", flux.ECJ, "GHz", "-"),
+            ("EL", flux.EL, "GHz", "flux"), ("ELFQ", flux.ELFQ, "GHz", "flux"),
             ("EJ", raw.EJ, "GHz", "-"),
-            ("omega", scales.omega, "GHz", "flux"),
+            ("omega", flux.omega, "GHz", "flux"),
             ("omega_prime", charge.omega, "GHz", "charge"),
             ("C_prime", charge.C, "pF", "charge"),
-            ("Izpf", scales.Izpf, "nA", "flux"), ("Vzpf", scales.Vzpf, "uV", "flux"),
+            ("Izpf", flux.Izpf, "nA", "flux"), ("Vzpf", flux.Vzpf, "uV", "flux"),
         ]
         for name, value, unit, gauge in quantities:
             rows.append((lc, math.nan, gauge, "closed-form", name, "", value, unit))
@@ -441,7 +433,7 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                    ladder=[list(r) for r in TRUNCATION_LADDER])
 
 
-# Pinned benchmark values: (quantity, getter key, expected, tolerance %).
+# Pinned benchmark values: (quantity, expected, tolerance %).
 REGRESSION_PINS = (
     ("EJ_GHz", 165.1, 0.1),
     ("ECJ_GHz", 4.0, 0.5),

@@ -62,7 +62,8 @@ def coupled_fit_levels(lc):
     rows = []
     for phix in FIT_GRID:
         raw = dataclasses.replace(p.raw, phix=float(phix))
-        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60)
+        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60,
+                                        vectors=False)
         rows.append(spec.energies[:8])
     return np.array(rows)
 

@@ -114,9 +114,12 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
     cover the lowest max(2 n_qubit, 6) levels of its first truncation.
 
-    The gauge parameters are written out here rather than read from
-    fluxrabi.circuit.gauge_circuit:
+    The network reduction and the gauge parameters are written out here
+    rather than read from fluxrabi.circuit.gauge_circuit:
 
+    * star values: with N = Lc L1 + Lc L2 + L1 L2, Lg1 = N / L2,
+      Lg2 = N / L1 and L12 = N / Lc (inf at Lc = 0, which zeroes c);
+      1/L_LC = 1/Lg1 + 1/L12 and 1/L_FQ = 1/Lg2 + 1/L12;
     * flux gauge: omega = 1 / sqrt(L_LC C), qubit inductance L_FQ and
       c = -(L_LC / L12) Izpf Phi0 / (2 pi h), Izpf = sqrt(hbar omega / 2 L_LC);
     * charge gauge: 1/C' = 1/C + L_LC^2 / (CJ L12^2), omega' =
@@ -126,7 +129,6 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     Each is evaluated in the library's operation order (C' passes through
     pF, as there), so the real part can be compared bit for bit.
     """
-    from fluxrabi.circuit import effective_inductances, y_delta
     from fluxrabi.constants import (CONSTANTS, FF, GHZ, NA, PF, PH,
                                     charging_energy_ghz, current_flux_to_ghz,
                                     inductive_energy_ghz)
@@ -134,26 +136,28 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
     from fluxrabi.qubit import number_matrix, phase_matrix
 
-    star = y_delta(raw)
-    eff = effective_inductances(star, raw)
-    coupled = star.is_coupled
+    num = raw.Lc * raw.L1 + raw.Lc * raw.L2 + raw.L1 * raw.L2
+    l12 = num / raw.Lc if raw.Lc > 0.0 else math.inf
+    l_lc = 1.0 / (1.0 / (num / raw.L2) + 1.0 / l12)
+    coupled = raw.Lc > 0.0
     if gauge == "flux":
-        omega_rad = 1.0 / math.sqrt((eff.L_LC * PH) * (raw.C * PF))
+        omega_rad = 1.0 / math.sqrt((l_lc * PH) * (raw.C * PF))
         omega = omega_rad / (2.0 * math.pi * GHZ)
-        izpf_na = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * eff.L_LC * PH)) / NA
-        coupling = (-(eff.L_LC / star.L12)
+        izpf_na = math.sqrt(CONSTANTS.hbar * omega_rad / (2.0 * l_lc * PH)) / NA
+        coupling = (-(l_lc / l12)
                     * current_flux_to_ghz(izpf_na, 1.0 / (2.0 * math.pi))
                     if coupled else 0.0)
-        elfq = inductive_energy_ghz(eff.L_FQ * PH)
+        l_fq = 1.0 / (1.0 / (num / raw.L1) + 1.0 / l12)
+        elfq = inductive_energy_ghz(l_fq * PH)
         table, osc = phase_matrix, ladder_sum(n_fock)
     else:
-        inv_c = 1.0 / (raw.C * PF) + (eff.L_LC / star.L12) ** 2 / (raw.CJ * FF)
+        inv_c = 1.0 / (raw.C * PF) + (l_lc / l12) ** 2 / (raw.CJ * FF)
         c_prime = 1.0 / inv_c / PF * PF
-        omega = 1.0 / math.sqrt((eff.L_LC * PH) * c_prime) / (2.0 * math.pi * GHZ)
+        omega = 1.0 / math.sqrt((l_lc * PH) * c_prime) / (2.0 * math.pi * GHZ)
         q1zpf = math.sqrt(CONSTANTS.hbar * (2.0 * math.pi * omega * GHZ)
                           * c_prime / 2.0)
-        coupling = (-(eff.L_LC * PH) * q1zpf * 2.0 * CONSTANTS.e
-                    / ((raw.CJ * FF) * (star.L12 * PH) * CONSTANTS.h * GHZ)
+        coupling = (-(l_lc * PH) * q1zpf * 2.0 * CONSTANTS.e
+                    / ((raw.CJ * FF) * (l12 * PH) * CONSTANTS.h * GHZ)
                     if coupled else 0.0)
         elfq = inductive_energy_ghz((raw.Lc + raw.L2) * PH)
         table, osc = number_matrix, ladder_difference(n_fock)

@@ -158,8 +158,8 @@ def test_c08_gauge_invariance():
         for nq, nf in ((6, 40), (12, 80), (20, 100)):
             levels = {}
             for gauge in ("flux", "charge"):
-                spec = build_coupled_eigenbasis(gauge, p.raw,
-                                                n_qubit=nq, n_fock=nf)
+                spec = build_coupled_eigenbasis(gauge, p.raw, n_qubit=nq,
+                                                n_fock=nf, vectors=False)
                 levels[gauge] = spec.energies[:8]
             gaps[(nq, nf)] = float(np.abs(levels["flux"]
                                           - levels["charge"]).max()) * 1e3
@@ -184,7 +184,7 @@ def test_c09_observables():
         for phix in (0.494, 0.5, 0.506):
             p = circuit_parts(lc, phix)
             for gauge in ("flux", "charge"):
-                spec = build_coupled_eigenbasis(gauge, p.raw)
+                spec = build_coupled_eigenbasis(gauge, p.raw, 6, 40)
                 for state in range(4):
                     obs = observables(spec, p.raw, state)
                     worst_current = max(worst_current, abs(obs.current_1))
@@ -196,7 +196,7 @@ def test_c09_observables():
     phi1 = []
     for lc in lcs:
         p = circuit_parts(lc, 0.498)
-        spec = build_coupled_eigenbasis("flux", p.raw)
+        spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
         phi1.append(observables(spec, p.raw, 0).flux_1)
     r2, slope = origin_r_squared(lcs, np.array(phi1))
     ok = ok and r2 > 0.999
@@ -204,7 +204,7 @@ def test_c09_observables():
                  f"R^2 = {r2:.6f} (> 0.999 required), slope {slope:.3e}/pH")
 
     p = circuit_parts(350.0, 0.498)
-    spec = build_coupled_eigenbasis("charge", p.raw)
+    spec = build_coupled_eigenbasis("charge", p.raw, 6, 40)
     frame_phi1 = observables(spec, p.raw, 0).flux_1
     ok = ok and abs(frame_phi1) < 1e-6
     lines.append(f"  charge-gauge frame <Phi1>: {frame_phi1:.2e} "
@@ -279,7 +279,7 @@ def test_c11_perturbation_suite():
     for phix in np.linspace(0.4985, 0.5015, 13):
         parts = circuit_parts(20.0, float(phix))
         coupling = circuit_coupling("flux", parts.raw)
-        spec = build_coupled_eigenbasis("flux", parts.raw)
+        spec = build_coupled_eigenbasis("flux", parts.raw, 6, 40)
         e = spec.energies
         for level, exact in ((0, float(e[2] - e[0] - parts.flux.omega)),
                              (1, float(e[3] - e[1] - parts.flux.omega))):

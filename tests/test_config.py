@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and the reference circuit."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fluxrabi.config import (
     parse_config,
     reference_config,
 )
+from fluxrabi.constants import CONSTANTS
 
 
 def minimal_doc():
@@ -248,7 +250,10 @@ def test_reference_config_matches_benchmark_circuit():
     assert cfg.circuit.Lc == 20.0
     assert cfg.circuit.Lc + cfg.circuit.L1 == pytest.approx(800.0)
     assert cfg.circuit.Lc + cfg.circuit.L2 == pytest.approx(2050.0)
-    assert cfg.circuit.LJ == pytest.approx(990.0, rel=1e-12)
+    # EJ = [Phi0 / (2 pi)]^2 / LJ for LJ = 990 pH, in GHz
+    phi_j = CONSTANTS.Phi0 / (2.0 * math.pi)
+    assert cfg.circuit.EJ == pytest.approx(
+        phi_j**2 / (990e-12 * CONSTANTS.h) / 1e9, rel=1e-12)
     assert cfg.circuit.EJ == pytest.approx(165.1, rel=1e-3)
     other = reference_config(lc=350.0, tasks=("rabi-map",))
     assert other.circuit.L1 == pytest.approx(450.0)

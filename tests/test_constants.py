@@ -7,12 +7,10 @@ import scipy.constants
 
 from fluxrabi.constants import (
     CONSTANTS,
-    PH,
     bias_to_ghz,
     charging_energy_ghz,
     current_flux_to_ghz,
     inductive_energy_ghz,
-    josephson_inductance_ph,
 )
 
 
@@ -38,11 +36,6 @@ def test_inductive_energy_closed_form():
     expected = phi_j**2 / (lj * CONSTANTS.h) / 1e9
     assert inductive_energy_ghz(lj) == pytest.approx(expected, rel=1e-15)
     assert inductive_energy_ghz(lj) == pytest.approx(165.1, rel=1e-3)
-
-
-def test_josephson_inductance_inverts_energy():
-    ej = inductive_energy_ghz(990.0 * PH)
-    assert josephson_inductance_ph(ej) == pytest.approx(990.0, rel=1e-12)
 
 
 def test_current_flux_energy():

@@ -78,7 +78,7 @@ def test_coupling_coefficients_negative_when_coupled(parts20):
 def test_gauge_argument_validated(parts20):
     p = parts20
     with pytest.raises(ValueError):
-        build_coupled_eigenbasis("mixed", p.raw)
+        build_coupled_eigenbasis("mixed", p.raw, 6, 40)
 
 
 def test_dense_dimension_guard(parts20):
@@ -143,8 +143,8 @@ def test_flux_eigenbasis_converged_at_default_truncation(parts20):
 
 def test_levels_only_build_matches_eigh_levels(parts20):
     p = parts20
-    full = build_coupled_eigenbasis("charge", p.raw)
-    levels = build_coupled_eigenbasis("charge", p.raw, vectors=False)
+    full = build_coupled_eigenbasis("charge", p.raw, 6, 40)
+    levels = build_coupled_eigenbasis("charge", p.raw, 6, 40, vectors=False)
     assert levels.vectors is None
     assert levels.dims == full.dims
     assert np.abs(levels.energies - full.energies).max() < 1e-9
@@ -152,7 +152,7 @@ def test_levels_only_build_matches_eigh_levels(parts20):
 
 def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
     p = parts20
-    eigen = build_coupled_eigenbasis("charge", p.raw)
+    eigen = build_coupled_eigenbasis("charge", p.raw, 6, 40)
     plane = build_coupled_planewave("charge", p.raw)
     gap = np.abs(eigen.energies[:8] - plane[:8]).max()
     assert gap < 1e-3
@@ -164,7 +164,7 @@ def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
 def test_loop_one_carries_no_current(parts20):
     p = parts20
     for gauge in ("flux", "charge"):
-        spec = build_coupled_eigenbasis(gauge, p.raw)
+        spec = build_coupled_eigenbasis(gauge, p.raw, 6, 40)
         for state in range(4):
             obs = observables(spec, p.raw, state)
             assert abs(obs.current_1) < 1e-2
@@ -175,7 +175,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
     values = []
     for phix in (0.498, 0.502):
         raw = dataclasses.replace(p.raw, phix=phix)
-        spec = build_coupled_eigenbasis("flux", raw)
+        spec = build_coupled_eigenbasis("flux", raw, 6, 40)
         values.append(observables(spec, raw, 0))
     assert values[0].flux_2 == pytest.approx(-values[1].flux_2, rel=1e-6)
     assert values[0].flux_1 == pytest.approx(-values[1].flux_1, rel=1e-6)
@@ -185,7 +185,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
 def test_charge_gauge_frame_flux_vanishes(parts20):
     p = parts20
     raw = dataclasses.replace(p.raw, phix=0.498)
-    spec = build_coupled_eigenbasis("charge", raw)
+    spec = build_coupled_eigenbasis("charge", raw, 6, 40)
     obs = observables(spec, raw, 0)
     # the momentum-shifted oscillator mode has no flux displacement; the
     # loop currents still come out through the gauge-restored flux
@@ -197,14 +197,14 @@ def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
     # a levels-only build carries no eigenvectors; observables must not
     # misread it
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, vectors=False)
+    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40, vectors=False)
     with pytest.raises(ValueError, match="vectors"):
         observables(spec, p.raw, 0)
 
 
 def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw)
+    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
     obs = observables(spec, p.raw, 0)
     assert 0.0 <= obs.photon_number < 0.1
 
@@ -277,7 +277,7 @@ def test_non_real_qubit_elements_rejected(monkeypatch, parts20, gauge, table,
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
     p = parts20
     with pytest.raises(EigensolveError, match="qubit element table"):
-        build_coupled_eigenbasis(gauge, p.raw)
+        build_coupled_eigenbasis(gauge, p.raw, 6, 40)
 
 
 # a two-level reduction whose elements only the coupling strength reads

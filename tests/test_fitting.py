@@ -82,6 +82,17 @@ def test_unfittable_input_rejected_before_any_solve(solves, grid, pairs,
     assert solves == []
 
 
+@pytest.mark.parametrize("omega", [0.0, -6.0, np.nan])
+def test_model_parameters_checked_before_any_solve(solves, omega):
+    params = dataclasses.replace(START, omega=omega)
+    pairs = ((0, 1), (1, 2))
+    with pytest.raises(FitDataError):
+        model_pair_table(params, GRID, pairs)
+    with pytest.raises(FitDataError):
+        ground_residual_mhz2(params, GRID, pairs, np.ones((len(GRID), 2)))
+    assert solves == []
+
+
 def test_model_tables_agree_with_direct_diagonalization():
     params = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.5)
     table = model_pair_table(params, GRID, ((0, 1), (0, 2), (0, 3)), n_fock=24)

@@ -98,7 +98,7 @@ def test_ground_shift_matches_exact_at_weak_coupling():
     p = circuit_parts(5.0)
     coupling = circuit_coupling("flux", p.raw)
     pert = second_order_table(coupling, 0, 0).total
-    coupled = build_coupled_eigenbasis("flux", p.raw)
+    coupled = build_coupled_eigenbasis("flux", p.raw, 6, 40)
     exact = float(coupled.energies[0]) - (0.5 * p.flux.omega
                                           + _qubit_ground(p))
     assert pert == pytest.approx(exact, rel=0.05)
@@ -119,7 +119,7 @@ def test_shift_error_decays_faster_than_coupling_squared():
         p = circuit_parts(lc)
         coupling = circuit_coupling("flux", p.raw)
         pert = dispersive_shift(coupling, 0)
-        spec = build_coupled_eigenbasis("flux", p.raw)
+        spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
         exact = float(spec.energies[2] - spec.energies[0] - p.flux.omega)
         errors.append(abs(pert - exact))
         couplings.append(abs(coupling.strength))

@@ -74,7 +74,7 @@ def test_matrix_element_tables_follow_phase_convention(parts20):
     p = parts20
     spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                   PlaneWaveBasis.for_qubit())
-    elems = matrix_elements(spec, 0.5, n_levels=4)
+    elems = matrix_elements(spec, n_levels=4)
     assert np.abs(np.imag(elems.flux_elems)).max() < 1e-10
     assert np.abs(np.real(elems.charge_elems)).max() < 1e-10
     # symmetric bias point: diagonal flux elements of g and e cancel
@@ -85,7 +85,7 @@ def test_diagonal_flux_elements_split_off_symmetry(parts20):
     p = parts20
     spec = diagonalize_flux_qubit(*p.flux.qubit_node,
                                   0.503, PlaneWaveBasis.for_qubit())
-    elems = matrix_elements(spec, 0.503, n_levels=2)
+    elems = matrix_elements(spec, n_levels=2)
     gg = float(np.real(elems.flux_elems[0, 0]))
     ee = float(np.real(elems.flux_elems[1, 1]))
     assert gg < 0.0 < ee

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 
 import fluxrabi.tasks as tasks
-from fluxrabi.circuit import (GAUGES, effective_inductances, energy_scales,
-                              gauge_circuit, y_delta)
+from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import NumericsConfig, reference_config
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
@@ -43,9 +42,8 @@ def test_qubit_spectrum_rows_match_direct_solve():
     assert result.rows == sorted(result.rows, key=_sort_key)
     basis = PlaneWaveBasis.for_qubit()
     raw = cfg.circuit_at(20.0)
-    scales = energy_scales(raw, effective_inductances(y_delta(raw), raw))
-    spec = diagonalize_flux_qubit(scales.ECJ, raw.EJ, scales.ELFQ, 0.498,
-                                  basis)
+    flux = gauge_circuit("flux", raw)
+    spec = diagonalize_flux_qubit(flux.ECJ, raw.EJ, flux.ELFQ, 0.498, basis)
     lookup = {(r[0], r[1], r[4]): r[6] for r in result.rows
               if not (isinstance(r[1], float) and math.isnan(r[1]))}
     for i in range(6):
@@ -68,15 +66,13 @@ def test_qubit_spectrum_includes_two_level_scalars():
 def test_inductance_rows_match_closed_forms():
     cfg = small_config(tasks=("inductance-compare",))
     result = task_inductance_compare(cfg)
-    star = y_delta(cfg.circuit)
-    eff = effective_inductances(star, cfg.circuit)
-    scales = energy_scales(cfg.circuit, eff)
+    flux = gauge_circuit("flux", cfg.circuit)
     values = {r[4]: r[6] for r in result.rows}
-    assert values["L12"] == pytest.approx(star.L12, rel=1e-12)
-    assert values["L_LC"] == pytest.approx(eff.L_LC, rel=1e-12)
+    assert values["L12"] == pytest.approx(flux.L12, rel=1e-12)
+    assert values["L_LC"] == pytest.approx(flux.L_LC, rel=1e-12)
     assert values["L_FQ_charge"] == pytest.approx(cfg.circuit.Lc
                                                   + cfg.circuit.L2, rel=1e-12)
-    assert values["omega"] == pytest.approx(scales.omega, rel=1e-12)
+    assert values["omega"] == pytest.approx(flux.omega, rel=1e-12)
     # the charge-gauge rows are the oscillator node of the charge gauge
     charge = gauge_circuit("charge", cfg.circuit)
     assert values["omega_prime"] == charge.omega
