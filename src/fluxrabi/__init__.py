@@ -17,6 +17,7 @@ from .coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
+    coupled_levels,
     observables,
     truncation_check,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "build_coupled_planewave",
     "characterize_qubit",
     "circuit_coupling",
+    "coupled_levels",
     "diagonalize_flux_qubit",
     "first_order_shift",
     "fit_rabi",

@@ -4,19 +4,23 @@ Two constructions of the same spectrum:
 
 * eigenbasis product: analytic oscillator Fock states times numerically
   computed qubit eigenstates, with the coupling expressed through ladder
-  and qubit matrix elements.  Cheap; truncation set by (n_fock, n_qubit).
+  and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
+  levels call (coupled_levels) solves only the lowest N_COUPLED_LEVELS
+  levels from the upper band of the product matrix; the states call
+  (build_coupled_eigenbasis) diagonalizes the dense matrix for every
+  level and eigenvector.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
-  charge operators are kernel matrices (charge gauge).  Expensive but free
-  of eigenbasis truncation; used as a cross-check, levels only.
+  charge operators are kernel matrices (charge gauge).  Free of eigenbasis
+  truncation; used as a cross-check, matrix-free, lowest levels only.
 
 Both builds take (gauge, raw) and read the node parameters, zero-point
 scales and coupling strengths of the gauge from circuit.gauge_circuit; the
 gauge only chooses operators here.  In the eigenbasis the coupling
 factorizes as c X (x) K; circuit_coupling builds that ProductCoupling once
-per bias point, and the eigenbasis build, the perturbation sums and the
-observables all read slices of it.  truncation_check compares a build with
-a levels-only build at both truncations doubled.
+per bias point, and the eigenbasis builds, the perturbation sums and the
+observables all read slices of it.  truncation_check compares two levels
+calls, the second at both truncations doubled.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
-from .constants import CONSTANTS, annihilation, truncation_shift
+from .constants import (CONSTANTS, N_COUPLED_LEVELS, annihilation,
+                        truncation_shift)
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -39,7 +44,7 @@ from .planewave import (
 )
 from .qubit import number_matrix, phase_matrix
 
-# Largest dense product dimension the eigenbasis build will diagonalize.
+# Largest dense product dimension the states call will diagonalize.
 DENSE_DIM_LIMIT = 4096
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
@@ -95,10 +100,11 @@ class ProductCoupling:
 class CoupledSpectrum:
     """Eigensolution of the eigenbasis-product build in one gauge.
 
-    energies in GHz (full set of the product dimension, ascending); vectors
-    holds the matching real eigencolumns, or None for a levels-only build.
-    coupling is the product coupling the build assembled from, tabulated
-    at dims and at least N_PERT_FOCK x N_PERT_LEVELS.
+    energies in GHz, ascending: every level of the product dimension from
+    the states call, the lowest N_COUPLED_LEVELS from the levels call.
+    vectors holds the matching real eigencolumns, or None from the levels
+    call.  coupling is the product coupling the build assembled from,
+    tabulated at dims and at least N_PERT_FOCK x N_PERT_LEVELS.
     """
 
     energies: np.ndarray
@@ -185,81 +191,164 @@ def _assemble(coupling: ProductCoupling) -> np.ndarray:
     return h
 
 
+def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
+    """Upper band of _assemble's matrix at (n_fock, n_qubit), in LAPACK
+    upper band storage.
+
+    Row kd - d holds diagonal d, with kd = 2 n_qubit - 1: X = a +- a'
+    couples only neighbouring Fock states, so above the diagonal of bare
+    energies sit only the blocks c X[m, m+1] K, formed in _assemble's
+    operation order.  The band determines a symmetric matrix only if K
+    shares X's symmetry (symmetric with a + a', antisymmetric with a - a');
+    K is checked for it as tabulated, to 1e-12 of its scale, before it is
+    sliced to the truncation.
+    """
+    osc, qub = coupling.osc_elements, coupling.qubit_elements
+    parity = 1.0 if np.array_equal(osc, osc.T) else -1.0
+    scale = max(float(np.abs(qub).max()), 1e-30)
+    if np.abs(qub - parity * qub.T).max() > 1e-12 * scale:
+        raise EigensolveError(
+            "qubit element table does not share the symmetry of the "
+            "oscillator quadrature")
+    sliced = coupling.truncated(n_fock, n_qubit)
+    kd = 2 * n_qubit - 1
+    band = np.zeros((kd + 1, n_fock * n_qubit))
+    band[kd] = np.add.outer(sliced.osc_energies, sliced.qubit_energies).ravel()
+    a, b = np.indices((n_qubit, n_qubit))
+    cols = n_qubit * np.arange(1, n_fock)[:, None, None] + b
+    band[n_qubit - 1 + a - b, cols] = (
+        np.multiply.outer(np.diag(sliced.osc_elements, 1),
+                          sliced.qubit_elements) * coupling.strength)
+    return band
+
+
+def _coupling_for(gauge: str, raw: RawCircuit, n_qubit: int,
+                  n_fock: int) -> ProductCoupling:
+    """circuit_coupling at (n_fock, n_qubit), and at least N_PERT_FOCK x
+    N_PERT_LEVELS."""
+    return circuit_coupling(gauge, raw, max(n_fock, N_PERT_FOCK),
+                            max(n_qubit, N_PERT_LEVELS))
+
+
+def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
+                   n_fock: int) -> CoupledSpectrum:
+    """The lowest N_COUPLED_LEVELS levels of the eigenbasis-product build.
+
+    The levels call: the same coupling as build_coupled_eigenbasis, with
+    the upper band of the product matrix handed to LAPACK's banded solver
+    (scipy.linalg.eigvals_banded, lowest levels by index).  No dense
+    matrix is formed, so DENSE_DIM_LIMIT does not apply; more qubit levels
+    than the qubit basis resolves are still refused.  vectors is None.
+    """
+    import scipy.linalg
+
+    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
+    band = _band(coupling, n_fock, n_qubit)
+    count = min(N_COUPLED_LEVELS, band.shape[1])
+    try:
+        energies = scipy.linalg.eigvals_banded(band, select="i",
+                                               select_range=(0, count - 1))
+    except np.linalg.LinAlgError as err:
+        raise EigensolveError(f"banded coupled eigensolve failed: {err}") from err
+    return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
+                           dims=(n_fock, n_qubit), coupling=coupling)
+
+
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
-                             n_fock: int, vectors: bool = True) -> CoupledSpectrum:
+                             n_fock: int) -> CoupledSpectrum:
     """Diagonalize in the Fock (x) qubit-eigenstate product basis.
 
-    One circuit_coupling, tabulated at (n_fock, n_qubit) and at least
-    N_PERT_FOCK x N_PERT_LEVELS, feeds one solve of the real symmetric
-    product Hamiltonian: eigh, or eigvalsh for levels only.  A product
-    dimension above DENSE_DIM_LIMIT, or more qubit levels than the qubit
-    basis resolves, is refused before anything is assembled.
+    The states call: one circuit_coupling, tabulated at (n_fock, n_qubit)
+    and at least N_PERT_FOCK x N_PERT_LEVELS, feeds one eigh of the dense
+    real symmetric product Hamiltonian, for every level and eigenvector.
+    A product dimension above DENSE_DIM_LIMIT, or more qubit levels than
+    the qubit basis resolves, is refused before anything is assembled.
     """
     if n_qubit * n_fock > DENSE_DIM_LIMIT:
         raise EigensolveError(
             f"product dimension {n_qubit * n_fock} exceeds DENSE_DIM_LIMIT = "
             f"{DENSE_DIM_LIMIT}")
-    coupling = circuit_coupling(gauge, raw, max(n_fock, N_PERT_FOCK),
-                                max(n_qubit, N_PERT_LEVELS))
-    h = _assemble(coupling.truncated(n_fock, n_qubit))
-    energies, eigvecs = (np.linalg.eigh(h) if vectors
-                         else (np.linalg.eigvalsh(h), None))
-    return CoupledSpectrum(energies=energies, vectors=eigvecs, gauge=gauge,
+    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
+    energies, vectors = np.linalg.eigh(
+        _assemble(coupling.truncated(n_fock, n_qubit)))
+    return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
 
 def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
                      n_fock: int) -> tuple[float, bool]:
-    """(shift, converged) of the lowest N_COUPLED_LEVELS levels of the
-    eigenbasis build at (n_qubit, n_fock) against a levels-only build at
-    (2 n_qubit, 2 n_fock), as constants.truncation_shift; both pass the
-    build's guards.
+    """(shift, converged) of the lowest N_COUPLED_LEVELS levels at
+    (n_qubit, n_fock) against (2 n_qubit, 2 n_fock), as
+    constants.truncation_shift; both are levels calls.
     """
-    spec = build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock)
-    doubled = build_coupled_eigenbasis(gauge, raw, 2 * n_qubit, 2 * n_fock,
-                                       vectors=False)
+    spec = coupled_levels(gauge, raw, n_qubit, n_fock)
+    doubled = coupled_levels(gauge, raw, 2 * n_qubit, 2 * n_fock)
     return truncation_shift(spec.energies, doubled.energies)
 
 
 def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
-    """Diagonalize the coupled Hamiltonian on a product of plane-wave bases.
+    """Lowest N_COUPLED_LEVELS levels on a product of plane-wave bases.
 
-    Dense, on 64 oscillator times 32 qubit waves (dimension 2048).  The
-    matrix is real symmetric in both gauges: the flux-gauge coupling is
-    diagonal and the charge-gauge coupling is a product of two imaginary
-    antisymmetric kernels.  Returns the ascending levels only.
+    Matrix-free on 64 oscillator times 32 qubit waves: ARPACK's Lanczos
+    solver (scipy.sparse.linalg.eigsh, smallest algebraic, tol 1e-13, from
+    a seeded start vector so the bytes repeat) applies the Hamiltonian to
+    a state X, held as a 64 x 32 array, as
+
+        H_osc X + X H_qub' - c (k1 k2') o X      (flux gauge)
+        H_osc X + X H_qub' + c A1 X A2'         (charge gauge)
+
+    with k1, k2 the diagonal flux operators and 1j A1, 1j A2 the
+    imaginary charge kernels, so that -c (1j A1) (x) (1j A2) = c A1 (x) A2
+    and the operator is real symmetric.  Each node Hamiltonian is checked
+    Hermitian and each A antisymmetric; a solve that does not converge
+    raises EigensolveError.  Returns the levels ascending.
     """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     circuit = gauge_circuit(gauge, raw)
     basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)
     basis_qubit = PlaneWaveBasis.for_qubit()
     h_osc = oscillator_hamiltonian(circuit.EC, circuit.EL, basis_osc)
     h_qub = qubit_hamiltonian(*circuit.qubit_node, raw.phix, basis_qubit)
+    check_hermitian(h_osc, "oscillator Hamiltonian")
+    check_hermitian(h_qub, "qubit Hamiltonian")
+    c = circuit.node_coupling
     dims = (basis_osc.n_waves, basis_qubit.n_waves)
-    h = np.kron(h_osc, np.eye(dims[1]))
-    h += np.kron(np.eye(dims[0]), h_qub)
-    if circuit.coupled:
-        if gauge == "flux":
-            term = np.kron(np.diag(basis_osc.wave_numbers),
-                           np.diag(basis_qubit.wave_numbers))
-            term *= circuit.node_coupling
-            h -= term
-        else:
-            a1 = linear_kernel(basis_osc).imag
-            a2 = linear_kernel(basis_qubit).imag
-            # -(coef) (1j a1) (x) (1j a2) = +coef a1 (x) a2
-            term = np.kron(a1, a2)
-            term *= circuit.node_coupling
-            h += term
-        del term  # freed before eigvalsh copies h
-    check_hermitian(h, "assembled coupled Hamiltonian")
-    return np.linalg.eigvalsh(h)
+    if gauge == "flux":
+        k12 = np.outer(basis_osc.wave_numbers, basis_qubit.wave_numbers)
+
+        def coupling(x):
+            return -c * (k12 * x)
+    else:
+        a1 = linear_kernel(basis_osc).imag
+        a2 = linear_kernel(basis_qubit).imag
+        # 1j A is Hermitian exactly when the real A is antisymmetric
+        check_hermitian(1j * a1, "oscillator charge kernel")
+        check_hermitian(1j * a2, "qubit charge kernel")
+
+        def coupling(x):
+            return c * (a1 @ x @ a2.T)
+
+    def matvec(v):
+        x = v.reshape(dims)
+        return (h_osc @ x + x @ h_qub.T + coupling(x)).ravel()
+
+    dim = dims[0] * dims[1]
+    start = np.random.default_rng(0).standard_normal(dim)
+    try:
+        levels = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
+                       k=N_COUPLED_LEVELS, which="SA", tol=1e-13, v0=start,
+                       return_eigenvectors=False)
+    except ArpackError as err:
+        raise EigensolveError(f"plane-wave product eigensolve failed: {err}") from err
+    return np.sort(levels)
 
 
 def observables(spec: CoupledSpectrum, raw: RawCircuit,
                 state_index: int) -> Observables:
     """Photon number, flux expectations, and loop currents of one eigenstate.
 
-    A levels-only spectrum carries no eigenvectors and is rejected.
+    A spectrum from the levels call carries no eigenvectors and is rejected.
     """
     if spec.vectors is None:
         raise ValueError("observables needs a spectrum built with vectors")

@@ -27,7 +27,8 @@ import numpy as np
 
 
 class EigensolveError(RuntimeError):
-    """Raised when the dense Hermitian eigensolver fails to converge."""
+    """Raised when an eigensolve fails or its input breaks the symmetry the
+    solver relies on."""
 
 
 class BasisRangeWarning(UserWarning):

@@ -30,6 +30,7 @@ from .coupled import (
     N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
+    coupled_levels,
     observables,
     truncation_check,
 )
@@ -185,6 +186,11 @@ def _qubit_level_rows(gauge, raw, num):
 
 
 def _level_rows(gauge, raw, num):
+    # The states call on purpose: these levels are the rabi-fit and
+    # regression fit data, and the fit is determined only to about 1e-7
+    # relative.  Taking them from the banded levels call moved 150+
+    # rabi-fit.csv and regression.csv cells by up to 4.9e-7 relative,
+    # past the 1e-9 output bound.
     spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
     energies = spec.energies[:N_COUPLED_LEVELS]
     return _level_tails("eigenbasis-product", [float(e) for e in energies])
@@ -217,9 +223,9 @@ def _perturbation_rows(gauge, raw, num):
     """Dispersive shifts; first_order_max_abs is NaN at guarded points.
 
     The sums run over the N_PERT_FOCK x N_PERT_LEVELS slice of the coupling
-    the eigenbasis build assembled from, so the qubit is solved once.
+    the levels call assembled from, so the qubit is solved once.
     """
-    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
+    spec = coupled_levels(gauge, raw, num.n_qubit, num.n_fock)
     coupling = spec.coupling.truncated(N_PERT_FOCK, N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
@@ -401,14 +407,13 @@ def task_wavefunctions(cfg: RunConfig) -> TaskResult:
 def task_gauge_check(cfg: RunConfig) -> TaskResult:
     """Flux- vs charge-gauge eigenvalue agreement along a truncation ladder."""
     rows = []
-    count = N_COUPLED_LEVELS
     detail = {}
     for lc, raw in cfg.circuits():
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
-            levels = {gauge: build_coupled_eigenbasis(
-                gauge, raw, n_qubit=nq, n_fock=nf).energies[:count]
-                for gauge in GAUGES}
+            levels = {gauge: coupled_levels(gauge, raw, n_qubit=nq,
+                                            n_fock=nf).energies
+                      for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
                 (levels["flux"] - levels["flux"][0])
@@ -419,10 +424,11 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                          "lowest8_gauge_gap", coord, gap, "GHz"))
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
-        eigen = build_coupled_eigenbasis("flux", raw, cfg.numerics.n_qubit,
-                                         cfg.numerics.n_fock)
-        plane = build_coupled_planewave("flux", raw)
-        cross = float(np.abs(eigen.energies[:count] - plane[:count]).max())
+        eigen = coupled_levels("flux", raw, cfg.numerics.n_qubit,
+                               cfg.numerics.n_fock).energies
+        # a truncation below 8 product states has fewer levels to compare
+        plane = build_coupled_planewave("flux", raw)[:len(eigen)]
+        cross = float(np.abs(eigen - plane).max())
         rows.append((lc, raw.phix, "flux", "planewave-product",
                      "planewave_vs_eigenbasis_gap",
                      f"{cfg.numerics.n_qubit}x{cfg.numerics.n_fock}",

@@ -14,7 +14,7 @@ import pytest
 import fluxrabi.coupled as coupled
 from fluxrabi.circuit import gauge_circuit
 from fluxrabi.config import reference_config
-from fluxrabi.coupled import build_coupled_eigenbasis
+from fluxrabi.coupled import coupled_levels
 from fluxrabi.fitting import fit_rabi, fit_transition_pairs
 from fluxrabi.perturbation import second_order_table
 from fluxrabi.qubit import characterize_qubit
@@ -62,8 +62,7 @@ def coupled_fit_levels(lc):
     rows = []
     for phix in FIT_GRID:
         raw = dataclasses.replace(p.raw, phix=float(phix))
-        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60,
-                                        vectors=False)
+        spec = coupled_levels("flux", raw, n_qubit=8, n_fock=60)
         rows.append(spec.energies[:8])
     return np.array(rows)
 

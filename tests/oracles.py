@@ -167,3 +167,35 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     h = np.kron(np.diag(omega * (np.arange(n_fock) + 0.5)), np.eye(n_qubit))
     h = h + np.kron(np.eye(n_fock), np.diag(spectrum.energies[:n_qubit]))
     return h + coupling * np.kron(osc, elems[:n_qubit, :n_qubit])
+
+
+def dense_planewave_hamiltonian(gauge, raw):
+    """Plane-wave product Hamiltonian assembled densely by Kronecker products.
+
+    64 oscillator times 32 qubit waves (dimension 2048), oscillator-major:
+    H_osc (x) 1 + 1 (x) H_qub, minus c diag(k1) (x) diag(k2) in the flux
+    gauge, plus c A1 (x) A2 in the charge gauge, with 1j A the charge
+    kernel of each node.  Reference for the matrix-free operator of
+    fluxrabi.coupled.build_coupled_planewave.
+    """
+    from fluxrabi.circuit import gauge_circuit
+    from fluxrabi.planewave import (PlaneWaveBasis, linear_kernel,
+                                    oscillator_hamiltonian, qubit_hamiltonian)
+
+    circuit = gauge_circuit(gauge, raw)
+    basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)
+    basis_qubit = PlaneWaveBasis.for_qubit()
+    h_osc = oscillator_hamiltonian(circuit.EC, circuit.EL, basis_osc)
+    h_qub = qubit_hamiltonian(*circuit.qubit_node, raw.phix, basis_qubit)
+    h = np.kron(h_osc, np.eye(basis_qubit.n_waves))
+    h += np.kron(np.eye(basis_osc.n_waves), h_qub)
+    if gauge == "flux":
+        term = np.kron(np.diag(basis_osc.wave_numbers),
+                       np.diag(basis_qubit.wave_numbers))
+        h -= circuit.node_coupling * term
+    else:
+        # -(coef) (1j a1) (x) (1j a2) = +coef a1 (x) a2
+        term = np.kron(linear_kernel(basis_osc).imag,
+                       linear_kernel(basis_qubit).imag)
+        h += circuit.node_coupling * term
+    return h

@@ -3,8 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import fluxrabi.coupled as coupled
 from fluxrabi.cli import main
 
 
@@ -116,17 +119,36 @@ def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "32" in err
 
 
-def test_doubled_truncation_over_dense_limit_exits_3(assembled_dims, tmp_path,
-                                                     capsys):
-    # (16, 128) solves at dimension 2048; its doubled-truncation check would
-    # be 8192 and must stop at the dense-dimension guard, not assemble it
-    doc = small_doc(n_qubit=16, n_fock=128, verify=True)
+def test_doubled_truncation_past_dense_limit_runs_banded(assembled_dims,
+                                                        monkeypatch, tmp_path):
+    # with the dense limit lowered between the configured build (8, 60),
+    # dimension 480, and its doubled check, dimension 1920, the run still
+    # succeeds: the check is a banded levels call and assembles nothing
+    monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
+    doc = small_doc(n_qubit=8, n_fock=60, verify=True, gauge="flux")
     doc["tasks"] = ["circuit-spectrum"]
     doc["sweep"]["phix_points"] = 1
     cfg = write_doc(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert assembled_dims == [480]
+    meta = json.loads((out / "circuit-spectrum.json").read_text())
+    probe = meta["convergence_detail"]["Lc=20.0/flux"]
+    assert probe["converged"] and 0.0 < probe["truncation_shift_GHz"] < 1e-3
+
+
+def test_planewave_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
+    # an ARPACK failure in the gauge-check cross-check is a numeric failure
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    doc = small_doc()
+    doc["tasks"] = ["gauge-check"]
+    cfg = write_doc(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert "DENSE_DIM_LIMIT" in capsys.readouterr().err
-    assert assembled_dims == [2048]
+    assert "plane-wave product eigensolve failed" in capsys.readouterr().err
 
 
 def test_io_failure_exits_4(tmp_path):

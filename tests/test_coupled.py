@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,7 @@ from fluxrabi.coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
+    coupled_levels,
     ladder_sum,
     observables,
     truncation_check,
@@ -23,21 +26,32 @@ from fluxrabi.qubit import TwoLevelFit
 from fluxrabi.rabi import map_circuit_to_rabi
 
 from conftest import circuit_parts
-from oracles import complex_eigenbasis_hamiltonian, ladder_difference
+from oracles import (complex_eigenbasis_hamiltonian,
+                     dense_planewave_hamiltonian, ladder_difference)
 
 
 def _solver_inputs(monkeypatch):
-    """Record every matrix handed to np.linalg.eigh and eigvalsh."""
+    """Record every matrix handed to np.linalg.eigh and eigvalsh, and every
+    band handed to scipy.linalg.eigvals_banded."""
     seen = []
-    for name in ("eigh", "eigvalsh"):
-        solver = getattr(np.linalg, name)
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (scipy.linalg, "eigvals_banded")):
+        solver = getattr(module, name)
 
         def record(a, *args, _solver=solver, **kwargs):
             seen.append(np.array(a, copy=True))
             return _solver(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, record)
+        monkeypatch.setattr(module, name, record)
     return seen
+
+
+def _upper_band(h, kd):
+    """h in LAPACK upper band storage: band[kd + i - j, j] = h[i, j]."""
+    band = np.zeros((kd + 1, len(h)))
+    for d in range(kd + 1):
+        band[kd - d, d:] = np.diagonal(h, d)
+    return band
 
 
 def test_ladder_quadratures(parts20):
@@ -88,12 +102,19 @@ def test_dense_dimension_guard(parts20):
     assert 60 * 80 > DENSE_DIM_LIMIT
 
 
-def test_truncation_check_obeys_dense_dimension_guard(assembled_dims, parts20):
-    # (16, 128) solves at dimension 2048, but the doubled solve would be
-    # 8192; it is refused before a matrix that large is assembled
-    with pytest.raises(EigensolveError, match="8192 exceeds DENSE_DIM_LIMIT"):
-        truncation_check("flux", parts20.raw, 16, 128)
-    assert assembled_dims == [2048]
+def test_truncation_check_runs_banded_past_dense_limit(assembled_dims,
+                                                       monkeypatch, parts20):
+    # both solves of the check are banded levels calls: with the dense
+    # limit lowered below the doubled dimension 1920, the check still runs
+    # and assembles no dense matrix, while the states call keeps the guard
+    monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
+    shift, converged = truncation_check("flux", parts20.raw, 8, 60)
+    assert converged and shift < 1e-3
+    assert assembled_dims == []
+    with pytest.raises(EigensolveError,
+                       match="1920 exceeds DENSE_DIM_LIMIT = 1024"):
+        build_coupled_eigenbasis("flux", parts20.raw, 16, 120)
+    assert assembled_dims == []
 
 
 @pytest.mark.parametrize("n_qubit, checked, needed", [
@@ -141,13 +162,16 @@ def test_flux_eigenbasis_converged_at_default_truncation(parts20):
     assert shift < 1e-3
 
 
-def test_levels_only_build_matches_eigh_levels(parts20):
+def test_levels_call_matches_states_call(parts20):
     p = parts20
     full = build_coupled_eigenbasis("charge", p.raw, 6, 40)
-    levels = build_coupled_eigenbasis("charge", p.raw, 6, 40, vectors=False)
+    levels = coupled_levels("charge", p.raw, 6, 40)
     assert levels.vectors is None
     assert levels.dims == full.dims
-    assert np.abs(levels.energies - full.energies).max() < 1e-9
+    assert levels.energies.shape == (8,)
+    assert np.abs(levels.energies - full.energies[:8]).max() < 1e-9
+    again = coupled_levels("charge", p.raw, 6, 40)
+    assert np.array_equal(again.energies, levels.energies)
 
 
 def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
@@ -156,8 +180,8 @@ def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
     plane = build_coupled_planewave("charge", p.raw)
     gap = np.abs(eigen.energies[:8] - plane[:8]).max()
     assert gap < 1e-3
-    # the cross-check returns its ascending levels only
-    assert plane.shape == (2048,)
+    # the cross-check returns its lowest eight levels, ascending
+    assert plane.shape == (8,)
     assert np.all(np.diff(plane) >= 0.0)
 
 
@@ -197,7 +221,7 @@ def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
     # a levels-only build carries no eigenvectors; observables must not
     # misread it
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40, vectors=False)
+    spec = coupled_levels("flux", p.raw, 6, 40)
     with pytest.raises(ValueError, match="vectors"):
         observables(spec, p.raw, 0)
 
@@ -212,22 +236,31 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
-    # the complex assembly has an imaginary part of exactly 0, and the real
-    # matrices the truncation check hands to LAPACK, first and doubled
-    # truncation, equal its real part bit for bit
+    # the complex assembly has an imaginary part of exactly 0; the dense
+    # matrix the states call hands to LAPACK equals its real part bit for
+    # bit, and the bands of the truncation check's two levels calls, first
+    # and doubled truncation, equal its upper band bit for bit, with every
+    # entry outside the band exactly 0
     seen = _solver_inputs(monkeypatch)
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
         seen.clear()
+        build_coupled_eigenbasis(gauge, p.raw, 6, 40)
         truncation_check(gauge, p.raw, 6, 40)
         assert all(h.dtype == np.float64 for h in seen)
-        product = [h for h in seen if h.shape[0] > 32]
-        assert [h.shape[0] for h in product] == [240, 960]
-        for h, (nq, nf) in zip(product, ((6, 40), (12, 80))):
+        dense, *bands = [h for h in seen if h.shape[1] > 32]
+        assert [h.shape for h in bands] == [(12, 240), (24, 960)]
+        ref = complex_eigenbasis_hamiltonian(gauge, p.raw, 6, 40, n_table=12)
+        assert np.all(ref.imag == 0.0)
+        assert np.array_equal(dense, ref.real)
+        for band, (nq, nf) in zip(bands, ((6, 40), (12, 80))):
             ref = complex_eigenbasis_hamiltonian(gauge, p.raw, nq, nf,
                                                  n_table=12)
+            kd = 2 * nq - 1
             assert np.all(ref.imag == 0.0)
-            assert np.array_equal(h, ref.real)
+            assert np.array_equal(band, _upper_band(ref.real, kd))
+            assert np.all(np.triu(ref.real, kd + 1) == 0.0)
+            assert np.all(np.tril(ref.real, -kd - 1) == 0.0)
 
 
 @pytest.mark.parametrize("lc", [20.0, 350.0])
@@ -263,6 +296,94 @@ def test_real_path_levels_match_complex_reference(lc, l1, l2, c, cj, lj, phix,
         gauge, raw, nq, nf, n_table=2 * nq))
     assert spec.vectors.dtype == np.float64
     assert np.abs(spec.energies[:8] - ref[:8]).max() < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(lc=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
+       l1=st.floats(200.0, 1000.0),
+       l2=st.floats(1000.0, 3000.0), c=st.floats(0.3, 2.0),
+       cj=st.floats(2.0, 10.0), lj=st.floats(600.0, 2000.0),
+       phix=st.floats(0.48, 0.52), gauge=st.sampled_from(["flux", "charge"]),
+       dims=st.sampled_from([(1, 6), (2, 4), (4, 10), (6, 20), (8, 30)]))
+def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
+                                            gauge, dims):
+    raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
+    nq, nf = dims
+    spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
+    dense = np.linalg.eigvalsh(
+        coupled._assemble(spec.coupling.truncated(nf, nq)))
+    assert spec.energies.shape == (min(8, nq * nf),)
+    assert np.abs(spec.energies - dense[:8]).max() < 1e-9
+
+
+@pytest.mark.parametrize("lc, phix", [(20.0, 0.5), (350.0, 0.5),
+                                      (350.0, 0.497)])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_matrix_free_planewave_matches_dense_oracle(gauge, lc, phix):
+    raw = circuit_parts(lc, phix).raw
+    levels = build_coupled_planewave(gauge, raw)
+    dense = np.linalg.eigvalsh(dense_planewave_hamiltonian(gauge, raw))
+    assert np.abs(levels - dense[:8]).max() < 1e-9
+    assert np.array_equal(build_coupled_planewave(gauge, raw), levels)
+
+
+@pytest.mark.parametrize("gauge, table, tilt", [
+    ("flux", "phase_matrix",
+     lambda m: m + 1e-9 * np.abs(m).max() * np.triu(np.ones(m.shape), 1)),
+    ("charge", "number_matrix",
+     lambda m: m + 1e-9j * np.abs(m).max() * np.ones(m.shape)),
+])
+def test_banded_levels_reject_table_without_quadrature_symmetry(
+        monkeypatch, parts20, gauge, table, tilt):
+    # the band stores only the upper blocks c X[m, m+1] K; they determine
+    # the symmetric matrix only if K is symmetric with a + a' and
+    # antisymmetric with a - a'
+    original = getattr(coupled, table)
+    monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
+    with pytest.raises(EigensolveError, match="symmetry"):
+        coupled_levels(gauge, parts20.raw, 6, 40)
+
+
+def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
+    with pytest.raises(EigensolveError, match="banded"):
+        coupled_levels("flux", parts20.raw, 6, 40)
+
+
+def _tilted(m):
+    return m + 1e-6 * np.abs(m).max() * np.triu(np.ones(m.shape), 1)
+
+
+@pytest.mark.parametrize("gauge, factor, tilt, what", [
+    ("flux", "oscillator_hamiltonian", _tilted, "oscillator Hamiltonian"),
+    ("charge", "qubit_hamiltonian", _tilted, "qubit Hamiltonian"),
+    ("charge", "linear_kernel", lambda m: m + 1e-6j * np.ones(m.shape),
+     "charge kernel"),
+])
+def test_planewave_factors_checked(monkeypatch, parts20, gauge, factor, tilt,
+                                   what):
+    original = getattr(coupled, factor)
+    monkeypatch.setattr(coupled, factor, lambda *a: tilt(original(*a)))
+    with pytest.raises(EigensolveError, match=f"{what} is not Hermitian"):
+        build_coupled_planewave(gauge, parts20.raw)
+
+
+@pytest.mark.parametrize("error", [
+    scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0),
+                                            np.zeros((0, 0))),
+    scipy.sparse.linalg.ArpackError(-9999),
+])
+def test_planewave_solver_failure_raises_eigensolve_error(monkeypatch,
+                                                          parts20, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(EigensolveError, match="plane-wave product"):
+        build_coupled_planewave("flux", parts20.raw)
 
 
 @pytest.mark.parametrize("gauge, table, tilt", [

@@ -27,6 +27,8 @@ from fluxrabi.tasks import (
     write_outputs,
 )
 
+from oracles import complex_eigenbasis_hamiltonian
+
 
 def small_config(**kwargs):
     defaults = dict(tasks=("qubit-spectrum",), phix_start=0.498,
@@ -154,6 +156,31 @@ def test_perturbative_rows_independent_of_eigenbasis_truncation(lc):
                                for row in rows if row[0] == "perturbation"])
             assert len(tables[0]) == 2 * 7 + 1
             assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("gauge", GAUGES)
+def test_level_rows_are_dense_eigh_levels(gauge):
+    # _level_rows is the rabi-fit and regression fit data; the fit is
+    # determined only to about 1e-7 relative, so its levels stay bit for
+    # bit those of eigh on the dense assembly, not of the banded levels call
+    raw = replace(reference_config(lc=350.0).circuit, phix=0.497)
+    num = NumericsConfig(n_qubit=8, n_fock=60)
+    rows = tasks._level_rows(gauge, raw, num)
+    levels = [r[3] for r in rows if r[1].startswith("energy_level_")]
+    ref = complex_eigenbasis_hamiltonian(gauge, raw, 8, 60, n_table=8)
+    expected = np.linalg.eigh(ref.real)[0][:8]
+    assert levels == [float(e) for e in expected]
+
+
+def test_gauge_check_cross_check_at_truncation_below_eight_states():
+    # a 1 x 4 product basis has four levels; the plane-wave cross-check
+    # compares those four instead of failing on the shapes
+    cfg = reference_config(tasks=("gauge-check",),
+                           numerics=NumericsConfig(n_qubit=1, n_fock=4))
+    result = tasks.task_gauge_check(cfg)
+    cross = [r[6] for r in result.rows
+             if r[4] == "planewave_vs_eigenbasis_gap"]
+    assert len(cross) == 1 and np.isfinite(cross[0])
 
 
 def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
