@@ -7,8 +7,9 @@ Two constructions of the same spectrum:
   and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
   levels call (coupled_levels) solves only the lowest N_COUPLED_LEVELS
   levels from the upper band of the product matrix; the states call
-  (build_coupled_eigenbasis) diagonalizes the dense matrix for every
-  level and eigenvector.
+  (build_coupled_eigenbasis) solves the dense matrix for only the lowest
+  n_states levels and eigenvectors.  Both write the same blocks
+  c X[m, m +- 1] K of the product matrix, with no Kronecker product.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -44,7 +45,8 @@ from .planewave import (
 )
 from .qubit import number_matrix, phase_matrix
 
-# Largest dense product dimension the states call will diagonalize.
+# Largest dense product dimension the dense solves (the states call and
+# dense_levels) will assemble.
 DENSE_DIM_LIMIT = 4096
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
@@ -100,11 +102,12 @@ class ProductCoupling:
 class CoupledSpectrum:
     """Eigensolution of the eigenbasis-product build in one gauge.
 
-    energies in GHz, ascending: every level of the product dimension from
-    the states call, the lowest N_COUPLED_LEVELS from the levels call.
-    vectors holds the matching real eigencolumns, or None from the levels
-    call.  coupling is the product coupling the build assembled from,
-    tabulated at dims and at least N_PERT_FOCK x N_PERT_LEVELS.
+    energies in GHz, ascending: the lowest n_states levels from the states
+    call, the lowest N_COUPLED_LEVELS from the levels call.  vectors holds
+    the matching real eigencolumns, shape (dimension, n_states), or None
+    from the levels call.  coupling is the product coupling the build
+    assembled from, tabulated at dims and at least N_PERT_FOCK x
+    N_PERT_LEVELS.
     """
 
     energies: np.ndarray
@@ -179,15 +182,56 @@ def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
         qubit_phase=phase)
 
 
-def _assemble(coupling: ProductCoupling) -> np.ndarray:
-    """Real symmetric product Hamiltonian, oscillator-major."""
-    nf, nq = len(coupling.osc_elements), len(coupling.qubit_energies)
-    h = np.kron(np.diag(coupling.osc_energies), np.eye(nq))
-    h += np.kron(np.eye(nf), np.diag(coupling.qubit_energies))
-    term = np.kron(coupling.osc_elements, coupling.qubit_elements)
-    term *= coupling.strength
-    h += term
-    check_hermitian(h, "assembled coupled Hamiltonian")
+def _checked_slice(coupling: ProductCoupling, n_fock: int,
+                   n_qubit: int) -> ProductCoupling:
+    """coupling.truncated(n_fock, n_qubit), once c X (x) K is checked
+    symmetric.
+
+    Both matrix forms write only the blocks c X[m, m +- 1] K, so X must
+    vanish outside its first off-diagonals, and K must share the symmetry
+    of X (symmetric with a + a', antisymmetric with a - a') to 1e-12 of
+    its scale, judged on the tabulated table before it is sliced.
+    """
+    osc, qub = coupling.osc_elements, coupling.qubit_elements
+    neighbours = np.diag(np.diag(osc, 1), 1) + np.diag(np.diag(osc, -1), -1)
+    if not np.array_equal(osc, neighbours):
+        raise EigensolveError(
+            "oscillator quadrature has entries outside its first "
+            "off-diagonals")
+    parity = 1.0 if np.array_equal(osc, osc.T) else -1.0
+    scale = max(float(np.abs(qub).max()), 1e-30)
+    if np.abs(qub - parity * qub.T).max() > 1e-12 * scale:
+        raise EigensolveError(
+            "qubit element table does not share the symmetry of the "
+            "oscillator quadrature")
+    return coupling.truncated(n_fock, n_qubit)
+
+
+def _blocks(sliced: ProductCoupling, offset: int) -> np.ndarray:
+    """The blocks c X[m, m + offset] K for m ascending, stacked on axis 0."""
+    return (np.multiply.outer(np.diag(sliced.osc_elements, offset),
+                              sliced.qubit_elements) * sliced.strength)
+
+
+def _assemble(coupling: ProductCoupling, n_fock: int,
+              n_qubit: int) -> np.ndarray:
+    """Dense real product Hamiltonian at (n_fock, n_qubit), oscillator-major.
+
+    Written block by block: zeros, the bare energies on the diagonal, then
+    the blocks c X[m, m+1] K above it and c X[m+1, m] K below it, added to
+    the zeros as the Kronecker form adds its coupling term.  Bit for bit
+    this is diag(osc) (x) 1 + 1 (x) diag(qubit) + c X (x) K, signed zeros
+    included.
+    """
+    sliced = _checked_slice(coupling, n_fock, n_qubit)
+    dim = n_fock * n_qubit
+    h = np.zeros((dim, dim))
+    h.flat[::dim + 1] = np.add.outer(sliced.osc_energies,
+                                     sliced.qubit_energies).ravel()
+    blocks = h.reshape(n_fock, n_qubit, n_fock, n_qubit)
+    m = np.arange(n_fock - 1)
+    blocks[m, :, m + 1] += _blocks(sliced, 1)
+    blocks[m + 1, :, m] += _blocks(sliced, -1)
     return h
 
 
@@ -197,28 +241,15 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
 
     Row kd - d holds diagonal d, with kd = 2 n_qubit - 1: X = a +- a'
     couples only neighbouring Fock states, so above the diagonal of bare
-    energies sit only the blocks c X[m, m+1] K, formed in _assemble's
-    operation order.  The band determines a symmetric matrix only if K
-    shares X's symmetry (symmetric with a + a', antisymmetric with a - a');
-    K is checked for it as tabulated, to 1e-12 of its scale, before it is
-    sliced to the truncation.
+    energies sit only the blocks c X[m, m+1] K, as _assemble writes them.
     """
-    osc, qub = coupling.osc_elements, coupling.qubit_elements
-    parity = 1.0 if np.array_equal(osc, osc.T) else -1.0
-    scale = max(float(np.abs(qub).max()), 1e-30)
-    if np.abs(qub - parity * qub.T).max() > 1e-12 * scale:
-        raise EigensolveError(
-            "qubit element table does not share the symmetry of the "
-            "oscillator quadrature")
-    sliced = coupling.truncated(n_fock, n_qubit)
+    sliced = _checked_slice(coupling, n_fock, n_qubit)
     kd = 2 * n_qubit - 1
     band = np.zeros((kd + 1, n_fock * n_qubit))
     band[kd] = np.add.outer(sliced.osc_energies, sliced.qubit_energies).ravel()
     a, b = np.indices((n_qubit, n_qubit))
     cols = n_qubit * np.arange(1, n_fock)[:, None, None] + b
-    band[n_qubit - 1 + a - b, cols] = (
-        np.multiply.outer(np.diag(sliced.osc_elements, 1),
-                          sliced.qubit_elements) * coupling.strength)
+    band[n_qubit - 1 + a - b, cols] = _blocks(sliced, 1)
     return band
 
 
@@ -254,25 +285,60 @@ def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
 
-def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
-                             n_fock: int) -> CoupledSpectrum:
-    """Diagonalize in the Fock (x) qubit-eigenstate product basis.
+def _dense_hamiltonian(gauge: str, raw: RawCircuit, n_qubit: int,
+                       n_fock: int) -> tuple[ProductCoupling, np.ndarray]:
+    """_coupling_for and its dense _assemble at (n_fock, n_qubit).
 
-    The states call: one circuit_coupling, tabulated at (n_fock, n_qubit)
-    and at least N_PERT_FOCK x N_PERT_LEVELS, feeds one eigh of the dense
-    real symmetric product Hamiltonian, for every level and eigenvector.
-    A product dimension above DENSE_DIM_LIMIT, or more qubit levels than
-    the qubit basis resolves, is refused before anything is assembled.
+    A product dimension above DENSE_DIM_LIMIT is refused before anything
+    is solved or assembled.
     """
     if n_qubit * n_fock > DENSE_DIM_LIMIT:
         raise EigensolveError(
             f"product dimension {n_qubit * n_fock} exceeds DENSE_DIM_LIMIT = "
             f"{DENSE_DIM_LIMIT}")
     coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
-    energies, vectors = np.linalg.eigh(
-        _assemble(coupling.truncated(n_fock, n_qubit)))
+    return coupling, _assemble(coupling, n_fock, n_qubit)
+
+
+def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
+                             n_fock: int, n_states: int) -> CoupledSpectrum:
+    """The lowest n_states levels and eigenvectors in the Fock (x)
+    qubit-eigenstate product basis.
+
+    The states call: one circuit_coupling, tabulated at (n_fock, n_qubit)
+    and at least N_PERT_FOCK x N_PERT_LEVELS, feeds the dense real
+    symmetric product Hamiltonian to LAPACK's subset solver
+    (scipy.linalg.eigh, lowest n_states by index), which computes only the
+    eigenpairs it returns; n_states outside 1 .. n_qubit n_fock raises its
+    ValueError.  A product dimension above DENSE_DIM_LIMIT, or more qubit
+    levels than the qubit basis resolves, is refused before anything is
+    assembled.
+    """
+    import scipy.linalg
+
+    coupling, h = _dense_hamiltonian(gauge, raw, n_qubit, n_fock)
+    try:
+        energies, vectors = scipy.linalg.eigh(
+            h, subset_by_index=[0, n_states - 1])
+    except np.linalg.LinAlgError as err:
+        raise EigensolveError(f"coupled eigensolve failed: {err}") from err
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
+
+
+def dense_levels(gauge: str, raw: RawCircuit, n_qubit: int,
+                 n_fock: int) -> np.ndarray:
+    """The lowest N_COUPLED_LEVELS levels from a full np.linalg.eigh of the
+    dense product Hamiltonian.
+
+    These are the bits the rabi-fit and regression fit data have always
+    had; the fit is determined only to about 1e-7 relative, so its levels
+    stay on this solve rather than the banded levels call.  This function
+    goes when ROADMAP item 6 step 1 lets tasks._level_rows take
+    coupled_levels.
+    """
+    return np.linalg.eigh(
+        _dense_hamiltonian(gauge, raw, n_qubit, n_fock)[1])[0][:N_COUPLED_LEVELS]
 
 
 def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
@@ -348,10 +414,16 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit,
                 state_index: int) -> Observables:
     """Photon number, flux expectations, and loop currents of one eigenstate.
 
-    A spectrum from the levels call carries no eigenvectors and is rejected.
+    state_index counts from the ground state and must be below the number
+    of states the spectrum holds; a spectrum from the levels call carries
+    no eigenvectors and is rejected.
     """
     if spec.vectors is None:
         raise ValueError("observables needs a spectrum built with vectors")
+    if not 0 <= state_index < spec.vectors.shape[1]:
+        raise ValueError(
+            f"state_index {state_index} is outside the "
+            f"{spec.vectors.shape[1]} states of the spectrum")
     circuit = gauge_circuit(spec.gauge, raw)
     n_fock, n_qubit = spec.dims
     qubit_phase = spec.coupling.qubit_phase[:n_qubit, :n_qubit]

@@ -146,12 +146,16 @@ def check_hermitian(h: np.ndarray, what: str) -> None:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
+    """Rotate each column so its largest-magnitude entry is real positive.
+
+    Ties go to the first such entry, as np.argmax breaks them.  The
+    modulus of that entry is np.hypot of its parts, which is bit for bit
+    the scalar abs() of a complex entry; np.abs on a complex array rounds
+    differently.
+    """
     out = vectors.astype(complex)
-    for col in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, col])))
-        z = out[i, col]
-        out[:, col] *= z.conjugate() / abs(z)
+    z = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    out *= z.conjugate() / np.hypot(z.real, z.imag)
     return out
 
 

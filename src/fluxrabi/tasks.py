@@ -24,13 +24,14 @@ import numpy as np
 
 from .circuit import GAUGES, RawCircuit, gauge_circuit
 from .config import RunConfig
-from .constants import N_COUPLED_LEVELS, PACKAGE_VERSION
+from .constants import PACKAGE_VERSION
 from .coupled import (
     N_PERT_FOCK,
     N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     coupled_levels,
+    dense_levels,
     observables,
     truncation_check,
 )
@@ -186,18 +187,18 @@ def _qubit_level_rows(gauge, raw, num):
 
 
 def _level_rows(gauge, raw, num):
-    # The states call on purpose: these levels are the rabi-fit and
+    # The full dense eigh on purpose: these levels are the rabi-fit and
     # regression fit data, and the fit is determined only to about 1e-7
     # relative.  Taking them from the banded levels call moved 150+
     # rabi-fit.csv and regression.csv cells by up to 4.9e-7 relative,
     # past the 1e-9 output bound.
-    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
-    energies = spec.energies[:N_COUPLED_LEVELS]
+    energies = dense_levels(gauge, raw, num.n_qubit, num.n_fock)
     return _level_tails("eigenbasis-product", [float(e) for e in energies])
 
 
 def _observable_rows(gauge, raw, num):
-    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
+    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock,
+                                    num.n_states)
     out = []
     for state in range(num.n_states):
         obs = observables(spec, raw, state)

@@ -110,11 +110,11 @@ def assembled_dims(monkeypatch):
     dims = []
     assemble = coupled._assemble
 
-    def recorder(coupling):
-        dim = len(coupling.osc_elements) * len(coupling.qubit_energies)
+    def recorder(coupling, n_fock, n_qubit):
+        dim = n_fock * n_qubit
         dims.append(dim)
         assert dim <= coupled.DENSE_DIM_LIMIT, f"dense assembly at {dim}"
-        return assemble(coupling)
+        return assemble(coupling, n_fock, n_qubit)
 
     monkeypatch.setattr(coupled, "_assemble", recorder)
     return dims

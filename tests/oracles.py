@@ -199,3 +199,36 @@ def dense_planewave_hamiltonian(gauge, raw):
                        linear_kernel(basis_qubit).imag)
         h += circuit.node_coupling * term
     return h
+
+
+def kron_product_hamiltonian(coupling):
+    """Eigenbasis-product Hamiltonian of a ProductCoupling by Kronecker
+    products, oscillator-major, in the operation order
+
+        diag(osc) (x) 1 + 1 (x) diag(qubit) + c X (x) K.
+
+    Reference for the block-written dense matrix of
+    fluxrabi.coupled._assemble, which must equal it bit for bit.
+    """
+    nf, nq = len(coupling.osc_elements), len(coupling.qubit_energies)
+    h = np.kron(np.diag(coupling.osc_energies), np.eye(nq))
+    h += np.kron(np.eye(nf), np.diag(coupling.qubit_energies))
+    term = np.kron(coupling.osc_elements, coupling.qubit_elements)
+    term *= coupling.strength
+    h += term
+    return h
+
+
+def fix_phases_loop(vectors):
+    """Column-by-column phase fix: rotate each column so its
+    largest-magnitude entry (the first, on a tie) is real positive.
+
+    Reference for the vectorized fluxrabi.planewave._fix_phases, which must
+    equal it bit for bit.
+    """
+    out = vectors.astype(complex)
+    for col in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, col])))
+        z = out[i, col]
+        out[:, col] *= z.conjugate() / abs(z)
+    return out

@@ -27,14 +27,17 @@ from fluxrabi.rabi import map_circuit_to_rabi
 
 from conftest import circuit_parts
 from oracles import (complex_eigenbasis_hamiltonian,
-                     dense_planewave_hamiltonian, ladder_difference)
+                     dense_planewave_hamiltonian, kron_product_hamiltonian,
+                     ladder_difference)
 
 
 def _solver_inputs(monkeypatch):
-    """Record every matrix handed to np.linalg.eigh and eigvalsh, and every
-    band handed to scipy.linalg.eigvals_banded."""
+    """Record a copy of every matrix handed to np.linalg.eigh, eigvalsh and
+    scipy.linalg.eigh, and of every band handed to
+    scipy.linalg.eigvals_banded, taken before the solve."""
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (scipy.linalg, "eigh"),
                          (scipy.linalg, "eigvals_banded")):
         solver = getattr(module, name)
 
@@ -92,13 +95,14 @@ def test_coupling_coefficients_negative_when_coupled(parts20):
 def test_gauge_argument_validated(parts20):
     p = parts20
     with pytest.raises(ValueError):
-        build_coupled_eigenbasis("mixed", p.raw, 6, 40)
+        build_coupled_eigenbasis("mixed", p.raw, 6, 40, 4)
 
 
 def test_dense_dimension_guard(parts20):
     p = parts20
     with pytest.raises(EigensolveError):
-        build_coupled_eigenbasis("flux", p.raw, n_qubit=60, n_fock=80)
+        build_coupled_eigenbasis("flux", p.raw, n_qubit=60, n_fock=80,
+                                 n_states=4)
     assert 60 * 80 > DENSE_DIM_LIMIT
 
 
@@ -113,7 +117,7 @@ def test_truncation_check_runs_banded_past_dense_limit(assembled_dims,
     assert assembled_dims == []
     with pytest.raises(EigensolveError,
                        match="1920 exceeds DENSE_DIM_LIMIT = 1024"):
-        build_coupled_eigenbasis("flux", parts20.raw, 16, 120)
+        build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
     assert assembled_dims == []
 
 
@@ -129,7 +133,8 @@ def test_qubit_slice_beyond_basis_refused(n_qubit, checked, needed):
         if checked:
             truncation_check("charge", p.raw, n_qubit, 20)
         else:
-            build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit, n_fock=20)
+            build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
+                                     n_fock=20, n_states=4)
     with pytest.raises(EigensolveError, match="resolves 32"):
         circuit_coupling("charge", p.raw, n_levels=33)
 
@@ -141,9 +146,9 @@ def test_qubit_slice_at_basis_edge_solves():
     assert np.isfinite(shift)
     for n_qubit in (16, 32):
         spec = build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
-                                        n_fock=20)
+                                        n_fock=20, n_states=4)
         assert spec.dims == (20, n_qubit)
-        assert spec.vectors.shape == (20 * n_qubit, 20 * n_qubit)
+        assert spec.vectors.shape == (20 * n_qubit, 4)
         assert observables(spec, p.raw, 0).photon_number >= 0.0
 
 
@@ -164,7 +169,7 @@ def test_flux_eigenbasis_converged_at_default_truncation(parts20):
 
 def test_levels_call_matches_states_call(parts20):
     p = parts20
-    full = build_coupled_eigenbasis("charge", p.raw, 6, 40)
+    full = build_coupled_eigenbasis("charge", p.raw, 6, 40, 8)
     levels = coupled_levels("charge", p.raw, 6, 40)
     assert levels.vectors is None
     assert levels.dims == full.dims
@@ -176,7 +181,7 @@ def test_levels_call_matches_states_call(parts20):
 
 def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
     p = parts20
-    eigen = build_coupled_eigenbasis("charge", p.raw, 6, 40)
+    eigen = build_coupled_eigenbasis("charge", p.raw, 6, 40, 8)
     plane = build_coupled_planewave("charge", p.raw)
     gap = np.abs(eigen.energies[:8] - plane[:8]).max()
     assert gap < 1e-3
@@ -188,7 +193,7 @@ def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
 def test_loop_one_carries_no_current(parts20):
     p = parts20
     for gauge in ("flux", "charge"):
-        spec = build_coupled_eigenbasis(gauge, p.raw, 6, 40)
+        spec = build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
         for state in range(4):
             obs = observables(spec, p.raw, state)
             assert abs(obs.current_1) < 1e-2
@@ -199,7 +204,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
     values = []
     for phix in (0.498, 0.502):
         raw = dataclasses.replace(p.raw, phix=phix)
-        spec = build_coupled_eigenbasis("flux", raw, 6, 40)
+        spec = build_coupled_eigenbasis("flux", raw, 6, 40, 1)
         values.append(observables(spec, raw, 0))
     assert values[0].flux_2 == pytest.approx(-values[1].flux_2, rel=1e-6)
     assert values[0].flux_1 == pytest.approx(-values[1].flux_1, rel=1e-6)
@@ -209,7 +214,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
 def test_charge_gauge_frame_flux_vanishes(parts20):
     p = parts20
     raw = dataclasses.replace(p.raw, phix=0.498)
-    spec = build_coupled_eigenbasis("charge", raw, 6, 40)
+    spec = build_coupled_eigenbasis("charge", raw, 6, 40, 1)
     obs = observables(spec, raw, 0)
     # the momentum-shifted oscillator mode has no flux displacement; the
     # loop currents still come out through the gauge-restored flux
@@ -228,7 +233,7 @@ def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
 
 def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
     p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
+    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40, 1)
     obs = observables(spec, p.raw, 0)
     assert 0.0 <= obs.photon_number < 0.1
 
@@ -245,7 +250,7 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
         seen.clear()
-        build_coupled_eigenbasis(gauge, p.raw, 6, 40)
+        build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
         truncation_check(gauge, p.raw, 6, 40)
         assert all(h.dtype == np.float64 for h in seen)
         dense, *bands = [h for h in seen if h.shape[1] > 32]
@@ -291,7 +296,8 @@ def test_real_path_levels_match_complex_reference(lc, l1, l2, c, cj, lj, phix,
                                                   gauge, dims):
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
-    spec = build_coupled_eigenbasis(gauge, raw, n_qubit=nq, n_fock=nf)
+    spec = build_coupled_eigenbasis(gauge, raw, n_qubit=nq, n_fock=nf,
+                                    n_states=8)
     ref = np.linalg.eigvalsh(complex_eigenbasis_hamiltonian(
         gauge, raw, nq, nf, n_table=2 * nq))
     assert spec.vectors.dtype == np.float64
@@ -310,10 +316,87 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
     spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
-    dense = np.linalg.eigvalsh(
-        coupled._assemble(spec.coupling.truncated(nf, nq)))
+    dense = np.linalg.eigvalsh(coupled._assemble(spec.coupling, nf, nq))
     assert spec.energies.shape == (min(8, nq * nf),)
     assert np.abs(spec.energies - dense[:8]).max() < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(lc=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
+       l1=st.floats(200.0, 1000.0),
+       l2=st.floats(1000.0, 3000.0), c=st.floats(0.3, 2.0),
+       cj=st.floats(2.0, 10.0), lj=st.floats(600.0, 2000.0),
+       phix=st.floats(0.48, 0.52), gauge=st.sampled_from(["flux", "charge"]),
+       nq=st.integers(1, 12), nf=st.integers(1, 60))
+@example(lc=20.0, l1=780.0, l2=2030.0, c=0.87, cj=4.84, lj=990.0, phix=0.5,
+         gauge="charge", nq=1, nf=1)
+def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
+                                         nq, nf):
+    # the dense matrix is written block by block; it must be the Kronecker
+    # form bit for bit, signed zeros included, so the fit data that
+    # dense_levels solves keep their bytes
+    raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
+    coupling = coupled._coupling_for(gauge, raw, nq, nf)
+    blocks = coupled._assemble(coupling, nf, nq)
+    kron = kron_product_hamiltonian(coupling.truncated(nf, nq))
+    assert blocks.shape == (nf * nq, nf * nq)
+    assert blocks.tobytes() == kron.tobytes()
+
+
+def _full_eigh_spectrum(spec):
+    """spec with every level and eigenvector of a full np.linalg.eigh of the
+    same dense matrix."""
+    n_fock, n_qubit = spec.dims
+    energies, vectors = np.linalg.eigh(
+        coupled._assemble(spec.coupling, n_fock, n_qubit))
+    return dataclasses.replace(spec, energies=energies, vectors=vectors)
+
+
+@pytest.mark.parametrize("lc, phix", [(20.0, 0.5), (20.0, 0.494),
+                                      (350.0, 0.497), (350.0, 0.503)])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_subset_states_call_matches_full_eigh(gauge, lc, phix):
+    raw = circuit_parts(lc, phix).raw
+    spec = build_coupled_eigenbasis(gauge, raw, 6, 40, 4)
+    full = _full_eigh_spectrum(spec)
+    assert spec.energies.shape == (4,)
+    assert spec.vectors.shape == (240, 4)
+    assert np.abs(spec.energies - full.energies[:4]).max() < 1e-10
+    overlaps = np.abs(np.sum(spec.vectors * full.vectors[:, :4], axis=0))
+    assert np.all(overlaps >= 1.0 - 1e-12)
+    for state in range(4):
+        got = observables(spec, raw, state)
+        ref = observables(full, raw, state)
+        for field in dataclasses.fields(got):
+            v, r = getattr(got, field.name), getattr(ref, field.name)
+            assert abs(v - r) <= 1e-9 * max(1.0, abs(r)), (field.name, v, r)
+
+
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_subset_states_call_at_its_edges(parts350, gauge):
+    # one state, and every state of the product dimension
+    raw = parts350.raw
+    for n_states in (1, 3 * 12):
+        spec = build_coupled_eigenbasis(gauge, raw, 3, 12, n_states)
+        full = _full_eigh_spectrum(spec)
+        assert spec.vectors.shape == (36, n_states)
+        assert np.abs(spec.energies - full.energies[:n_states]).max() < 1e-10
+        overlaps = np.abs(np.sum(spec.vectors * full.vectors[:, :n_states],
+                                 axis=0))
+        assert np.all(overlaps >= 1.0 - 1e-12)
+    for n_states in (0, 37):
+        with pytest.raises(ValueError, match="indices are not valid"):
+            build_coupled_eigenbasis(gauge, raw, 3, 12, n_states)
+
+
+def test_observables_rejects_state_outside_spectrum(parts20):
+    # the spectrum holds the lowest n_states states only; a negative index
+    # would silently read the highest of them
+    spec = build_coupled_eigenbasis("flux", parts20.raw, 6, 40, 4)
+    for state in (-1, 4):
+        with pytest.raises(ValueError, match="state_index"):
+            observables(spec, parts20.raw, state)
+    assert observables(spec, parts20.raw, 3).photon_number >= 0.0
 
 
 @pytest.mark.parametrize("lc, phix", [(20.0, 0.5), (350.0, 0.5),
@@ -335,13 +418,29 @@ def test_matrix_free_planewave_matches_dense_oracle(gauge, lc, phix):
 ])
 def test_banded_levels_reject_table_without_quadrature_symmetry(
         monkeypatch, parts20, gauge, table, tilt):
-    # the band stores only the upper blocks c X[m, m+1] K; they determine
-    # the symmetric matrix only if K is symmetric with a + a' and
-    # antisymmetric with a - a'
+    # the band stores only the upper blocks c X[m, m+1] K, and the dense
+    # solvers read only the lower triangle; either determines the symmetric
+    # matrix only if K is symmetric with a + a' and antisymmetric with
+    # a - a', so every eigenbasis solve refuses a tilted K
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
-    with pytest.raises(EigensolveError, match="symmetry"):
-        coupled_levels(gauge, parts20.raw, 6, 40)
+    for solve in (coupled_levels, coupled.dense_levels,
+                  lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
+        with pytest.raises(EigensolveError, match="symmetry"):
+            solve(gauge, parts20.raw, 6, 40)
+
+
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_both_matrix_forms_reject_quadrature_beyond_neighbours(parts20,
+                                                              gauge):
+    # both forms write only the blocks c X[m, m +- 1] K, so an X with any
+    # other entry is refused before it is written
+    coupling = circuit_coupling(gauge, parts20.raw)
+    osc = coupling.osc_elements + np.eye(len(coupling.osc_elements))
+    bad = dataclasses.replace(coupling, osc_elements=osc)
+    for form in (coupled._band, coupled._assemble):
+        with pytest.raises(EigensolveError, match="first off-diagonals"):
+            form(bad, 6, 4)
 
 
 def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
@@ -351,6 +450,15 @@ def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
     with pytest.raises(EigensolveError, match="banded"):
         coupled_levels("flux", parts20.raw, 6, 40)
+
+
+def test_states_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", fail)
+    with pytest.raises(EigensolveError, match="coupled eigensolve failed"):
+        build_coupled_eigenbasis("flux", parts20.raw, 6, 40, 4)
 
 
 def _tilted(m):
@@ -398,7 +506,7 @@ def test_non_real_qubit_elements_rejected(monkeypatch, parts20, gauge, table,
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
     p = parts20
     with pytest.raises(EigensolveError, match="qubit element table"):
-        build_coupled_eigenbasis(gauge, p.raw, 6, 40)
+        build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
 
 
 # a two-level reduction whose elements only the coupling strength reads
@@ -421,8 +529,8 @@ def test_every_consumer_reads_the_gauge_omega(lc, l1, l2, c, cj, lj, phix):
     for gauge, circuit in circuits.items():
         reported = [
             circuit_coupling(gauge, raw).omega,
-            build_coupled_eigenbasis(gauge, raw, n_qubit=2,
-                                     n_fock=4).coupling.omega,
+            build_coupled_eigenbasis(gauge, raw, n_qubit=2, n_fock=4,
+                                     n_states=1).coupling.omega,
             map_circuit_to_rabi(gauge, raw, _TWOLEVEL).omega,
         ]
         assert all(omega == circuit.omega for omega in reported), reported

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
-from oracles import charge_grid, harmonic_levels, kernel_via_dft, n_representation
+from oracles import (charge_grid, fix_phases_loop, harmonic_levels,
+                     kernel_via_dft, n_representation)
 from fluxrabi.planewave import (
     BasisRangeWarning,
     PlaneWaveBasis,
+    _fix_phases,
     diagonalize_flux_qubit,
     linear_kernel,
     oscillator_hamiltonian,
     quadratic_kernel,
+    qubit_hamiltonian,
 )
 
 from conftest import circuit_parts
@@ -99,6 +102,37 @@ def test_phase_convention_fixes_coefficients():
         peak = coeff[np.argmax(np.abs(coeff))]
         assert abs(peak.imag) < 1e-12
         assert peak.real > 0.0
+
+
+def test_vectorized_phase_fix_equals_column_loop():
+    # same per-element operations as the column loop, so the same bits:
+    # on real qubit eigenvectors of both gauges' qubit nodes, and on
+    # columns whose largest-magnitude entry is negative, complex, or tied
+    # (a tie goes to the first entry, as np.argmax breaks it)
+    basis = PlaneWaveBasis.for_qubit()
+    for lc in (20.0, 350.0):
+        for phix in (0.494, 0.5, 0.503):
+            p = circuit_parts(lc, phix)
+            for circuit in (p.flux, p.charge):
+                h = qubit_hamiltonian(*circuit.qubit_node, phix, basis)
+                vectors = np.linalg.eigh(h)[1]
+                assert (_fix_phases(vectors).tobytes()
+                        == fix_phases_loop(vectors).tobytes())
+    columns = np.array([
+        [0.3, -0.9, 0.2],               # negative peak
+        [0.1 + 0.2j, -0.6 + 0.7j, 0.3],  # complex peak
+        [0.5, -0.5j, 0.5],              # peaks tied in magnitude
+        [-0.5, 0.5, 0.1j],              # tied, the first one negative
+    ]).T
+    rng = np.random.default_rng(7)
+    noise = (rng.standard_normal((9, 5))
+             + 1j * rng.standard_normal((9, 5))) * 10.0 ** rng.uniform(-6, 6)
+    for vectors in (columns, noise):
+        fixed = _fix_phases(vectors)
+        assert fixed.tobytes() == fix_phases_loop(vectors).tobytes()
+    fixed = _fix_phases(columns)
+    assert fixed[1, 0] == 0.9 and fixed[0, 2] == 0.5 and fixed[0, 3] == 0.5
+    assert fixed[1, 2] == -0.5j and fixed[1, 3] == -0.5
 
 
 def test_charge_wavefunction_normalized():
