@@ -7,9 +7,10 @@ Two constructions of the same spectrum:
   and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
   levels call (coupled_levels) solves only the lowest N_COUPLED_LEVELS
   levels from the upper band of the product matrix; the states call
-  (build_coupled_eigenbasis) solves the dense matrix for only the lowest
-  n_states levels and eigenvectors.  Both write the same blocks
-  c X[m, m +- 1] K of the product matrix, with no Kronecker product.
+  (build_coupled_eigenbasis) copies that band into the upper triangle of a
+  dense matrix and solves it for only the lowest n_states levels and
+  eigenvectors.  _band is the one writer of the product matrix: the bare
+  energies and the blocks c X[m, m + 1] K, with no Kronecker product.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -45,8 +46,8 @@ from .planewave import (
 )
 from .qubit import number_matrix, phase_matrix
 
-# Largest dense product dimension the dense solves (the states call and
-# dense_levels) will assemble.
+# Largest product dimension the states call, the one dense solve, will
+# assemble.
 DENSE_DIM_LIMIT = 4096
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
@@ -187,10 +188,11 @@ def _checked_slice(coupling: ProductCoupling, n_fock: int,
     """coupling.truncated(n_fock, n_qubit), once c X (x) K is checked
     symmetric.
 
-    Both matrix forms write only the blocks c X[m, m +- 1] K, so X must
-    vanish outside its first off-diagonals, and K must share the symmetry
-    of X (symmetric with a + a', antisymmetric with a - a') to 1e-12 of
-    its scale, judged on the tabulated table before it is sliced.
+    The band holds only the blocks c X[m, m + 1] K, so X must vanish
+    outside its first off-diagonals, and K must share the symmetry of X
+    (symmetric with a + a', antisymmetric with a - a') to 1e-12 of its
+    scale, judged on the tabulated table before it is sliced, for the
+    blocks below the diagonal to be their transposes.
     """
     osc, qub = coupling.osc_elements, coupling.qubit_elements
     neighbours = np.diag(np.diag(osc, 1), 1) + np.diag(np.diag(osc, -1), -1)
@@ -207,41 +209,15 @@ def _checked_slice(coupling: ProductCoupling, n_fock: int,
     return coupling.truncated(n_fock, n_qubit)
 
 
-def _blocks(sliced: ProductCoupling, offset: int) -> np.ndarray:
-    """The blocks c X[m, m + offset] K for m ascending, stacked on axis 0."""
-    return (np.multiply.outer(np.diag(sliced.osc_elements, offset),
-                              sliced.qubit_elements) * sliced.strength)
-
-
-def _assemble(coupling: ProductCoupling, n_fock: int,
-              n_qubit: int) -> np.ndarray:
-    """Dense real product Hamiltonian at (n_fock, n_qubit), oscillator-major.
-
-    Written block by block: zeros, the bare energies on the diagonal, then
-    the blocks c X[m, m+1] K above it and c X[m+1, m] K below it, added to
-    the zeros as the Kronecker form adds its coupling term.  Bit for bit
-    this is diag(osc) (x) 1 + 1 (x) diag(qubit) + c X (x) K, signed zeros
-    included.
-    """
-    sliced = _checked_slice(coupling, n_fock, n_qubit)
-    dim = n_fock * n_qubit
-    h = np.zeros((dim, dim))
-    h.flat[::dim + 1] = np.add.outer(sliced.osc_energies,
-                                     sliced.qubit_energies).ravel()
-    blocks = h.reshape(n_fock, n_qubit, n_fock, n_qubit)
-    m = np.arange(n_fock - 1)
-    blocks[m, :, m + 1] += _blocks(sliced, 1)
-    blocks[m + 1, :, m] += _blocks(sliced, -1)
-    return h
-
-
 def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
-    """Upper band of _assemble's matrix at (n_fock, n_qubit), in LAPACK
-    upper band storage.
+    """The product Hamiltonian at (n_fock, n_qubit), oscillator-major, as
+    its upper band in LAPACK upper band storage.
 
-    Row kd - d holds diagonal d, with kd = 2 n_qubit - 1: X = a +- a'
-    couples only neighbouring Fock states, so above the diagonal of bare
-    energies sit only the blocks c X[m, m+1] K, as _assemble writes them.
+    The one writer of the eigenbasis-product matrix.  Row kd - d holds
+    diagonal d, with kd = 2 n_qubit - 1: the bare energies on the diagonal
+    and above it only the blocks c X[m, m+1] K, because X = a +- a' couples
+    only neighbouring Fock states; the blocks c X[m+1, m] K below follow
+    from the symmetry _checked_slice enforces.
     """
     sliced = _checked_slice(coupling, n_fock, n_qubit)
     kd = 2 * n_qubit - 1
@@ -249,8 +225,26 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
     band[kd] = np.add.outer(sliced.osc_energies, sliced.qubit_energies).ravel()
     a, b = np.indices((n_qubit, n_qubit))
     cols = n_qubit * np.arange(1, n_fock)[:, None, None] + b
-    band[n_qubit - 1 + a - b, cols] = _blocks(sliced, 1)
+    band[n_qubit - 1 + a - b, cols] = (
+        np.multiply.outer(np.diag(sliced.osc_elements, 1),
+                          sliced.qubit_elements) * sliced.strength)
     return band
+
+
+def _dense_upper(band: np.ndarray) -> np.ndarray:
+    """The dense matrix whose upper triangle is band (LAPACK upper band
+    storage) and whose strict lower triangle is zero.
+
+    Each entry is added to a zero, as the Kronecker form adds its coupling
+    term, so the upper triangle is that form's bit for bit, signed zeros
+    included.
+    """
+    kd = band.shape[0] - 1
+    rows, cols = np.indices(band.shape)
+    keep = rows + cols >= kd  # band[r, j] holds h[j - kd + r, j]
+    h = np.zeros((band.shape[1], band.shape[1]))
+    h[(rows + cols - kd)[keep], cols[keep]] += band[keep]
+    return h
 
 
 def _coupling_for(gauge: str, raw: RawCircuit, n_qubit: int,
@@ -285,60 +279,35 @@ def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
 
-def _dense_hamiltonian(gauge: str, raw: RawCircuit, n_qubit: int,
-                       n_fock: int) -> tuple[ProductCoupling, np.ndarray]:
-    """_coupling_for and its dense _assemble at (n_fock, n_qubit).
-
-    A product dimension above DENSE_DIM_LIMIT is refused before anything
-    is solved or assembled.
-    """
-    if n_qubit * n_fock > DENSE_DIM_LIMIT:
-        raise EigensolveError(
-            f"product dimension {n_qubit * n_fock} exceeds DENSE_DIM_LIMIT = "
-            f"{DENSE_DIM_LIMIT}")
-    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
-    return coupling, _assemble(coupling, n_fock, n_qubit)
-
-
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
                              n_fock: int, n_states: int) -> CoupledSpectrum:
     """The lowest n_states levels and eigenvectors in the Fock (x)
     qubit-eigenstate product basis.
 
     The states call: one circuit_coupling, tabulated at (n_fock, n_qubit)
-    and at least N_PERT_FOCK x N_PERT_LEVELS, feeds the dense real
-    symmetric product Hamiltonian to LAPACK's subset solver
-    (scipy.linalg.eigh, lowest n_states by index), which computes only the
-    eigenpairs it returns; n_states outside 1 .. n_qubit n_fock raises its
-    ValueError.  A product dimension above DENSE_DIM_LIMIT, or more qubit
-    levels than the qubit basis resolves, is refused before anything is
-    assembled.
+    and at least N_PERT_FOCK x N_PERT_LEVELS, gives the band of the levels
+    call; copied into the upper triangle of a dense matrix, it goes to
+    LAPACK's subset solver (scipy.linalg.eigh on the upper triangle, lowest
+    n_states by index), which computes only the eigenpairs it returns;
+    n_states outside 1 .. n_qubit n_fock raises its ValueError.  A product
+    dimension above DENSE_DIM_LIMIT, or more qubit levels than the qubit
+    basis resolves, is refused before anything is assembled.
     """
     import scipy.linalg
 
-    coupling, h = _dense_hamiltonian(gauge, raw, n_qubit, n_fock)
+    if n_qubit * n_fock > DENSE_DIM_LIMIT:
+        raise EigensolveError(
+            f"product dimension {n_qubit * n_fock} exceeds DENSE_DIM_LIMIT = "
+            f"{DENSE_DIM_LIMIT}")
+    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
+    h = _dense_upper(_band(coupling, n_fock, n_qubit))
     try:
         energies, vectors = scipy.linalg.eigh(
-            h, subset_by_index=[0, n_states - 1])
+            h, lower=False, subset_by_index=[0, n_states - 1])
     except np.linalg.LinAlgError as err:
         raise EigensolveError(f"coupled eigensolve failed: {err}") from err
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
-
-
-def dense_levels(gauge: str, raw: RawCircuit, n_qubit: int,
-                 n_fock: int) -> np.ndarray:
-    """The lowest N_COUPLED_LEVELS levels from a full np.linalg.eigh of the
-    dense product Hamiltonian.
-
-    These are the bits the rabi-fit and regression fit data have always
-    had; the fit is determined only to about 1e-7 relative, so its levels
-    stay on this solve rather than the banded levels call.  This function
-    goes when ROADMAP item 6 step 1 lets tasks._level_rows take
-    coupled_levels.
-    """
-    return np.linalg.eigh(
-        _dense_hamiltonian(gauge, raw, n_qubit, n_fock)[1])[0][:N_COUPLED_LEVELS]
 
 
 def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,

@@ -5,9 +5,12 @@ model to a table of transition frequencies sampled on a flux grid:
 table[p, c] is transition pairs[c] at grid[p], and model_pair_table
 evaluates the model on the same layout.  The objective is the mean squared
 residual over all (flux, transition) points in MHz^2, minimized by
-Levenberg-Marquardt with one re-start from the nudged minimum; nothing is
-random, so repeated runs give identical results.  The residual reported
-alongside the fitted parameters is restricted to transitions from the
+Levenberg-Marquardt with one re-start from the nudged minimum.  The model
+Hamiltonian is linear in the parameters, so the Jacobian is exact: by the
+Hellmann-Feynman theorem each level's derivative is the expectation of the
+matching structure matrix in its eigenvector, one eigh per bias point.
+Nothing is random, so repeated runs give identical results.  The residual
+reported alongside the fitted parameters is restricted to transitions from the
 ground state, which is the conventional figure of merit for this kind of
 spectrum fit.
 """
@@ -18,7 +21,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .rabi import RabiParams, default_n_fock, rabi_energies
+from .constants import bias_to_ghz
+from .rabi import (RabiParams, _structure, default_n_fock, rabi_energies,
+                   rabi_hamiltonian)
 
 # Relative nudge of the first minimum that the agreement re-start runs from.
 RESTART_STEP = (1.02, 0.98, 1.05, 1.001)
@@ -56,6 +61,7 @@ class RabiFitResult:
     residual_mhz2: float
     objective_mhz2: float
     n_eval: int
+    n_jac: int
     converged: bool
     restart_spread: float
 
@@ -86,6 +92,29 @@ def _pair_table(params: RabiParams, phix_grid: np.ndarray,
     for p, phix in enumerate(phix_grid):
         energies = rabi_energies(params, phix, n_fock)
         out[p] = [energies[j] - energies[i] for i, j in pairs]
+    return out
+
+
+def _pair_jacobian(params: RabiParams, phix_grid: np.ndarray,
+                   pairs: tuple[tuple[int, int], ...],
+                   n_fock: int) -> np.ndarray:
+    """jac[p, c, k] = d table[p, c] / d theta_k, theta in PARAM_NAMES order.
+
+    H = omega A + Delta_q B + eps C + g D with eps = bias_to_ghz(Ip, phix)
+    linear in Ip, so dE_n/dtheta = <n|dH/dtheta|n> (Hellmann-Feynman) on
+    the lowest max(j) + 1 eigenvectors of one eigh per bias point.
+    """
+    a_mat, b_mat, c_mat, d_mat = _structure(n_fock, params.variant)
+    lower, upper = np.array(pairs).T
+    count = upper.max() + 1
+    out = np.empty((len(phix_grid), len(pairs), len(PARAM_NAMES)))
+    for p, phix in enumerate(phix_grid):
+        h = rabi_hamiltonian(params, phix, n_fock)
+        v = np.linalg.eigh(h)[1][:, :count]
+        slopes = np.array([np.sum(v * (m @ v), axis=0)
+                           for m in (a_mat, b_mat, d_mat, c_mat)])
+        slopes[3] *= bias_to_ghz(1.0, phix)
+        out[p] = (slopes[:, upper] - slopes[:, lower]).T
     return out
 
 
@@ -128,7 +157,8 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     by RESTART_STEP, and keeps the lower minimum; converged requires both
     runs to succeed and to agree below 0.1% on every parameter (relative to
     1e-3 omega for a parameter smaller than that).  n_eval counts every
-    residual evaluation, finite-difference Jacobian columns included.
+    residual evaluation and n_jac every evaluation of the exact Jacobian
+    (_pair_jacobian), over both runs.
     """
     table = _check_table(grid, pairs, table)
     _check_params(initial)
@@ -141,7 +171,7 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
         return replace(initial, **{name: float(value)
                                    for name, value in zip(PARAM_NAMES, theta)})
 
-    n_eval = 0
+    n_eval = n_jac = 0
 
     def residuals(theta: np.ndarray) -> np.ndarray:
         nonlocal n_eval
@@ -149,6 +179,12 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
         # unchecked: a step may leave the physical region and come back
         model = _pair_table(with_theta(theta), grid, pairs, n_fock)
         return 1e3 * (model - table).ravel()
+
+    def jacobian(theta: np.ndarray) -> np.ndarray:
+        nonlocal n_jac
+        n_jac += 1
+        slopes = _pair_jacobian(with_theta(theta), grid, pairs, n_fock)
+        return 1e3 * slopes.reshape(-1, len(PARAM_NAMES))
 
     # Levenberg-Marquardt in scipy's trust-region form, scaled to the run's
     # start so that the first step stays within about twice each parameter;
@@ -159,7 +195,7 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     def minimize(theta0: np.ndarray):
         floor = 1e-3 * abs(theta0[0])
         theta0 = np.where(np.abs(theta0) < floor, floor, theta0)
-        return least_squares(residuals, theta0, method="trf",
+        return least_squares(residuals, theta0, jac=jacobian, method="trf",
                              x_scale=np.abs(theta0),
                              xtol=1e-15, ftol=1e-15, gtol=1e-15)
 
@@ -176,7 +212,7 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
                          residual_mhz2=ground_residual_mhz2(params, grid, pairs,
                                                             table, n_fock),
                          objective_mhz2=float(np.mean(best.fun ** 2)),
-                         n_eval=n_eval,
+                         n_eval=n_eval, n_jac=n_jac,
                          converged=first.success and second.success
                          and spread < 1e-3,
                          restart_spread=spread)

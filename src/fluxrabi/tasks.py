@@ -31,7 +31,6 @@ from .coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     coupled_levels,
-    dense_levels,
     observables,
     truncation_check,
 )
@@ -187,12 +186,7 @@ def _qubit_level_rows(gauge, raw, num):
 
 
 def _level_rows(gauge, raw, num):
-    # The full dense eigh on purpose: these levels are the rabi-fit and
-    # regression fit data, and the fit is determined only to about 1e-7
-    # relative.  Taking them from the banded levels call moved 150+
-    # rabi-fit.csv and regression.csv cells by up to 4.9e-7 relative,
-    # past the 1e-9 output bound.
-    energies = dense_levels(gauge, raw, num.n_qubit, num.n_fock)
+    energies = coupled_levels(gauge, raw, num.n_qubit, num.n_fock).energies
     return _level_tails("eigenbasis-product", [float(e) for e in energies])
 
 
@@ -365,6 +359,7 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
                 "residual_MHz2": result.residual_mhz2,
                 "converged": result.converged,
                 "n_eval": result.n_eval,
+                "n_jac": result.n_jac,
                 "restart_spread": result.restart_spread,
             }
     return _result(cfg, "rabi-fit", rows, fits=detail,

@@ -105,16 +105,16 @@ def fits():
 
 @pytest.fixture
 def assembled_dims(monkeypatch):
-    """Dimensions of every dense coupled assembly; one above
+    """Dimensions of every dense matrix the states call assembles; one above
     DENSE_DIM_LIMIT fails the test before it is allocated."""
     dims = []
-    assemble = coupled._assemble
+    dense_upper = coupled._dense_upper
 
-    def recorder(coupling, n_fock, n_qubit):
-        dim = n_fock * n_qubit
+    def recorder(band):
+        dim = band.shape[1]
         dims.append(dim)
         assert dim <= coupled.DENSE_DIM_LIMIT, f"dense assembly at {dim}"
-        return assemble(coupling, n_fock, n_qubit)
+        return dense_upper(band)
 
-    monkeypatch.setattr(coupled, "_assemble", recorder)
+    monkeypatch.setattr(coupled, "_dense_upper", recorder)
     return dims

@@ -207,8 +207,8 @@ def kron_product_hamiltonian(coupling):
 
         diag(osc) (x) 1 + 1 (x) diag(qubit) + c X (x) K.
 
-    Reference for the block-written dense matrix of
-    fluxrabi.coupled._assemble, which must equal it bit for bit.
+    Reference for the product matrix of fluxrabi.coupled._band: the upper
+    triangle the states call solves must equal this form's bit for bit.
     """
     nf, nq = len(coupling.osc_elements), len(coupling.qubit_energies)
     h = np.kron(np.diag(coupling.osc_energies), np.eye(nq))

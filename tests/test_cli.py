@@ -123,7 +123,8 @@ def test_doubled_truncation_past_dense_limit_runs_banded(assembled_dims,
                                                         monkeypatch, tmp_path):
     # with the dense limit lowered between the configured build (8, 60),
     # dimension 480, and its doubled check, dimension 1920, the run still
-    # succeeds: the check is a banded levels call and assembles nothing
+    # succeeds: the levels and the check are banded levels calls and
+    # assemble nothing
     monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
     doc = small_doc(n_qubit=8, n_fock=60, verify=True, gauge="flux")
     doc["tasks"] = ["circuit-spectrum"]
@@ -131,10 +132,26 @@ def test_doubled_truncation_past_dense_limit_runs_banded(assembled_dims,
     cfg = write_doc(tmp_path, doc)
     out = tmp_path / "o"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert assembled_dims == [480]
+    assert assembled_dims == []
     meta = json.loads((out / "circuit-spectrum.json").read_text())
     probe = meta["convergence_detail"]["Lc=20.0/flux"]
     assert probe["converged"] and 0.0 < probe["truncation_shift_GHz"] < 1e-3
+
+
+def test_circuit_spectrum_past_dense_limit_succeeds(assembled_dims,
+                                                    monkeypatch, tmp_path):
+    # circuit-spectrum reads levels only, so a product dimension above
+    # DENSE_DIM_LIMIT is no failure; the states call keeps the limit
+    monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 256)
+    doc = small_doc(n_qubit=8, n_fock=60, verify=False)
+    doc["tasks"] = ["circuit-spectrum"]
+    doc["sweep"]["phix_points"] = 1
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert assembled_dims == []
+    doc["tasks"] = ["observables"]
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "p")]) == 3
 
 
 def test_planewave_solver_failure_exits_3(monkeypatch, tmp_path, capsys):

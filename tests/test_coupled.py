@@ -242,10 +242,10 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
     # the complex assembly has an imaginary part of exactly 0; the dense
-    # matrix the states call hands to LAPACK equals its real part bit for
-    # bit, and the bands of the truncation check's two levels calls, first
-    # and doubled truncation, equal its upper band bit for bit, with every
-    # entry outside the band exactly 0
+    # matrix the states call hands to LAPACK equals the upper triangle of
+    # its real part bit for bit, and the bands of the truncation check's
+    # two levels calls, first and doubled truncation, equal its upper band
+    # bit for bit, with every entry outside the band exactly 0
     seen = _solver_inputs(monkeypatch)
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
@@ -257,7 +257,7 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
         assert [h.shape for h in bands] == [(12, 240), (24, 960)]
         ref = complex_eigenbasis_hamiltonian(gauge, p.raw, 6, 40, n_table=12)
         assert np.all(ref.imag == 0.0)
-        assert np.array_equal(dense, ref.real)
+        assert np.array_equal(dense, np.triu(ref.real))
         for band, (nq, nf) in zip(bands, ((6, 40), (12, 80))):
             ref = complex_eigenbasis_hamiltonian(gauge, p.raw, nq, nf,
                                                  n_table=12)
@@ -316,7 +316,8 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
     spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
-    dense = np.linalg.eigvalsh(coupled._assemble(spec.coupling, nf, nq))
+    dense = np.linalg.eigvalsh(
+        kron_product_hamiltonian(spec.coupling.truncated(nf, nq)))
     assert spec.energies.shape == (min(8, nq * nf),)
     assert np.abs(spec.energies - dense[:8]).max() < 1e-9
 
@@ -332,23 +333,25 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
          gauge="charge", nq=1, nf=1)
 def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
                                          nq, nf):
-    # the dense matrix is written block by block; it must be the Kronecker
-    # form bit for bit, signed zeros included, so the fit data that
-    # dense_levels solves keep their bytes
+    # the states call copies the band into a zero matrix; the upper
+    # triangle it solves must be the Kronecker form's bit for bit, signed
+    # zeros included, with zeros below
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
-    coupling = coupled._coupling_for(gauge, raw, nq, nf)
-    blocks = coupled._assemble(coupling, nf, nq)
-    kron = kron_product_hamiltonian(coupling.truncated(nf, nq))
-    assert blocks.shape == (nf * nq, nf * nq)
-    assert blocks.tobytes() == kron.tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _solver_inputs(patch)
+        spec = build_coupled_eigenbasis(gauge, raw, nq, nf, 1)
+    dense = seen[-1]
+    kron = kron_product_hamiltonian(spec.coupling.truncated(nf, nq))
+    assert dense.shape == (nf * nq, nf * nq)
+    assert dense.tobytes() == np.triu(kron).tobytes()
 
 
 def _full_eigh_spectrum(spec):
     """spec with every level and eigenvector of a full np.linalg.eigh of the
-    same dense matrix."""
+    Kronecker form of the same product matrix."""
     n_fock, n_qubit = spec.dims
     energies, vectors = np.linalg.eigh(
-        coupled._assemble(spec.coupling, n_fock, n_qubit))
+        kron_product_hamiltonian(spec.coupling.truncated(n_fock, n_qubit)))
     return dataclasses.replace(spec, energies=energies, vectors=vectors)
 
 
@@ -418,13 +421,13 @@ def test_matrix_free_planewave_matches_dense_oracle(gauge, lc, phix):
 ])
 def test_banded_levels_reject_table_without_quadrature_symmetry(
         monkeypatch, parts20, gauge, table, tilt):
-    # the band stores only the upper blocks c X[m, m+1] K, and the dense
-    # solvers read only the lower triangle; either determines the symmetric
+    # the band stores only the upper blocks c X[m, m+1] K, and the states
+    # call solves only its upper triangle; either determines the symmetric
     # matrix only if K is symmetric with a + a' and antisymmetric with
     # a - a', so every eigenbasis solve refuses a tilted K
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
-    for solve in (coupled_levels, coupled.dense_levels,
+    for solve in (coupled_levels,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
         with pytest.raises(EigensolveError, match="symmetry"):
             solve(gauge, parts20.raw, 6, 40)
@@ -433,14 +436,14 @@ def test_banded_levels_reject_table_without_quadrature_symmetry(
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_both_matrix_forms_reject_quadrature_beyond_neighbours(parts20,
                                                               gauge):
-    # both forms write only the blocks c X[m, m +- 1] K, so an X with any
-    # other entry is refused before it is written
+    # the band, which the levels call solves and the states call copies,
+    # holds only the blocks c X[m, m + 1] K, so an X with any other entry
+    # is refused before it is written
     coupling = circuit_coupling(gauge, parts20.raw)
     osc = coupling.osc_elements + np.eye(len(coupling.osc_elements))
     bad = dataclasses.replace(coupling, osc_elements=osc)
-    for form in (coupled._band, coupled._assemble):
-        with pytest.raises(EigensolveError, match="first off-diagonals"):
-            form(bad, 6, 4)
+    with pytest.raises(EigensolveError, match="first off-diagonals"):
+        coupled._band(bad, 6, 4)
 
 
 def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):

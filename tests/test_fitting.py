@@ -151,17 +151,51 @@ def test_self_fit_recovers_generating_parameters(variant, omega, delta_q, ip,
     assert result.params.variant == variant
 
 
-def test_n_eval_counts_every_residual_evaluation(solves):
+def test_n_eval_counts_every_residual_evaluation(monkeypatch, solves):
+    jacobian_solves = []
+    hamiltonian = fitting.rabi_hamiltonian
+
+    def counted(*args):
+        jacobian_solves.append(args)
+        return hamiltonian(*args)
+
+    monkeypatch.setattr(fitting, "rabi_hamiltonian", counted)
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(3)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
     start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.45)
     solves.clear()
     result = fit_rabi(GRID, pairs, table, start, n_fock=16)
-    calls = len(solves)
-    # one model solve per bias point per evaluation, finite-difference
-    # Jacobian columns included, plus the reported ground residual's pass
-    assert calls == result.n_eval * len(GRID) + len(GRID)
+    # one model solve per bias point per evaluation, plus the reported
+    # ground residual's pass; the Jacobian takes one eigh per bias point
+    # per evaluation, at least one in each of the two runs
+    assert len(solves) == result.n_eval * len(GRID) + len(GRID)
+    assert len(jacobian_solves) == result.n_jac * len(GRID)
+    assert 2 <= result.n_jac <= result.n_eval
+
+
+@pytest.mark.parametrize("variant", ["flux", "charge"])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(omega=st.floats(4.0, 8.0), delta_q=st.floats(0.5, 3.0),
+       ip=st.floats(250.0, 300.0), ratio=st.floats(0.02, 1.5),
+       n_fock=st.integers(16, 30))
+def test_exact_jacobian_matches_central_differences(variant, omega, delta_q,
+                                                    ip, ratio, n_fock):
+    # a wrong sign, structure matrix or d eps / d Ip factor is off by the
+    # derivative itself, far outside the differences' error
+    params = RabiParams(omega=omega, Delta_q=delta_q, Ip=ip, g=ratio * omega,
+                        variant=variant)
+    pairs = fit_transition_pairs(3)
+    jac = fitting._pair_jacobian(params, GRID, pairs, n_fock)
+    for k, name in enumerate(fitting.PARAM_NAMES):
+        value = getattr(params, name)
+        step = 1e-5 * value
+        up, down = (model_pair_table(
+            dataclasses.replace(params, **{name: value + sign * step}),
+            GRID, pairs, n_fock) for sign in (1.0, -1.0))
+        central = (up - down) / (2.0 * step)
+        scale = np.abs(central).max()
+        assert np.abs(jac[:, :, k] - central).max() <= 1e-6 * scale, name
 
 
 def test_fit_stable_under_last_bit_data_changes():

@@ -35,3 +35,10 @@ def test_run_synopsis_flags_match_parser():
              for flag in action.option_strings
              if flag.startswith("--") and flag != "--help"}
     assert set(re.findall(r"--[a-z-]+", synopsis)) == flags
+
+
+def test_library_example_runs():
+    block = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["converged"] and namespace["result"].converged

@@ -12,6 +12,7 @@ import pytest
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import NumericsConfig, reference_config
+from fluxrabi.coupled import coupled_levels
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.tasks import (
@@ -26,8 +27,6 @@ from fluxrabi.tasks import (
     task_regression,
     write_outputs,
 )
-
-from oracles import complex_eigenbasis_hamiltonian
 
 
 def small_config(**kwargs):
@@ -159,16 +158,14 @@ def test_perturbative_rows_independent_of_eigenbasis_truncation(lc):
 
 
 @pytest.mark.parametrize("gauge", GAUGES)
-def test_level_rows_are_dense_eigh_levels(gauge):
-    # _level_rows is the rabi-fit and regression fit data; the fit is
-    # determined only to about 1e-7 relative, so its levels stay bit for
-    # bit those of eigh on the dense assembly, not of the banded levels call
+def test_level_rows_are_banded_levels(gauge):
+    # _level_rows is the circuit-spectrum data and the rabi-fit and
+    # regression fit data: bit for bit the banded levels call
     raw = replace(reference_config(lc=350.0).circuit, phix=0.497)
     num = NumericsConfig(n_qubit=8, n_fock=60)
     rows = tasks._level_rows(gauge, raw, num)
     levels = [r[3] for r in rows if r[1].startswith("energy_level_")]
-    ref = complex_eigenbasis_hamiltonian(gauge, raw, 8, 60, n_table=8)
-    expected = np.linalg.eigh(ref.real)[0][:8]
+    expected = coupled_levels(gauge, raw, 8, 60).energies
     assert levels == [float(e) for e in expected]
 
 
@@ -189,8 +186,8 @@ def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
     # every fit converges
     def converged_fit(grid, pairs, table, initial):
         return RabiFitResult(params=initial, residual_mhz2=0.0,
-                             objective_mhz2=0.0, n_eval=0, converged=True,
-                             restart_spread=0.0)
+                             objective_mhz2=0.0, n_eval=0, n_jac=0,
+                             converged=True, restart_spread=0.0)
 
     monkeypatch.setattr(tasks, "fit_rabi", converged_fit)
     numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40)
