@@ -32,12 +32,10 @@ from .planewave import (
     diagonalize_flux_qubit,
 )
 from .qubit import (
-    QubitMatrixElements,
     TwoLevelFit,
     TwoLevelFitError,
     characterize_qubit,
     fit_two_level,
-    matrix_elements,
 )
 from .rabi import RabiParams, map_circuit_to_rabi, rabi_hamiltonian
 from .tasks import TASKS, run
@@ -56,7 +54,6 @@ __all__ = [
     "PACKAGE_VERSION",
     "PlaneWaveBasis",
     "ProductCoupling",
-    "QubitMatrixElements",
     "RabiFitResult",
     "RabiParams",
     "RawCircuit",
@@ -80,7 +77,6 @@ __all__ = [
     "ground_residual_mhz2",
     "load_config",
     "map_circuit_to_rabi",
-    "matrix_elements",
     "model_pair_table",
     "observables",
     "rabi_hamiltonian",

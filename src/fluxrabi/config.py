@@ -100,6 +100,15 @@ class RunConfig:
         for task in self.tasks:
             if task not in TASK_NAMES:
                 raise ConfigError(f"unknown task {task!r}; known: {TASK_NAMES}")
+        num = self.numerics
+        # regression fits transitions up to level N_COUPLED_LEVELS - 1, and
+        # perturbation reads |1,g> and |1,e> at indices 2 and 3
+        if ("regression" in self.tasks
+                and num.n_qubit * num.n_fock < N_COUPLED_LEVELS):
+            raise ConfigError("regression needs n_qubit * n_fock >= "
+                              f"{N_COUPLED_LEVELS}")
+        if "perturbation" in self.tasks and min(num.n_qubit, num.n_fock) < 2:
+            raise ConfigError("perturbation needs n_qubit >= 2 and n_fock >= 2")
         try:
             self.circuits()
         except ValueError as exc:

@@ -19,10 +19,13 @@ Two constructions of the same spectrum:
 Both builds take (gauge, raw) and read the node parameters, zero-point
 scales and coupling strengths of the gauge from circuit.gauge_circuit; the
 gauge only chooses operators here.  In the eigenbasis the coupling
-factorizes as c X (x) K; circuit_coupling builds that ProductCoupling once
-per bias point, and the eigenbasis builds, the perturbation sums and the
-observables all read slices of it.  truncation_check compares two levels
-calls, the second at both truncations doubled.
+factorizes as c X (x) K, with X a real quadrature and K a real qubit table
+(the phase table, or B of <j|n|i> = 1j B), taken as qubit.phase_matrix and
+qubit.number_matrix return them; circuit_coupling builds that
+ProductCoupling once per bias point, and the eigenbasis builds, the
+perturbation sums and the observables all read slices of it.
+truncation_check compares two levels calls, the second at both
+truncations doubled.
 """
 
 from __future__ import annotations
@@ -65,10 +68,10 @@ class ProductCoupling:
 
     X is the real oscillator quadrature on Fock states (a + a' in the flux
     gauge, a - a' in the charge gauge) and K the real qubit element table
-    (<j|phase|i>, or the imaginary part B of <j|n|i> = 1j B, so that
-    -1j (a - a') (x) 1j B = (a - a') (x) B).  omega is the bare oscillator
-    frequency of the gauge; qubit_phase is <j|phase|i>, read by
-    observables().
+    as qubit.phase_matrix or qubit.number_matrix returns it (<j|phase|i>,
+    or B with <j|n|i> = 1j B, so that -1j (a - a') (x) 1j B =
+    (a - a') (x) B).  omega is the bare oscillator frequency of the gauge;
+    qubit_phase is <j|phase|i>, read by observables().
     """
 
     strength: float
@@ -140,22 +143,6 @@ def ladder_sum(n_fock: int) -> np.ndarray:
     return ladder + ladder.T
 
 
-def _checked_part(elems: np.ndarray, part: str) -> np.ndarray:
-    """The real or imaginary part of a qubit element table, as float64.
-
-    The plane-wave phase convention makes phase elements real and number
-    elements purely imaginary; the other part must vanish to 1e-12 of the
-    elements' scale, so dropping it leaves the real Hamiltonian equal to
-    the complex one.
-    """
-    kept, dropped = ((elems.real, elems.imag) if part == "real"
-                     else (elems.imag, elems.real))
-    scale = max(float(np.abs(elems).max()), 1e-30)
-    if np.abs(dropped).max() > 1e-12 * scale:
-        raise EigensolveError(f"qubit element table is not purely {part}")
-    return kept
-
-
 def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
                      n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
@@ -170,13 +157,12 @@ def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
             f"{QUBIT_LEVEL_LIMIT}")
     qubit_spectrum = diagonalize_flux_qubit(*circuit.qubit_node, raw.phix,
                                             PlaneWaveBasis.for_qubit())
-    phase = _checked_part(phase_matrix(qubit_spectrum, n_levels), "real")
+    phase = phase_matrix(qubit_spectrum, n_levels)
     ladder = annihilation(n_fock)
     if gauge == "flux":
         osc, qub = ladder + ladder.T, phase
     else:
-        osc = ladder - ladder.T
-        qub = _checked_part(number_matrix(qubit_spectrum, n_levels), "imaginary")
+        osc, qub = ladder - ladder.T, number_matrix(qubit_spectrum, n_levels)
     return ProductCoupling(
         strength=circuit.strength, osc_elements=osc, qubit_elements=qub,
         omega=circuit.omega, qubit_energies=qubit_spectrum.energies[:n_levels],
@@ -332,11 +318,12 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
         H_osc X + X H_qub' - c (k1 k2') o X      (flux gauge)
         H_osc X + X H_qub' + c A1 X A2'         (charge gauge)
 
-    with k1, k2 the diagonal flux operators and 1j A1, 1j A2 the
-    imaginary charge kernels, so that -c (1j A1) (x) (1j A2) = c A1 (x) A2
-    and the operator is real symmetric.  Each node Hamiltonian is checked
-    Hermitian and each A antisymmetric; a solve that does not converge
-    raises EigensolveError.  Returns the levels ascending.
+    with k1, k2 the diagonal flux operators and A1, A2 the real
+    antisymmetric charge kernels of planewave.linear_kernel (n = 1j A), so
+    that -c (1j A1) (x) (1j A2) = c A1 (x) A2 and the operator is real
+    symmetric.  Each node Hamiltonian is checked Hermitian and each A
+    antisymmetric; a solve that does not converge raises EigensolveError.
+    Returns the levels ascending.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -355,8 +342,8 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
         def coupling(x):
             return -c * (k12 * x)
     else:
-        a1 = linear_kernel(basis_osc).imag
-        a2 = linear_kernel(basis_qubit).imag
+        a1 = linear_kernel(basis_osc)
+        a2 = linear_kernel(basis_qubit)
         # 1j A is Hermitian exactly when the real A is antisymmetric
         check_hermitian(1j * a1, "oscillator charge kernel")
         check_hermitian(1j * a2, "qubit charge kernel")

@@ -14,7 +14,10 @@ The kernels have closed forms; for dk = m pi / n_max:
     f_0(n^2) = n_max^2 / 3,   f_dk(n^2) = 2 (-1)^m n_max^2 / (m pi)^2,
     f_0(n)   = 0,             f_dk(n)   = 1j (-1)^m n_max / (m pi).
 
-Eigensolves are dense and return all levels of the chosen basis.
+The n kernel is purely imaginary, so linear_kernel returns the real
+antisymmetric A with n = 1j A.  Both node Hamiltonians are real symmetric;
+eigensolves are dense, return all levels of the chosen basis, and give
+real eigenvectors.
 """
 
 from __future__ import annotations
@@ -85,11 +88,10 @@ class PlaneWaveBasis:
 class SubsystemSpectrum:
     """Eigenlevels and plane-wave coefficients of a single node.
 
-    energies are in GHz, ascending.  coefficients[i] is the unit-norm
-    coefficient vector of level i over basis.wave_numbers; its phase is fixed
-    so the largest-magnitude coefficient is real and positive, which makes
-    phase (flux) matrix elements real and charge matrix elements purely
-    imaginary.
+    energies are in GHz, ascending.  coefficients[i] is the real unit-norm
+    coefficient vector of level i over basis.wave_numbers, sign fixed so
+    its largest-magnitude coefficient is positive.  Phase (flux) matrix
+    elements are then real and charge matrix elements purely imaginary.
     """
 
     energies: np.ndarray
@@ -108,13 +110,14 @@ def quadratic_kernel(basis: PlaneWaveBasis) -> np.ndarray:
     return out
 
 def linear_kernel(basis: PlaneWaveBasis) -> np.ndarray:
-    """Toeplitz matrix of f_{k-k'}(n), the n operator; purely imaginary."""
+    """The real antisymmetric A whose 1j A is the Toeplitz matrix of
+    f_{k-k'}(n), the n operator."""
     idx = basis.wave_indices
     m = idx[:, None] - idx[None, :]
-    out = np.zeros(m.shape, dtype=complex)
+    out = np.zeros(m.shape)
     nz = m != 0
     sign = np.where(m[nz] % 2 == 0, 1.0, -1.0)
-    out[nz] = 1j * sign * basis.n_max / (m[nz] * math.pi)
+    out[nz] = sign * basis.n_max / (m[nz] * math.pi)
     return out
 
 
@@ -141,17 +144,11 @@ def check_hermitian(h: np.ndarray, what: str) -> None:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive.
-
-    Ties go to the first such entry, as np.argmax breaks them.  The
-    modulus of that entry is np.hypot of its parts, which is bit for bit
-    the scalar abs() of a complex entry; np.abs on a complex array rounds
-    differently.
-    """
-    out = vectors.astype(complex)
-    z = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
-    out *= z.conjugate() / np.hypot(z.real, z.imag)
-    return out
+    """Flip the sign of each real column whose largest-magnitude entry is
+    negative; ties go to the first such entry, as np.argmax breaks them."""
+    peak = vectors[np.argmax(np.abs(vectors), axis=0),
+                   np.arange(vectors.shape[1])]
+    return vectors * np.where(peak < 0.0, -1.0, 1.0)
 
 
 def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
@@ -164,7 +161,7 @@ def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
     except np.linalg.LinAlgError as err:
         raise EigensolveError(f"qubit eigensolve failed: {err}") from err
     coeffs = _fix_phases(vectors).T
-    edge = np.abs(coeffs[0, 0]) ** 2 + np.abs(coeffs[0, -1]) ** 2
+    edge = coeffs[0, 0] ** 2 + coeffs[0, -1] ** 2
     if edge > EDGE_WEIGHT_LIMIT:
         warnings.warn(
             f"qubit ground state has weight {edge:.2e} on the outermost "

@@ -10,6 +10,10 @@ and the ground/excited diagonal flux elements follow
 plane-wave levels yields the qubit parameters (Delta_q, Ip, Phi2max) of the
 two-level model; q2max is the magnitude of the off-diagonal charge element
 at the symmetry point.
+
+The qubit eigenvectors are real, so both element tables are real: the
+symmetric Phi[j, i] = <j|phase|i> and the antisymmetric B with
+<j|n|i> = 1j B[j, i].
 """
 
 from __future__ import annotations
@@ -53,46 +57,19 @@ class TwoLevelFit:
     q2max: float | None = None
 
 
-@dataclass(frozen=True)
-class QubitMatrixElements:
-    """Flux and charge matrix elements against the two lowest levels.
-
-    flux_elems[j, i] = <j|Phi2|i> in Phi0 units and charge_elems[j, i] =
-    <j|q2|i> in 2e units for i in (g, e) and j over the tabulated levels.
-    With the plane-wave phase convention the flux table is real and the
-    charge table purely imaginary.
-    """
-
-    flux_elems: np.ndarray
-    charge_elems: np.ndarray
-
-
 def phase_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
-    """<j|phase|i> over the lowest levels; phase = 2 pi Phi2 / Phi0."""
+    """Phi[j, i] = <j|phase|i> over the lowest levels, real symmetric;
+    phase = 2 pi Phi2 / Phi0."""
     coeffs = spectrum.coefficients[:n_levels]
     k = spectrum.basis.wave_numbers
-    return np.conj(coeffs) @ (coeffs * k).T
+    return coeffs @ (coeffs * k).T
 
 
 def number_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
-    """<j|n|i> over the lowest levels; n is the charge in 2e units."""
+    """B over the lowest levels, real antisymmetric, with <j|n|i> =
+    1j B[j, i]; n is the charge in 2e units."""
     coeffs = spectrum.coefficients[:n_levels]
-    n_op = linear_kernel(spectrum.basis)
-    return np.conj(coeffs) @ n_op @ coeffs.T
-
-
-def matrix_elements(spectrum: SubsystemSpectrum,
-                    n_levels: int = 6) -> QubitMatrixElements:
-    """Tabulate <j|Phi2|i> (Phi0 units) and <j|q2|i> (2e units), i in (g, e)."""
-    phase = phase_matrix(spectrum, n_levels)
-    number = number_matrix(spectrum, n_levels)
-    for full, name in ((phase, "phase"), (number, "number")):
-        if np.abs(full - full.conj().T).max() > 1e-10 * max(np.abs(full).max(), 1e-30):
-            raise TwoLevelFitError(f"{name} element table is not Hermitian")
-    return QubitMatrixElements(
-        flux_elems=phase[:, :2] / (2.0 * math.pi),
-        charge_elems=number[:, :2],
-    )
+    return coeffs @ linear_kernel(spectrum.basis) @ coeffs.T
 
 
 def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelFit:
@@ -139,8 +116,8 @@ def extract_phi2max(phix: np.ndarray, flux_gg: np.ndarray, flux_ee: np.ndarray,
     denom = float(x @ x)
     if denom == 0.0:
         raise TwoLevelFitError("bias grid does not resolve the flux dispersion")
-    from_g = -float(x @ np.real(flux_gg)) / denom
-    from_e = float(x @ np.real(flux_ee)) / denom
+    from_g = -float(x @ flux_gg) / denom
+    from_e = float(x @ flux_ee) / denom
     scale = 0.5 * (from_g + from_e)
     if abs(from_g - from_e) > 0.01 * abs(scale):
         raise TwoLevelFitError(
@@ -164,8 +141,8 @@ def characterize_qubit(ecj: float, ej: float, elfq: float) -> TwoLevelFit:
         phase = phase_matrix(spectrum, 2)
         e0.append(spectrum.energies[0])
         e1.append(spectrum.energies[1])
-        gg.append(phase[0, 0].real / (2.0 * math.pi))
-        ee.append(phase[1, 1].real / (2.0 * math.pi))
+        gg.append(phase[0, 0] / (2.0 * math.pi))
+        ee.append(phase[1, 1] / (2.0 * math.pi))
     fit = fit_two_level(PHIX_FIT_GRID, np.array(e0), np.array(e1))
     phi2max = extract_phi2max(PHIX_FIT_GRID, np.array(gg), np.array(ee), fit)
     symmetric = diagonalize_flux_qubit(ecj, ej, elfq, 0.5, basis)

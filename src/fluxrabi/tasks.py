@@ -38,7 +38,7 @@ from .fitting import fit_rabi, fit_transition_pairs, model_pair_table
 from .perturbation import first_order_shift, second_order_table
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
-                    matrix_elements)
+                    number_matrix, phase_matrix)
 from .rabi import RabiParams, map_circuit_to_rabi
 
 SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
@@ -202,14 +202,15 @@ def _observable_rows(gauge, raw, num):
 
 
 def _matrix_element_rows(gauge, raw, num):
-    elems = matrix_elements(_qubit_solve(raw), 3)
-    flux_re, charge_im = np.real(elems.flux_elems), np.imag(elems.charge_elems)
+    spec = _qubit_solve(raw)
+    phase, number = phase_matrix(spec, 3), number_matrix(spec, 3)
     out = []
     for j in range(3):
         for i in range(2):
             tag = f"{QUBIT_LEVEL_TAGS[j]}{QUBIT_LEVEL_TAGS[i]}"
-            out.append(("planewave", f"flux_elem_{tag}", "", flux_re[j, i], "Phi0"))
-            out.append(("planewave", f"charge_elem_im_{tag}", "", charge_im[j, i],
+            out.append(("planewave", f"flux_elem_{tag}", "",
+                        phase[j, i] / (2.0 * math.pi), "Phi0"))
+            out.append(("planewave", f"charge_elem_im_{tag}", "", number[j, i],
                         "2e"))
     return out
 
@@ -252,9 +253,9 @@ def _wavefunction_rows(gauge, raw, num):
     for i in range(N_QUBIT_LEVELS):
         for kk, a in zip(spec.basis.wave_numbers, spec.coefficients[i]):
             out.append(("planewave", f"state_{i}_amplitude_real", float(kk),
-                        float(np.real(a)), "1"))
+                        float(a), "1"))
             out.append(("planewave", f"state_{i}_prob", float(kk),
-                        float(np.abs(a) ** 2), "1"))
+                        float(a * a), "1"))
     return out
 
 

@@ -109,8 +109,9 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
 
     The coupling enters as written in the physics, (a + a') (x) <j|phase|i>
     in the flux gauge and -1j (a - a') (x) <j|n|i> in the charge gauge,
-    with the complex element tables of the lowest n_table qubit levels and
-    no claim about which part of them vanishes.  Reference for the real
+    with the element tables of the lowest n_table qubit levels lifted to
+    their complex forms, Phi + 0j and <j|n|i> = 1j B, and no claim about
+    which part of the product vanishes.  Reference for the real
     assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
     cover the lowest max(2 n_qubit, 6) levels of its first truncation.
 
@@ -149,7 +150,10 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
                     if coupled else 0.0)
         l_fq = 1.0 / (1.0 / (num / raw.L1) + 1.0 / l12)
         elfq = inductive_energy_ghz(l_fq * PH)
-        table, osc = phase_matrix, ladder_sum(n_fock)
+        osc = ladder_sum(n_fock)
+
+        def table(spectrum, n):
+            return phase_matrix(spectrum, n) + 0j
     else:
         inv_c = 1.0 / (raw.C * PF) + (l_lc / l12) ** 2 / (raw.CJ * FF)
         c_prime = 1.0 / inv_c / PF * PF
@@ -160,7 +164,10 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
                     / ((raw.CJ * FF) * (l12 * PH) * CONSTANTS.h * GHZ)
                     if coupled else 0.0)
         elfq = inductive_energy_ghz((raw.Lc + raw.L2) * PH)
-        table, osc = number_matrix, ladder_difference(n_fock)
+        osc = ladder_difference(n_fock)
+
+        def table(spectrum, n):
+            return 1j * number_matrix(spectrum, n)
     spectrum = diagonalize_flux_qubit(charging_energy_ghz(raw.CJ * FF), raw.EJ,
                                       elfq, raw.phix, PlaneWaveBasis.for_qubit())
     elems = table(spectrum, n_table)
@@ -174,8 +181,9 @@ def dense_planewave_hamiltonian(gauge, raw):
 
     64 oscillator times 32 qubit waves (dimension 2048), oscillator-major:
     H_osc (x) 1 + 1 (x) H_qub, minus c diag(k1) (x) diag(k2) in the flux
-    gauge, plus c A1 (x) A2 in the charge gauge, with 1j A the charge
-    kernel of each node.  Reference for the matrix-free operator of
+    gauge, minus c n1 (x) n2 in the charge gauge, with n = 1j A the complex
+    charge kernel of each node (so the charge-gauge matrix is complex
+    Hermitian).  Reference for the matrix-free operator of
     fluxrabi.coupled.build_coupled_planewave.
     """
     from fluxrabi.circuit import gauge_circuit
@@ -194,10 +202,9 @@ def dense_planewave_hamiltonian(gauge, raw):
                        np.diag(basis_qubit.wave_numbers))
         h -= circuit.node_coupling * term
     else:
-        # -(coef) (1j a1) (x) (1j a2) = +coef a1 (x) a2
-        term = np.kron(linear_kernel(basis_osc).imag,
-                       linear_kernel(basis_qubit).imag)
-        h += circuit.node_coupling * term
+        term = np.kron(1j * linear_kernel(basis_osc),
+                       1j * linear_kernel(basis_qubit))
+        h = h - circuit.node_coupling * term
     return h
 
 
@@ -220,15 +227,15 @@ def kron_product_hamiltonian(coupling):
 
 
 def fix_phases_loop(vectors):
-    """Column-by-column phase fix: rotate each column so its
-    largest-magnitude entry (the first, on a tie) is real positive.
+    """Column-by-column sign fix: negate each real column whose
+    largest-magnitude entry (the first, on a tie) is negative.
 
     Reference for the vectorized fluxrabi.planewave._fix_phases, which must
     equal it bit for bit.
     """
-    out = vectors.astype(complex)
+    out = vectors.copy()
     for col in range(out.shape[1]):
         i = int(np.argmax(np.abs(out[:, col])))
-        z = out[i, col]
-        out[:, col] *= z.conjugate() / abs(z)
+        if out[i, col] < 0.0:
+            out[:, col] = -out[:, col]
     return out

@@ -221,6 +221,41 @@ def test_malformed_values_rejected(section, key, value, match):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("task, n_qubit, n_fock, match", [
+    # the regression fit 7 reads coupled levels 0 .. 7
+    ("regression", 1, 6, "regression"),
+    ("regression", 7, 1, "regression"),
+    # perturbation reads |1,g> and |1,e> at indices 2 and 3; with one
+    # qubit level they are |2,g> and |3,g>, with one Fock state absent
+    ("perturbation", 1, 3, "perturbation"),
+    ("perturbation", 1, 8, "perturbation"),
+    ("perturbation", 8, 1, "perturbation"),
+])
+def test_truncation_too_small_for_task_rejected(task, n_qubit, n_fock, match):
+    doc = minimal_doc()
+    doc["tasks"] = [task]
+    doc["numerics"] = {"n_qubit": n_qubit, "n_fock": n_fock,
+                       "fit_levels": 1, "n_states": 1}
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
+    # the same truncation is fine for a task that reads no such state
+    doc["tasks"] = ["qubit-spectrum"]
+    assert parse_config(doc).numerics.n_qubit == n_qubit
+
+
+@pytest.mark.parametrize("task, n_qubit, n_fock", [
+    ("regression", 1, 8),
+    ("regression", 2, 4),
+    ("perturbation", 2, 2),
+])
+def test_smallest_truncation_for_task_accepted(task, n_qubit, n_fock):
+    doc = minimal_doc()
+    doc["tasks"] = [task]
+    doc["numerics"] = {"n_qubit": n_qubit, "n_fock": n_fock,
+                       "fit_levels": 1, "n_states": 1}
+    assert parse_config(doc).tasks == (task,)
+
+
 def test_overrides_and_workers():
     cfg = parse_config(minimal_doc(), output_override="elsewhere",
                        tasks_override=["rabi-map"], workers=3)

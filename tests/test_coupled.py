@@ -417,7 +417,7 @@ def test_matrix_free_planewave_matches_dense_oracle(gauge, lc, phix):
     ("flux", "phase_matrix",
      lambda m: m + 1e-9 * np.abs(m).max() * np.triu(np.ones(m.shape), 1)),
     ("charge", "number_matrix",
-     lambda m: m + 1e-9j * np.abs(m).max() * np.ones(m.shape)),
+     lambda m: m + 1e-9 * np.abs(m).max() * np.ones(m.shape)),
 ])
 def test_banded_levels_reject_table_without_quadrature_symmetry(
         monkeypatch, parts20, gauge, table, tilt):
@@ -471,7 +471,8 @@ def _tilted(m):
 @pytest.mark.parametrize("gauge, factor, tilt, what", [
     ("flux", "oscillator_hamiltonian", _tilted, "oscillator Hamiltonian"),
     ("charge", "qubit_hamiltonian", _tilted, "qubit Hamiltonian"),
-    ("charge", "linear_kernel", lambda m: m + 1e-6j * np.ones(m.shape),
+    # a symmetric part in the real A breaks the Hermiticity of n = 1j A
+    ("charge", "linear_kernel", lambda m: m + 1e-6 * np.ones(m.shape),
      "charge kernel"),
 ])
 def test_planewave_factors_checked(monkeypatch, parts20, gauge, factor, tilt,
@@ -498,13 +499,12 @@ def test_planewave_solver_failure_raises_eigensolve_error(monkeypatch,
 
 
 @pytest.mark.parametrize("gauge, table, tilt", [
-    ("flux", "phase_matrix", lambda m: m * np.exp(0.3j)),
     ("charge", "number_matrix", lambda m: m + 1e-3 * np.abs(m).max()),
 ])
 def test_non_real_qubit_elements_rejected(monkeypatch, parts20, gauge, table,
                                           tilt):
-    # the real assembly drops the part of each table the phase convention
-    # zeroes; a table that breaks the convention must not be truncated
+    # a real charge table with a symmetric part is not 1j times a Hermitian
+    # operator's B; it must not be truncated into the product matrix
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
     p = parts20

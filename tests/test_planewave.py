@@ -44,24 +44,28 @@ def test_wave_numbers_symmetric_range():
 def test_closed_form_kernels_match_dft():
     basis = PlaneWaveBasis(n_max=8.0, n_waves=32)
     fine = 16 * 32
+    def charge_kernel(b):
+        return 1j * linear_kernel(b)
+
     # the DFT route carries aliasing error that shrinks with the grid
-    for power, kernel in ((2, quadratic_kernel), (1, linear_kernel)):
+    for power, kernel in ((2, quadratic_kernel), (1, charge_kernel)):
         coarse_err = np.abs(kernel(basis) - kernel_via_dft(basis, power)).max()
         fine_err = np.abs(kernel(basis)
                           - kernel_via_dft(basis, power, fine)).max()
         assert fine_err < coarse_err
     assert np.abs(quadratic_kernel(basis)
                   - kernel_via_dft(basis, 2, fine)).max() < 5e-4
-    assert np.abs(linear_kernel(basis)
+    assert np.abs(charge_kernel(basis)
                   - kernel_via_dft(basis, 1, fine)).max() < 5e-2
 
 
 def test_kernels_hermitian():
     basis = PlaneWaveBasis(n_max=8.0, n_waves=32)
     q = quadratic_kernel(basis)
-    l = linear_kernel(basis)
+    a = linear_kernel(basis)
     assert np.abs(q - q.T).max() == 0.0
-    assert np.abs(l - l.conj().T).max() == 0.0
+    # n = 1j A is Hermitian exactly when the real A is antisymmetric
+    assert np.abs(a + a.T).max() == 0.0
 
 
 def test_oscillator_reproduces_harmonic_ladder():
@@ -99,16 +103,14 @@ def test_phase_convention_fixes_coefficients():
                                   PlaneWaveBasis.for_qubit())
     for i in range(4):
         coeff = spec.coefficients[i]
-        peak = coeff[np.argmax(np.abs(coeff))]
-        assert abs(peak.imag) < 1e-12
-        assert peak.real > 0.0
+        assert coeff[np.argmax(np.abs(coeff))] > 0.0
 
 
 def test_vectorized_phase_fix_equals_column_loop():
-    # same per-element operations as the column loop, so the same bits:
-    # on real qubit eigenvectors of both gauges' qubit nodes, and on
-    # columns whose largest-magnitude entry is negative, complex, or tied
-    # (a tie goes to the first entry, as np.argmax breaks it)
+    # a sign flip per column, bit for bit the column loop's: on the real
+    # qubit eigenvectors of both gauges' qubit nodes, and on columns whose
+    # largest-magnitude entry is negative or tied (a tie goes to the first
+    # entry, as np.argmax breaks it)
     basis = PlaneWaveBasis.for_qubit()
     for lc in (20.0, 350.0):
         for phix in (0.494, 0.5, 0.503):
@@ -119,20 +121,20 @@ def test_vectorized_phase_fix_equals_column_loop():
                 assert (_fix_phases(vectors).tobytes()
                         == fix_phases_loop(vectors).tobytes())
     columns = np.array([
-        [0.3, -0.9, 0.2],               # negative peak
-        [0.1 + 0.2j, -0.6 + 0.7j, 0.3],  # complex peak
-        [0.5, -0.5j, 0.5],              # peaks tied in magnitude
-        [-0.5, 0.5, 0.1j],              # tied, the first one negative
+        [0.3, -0.9, 0.2],    # negative peak
+        [0.6, -0.7, 0.3],    # negative peak, no tie
+        [0.5, -0.5, 0.5],    # peaks tied in magnitude, the first positive
+        [-0.5, 0.5, 0.1],    # tied, the first one negative
     ]).T
     rng = np.random.default_rng(7)
-    noise = (rng.standard_normal((9, 5))
-             + 1j * rng.standard_normal((9, 5))) * 10.0 ** rng.uniform(-6, 6)
+    noise = rng.standard_normal((9, 5)) * 10.0 ** rng.uniform(-6, 6)
     for vectors in (columns, noise):
         fixed = _fix_phases(vectors)
         assert fixed.tobytes() == fix_phases_loop(vectors).tobytes()
     fixed = _fix_phases(columns)
-    assert fixed[1, 0] == 0.9 and fixed[0, 2] == 0.5 and fixed[0, 3] == 0.5
-    assert fixed[1, 2] == -0.5j and fixed[1, 3] == -0.5
+    assert fixed[1, 0] == 0.9 and fixed[1, 1] == 0.7
+    assert fixed[0, 2] == 0.5 and fixed[1, 2] == -0.5
+    assert fixed[0, 3] == 0.5 and fixed[1, 3] == -0.5
 
 
 def test_charge_wavefunction_normalized():

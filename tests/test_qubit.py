@@ -1,18 +1,25 @@
 """Two-level reduction of the qubit node and its matrix elements."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import hyperbola_levels
 from fluxrabi.constants import CONSTANTS
-from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
+from fluxrabi.coupled import circuit_coupling
+from fluxrabi.planewave import (EDGE_WEIGHT_LIMIT, PlaneWaveBasis,
+                                diagonalize_flux_qubit, linear_kernel)
 from fluxrabi.qubit import (
     TwoLevelFit,
     TwoLevelFitError,
     characterize_qubit,
     extract_phi2max,
     fit_two_level,
-    matrix_elements,
+    number_matrix,
+    phase_matrix,
 )
 
 from conftest import circuit_parts
@@ -74,19 +81,59 @@ def test_matrix_element_tables_follow_phase_convention(parts20):
     p = parts20
     spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                   PlaneWaveBasis.for_qubit())
-    elems = matrix_elements(spec, n_levels=4)
-    assert np.abs(np.imag(elems.flux_elems)).max() < 1e-10
-    assert np.abs(np.real(elems.charge_elems)).max() < 1e-10
+    phase = phase_matrix(spec, 4)
+    number = number_matrix(spec, 4)
+    # <j|phase|i> is real symmetric and <j|n|i> = 1j B with B real
+    # antisymmetric, so both operators are Hermitian
+    assert np.abs(phase - phase.T).max() < 1e-10 * np.abs(phase).max()
+    assert np.abs(number + number.T).max() < 1e-10 * np.abs(number).max()
     # symmetric bias point: diagonal flux elements of g and e cancel
-    assert abs(elems.flux_elems[0, 0] + elems.flux_elems[1, 1]) < 1e-6
+    assert abs(phase[0, 0] + phase[1, 1]) / (2.0 * math.pi) < 1e-6
 
 
 def test_diagonal_flux_elements_split_off_symmetry(parts20):
     p = parts20
     spec = diagonalize_flux_qubit(*p.flux.qubit_node,
                                   0.503, PlaneWaveBasis.for_qubit())
-    elems = matrix_elements(spec, n_levels=2)
-    gg = float(np.real(elems.flux_elems[0, 0]))
-    ee = float(np.real(elems.flux_elems[1, 1]))
+    phase = phase_matrix(spec, 2) / (2.0 * math.pi)
+    gg, ee = float(phase[0, 0]), float(phase[1, 1])
     assert gg < 0.0 < ee
     assert abs(gg + ee) < 0.01 * abs(ee)
+
+
+def test_qubit_layer_is_real(parts20):
+    # the qubit eigenvectors, both element tables, the charge kernel and
+    # every table of the product coupling are float64, not complex
+    p = parts20
+    basis = PlaneWaveBasis.for_qubit()
+    spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.503, basis)
+    tables = [spec.coefficients, phase_matrix(spec, 6),
+              number_matrix(spec, 6), linear_kernel(basis)]
+    for gauge in ("flux", "charge"):
+        coupling = circuit_coupling(gauge, p.raw)
+        tables += [coupling.osc_elements, coupling.qubit_elements,
+                   coupling.qubit_energies, coupling.qubit_phase]
+    assert [t.dtype for t in tables] == [np.float64] * len(tables)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ecj=st.floats(2.0, 10.0), ej=st.floats(80.0, 280.0),
+       elfq=st.floats(50.0, 170.0), phix=st.floats(0.48, 0.52))
+def test_charge_table_follows_from_phase_table(ecj, ej, elfq, phix):
+    # [H, phase] = -8i ECJ n gives <i|n|j> = i (E_j - E_i) / (8 ECJ)
+    # <i|phase|j>, so B[i, j] = (E_j - E_i) / (8 ECJ) Phi[i, j]; the two
+    # tables are computed independently, and this pins the sign and scale
+    # of both.  Judged only on levels the basis resolves.
+    n = 6
+    spec = diagonalize_flux_qubit(ecj, ej, elfq, phix,
+                                  PlaneWaveBasis.for_qubit())
+    coeffs = spec.coefficients[:n]
+    ok = coeffs[:, 0] ** 2 + coeffs[:, -1] ** 2 < EDGE_WEIGHT_LIMIT
+    assert ok[:2].all()
+    energies = spec.energies[:n]
+    predicted = ((energies[None, :] - energies[:, None]) / (8.0 * ecj)
+                 * phase_matrix(spec, n))
+    number = number_matrix(spec, n)
+    judged = np.ix_(ok, ok)
+    scale = np.abs(number[judged]).max()
+    assert np.abs(number - predicted)[judged].max() <= 1e-10 * scale
