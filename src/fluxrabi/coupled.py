@@ -6,11 +6,13 @@ Two constructions of the same spectrum:
   computed qubit eigenstates, with the coupling expressed through ladder
   and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
   levels call (coupled_levels) solves only the lowest N_COUPLED_LEVELS
-  levels from the upper band of the product matrix; the states call
+  levels: from the upper band of the product matrix up to a product
+  dimension of BANDED_DIM_LIMIT, matrix-free above it; the states call
   (build_coupled_eigenbasis) copies that band into the upper triangle of a
   dense matrix and solves it for only the lowest n_states levels and
   eigenvectors.  _band is the one writer of the product matrix: the bare
-  energies and the blocks c X[m, m + 1] K, with no Kronecker product.
+  energies and the blocks c X[m, m + 1] K, with no Kronecker product;
+  _product_matvec applies the same matrix as E o x + (X x K') c.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -52,6 +54,10 @@ from .qubit import number_matrix, phase_matrix
 # Largest product dimension the states call, the one dense solve, will
 # assemble.
 DENSE_DIM_LIMIT = 4096
+
+# Largest product dimension the levels call hands to LAPACK's banded
+# solver; above it the matrix-free Lanczos solve is the faster one.
+BANDED_DIM_LIMIT = 512
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
 QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
@@ -217,6 +223,48 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
     return band
 
 
+def _product_matvec(coupling: ProductCoupling, n_fock: int,
+                    n_qubit: int):
+    """The product Hamiltonian at (n_fock, n_qubit) as a matvec on flat
+    oscillator-major states.
+
+    A state held as an n_fock x n_qubit array x maps to
+    E o x + (X x K') c, with E the bare energies; c is applied last, as
+    the Kronecker form scales its coupling term, so the operator applied
+    to the identity is that form bit for bit.  The slice is checked as for
+    _band.
+    """
+    sliced = _checked_slice(coupling, n_fock, n_qubit)
+    bare = np.add.outer(sliced.osc_energies, sliced.qubit_energies)
+    osc, qub = sliced.osc_elements, sliced.qubit_elements
+
+    def matvec(v):
+        x = v.reshape(bare.shape)
+        return (bare * x + (osc @ x @ qub.T) * sliced.strength).ravel()
+
+    return matvec
+
+
+def _lowest_levels(matvec, dim: int, what: str) -> np.ndarray:
+    """The lowest N_COUPLED_LEVELS eigenvalues, ascending, of the real
+    symmetric operator matvec of dimension dim.
+
+    ARPACK's Lanczos solver (scipy.sparse.linalg.eigsh, smallest algebraic,
+    tol 1e-13, from a seeded start vector so the bytes repeat); a solve
+    that fails or does not converge raises EigensolveError naming what.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    start = np.random.default_rng(0).standard_normal(dim)
+    try:
+        levels = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
+                       k=N_COUPLED_LEVELS, which="SA", tol=1e-13, v0=start,
+                       return_eigenvectors=False)
+    except ArpackError as err:
+        raise EigensolveError(f"{what} eigensolve failed: {err}") from err
+    return np.sort(levels)
+
+
 def _dense_upper(band: np.ndarray) -> np.ndarray:
     """The dense matrix whose upper triangle is band (LAPACK upper band
     storage) and whose strict lower triangle is zero.
@@ -245,22 +293,31 @@ def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
                    n_fock: int) -> CoupledSpectrum:
     """The lowest N_COUPLED_LEVELS levels of the eigenbasis-product build.
 
-    The levels call: the same coupling as build_coupled_eigenbasis, with
-    the upper band of the product matrix handed to LAPACK's banded solver
-    (scipy.linalg.eigvals_banded, lowest levels by index).  No dense
-    matrix is formed, so DENSE_DIM_LIMIT does not apply; more qubit levels
-    than the qubit basis resolves are still refused.  vectors is None.
+    The levels call: the same coupling as build_coupled_eigenbasis.  Up to
+    a product dimension n_qubit n_fock of BANDED_DIM_LIMIT the upper band
+    of the product matrix goes to LAPACK's banded solver
+    (scipy.linalg.eigvals_banded, lowest levels by index); above it the
+    product matvec goes to the matrix-free Lanczos solve of _lowest_levels.
+    No dense matrix is formed, so DENSE_DIM_LIMIT does not apply; more
+    qubit levels than the qubit basis resolves are still refused.  vectors
+    is None.
     """
     import scipy.linalg
 
     coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
-    band = _band(coupling, n_fock, n_qubit)
-    count = min(N_COUPLED_LEVELS, band.shape[1])
-    try:
-        energies = scipy.linalg.eigvals_banded(band, select="i",
-                                               select_range=(0, count - 1))
-    except np.linalg.LinAlgError as err:
-        raise EigensolveError(f"banded coupled eigensolve failed: {err}") from err
+    dim = n_qubit * n_fock
+    if dim > BANDED_DIM_LIMIT:
+        energies = _lowest_levels(_product_matvec(coupling, n_fock, n_qubit),
+                                  dim, "matrix-free coupled")
+    else:
+        count = min(N_COUPLED_LEVELS, dim)
+        try:
+            energies = scipy.linalg.eigvals_banded(
+                _band(coupling, n_fock, n_qubit), select="i",
+                select_range=(0, count - 1))
+        except np.linalg.LinAlgError as err:
+            raise EigensolveError(
+                f"banded coupled eigensolve failed: {err}") from err
     return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
@@ -322,11 +379,9 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
     antisymmetric charge kernels of planewave.linear_kernel (n = 1j A), so
     that -c (1j A1) (x) (1j A2) = c A1 (x) A2 and the operator is real
     symmetric.  Each node Hamiltonian is checked Hermitian and each A
-    antisymmetric; a solve that does not converge raises EigensolveError.
-    Returns the levels ascending.
+    antisymmetric; the solve is _lowest_levels, the levels call's
+    matrix-free driver.  Returns the levels ascending.
     """
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     circuit = gauge_circuit(gauge, raw)
     basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)
     basis_qubit = PlaneWaveBasis.for_qubit()
@@ -355,15 +410,7 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
         x = v.reshape(dims)
         return (h_osc @ x + x @ h_qub.T + coupling(x)).ravel()
 
-    dim = dims[0] * dims[1]
-    start = np.random.default_rng(0).standard_normal(dim)
-    try:
-        levels = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
-                       k=N_COUPLED_LEVELS, which="SA", tol=1e-13, v0=start,
-                       return_eigenvectors=False)
-    except ArpackError as err:
-        raise EigensolveError(f"plane-wave product eigensolve failed: {err}") from err
-    return np.sort(levels)
+    return _lowest_levels(matvec, dims[0] * dims[1], "plane-wave product")
 
 
 def observables(spec: CoupledSpectrum, raw: RawCircuit,

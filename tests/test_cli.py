@@ -119,12 +119,12 @@ def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "32" in err
 
 
-def test_doubled_truncation_past_dense_limit_runs_banded(assembled_dims,
-                                                        monkeypatch, tmp_path):
+def test_doubled_truncation_past_dense_limit_assembles_nothing(
+        assembled_dims, monkeypatch, tmp_path):
     # with the dense limit lowered between the configured build (8, 60),
     # dimension 480, and its doubled check, dimension 1920, the run still
-    # succeeds: the levels and the check are banded levels calls and
-    # assemble nothing
+    # succeeds: the levels and the check are levels calls, banded and
+    # matrix-free, and assemble nothing
     monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
     doc = small_doc(n_qubit=8, n_fock=60, verify=True, gauge="flux")
     doc["tasks"] = ["circuit-spectrum"]
@@ -155,8 +155,14 @@ def test_circuit_spectrum_past_dense_limit_succeeds(assembled_dims,
 
 
 def test_planewave_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
-    # an ARPACK failure in the gauge-check cross-check is a numeric failure
-    def fail(*args, **kwargs):
+    # an ARPACK failure in the gauge-check cross-check is a numeric
+    # failure; only the dimension-2048 plane-wave solve fails, while the
+    # ladder's matrix-free levels calls reach the real solver
+    solver = scipy.sparse.linalg.eigsh
+
+    def fail(a, *args, **kwargs):
+        if a.shape != (2048, 2048):
+            return solver(a, *args, **kwargs)
         raise scipy.sparse.linalg.ArpackNoConvergence(
             "no convergence", np.zeros(0), np.zeros((0, 0)))
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import fluxrabi.coupled as coupled
 from fluxrabi.circuit import GAUGES, RawCircuit, gauge_circuit
 from fluxrabi.coupled import (
+    BANDED_DIM_LIMIT,
     DENSE_DIM_LIMIT,
     build_coupled_eigenbasis,
     build_coupled_planewave,
@@ -34,15 +35,18 @@ from oracles import (complex_eigenbasis_hamiltonian,
 def _solver_inputs(monkeypatch):
     """Record a copy of every matrix handed to np.linalg.eigh, eigvalsh and
     scipy.linalg.eigh, and of every band handed to
-    scipy.linalg.eigvals_banded, taken before the solve."""
+    scipy.linalg.eigvals_banded, taken before the solve, and every
+    LinearOperator handed to scipy.sparse.linalg.eigsh."""
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                          (scipy.linalg, "eigh"),
-                         (scipy.linalg, "eigvals_banded")):
+                         (scipy.linalg, "eigvals_banded"),
+                         (scipy.sparse.linalg, "eigsh")):
         solver = getattr(module, name)
 
         def record(a, *args, _solver=solver, **kwargs):
-            seen.append(np.array(a, copy=True))
+            operator = isinstance(a, scipy.sparse.linalg.LinearOperator)
+            seen.append(a if operator else np.array(a, copy=True))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
@@ -106,11 +110,13 @@ def test_dense_dimension_guard(parts20):
     assert 60 * 80 > DENSE_DIM_LIMIT
 
 
-def test_truncation_check_runs_banded_past_dense_limit(assembled_dims,
-                                                       monkeypatch, parts20):
-    # both solves of the check are banded levels calls: with the dense
-    # limit lowered below the doubled dimension 1920, the check still runs
-    # and assembles no dense matrix, while the states call keeps the guard
+def test_truncation_check_past_dense_limit_assembles_nothing(assembled_dims,
+                                                            monkeypatch,
+                                                            parts20):
+    # both solves of the check are levels calls, banded at (8, 60) and
+    # matrix-free at the doubled dimension 1920: with the dense limit
+    # lowered below 1920, the check still runs and assembles no dense
+    # matrix, while the states call keeps the guard
     monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
     shift, converged = truncation_check("flux", parts20.raw, 8, 60)
     assert converged and shift < 1e-3
@@ -243,9 +249,11 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
     # the complex assembly has an imaginary part of exactly 0; the dense
     # matrix the states call hands to LAPACK equals the upper triangle of
-    # its real part bit for bit, and the bands of the truncation check's
-    # two levels calls, first and doubled truncation, equal its upper band
-    # bit for bit, with every entry outside the band exactly 0
+    # its real part bit for bit; the band of the truncation check's first
+    # levels call equals its upper band bit for bit, with every entry
+    # outside the band exactly 0; and the operator of the doubled levels
+    # call, dimension 960 and so matrix-free, applied to the identity
+    # equals its real part bit for bit
     seen = _solver_inputs(monkeypatch)
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
@@ -253,19 +261,18 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
         build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
         truncation_check(gauge, p.raw, 6, 40)
         assert all(h.dtype == np.float64 for h in seen)
-        dense, *bands = [h for h in seen if h.shape[1] > 32]
-        assert [h.shape for h in bands] == [(12, 240), (24, 960)]
+        dense, band, operator = [h for h in seen if h.shape[1] > 32]
+        assert band.shape == (12, 240)
+        assert isinstance(operator, scipy.sparse.linalg.LinearOperator)
         ref = complex_eigenbasis_hamiltonian(gauge, p.raw, 6, 40, n_table=12)
         assert np.all(ref.imag == 0.0)
         assert np.array_equal(dense, np.triu(ref.real))
-        for band, (nq, nf) in zip(bands, ((6, 40), (12, 80))):
-            ref = complex_eigenbasis_hamiltonian(gauge, p.raw, nq, nf,
-                                                 n_table=12)
-            kd = 2 * nq - 1
-            assert np.all(ref.imag == 0.0)
-            assert np.array_equal(band, _upper_band(ref.real, kd))
-            assert np.all(np.triu(ref.real, kd + 1) == 0.0)
-            assert np.all(np.tril(ref.real, -kd - 1) == 0.0)
+        assert np.array_equal(band, _upper_band(ref.real, 11))
+        assert np.all(np.triu(ref.real, 12) == 0.0)
+        assert np.all(np.tril(ref.real, -12) == 0.0)
+        ref = complex_eigenbasis_hamiltonian(gauge, p.raw, 12, 80, n_table=12)
+        assert np.all(ref.imag == 0.0)
+        assert np.array_equal(operator.matmat(np.eye(960)), ref.real)
 
 
 @pytest.mark.parametrize("lc", [20.0, 350.0])
@@ -320,6 +327,51 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
         kron_product_hamiltonian(spec.coupling.truncated(nf, nq)))
     assert spec.energies.shape == (min(8, nq * nf),)
     assert np.abs(spec.energies - dense[:8]).max() < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(lc=st.one_of(st.just(0.0), st.floats(1.0, 400.0)),
+       l1=st.floats(200.0, 1000.0),
+       l2=st.floats(1000.0, 3000.0), c=st.floats(0.3, 2.0),
+       cj=st.floats(2.0, 10.0), lj=st.floats(600.0, 2000.0),
+       phix=st.floats(0.48, 0.52), gauge=st.sampled_from(["flux", "charge"]),
+       dims=st.sampled_from([(8, 80), (12, 60), (16, 40)]))
+@example(lc=0.0, l1=780.0, l2=2030.0, c=0.87, cj=4.84, lj=990.0, phix=0.5,
+         gauge="flux", dims=(8, 80))
+def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
+                                               gauge, dims):
+    # above BANDED_DIM_LIMIT the levels call is a Lanczos solve; it must
+    # find the lowest eight levels of the same matrix as the banded solver,
+    # also at Lc = 0, where the matrix is diagonal and a dropped level
+    # would show
+    raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
+    nq, nf = dims
+    assert nq * nf > BANDED_DIM_LIMIT
+    spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
+    banded = scipy.linalg.eigvals_banded(coupled._band(spec.coupling, nf, nq),
+                                         select="i", select_range=(0, 7))
+    assert spec.energies.shape == (8,)
+    assert np.abs(spec.energies - banded).max() < 1e-9
+
+
+@pytest.mark.parametrize("dims, solver", [
+    ((8, 60), "eigvals_banded"),  # 480: the configured truncations
+    ((8, 80), "eigsh"),           # 640
+])
+def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
+                                               solver):
+    calls = []
+    for module, name in ((scipy.linalg, "eigvals_banded"),
+                         (scipy.sparse.linalg, "eigsh")):
+        original = getattr(module, name)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+    coupled_levels("charge", parts350.raw, *dims)
+    assert calls == [solver]
 
 
 @settings(max_examples=40, deadline=None)
@@ -453,6 +505,22 @@ def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
     with pytest.raises(EigensolveError, match="banded"):
         coupled_levels("flux", parts20.raw, 6, 40)
+
+
+@pytest.mark.parametrize("error", [
+    scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.zeros(0),
+                                            np.zeros((0, 0))),
+    scipy.sparse.linalg.ArpackError(-9999),
+])
+def test_matrix_free_levels_failure_raises_eigensolve_error(monkeypatch,
+                                                            parts20, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    with pytest.raises(EigensolveError,
+                       match="matrix-free coupled eigensolve failed"):
+        coupled_levels("flux", parts20.raw, 8, 80)
 
 
 def test_states_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
