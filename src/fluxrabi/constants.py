@@ -6,7 +6,7 @@ inductances, pF for the oscillator capacitance, fF for the junction
 capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
 
-Two numerical pieces are kept here: the Fock-basis annihilation matrix,
+Two numerical pieces are kept here: the Fock-basis matrices of a and a + a',
 shared by the coupled-circuit and Rabi-model builds, and the truncation
 shift of the lowest N_COUPLED_LEVELS levels against a solve at doubled
 truncation, which the coupled build's truncation check reports.
@@ -87,6 +87,12 @@ def bias_to_ghz(ip_na: float, phix_phi0: float) -> float:
 def annihilation(n_fock: int) -> np.ndarray:
     """Matrix of the annihilation operator a on Fock states 0 .. n_fock - 1."""
     return np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+
+
+def ladder_sum(n_fock: int) -> np.ndarray:
+    """Matrix of a + a' (dimensionless Phi-type quadrature)."""
+    ladder = annihilation(n_fock)
+    return ladder + ladder.T
 
 
 def truncation_shift(energies: np.ndarray,

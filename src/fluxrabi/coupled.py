@@ -5,14 +5,13 @@ Two constructions of the same spectrum:
 * eigenbasis product: analytic oscillator Fock states times numerically
   computed qubit eigenstates, with the coupling expressed through ladder
   and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
-  levels call (coupled_levels) solves only the lowest N_COUPLED_LEVELS
-  levels: from the upper band of the product matrix up to a product
-  dimension of BANDED_DIM_LIMIT, matrix-free above it; the states call
-  (build_coupled_eigenbasis) copies that band into the upper triangle of a
-  dense matrix and solves it for only the lowest n_states levels and
-  eigenvectors.  _band is the one writer of the product matrix: the bare
-  energies and the blocks c X[m, m + 1] K, with no Kronecker product;
-  _product_matvec applies the same matrix as E o x + (X x K') c.
+  levels call (coupled_levels, lowest N_COUPLED_LEVELS levels) and the
+  states call (build_coupled_eigenbasis, lowest n_states eigenpairs) share
+  one solve, _solve, and its dimension switch: LAPACK on the band or its
+  dense copy up to BANDED_DIM_LIMIT, matrix-free above it.  _band is the
+  one writer of the product matrix: the bare energies and the blocks
+  c X[m, m + 1] K, with no Kronecker product; _product_matvec applies the
+  same matrix as E o x + (X x K') c.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -39,7 +38,7 @@ import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
 from .constants import (CONSTANTS, N_COUPLED_LEVELS, annihilation,
-                        truncation_shift)
+                        ladder_sum, truncation_shift)
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -51,12 +50,7 @@ from .planewave import (
 )
 from .qubit import number_matrix, phase_matrix
 
-# Largest product dimension the states call, the one dense solve, will
-# assemble.
-DENSE_DIM_LIMIT = 4096
-
-# Largest product dimension the levels call hands to LAPACK's banded
-# solver; above it the matrix-free Lanczos solve is the faster one.
+# Largest product dimension solved by LAPACK; above it Lanczos is faster.
 BANDED_DIM_LIMIT = 512
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
@@ -113,9 +107,10 @@ class CoupledSpectrum:
     """Eigensolution of the eigenbasis-product build in one gauge.
 
     energies in GHz, ascending: the lowest n_states levels from the states
-    call, the lowest N_COUPLED_LEVELS from the levels call.  vectors holds
-    the matching real eigencolumns, shape (dimension, n_states), or None
-    from the levels call.  coupling is the product coupling the build
+    call, the lowest min(N_COUPLED_LEVELS, dim) from the levels call, with
+    dim = n_fock n_qubit the product dimension.  vectors holds the matching
+    real eigencolumns, shape (dim, n_states), each of arbitrary sign, or
+    None from the levels call.  coupling is the product coupling the build
     assembled from, tabulated at dims and at least N_PERT_FOCK x
     N_PERT_LEVELS.
     """
@@ -143,12 +138,6 @@ class Observables:
     current_2: float
 
 
-def ladder_sum(n_fock: int) -> np.ndarray:
-    """Matrix of a + a' (dimensionless Phi-type quadrature)."""
-    ladder = annihilation(n_fock)
-    return ladder + ladder.T
-
-
 def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
                      n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
@@ -164,10 +153,10 @@ def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
     qubit_spectrum = diagonalize_flux_qubit(*circuit.qubit_node, raw.phix,
                                             PlaneWaveBasis.for_qubit())
     phase = phase_matrix(qubit_spectrum, n_levels)
-    ladder = annihilation(n_fock)
     if gauge == "flux":
-        osc, qub = ladder + ladder.T, phase
+        osc, qub = ladder_sum(n_fock), phase
     else:
+        ladder = annihilation(n_fock)
         osc, qub = ladder - ladder.T, number_matrix(qubit_spectrum, n_levels)
     return ProductCoupling(
         strength=circuit.strength, osc_elements=osc, qubit_elements=qub,
@@ -245,24 +234,39 @@ def _product_matvec(coupling: ProductCoupling, n_fock: int,
     return matvec
 
 
-def _lowest_levels(matvec, dim: int, what: str) -> np.ndarray:
-    """The lowest N_COUPLED_LEVELS eigenvalues, ascending, of the real
-    symmetric operator matvec of dimension dim.
+def _lowest_levels(matvec, dim: int, what: str,
+                   n_states: int | None = None):
+    """(energies, vectors), ascending, of the real symmetric operator matvec
+    of dimension dim: the lowest N_COUPLED_LEVELS levels and None, or with
+    n_states the lowest n_states eigenpairs of a solve for
+    max(N_COUPLED_LEVELS, n_states).
 
     ARPACK's Lanczos solver (scipy.sparse.linalg.eigsh, smallest algebraic,
-    tol 1e-13, from a seeded start vector so the bytes repeat); a solve
-    that fails or does not converge raises EigensolveError naming what.
+    tol 1e-13, from a seeded start vector so the bytes repeat).  A solve for
+    dim or more levels, which ARPACK cannot take, or one that fails raises
+    EigensolveError naming what; n_states below 1 raises ValueError.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+    if n_states is not None and n_states < 1:
+        raise ValueError(f"n_states must be at least 1, not {n_states}")
+    k = max(N_COUPLED_LEVELS, n_states or 0)
+    if k >= dim:
+        raise EigensolveError(
+            f"{what} eigensolve: ARPACK takes fewer than {dim} levels, "
+            f"not {k}")
     start = np.random.default_rng(0).standard_normal(dim)
     try:
-        levels = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
-                       k=N_COUPLED_LEVELS, which="SA", tol=1e-13, v0=start,
-                       return_eigenvectors=False)
+        solved = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
+                       k=k, which="SA", tol=1e-13, v0=start,
+                       return_eigenvectors=n_states is not None)
     except ArpackError as err:
         raise EigensolveError(f"{what} eigensolve failed: {err}") from err
-    return np.sort(levels)
+    if n_states is None:
+        return np.sort(solved), None
+    levels, vectors = solved
+    order = np.argsort(levels)[:n_states]
+    return levels[order], vectors[:, order]
 
 
 def _dense_upper(band: np.ndarray) -> np.ndarray:
@@ -289,68 +293,58 @@ def _coupling_for(gauge: str, raw: RawCircuit, n_qubit: int,
                             max(n_qubit, N_PERT_LEVELS))
 
 
-def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
-                   n_fock: int) -> CoupledSpectrum:
-    """The lowest N_COUPLED_LEVELS levels of the eigenbasis-product build.
+def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
+           n_states: int | None) -> CoupledSpectrum:
+    """The one eigenbasis-product solve: the lowest min(N_COUPLED_LEVELS,
+    dim) levels with n_states None, else the lowest n_states eigenpairs.
 
-    The levels call: the same coupling as build_coupled_eigenbasis.  Up to
-    a product dimension n_qubit n_fock of BANDED_DIM_LIMIT the upper band
-    of the product matrix goes to LAPACK's banded solver
-    (scipy.linalg.eigvals_banded, lowest levels by index); above it the
-    product matvec goes to the matrix-free Lanczos solve of _lowest_levels.
-    No dense matrix is formed, so DENSE_DIM_LIMIT does not apply; more
-    qubit levels than the qubit basis resolves are still refused.  vectors
-    is None.
+    _coupling_for's coupling; one path, picked on dim = n_qubit n_fock.  Up
+    to BANDED_DIM_LIMIT, LAPACK by index: levels from the band by
+    scipy.linalg.eigvals_banded, states from its dense upper triangle by
+    scipy.linalg.eigh, whose ValueError refuses n_states outside 1 .. dim.
+    Above it, the Lanczos solve of _lowest_levels on _product_matvec.
     """
     import scipy.linalg
 
     coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
     dim = n_qubit * n_fock
     if dim > BANDED_DIM_LIMIT:
-        energies = _lowest_levels(_product_matvec(coupling, n_fock, n_qubit),
-                                  dim, "matrix-free coupled")
+        energies, vectors = _lowest_levels(
+            _product_matvec(coupling, n_fock, n_qubit), dim,
+            "matrix-free coupled", n_states)
     else:
-        count = min(N_COUPLED_LEVELS, dim)
+        band = _band(coupling, n_fock, n_qubit)
+        what = "banded coupled" if n_states is None else "dense coupled"
+        vectors = None
         try:
-            energies = scipy.linalg.eigvals_banded(
-                _band(coupling, n_fock, n_qubit), select="i",
-                select_range=(0, count - 1))
+            if n_states is None:
+                energies = scipy.linalg.eigvals_banded(
+                    band, select="i",
+                    select_range=(0, min(N_COUPLED_LEVELS, dim) - 1))
+            else:
+                energies, vectors = scipy.linalg.eigh(
+                    _dense_upper(band), lower=False,
+                    subset_by_index=[0, n_states - 1])
         except np.linalg.LinAlgError as err:
-            raise EigensolveError(
-                f"banded coupled eigensolve failed: {err}") from err
-    return CoupledSpectrum(energies=energies, vectors=None, gauge=gauge,
+            raise EigensolveError(f"{what} eigensolve failed: {err}") from err
+    return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
+
+
+def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
+                   n_fock: int) -> CoupledSpectrum:
+    """The levels call of _solve: the lowest min(N_COUPLED_LEVELS,
+    n_qubit n_fock) levels, vectors None; nothing dense at any dimension."""
+    return _solve(gauge, raw, n_qubit, n_fock, None)
 
 
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
                              n_fock: int, n_states: int) -> CoupledSpectrum:
-    """The lowest n_states levels and eigenvectors in the Fock (x)
-    qubit-eigenstate product basis.
-
-    The states call: one circuit_coupling, tabulated at (n_fock, n_qubit)
-    and at least N_PERT_FOCK x N_PERT_LEVELS, gives the band of the levels
-    call; copied into the upper triangle of a dense matrix, it goes to
-    LAPACK's subset solver (scipy.linalg.eigh on the upper triangle, lowest
-    n_states by index), which computes only the eigenpairs it returns;
-    n_states outside 1 .. n_qubit n_fock raises its ValueError.  A product
-    dimension above DENSE_DIM_LIMIT, or more qubit levels than the qubit
-    basis resolves, is refused before anything is assembled.
+    """The states call of _solve: the lowest n_states levels and
+    eigenvectors in the Fock (x) qubit-eigenstate product basis.  Above
+    BANDED_DIM_LIMIT an n_states ARPACK cannot take raises EigensolveError.
     """
-    import scipy.linalg
-
-    if n_qubit * n_fock > DENSE_DIM_LIMIT:
-        raise EigensolveError(
-            f"product dimension {n_qubit * n_fock} exceeds DENSE_DIM_LIMIT = "
-            f"{DENSE_DIM_LIMIT}")
-    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
-    h = _dense_upper(_band(coupling, n_fock, n_qubit))
-    try:
-        energies, vectors = scipy.linalg.eigh(
-            h, lower=False, subset_by_index=[0, n_states - 1])
-    except np.linalg.LinAlgError as err:
-        raise EigensolveError(f"coupled eigensolve failed: {err}") from err
-    return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
-                           dims=(n_fock, n_qubit), coupling=coupling)
+    return _solve(gauge, raw, n_qubit, n_fock, n_states)
 
 
 def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
@@ -379,8 +373,8 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
     antisymmetric charge kernels of planewave.linear_kernel (n = 1j A), so
     that -c (1j A1) (x) (1j A2) = c A1 (x) A2 and the operator is real
     symmetric.  Each node Hamiltonian is checked Hermitian and each A
-    antisymmetric; the solve is _lowest_levels, the levels call's
-    matrix-free driver.  Returns the levels ascending.
+    antisymmetric; the solve is _lowest_levels, the eigenbasis
+    calls' matrix-free driver.  Returns the levels ascending.
     """
     circuit = gauge_circuit(gauge, raw)
     basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)
@@ -410,7 +404,7 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
         x = v.reshape(dims)
         return (h_osc @ x + x @ h_qub.T + coupling(x)).ravel()
 
-    return _lowest_levels(matvec, dims[0] * dims[1], "plane-wave product")
+    return _lowest_levels(matvec, dims[0] * dims[1], "plane-wave product")[0]
 
 
 def observables(spec: CoupledSpectrum, raw: RawCircuit,
@@ -435,8 +429,7 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit,
     photon = float(weights @ np.arange(n_fock))
     # Phi1 is proportional to a + a' in both gauges (the zero-point
     # amplitude differs through the gauge's own omega).
-    quad = ladder_sum(n_fock)
-    phi1 = float(np.einsum("mi,mn,ni->", psi, quad, psi))
+    phi1 = float(np.einsum("mi,mn,ni->", psi, ladder_sum(n_fock), psi))
     phi1 *= circuit.phi1_zpf
     phi2 = float(np.einsum("mi,ij,mj->", psi, qubit_phase, psi))
     phi1_physical = phi1

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import GAUGES, RawCircuit, gauge_circuit
-from .constants import annihilation, bias_to_ghz
+from .constants import annihilation, bias_to_ghz, ladder_sum
 from .qubit import TwoLevelFit
 
 # Fock truncation defaults: deep-strong coupling needs the large basis.
@@ -72,7 +72,6 @@ def _structure(n_fock: int, variant: str) -> tuple[np.ndarray, ...]:
     Product ordering is oscillator (x) qubit with the qubit index fastest.
     """
     number = np.diag(np.arange(n_fock) + 0.5)
-    ladder = annihilation(n_fock)
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     sz = np.array([[1.0, 0.0], [0.0, -1.0]])
     eye2 = np.eye(2)
@@ -81,8 +80,9 @@ def _structure(n_fock: int, variant: str) -> tuple[np.ndarray, ...]:
     b_mat = -0.5 * np.kron(eye_f, sz)
     c_mat = -0.5 * np.kron(eye_f, sx)
     if variant == "flux":
-        d_mat = np.kron(ladder + ladder.T, sx)
+        d_mat = np.kron(ladder_sum(n_fock), sx)
     else:
+        ladder = annihilation(n_fock)
         # 1j sigma_y (a - a') is real: both factors are antisymmetric.
         isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
         d_mat = np.kron(ladder.T - ladder, isy)

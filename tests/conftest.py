@@ -106,14 +106,15 @@ def fits():
 @pytest.fixture
 def assembled_dims(monkeypatch):
     """Dimensions of every dense matrix the states call assembles; one above
-    DENSE_DIM_LIMIT fails the test before it is allocated."""
+    BANDED_DIM_LIMIT, where the states call is matrix-free, fails the test
+    before it is allocated."""
     dims = []
     dense_upper = coupled._dense_upper
 
     def recorder(band):
         dim = band.shape[1]
         dims.append(dim)
-        assert dim <= coupled.DENSE_DIM_LIMIT, f"dense assembly at {dim}"
+        assert dim <= coupled.BANDED_DIM_LIMIT, f"dense assembly at {dim}"
         return dense_upper(band)
 
     monkeypatch.setattr(coupled, "_dense_upper", recorder)

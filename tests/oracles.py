@@ -132,8 +132,7 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     """
     from fluxrabi.constants import (CONSTANTS, FF, GHZ, NA, PF, PH,
                                     charging_energy_ghz, current_flux_to_ghz,
-                                    inductive_energy_ghz)
-    from fluxrabi.coupled import ladder_sum
+                                    inductive_energy_ghz, ladder_sum)
     from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
     from fluxrabi.qubit import number_matrix, phase_matrix
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-import fluxrabi.coupled as coupled
 from fluxrabi.cli import main
 
 
@@ -119,13 +118,11 @@ def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "32" in err
 
 
-def test_doubled_truncation_past_dense_limit_assembles_nothing(
-        assembled_dims, monkeypatch, tmp_path):
-    # with the dense limit lowered between the configured build (8, 60),
-    # dimension 480, and its doubled check, dimension 1920, the run still
-    # succeeds: the levels and the check are levels calls, banded and
-    # matrix-free, and assemble nothing
-    monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
+def test_doubled_truncation_past_banded_limit_assembles_nothing(
+        assembled_dims, tmp_path):
+    # the configured build (8, 60), dimension 480, and its doubled check,
+    # dimension 1920, are levels calls, banded and matrix-free, and
+    # assemble nothing
     doc = small_doc(n_qubit=8, n_fock=60, verify=True, gauge="flux")
     doc["tasks"] = ["circuit-spectrum"]
     doc["sweep"]["phix_points"] = 1
@@ -138,20 +135,26 @@ def test_doubled_truncation_past_dense_limit_assembles_nothing(
     assert probe["converged"] and 0.0 < probe["truncation_shift_GHz"] < 1e-3
 
 
-def test_circuit_spectrum_past_dense_limit_succeeds(assembled_dims,
-                                                    monkeypatch, tmp_path):
-    # circuit-spectrum reads levels only, so a product dimension above
-    # DENSE_DIM_LIMIT is no failure; the states call keeps the limit
-    monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 256)
-    doc = small_doc(n_qubit=8, n_fock=60, verify=False)
-    doc["tasks"] = ["circuit-spectrum"]
+def test_observables_past_banded_limit_assembles_nothing(assembled_dims,
+                                                         tmp_path, capsys):
+    # at (8, 80), 640 product states, both the levels and the states call
+    # are matrix-free: circuit-spectrum and observables succeed without a
+    # dense matrix, and n_states = 640, which ARPACK cannot solve for, is
+    # a numeric failure
+    doc = small_doc(n_qubit=8, n_fock=80, verify=False)
     doc["sweep"]["phix_points"] = 1
-    cfg = write_doc(tmp_path, doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    for task in ("circuit-spectrum", "observables"):
+        doc["tasks"] = [task]
+        cfg = write_doc(tmp_path, doc)
+        out = str(tmp_path / task)
+        assert main(["run", "--config", cfg, "--out", out]) == 0
     assert assembled_dims == []
-    doc["tasks"] = ["observables"]
+    rows = (tmp_path / "observables" / "observables.csv").read_text()
+    assert len(rows.splitlines()) > 1
+    doc["numerics"]["n_states"] = 640
     cfg = write_doc(tmp_path, doc)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "p")]) == 3
+    assert "ARPACK takes fewer than 640" in capsys.readouterr().err
 
 
 def test_planewave_solver_failure_exits_3(monkeypatch, tmp_path, capsys):

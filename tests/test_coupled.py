@@ -6,19 +6,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fluxrabi.coupled as coupled
 from fluxrabi.circuit import GAUGES, RawCircuit, gauge_circuit
+from fluxrabi.constants import CONSTANTS, ladder_sum
 from fluxrabi.coupled import (
     BANDED_DIM_LIMIT,
-    DENSE_DIM_LIMIT,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
     coupled_levels,
-    ladder_sum,
     observables,
     truncation_check,
 )
@@ -102,28 +101,25 @@ def test_gauge_argument_validated(parts20):
         build_coupled_eigenbasis("mixed", p.raw, 6, 40, 4)
 
 
-def test_dense_dimension_guard(parts20):
-    p = parts20
-    with pytest.raises(EigensolveError):
-        build_coupled_eigenbasis("flux", p.raw, n_qubit=60, n_fock=80,
+def test_states_call_refuses_qubit_levels_not_dimension(parts20):
+    # (60, 80) is refused for its 60 qubit levels, beyond the 32 the qubit
+    # basis resolves; its product dimension 4800 sets no limit
+    with pytest.raises(EigensolveError, match="60 qubit levels requested"):
+        build_coupled_eigenbasis("flux", parts20.raw, n_qubit=60, n_fock=80,
                                  n_states=4)
-    assert 60 * 80 > DENSE_DIM_LIMIT
 
 
-def test_truncation_check_past_dense_limit_assembles_nothing(assembled_dims,
-                                                            monkeypatch,
-                                                            parts20):
+def test_truncation_check_and_states_call_past_banded_limit_assemble_nothing(
+        assembled_dims, parts20):
     # both solves of the check are levels calls, banded at (8, 60) and
-    # matrix-free at the doubled dimension 1920: with the dense limit
-    # lowered below 1920, the check still runs and assembles no dense
-    # matrix, while the states call keeps the guard
-    monkeypatch.setattr(coupled, "DENSE_DIM_LIMIT", 1024)
+    # matrix-free at the doubled dimension 1920; the states call at the
+    # doubled truncation is matrix-free too and finds the same levels
     shift, converged = truncation_check("flux", parts20.raw, 8, 60)
     assert converged and shift < 1e-3
-    assert assembled_dims == []
-    with pytest.raises(EigensolveError,
-                       match="1920 exceeds DENSE_DIM_LIMIT = 1024"):
-        build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
+    spec = build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
+    levels = coupled_levels("flux", parts20.raw, 16, 120)
+    assert spec.vectors.shape == (1920, 4)
+    assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
     assert assembled_dims == []
 
 
@@ -354,14 +350,103 @@ def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
     assert np.abs(spec.energies - banded).max() < 1e-9
 
 
-@pytest.mark.parametrize("dims, solver", [
-    ((8, 60), "eigvals_banded"),  # 480: the configured truncations
-    ((8, 80), "eigsh"),           # 640
-])
-def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
-                                               solver):
+def _eigenspaces(levels):
+    """Runs of ascending levels each within 1e-6 GHz of the next, as
+    (indices, gap), gap the distance in GHz from the run to the nearest
+    other level (inf if there is none)."""
+    runs = np.split(np.arange(len(levels)),
+                    np.flatnonzero(np.diff(levels) >= 1e-6) + 1)
+    padded = np.concatenate(([-np.inf], levels, [np.inf]))
+    return [(run, min(padded[run[0] + 1] - padded[run[0]],
+                      padded[run[-1] + 2] - padded[run[-1] + 1]))
+            for run in runs]
+
+
+def _current_unit(raw):
+    """The current in nA that one unit of 2 pi Phi / Phi0 drives through
+    the loop inductances, the natural scale of the observables' currents,
+    as the photon number's and the fluxes' is 1."""
+    l_matrix = np.array([[raw.Lc + raw.L1, raw.Lc], [raw.Lc, raw.Lc + raw.L2]])
+    flux_quantum = CONSTANTS.Phi0 / (2.0 * np.pi)
+    return float(np.abs(np.linalg.inv(l_matrix)).max()) * flux_quantum * 1e21
+
+
+@settings(max_examples=30, deadline=None)
+@given(lc=st.one_of(st.just(0.0), st.floats(1.0, 400.0)),
+       l1=st.floats(200.0, 1000.0),
+       l2=st.floats(1000.0, 3000.0), c=st.floats(0.3, 2.0),
+       cj=st.floats(2.0, 10.0), lj=st.floats(600.0, 2000.0),
+       phix=st.floats(0.48, 0.52), gauge=st.sampled_from(["flux", "charge"]),
+       dims=st.sampled_from([(8, 80), (12, 60), (16, 40)]),
+       n_states=st.sampled_from([1, 4, 12]))
+@example(lc=0.0, l1=780.0, l2=2030.0, c=0.87, cj=4.84, lj=990.0, phix=0.5,
+         gauge="flux", dims=(8, 80), n_states=12)
+def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
+                                                     phix, gauge, dims,
+                                                     n_states):
+    # above BANDED_DIM_LIMIT the states call is a Lanczos solve with
+    # vectors; against the dense subset solve of the same matrix its levels
+    # agree, its vectors span the same eigenspaces (levels within 1e-6 GHz
+    # of each other count as one) and each lone level's observables agree,
+    # whatever sign ARPACK gives a vector.  Both solves leave residuals
+    # near 1e-12, which turn a vector by up to about that over the gap to
+    # the nearest other level, so below a 1 GHz gap the vector and
+    # observable tolerances grow as 1 / gap: at phix = 0.5 a tunnel pair
+    # 3e-5 GHz apart moves a flux by 2e-8 between the two solves.
+    raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
+    nq, nf = dims
+    assert nq * nf > BANDED_DIM_LIMIT
+    spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
+    # one level past the last state, for the gap above it
+    energies, vectors = scipy.linalg.eigh(
+        coupled._dense_upper(coupled._band(spec.coupling, nf, nq)),
+        lower=False, subset_by_index=[0, n_states])
+    assert spec.vectors.shape == (nq * nf, n_states)
+    assert np.abs(spec.energies - energies[:n_states]).max() < 1e-9
+    dense = dataclasses.replace(spec, energies=energies[:n_states],
+                                vectors=vectors[:, :n_states])
+    units = {"current_1": _current_unit(raw), "current_2": _current_unit(raw)}
+    for run, gap in _eigenspaces(energies):
+        solved = run[run < n_states]
+        if len(solved) == 0:
+            continue
+        tol = 1e-9 / min(1.0, gap)
+        span, got = vectors[:, run], spec.vectors[:, solved]
+        if len(solved) == len(run):
+            assert np.abs(got @ got.T - span @ span.T).max() <= tol
+        else:  # a run cut by n_states: its solved vectors lie in its span
+            assert np.abs(got - span @ (span.T @ got)).max() <= tol
+        if len(run) > 1:
+            continue
+        got, ref = observables(spec, raw, run[0]), observables(dense, raw,
+                                                               run[0])
+        for field in dataclasses.fields(got):
+            v, r = getattr(got, field.name), getattr(ref, field.name)
+            scale = max(units.get(field.name, 1.0), abs(r))
+            assert abs(v - r) <= tol * scale, (field.name, v, r)
+
+
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_states_call_at_5120_product_states(assembled_dims, parts350, gauge):
+    # (32, 160), where the 350 pH gauges agree to 0.07 MHz: matrix-free,
+    # nothing dense assembled, orthonormal eigenpairs of the product
+    # matrix, and the levels of the levels call
+    spec = build_coupled_eigenbasis(gauge, parts350.raw, 32, 160, 4)
+    assert assembled_dims == []
+    assert spec.vectors.shape == (5120, 4)
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(4)).max() < 1e-12
+    matvec = coupled._product_matvec(spec.coupling, 160, 32)
+    for energy, vector in zip(spec.energies, spec.vectors.T):
+        assert np.linalg.norm(matvec(vector) - energy * vector) < 1e-9
+    levels = coupled_levels(gauge, parts350.raw, 32, 160)
+    assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
+
+
+def _solver_calls(monkeypatch):
+    """Names of the coupled eigensolvers called, in call order."""
     calls = []
     for module, name in ((scipy.linalg, "eigvals_banded"),
+                         (scipy.linalg, "eigh"),
                          (scipy.sparse.linalg, "eigsh")):
         original = getattr(module, name)
 
@@ -370,8 +455,45 @@ def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("dims, solver", [
+    ((8, 60), "eigvals_banded"),  # 480: the configured truncations
+    ((8, 80), "eigsh"),           # 640
+])
+def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
+                                               solver):
+    calls = _solver_calls(monkeypatch)
     coupled_levels("charge", parts350.raw, *dims)
     assert calls == [solver]
+
+
+@pytest.mark.parametrize("dims, solver", [
+    ((8, 64), "eigh"),   # 512, the largest dense solve
+    ((8, 65), "eigsh"),  # 520
+])
+def test_states_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
+                                               solver):
+    calls = _solver_calls(monkeypatch)
+    build_coupled_eigenbasis("charge", parts350.raw, *dims, 4)
+    assert calls == [solver]
+
+
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_matrix_free_states_call_at_its_edges(parts20, gauge):
+    # twelve states at 640 product states, more than the levels call's
+    # eight; every state of the dimension, which ARPACK cannot solve for,
+    # is a numeric failure, and no state at all a ValueError
+    raw = parts20.raw
+    spec = build_coupled_eigenbasis(gauge, raw, 8, 80, 12)
+    assert spec.energies.shape == (12,)
+    assert spec.vectors.shape == (640, 12)
+    assert np.all(np.diff(spec.energies) > 0.0)
+    with pytest.raises(EigensolveError, match="ARPACK takes fewer than 640"):
+        build_coupled_eigenbasis(gauge, raw, 8, 80, 640)
+    with pytest.raises(ValueError, match="n_states"):
+        build_coupled_eigenbasis(gauge, raw, 8, 80, 0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -385,9 +507,10 @@ def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
          gauge="charge", nq=1, nf=1)
 def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
                                          nq, nf):
-    # the states call copies the band into a zero matrix; the upper
-    # triangle it solves must be the Kronecker form's bit for bit, signed
-    # zeros included, with zeros below
+    # up to BANDED_DIM_LIMIT the states call copies the band into a zero
+    # matrix; the upper triangle it solves must be the Kronecker form's bit
+    # for bit, signed zeros included, with zeros below
+    assume(nq * nf <= BANDED_DIM_LIMIT)
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     with pytest.MonkeyPatch.context() as patch:
         seen = _solver_inputs(patch)
@@ -518,9 +641,11 @@ def test_matrix_free_levels_failure_raises_eigensolve_error(monkeypatch,
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    with pytest.raises(EigensolveError,
-                       match="matrix-free coupled eigensolve failed"):
-        coupled_levels("flux", parts20.raw, 8, 80)
+    for solve in (coupled_levels,
+                  lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
+        with pytest.raises(EigensolveError,
+                           match="matrix-free coupled eigensolve failed"):
+            solve("flux", parts20.raw, 8, 80)
 
 
 def test_states_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
