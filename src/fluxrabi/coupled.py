@@ -7,11 +7,13 @@ Two constructions of the same spectrum:
   and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
   levels call (coupled_levels, lowest N_COUPLED_LEVELS levels) and the
   states call (build_coupled_eigenbasis, lowest n_states eigenpairs) share
-  one solve, _solve, and its dimension switch: LAPACK on the band or its
-  dense copy up to BANDED_DIM_LIMIT, matrix-free above it.  _band is the
-  one writer of the product matrix: the bare energies and the blocks
-  c X[m, m + 1] K, with no Kronecker product; _product_matvec applies the
-  same matrix as E o x + (X x K') c.
+  one solve, _solve, on the one form of the product matrix: its band,
+  written by _band as the bare energies and the blocks c X[m, m + 1] K,
+  with no Kronecker product.  Above N_COUPLED_LEVELS product states the
+  levels call is a shift-invert Lanczos solve on the band's Cholesky
+  factor (_shift_invert); the states call is LAPACK's dense subset solve
+  of the band's dense copy up to BANDED_DIM_LIMIT and the same shift-invert
+  solve, with vectors, above it.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -37,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
-from .constants import (CONSTANTS, N_COUPLED_LEVELS, annihilation,
-                        ladder_sum, truncation_shift)
+from .constants import (BANDED_DIM_LIMIT, CONSTANTS, N_COUPLED_LEVELS,
+                        annihilation, ladder_sum, truncation_shift)
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -49,9 +51,6 @@ from .planewave import (
     qubit_hamiltonian,
 )
 from .qubit import number_matrix, phase_matrix
-
-# Largest product dimension solved by LAPACK; above it Lanczos is faster.
-BANDED_DIM_LIMIT = 512
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
 QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
@@ -212,28 +211,6 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
     return band
 
 
-def _product_matvec(coupling: ProductCoupling, n_fock: int,
-                    n_qubit: int):
-    """The product Hamiltonian at (n_fock, n_qubit) as a matvec on flat
-    oscillator-major states.
-
-    A state held as an n_fock x n_qubit array x maps to
-    E o x + (X x K') c, with E the bare energies; c is applied last, as
-    the Kronecker form scales its coupling term, so the operator applied
-    to the identity is that form bit for bit.  The slice is checked as for
-    _band.
-    """
-    sliced = _checked_slice(coupling, n_fock, n_qubit)
-    bare = np.add.outer(sliced.osc_energies, sliced.qubit_energies)
-    osc, qub = sliced.osc_elements, sliced.qubit_elements
-
-    def matvec(v):
-        x = v.reshape(bare.shape)
-        return (bare * x + (osc @ x @ qub.T) * sliced.strength).ravel()
-
-    return matvec
-
-
 def _lowest_levels(matvec, dim: int, what: str,
                    n_states: int | None = None):
     """(energies, vectors), ascending, of the real symmetric operator matvec
@@ -242,9 +219,12 @@ def _lowest_levels(matvec, dim: int, what: str,
     max(N_COUPLED_LEVELS, n_states).
 
     ARPACK's Lanczos solver (scipy.sparse.linalg.eigsh, smallest algebraic,
-    tol 1e-13, from a seeded start vector so the bytes repeat).  A solve for
-    dim or more levels, which ARPACK cannot take, or one that fails raises
-    EigensolveError naming what; n_states below 1 raises ValueError.
+    tol 1e-13, from a seeded start vector so the bytes repeat), shared by
+    the plane-wave cross-check, whose matvec applies its Hamiltonian, and
+    the eigenbasis product's _shift_invert, whose matvec applies
+    -(H - sigma I)^-1.  A solve for dim or more levels, which ARPACK cannot
+    take, or one that fails raises EigensolveError naming what; n_states
+    below 1 raises ValueError.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
@@ -293,34 +273,77 @@ def _coupling_for(gauge: str, raw: RawCircuit, n_qubit: int,
                             max(n_qubit, N_PERT_LEVELS))
 
 
+def _shift_invert(band: np.ndarray, n_states: int | None):
+    """_lowest_levels of the matrix H whose upper band is band, by the
+    spectral transformation: the lowest levels E of H are the best
+    separated levels theta = -1 / (E - sigma) of -(H - sigma I)^-1
+    (Ericsson and Ruhe, Math. Comp. 35, 1251 (1980)).
+
+    LAPACK's banded Cholesky factorization (dpbtrf) of H - sigma I succeeds
+    exactly when sigma lies below the lowest level.  So sigma steps down
+    from the lowest bare energy by 1, 2, 4, ... GHz, floored 1 GHz under
+    the Gershgorin bound of the band, where the factorization must succeed,
+    and the first sigma that factors is kept; if none does, EigensolveError.
+    The operator applies the factor by dpbtrs, and the levels are
+    sigma - 1 / theta, in the ascending order of theta.
+    """
+    import scipy.linalg
+
+    what = "shift-invert coupled"
+    pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), (band,))
+    kd = band.shape[0] - 1
+    radius = np.abs(band[:kd]).sum(axis=0)  # row j left of the diagonal
+    for d in range(1, kd + 1):
+        radius[:-d] += np.abs(band[kd - d, d:])  # and right of it
+    floor = float(np.min(band[kd] - radius)) - 1.0
+    bottom, step = float(band[kd].min()), 1.0
+    while True:
+        sigma = max(bottom - step, floor)
+        factor = np.array(band, order="F")  # so dpbtrf factors it in place
+        factor[kd] -= sigma
+        factor, info = pbtrf(factor, overwrite_ab=True)
+        if info == 0:
+            break
+        if not sigma > floor:
+            raise EigensolveError(
+                f"{what} eigensolve failed: H - sigma I does not factor at "
+                f"sigma = {sigma:.6g} GHz, under the Gershgorin bound")
+        step *= 2.0
+
+    def apply(v):
+        return -pbtrs(factor, v)[0]
+
+    theta, vectors = _lowest_levels(apply, band.shape[1], what, n_states)
+    return sigma - 1.0 / theta, vectors
+
+
 def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
            n_states: int | None) -> CoupledSpectrum:
     """The one eigenbasis-product solve: the lowest min(N_COUPLED_LEVELS,
     dim) levels with n_states None, else the lowest n_states eigenpairs.
 
-    _coupling_for's coupling; one path, picked on dim = n_qubit n_fock.  Up
-    to BANDED_DIM_LIMIT, LAPACK by index: levels from the band by
-    scipy.linalg.eigvals_banded, states from its dense upper triangle by
-    scipy.linalg.eigh, whose ValueError refuses n_states outside 1 .. dim.
-    Above it, the Lanczos solve of _lowest_levels on _product_matvec.
+    _coupling_for's coupling and its _band; the path is picked on dim =
+    n_qubit n_fock.  The levels call takes every level of the band from
+    scipy.linalg.eigvals_banded up to dim N_COUPLED_LEVELS, and the
+    shift-invert Lanczos solve of _shift_invert above it.  The states call
+    takes its eigenpairs from the band's dense upper triangle by
+    scipy.linalg.eigh up to BANDED_DIM_LIMIT, whose ValueError refuses
+    n_states outside 1 .. dim, and from _shift_invert with vectors above it.
     """
     import scipy.linalg
 
     coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
     dim = n_qubit * n_fock
-    if dim > BANDED_DIM_LIMIT:
-        energies, vectors = _lowest_levels(
-            _product_matvec(coupling, n_fock, n_qubit), dim,
-            "matrix-free coupled", n_states)
+    band = _band(coupling, n_fock, n_qubit)
+    limit = N_COUPLED_LEVELS if n_states is None else BANDED_DIM_LIMIT
+    vectors = None
+    if dim > limit:
+        energies, vectors = _shift_invert(band, n_states)
     else:
-        band = _band(coupling, n_fock, n_qubit)
         what = "banded coupled" if n_states is None else "dense coupled"
-        vectors = None
         try:
             if n_states is None:
-                energies = scipy.linalg.eigvals_banded(
-                    band, select="i",
-                    select_range=(0, min(N_COUPLED_LEVELS, dim) - 1))
+                energies = scipy.linalg.eigvals_banded(band)
             else:
                 energies, vectors = scipy.linalg.eigh(
                     _dense_upper(band), lower=False,
@@ -342,7 +365,8 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
                              n_fock: int, n_states: int) -> CoupledSpectrum:
     """The states call of _solve: the lowest n_states levels and
     eigenvectors in the Fock (x) qubit-eigenstate product basis.  Above
-    BANDED_DIM_LIMIT an n_states ARPACK cannot take raises EigensolveError.
+    BANDED_DIM_LIMIT an n_states ARPACK cannot take, n_qubit n_fock or
+    more, raises EigensolveError.
     """
     return _solve(gauge, raw, n_qubit, n_fock, n_states)
 
@@ -373,8 +397,9 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
     antisymmetric charge kernels of planewave.linear_kernel (n = 1j A), so
     that -c (1j A1) (x) (1j A2) = c A1 (x) A2 and the operator is real
     symmetric.  Each node Hamiltonian is checked Hermitian and each A
-    antisymmetric; the solve is _lowest_levels, the eigenbasis
-    calls' matrix-free driver.  Returns the levels ascending.
+    antisymmetric; the solve is _lowest_levels, the Lanczos driver the
+    eigenbasis calls' shift-invert solve shares.  Returns the levels
+    ascending.
     """
     circuit = gauge_circuit(gauge, raw)
     basis_osc = PlaneWaveBasis.for_oscillator(circuit.EC, circuit.EL)

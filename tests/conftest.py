@@ -106,8 +106,8 @@ def fits():
 @pytest.fixture
 def assembled_dims(monkeypatch):
     """Dimensions of every dense matrix the states call assembles; one above
-    BANDED_DIM_LIMIT, where the states call is matrix-free, fails the test
-    before it is allocated."""
+    BANDED_DIM_LIMIT, where the states call is shift-invert Lanczos on the
+    band, fails the test before it is allocated."""
     dims = []
     dense_upper = coupled._dense_upper
 

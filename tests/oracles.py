@@ -238,3 +238,23 @@ def fix_phases_loop(vectors):
         if out[i, col] < 0.0:
             out[:, col] = -out[:, col]
     return out
+
+
+def product_matvec(coupling):
+    """Eigenbasis-product Hamiltonian of a ProductCoupling as a matvec on
+    flat oscillator-major states.
+
+    A state held as an n_fock x n_qubit array x maps to E o x + (X x K') c,
+    with E the bare energies, read from the full tables rather than from
+    the band.  Reference for the product matrix whose banded Cholesky
+    factor fluxrabi.coupled applies at dimensions too large for
+    kron_product_hamiltonian.
+    """
+    bare = np.add.outer(coupling.osc_energies, coupling.qubit_energies)
+    osc, qub = coupling.osc_elements, coupling.qubit_elements
+
+    def matvec(v):
+        x = v.reshape(bare.shape)
+        return (bare * x + (osc @ x @ qub.T) * coupling.strength).ravel()
+
+    return matvec

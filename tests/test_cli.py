@@ -121,8 +121,8 @@ def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
 def test_doubled_truncation_past_banded_limit_assembles_nothing(
         assembled_dims, tmp_path):
     # the configured build (8, 60), dimension 480, and its doubled check,
-    # dimension 1920, are levels calls, banded and matrix-free, and
-    # assemble nothing
+    # dimension 1920, are levels calls, shift-invert Lanczos solves on the
+    # band, and assemble nothing
     doc = small_doc(n_qubit=8, n_fock=60, verify=True, gauge="flux")
     doc["tasks"] = ["circuit-spectrum"]
     doc["sweep"]["phix_points"] = 1
@@ -138,9 +138,9 @@ def test_doubled_truncation_past_banded_limit_assembles_nothing(
 def test_observables_past_banded_limit_assembles_nothing(assembled_dims,
                                                          tmp_path, capsys):
     # at (8, 80), 640 product states, both the levels and the states call
-    # are matrix-free: circuit-spectrum and observables succeed without a
-    # dense matrix, and n_states = 640, which ARPACK cannot solve for, is
-    # a numeric failure
+    # are shift-invert Lanczos solves: circuit-spectrum and observables
+    # succeed without a dense matrix, and n_states = 640, which Lanczos
+    # cannot solve for, is refused when the config loads
     doc = small_doc(n_qubit=8, n_fock=80, verify=False)
     doc["sweep"]["phix_points"] = 1
     for task in ("circuit-spectrum", "observables"):
@@ -153,14 +153,16 @@ def test_observables_past_banded_limit_assembles_nothing(assembled_dims,
     assert len(rows.splitlines()) > 1
     doc["numerics"]["n_states"] = 640
     cfg = write_doc(tmp_path, doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "p")]) == 3
-    assert "ARPACK takes fewer than 640" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: numerics.n_states must be below" in err
+    assert not (tmp_path / "p").exists()
 
 
 def test_planewave_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
     # an ARPACK failure in the gauge-check cross-check is a numeric
     # failure; only the dimension-2048 plane-wave solve fails, while the
-    # ladder's matrix-free levels calls reach the real solver
+    # ladder's shift-invert levels calls reach the real solver
     solver = scipy.sparse.linalg.eigsh
 
     def fail(a, *args, **kwargs):

@@ -206,6 +206,10 @@ def test_numerics_validation():
                         "n_states": 1}, "fit_levels"),
     ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 1,
                         "n_states": 4}, "n_states"),
+    # above 512 product states the states call takes fewer states than
+    # the dimension
+    ("numerics", None, {"n_qubit": 8, "n_fock": 80, "fit_levels": 1,
+                        "n_states": 640}, "n_states must be below"),
     ("output", "directory", None, "output directory"),
     ("output", "directory", 5, "output directory"),
     ("output", "directory", ["x"], "output directory"),
@@ -254,6 +258,17 @@ def test_smallest_truncation_for_task_accepted(task, n_qubit, n_fock):
     doc["numerics"] = {"n_qubit": n_qubit, "n_fock": n_fock,
                        "fit_levels": 1, "n_states": 1}
     assert parse_config(doc).tasks == (task,)
+
+
+@pytest.mark.parametrize("n_qubit, n_fock, n_states", [
+    (8, 64, 512),  # 512 product states: the dense subset solve takes all
+    (8, 80, 639),  # 640: the Lanczos solve takes one fewer
+])
+def test_largest_n_states_accepted(n_qubit, n_fock, n_states):
+    doc = minimal_doc()
+    doc["numerics"] = {"n_qubit": n_qubit, "n_fock": n_fock,
+                       "fit_levels": 1, "n_states": n_states}
+    assert parse_config(doc).numerics.n_states == n_states
 
 
 def test_overrides_and_workers():

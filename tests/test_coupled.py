@@ -1,6 +1,7 @@
 """Coupled-circuit eigensolves: builds, cross-checks, and observables."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -24,18 +25,32 @@ from fluxrabi.coupled import (
 from fluxrabi.planewave import EigensolveError
 from fluxrabi.qubit import TwoLevelFit
 from fluxrabi.rabi import map_circuit_to_rabi
+from fluxrabi.tasks import TRUNCATION_LADDER
 
 from conftest import circuit_parts
 from oracles import (complex_eigenbasis_hamiltonian,
                      dense_planewave_hamiltonian, kron_product_hamiltonian,
-                     ladder_difference)
+                     ladder_difference, product_matvec)
+
+
+def _patch_pbtrf(monkeypatch, wrap):
+    """Make scipy.linalg.get_lapack_funcs hand out wrap(dpbtrf) for every
+    "pbtrf" it is asked for, the other routines unchanged."""
+    get_funcs = scipy.linalg.get_lapack_funcs
+
+    def lapack_funcs(names, *args, **kwargs):
+        funcs = get_funcs(names, *args, **kwargs)
+        return [wrap(f) if name == "pbtrf" else f
+                for name, f in zip(names, funcs)]
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lapack_funcs)
 
 
 def _solver_inputs(monkeypatch):
     """Record a copy of every matrix handed to np.linalg.eigh, eigvalsh and
     scipy.linalg.eigh, and of every band handed to
-    scipy.linalg.eigvals_banded, taken before the solve, and every
-    LinearOperator handed to scipy.sparse.linalg.eigsh."""
+    scipy.linalg.eigvals_banded or LAPACK's dpbtrf, taken before the solve,
+    and every LinearOperator handed to scipy.sparse.linalg.eigsh."""
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
                          (scipy.linalg, "eigh"),
@@ -49,7 +64,46 @@ def _solver_inputs(monkeypatch):
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
+
+    def record_factor(pbtrf):
+        def factor(ab, *args, **kwargs):
+            seen.append(np.array(ab, copy=True))
+            return pbtrf(ab, *args, **kwargs)
+        return factor
+
+    _patch_pbtrf(monkeypatch, record_factor)
     return seen
+
+
+def _shifts(h):
+    """The shifts sigma the coupled shift-invert solve tries on the
+    symmetric matrix h, in order: its smallest diagonal entry minus 1, 2,
+    4, ... GHz, floored 1 GHz under its Gershgorin bound."""
+    diag = np.diag(h)
+    floor = float(np.min(diag - (np.abs(h).sum(axis=1) - np.abs(diag)))) - 1.0
+    step = 1.0
+    while True:
+        yield max(diag.min() - step, floor)
+        step *= 2.0
+
+
+def _assert_factored_bands(bands, h):
+    """Each band handed to dpbtrf is the upper band of h bit for bit, of
+    shape (kd + 1, dim), save its diagonal row, which is h's diagonal with
+    the next shift of _shifts(h) subtracted.  Every entry of h outside the
+    band is exactly 0, and its lower triangle mirrors the upper one to the
+    1e-12 the coupled build allows its qubit table, so the band determines
+    h."""
+    kd = bands[0].shape[0] - 1
+    upper = _upper_band(h, kd)
+    coupling = np.abs(h - np.diag(np.diag(h))).max()
+    assert np.abs(h - h.T).max() <= 1e-12 * coupling
+    assert np.all(np.triu(h, kd + 1) == 0.0)
+    assert np.all(np.tril(h, -kd - 1) == 0.0)
+    for band, sigma in zip(bands, _shifts(h)):
+        assert band.shape == upper.shape
+        assert np.array_equal(band[:kd], upper[:kd])
+        assert np.array_equal(band[kd], np.diag(h) - sigma)
 
 
 def _upper_band(h, kd):
@@ -111,9 +165,9 @@ def test_states_call_refuses_qubit_levels_not_dimension(parts20):
 
 def test_truncation_check_and_states_call_past_banded_limit_assemble_nothing(
         assembled_dims, parts20):
-    # both solves of the check are levels calls, banded at (8, 60) and
-    # matrix-free at the doubled dimension 1920; the states call at the
-    # doubled truncation is matrix-free too and finds the same levels
+    # both solves of the check are levels calls, shift-invert Lanczos on
+    # the band at (8, 60) and at the doubled dimension 1920; the states call
+    # at the doubled truncation is one too and finds the same levels
     shift, converged = truncation_check("flux", parts20.raw, 8, 60)
     assert converged and shift < 1e-3
     spec = build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
@@ -245,11 +299,11 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
     # the complex assembly has an imaginary part of exactly 0; the dense
     # matrix the states call hands to LAPACK equals the upper triangle of
-    # its real part bit for bit; the band of the truncation check's first
-    # levels call equals its upper band bit for bit, with every entry
-    # outside the band exactly 0; and the operator of the doubled levels
-    # call, dimension 960 and so matrix-free, applied to the identity
-    # equals its real part bit for bit
+    # its real part bit for bit; the bands that the truncation check's two
+    # levels calls, at dimensions 240 and 960, hand to dpbtrf equal the
+    # upper band of its real part bit for bit, save the shift on the
+    # diagonal, with every entry outside the band exactly 0; and the
+    # operator each hands to eigsh applies -(H - sigma I)^-1
     seen = _solver_inputs(monkeypatch)
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
@@ -257,18 +311,28 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
         build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
         truncation_check(gauge, p.raw, 6, 40)
         assert all(h.dtype == np.float64 for h in seen)
-        dense, band, operator = [h for h in seen if h.shape[1] > 32]
-        assert band.shape == (12, 240)
-        assert isinstance(operator, scipy.sparse.linalg.LinearOperator)
-        ref = complex_eigenbasis_hamiltonian(gauge, p.raw, 6, 40, n_table=12)
-        assert np.all(ref.imag == 0.0)
-        assert np.array_equal(dense, np.triu(ref.real))
-        assert np.array_equal(band, _upper_band(ref.real, 11))
-        assert np.all(np.triu(ref.real, 12) == 0.0)
-        assert np.all(np.tril(ref.real, -12) == 0.0)
-        ref = complex_eigenbasis_hamiltonian(gauge, p.raw, 12, 80, n_table=12)
-        assert np.all(ref.imag == 0.0)
-        assert np.array_equal(operator.matmat(np.eye(960)), ref.real)
+        dense, *solved = [h for h in seen if h.shape[1] > 32]
+        # each levels call factors one or more shifted bands, then hands
+        # one operator to eigsh
+        cut = [i for i, h in enumerate(solved)
+               if isinstance(h, scipy.sparse.linalg.LinearOperator)]
+        assert len(cut) == 2 and cut[1] == len(solved) - 1
+        for n_qubit, n_fock, bands, operator in (
+                (6, 40, solved[:cut[0]], solved[cut[0]]),
+                (12, 80, solved[cut[0] + 1:cut[1]], solved[cut[1]])):
+            dim = n_qubit * n_fock
+            assert bands and bands[0].shape == (2 * n_qubit, dim)
+            assert operator.shape == (dim, dim)
+            ref = complex_eigenbasis_hamiltonian(gauge, p.raw, n_qubit,
+                                                 n_fock, n_table=12)
+            assert np.all(ref.imag == 0.0)
+            if dim == 240:
+                assert np.array_equal(dense, np.triu(ref.real))
+            _assert_factored_bands(bands, ref.real)
+            sigma = list(itertools.islice(_shifts(ref.real), len(bands)))[-1]
+            probe = np.eye(dim)[:, :3]
+            shifted = ref.real - sigma * np.eye(dim)
+            assert np.abs(shifted @ operator.matmat(probe) + probe).max() < 1e-9
 
 
 @pytest.mark.parametrize("lc", [20.0, 350.0])
@@ -336,8 +400,9 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
          gauge="flux", dims=(8, 80))
 def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
                                                gauge, dims):
-    # above BANDED_DIM_LIMIT the levels call is a Lanczos solve; it must
-    # find the lowest eight levels of the same matrix as the banded solver,
+    # above eight product states the levels call is a shift-invert Lanczos
+    # solve; it must find the lowest eight levels of the same matrix as
+    # LAPACK's banded solver,
     # also at Lc = 0, where the matrix is diagonal and a dropped level
     # would show
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
@@ -348,6 +413,85 @@ def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
                                          select="i", select_range=(0, 7))
     assert spec.energies.shape == (8,)
     assert np.abs(spec.energies - banded).max() < 1e-9
+
+
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_shift_invert_levels_match_dense_oracle(gauge, lc):
+    # every rung of gauge-check's ladder and (16, 120): the levels call
+    # against np.linalg.eigvalsh of the Kronecker form of the same matrix
+    raw = circuit_parts(lc).raw
+    for nq, nf in TRUNCATION_LADDER + ((16, 120),):
+        spec = coupled_levels(gauge, raw, nq, nf)
+        dense = np.linalg.eigvalsh(
+            kron_product_hamiltonian(spec.coupling.truncated(nf, nq)))
+        assert spec.energies.shape == (8,)
+        assert np.abs(spec.energies - dense[:8]).max() < 1e-10, (nq, nf)
+
+
+@pytest.mark.parametrize("dims", [(8, 80), (16, 120)])
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_shift_invert_states_match_dense_eigh(gauge, lc, dims):
+    # above BANDED_DIM_LIMIT the states call is shift-invert Lanczos with
+    # vectors; against a dense eigh of the Kronecker form its energies
+    # agree, each lone vector has |overlap| at least 1 - 1e-12 with the
+    # dense one, and levels within 0.02 GHz of each other (the tunnel
+    # pairs at 350 pH, phix = 0.5) span the same plane
+    nq, nf = dims
+    n_states = 8
+    raw = circuit_parts(lc).raw
+    spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
+    # one level past the last state, to tell whether it has a partner
+    energies, vectors = scipy.linalg.eigh(
+        kron_product_hamiltonian(spec.coupling.truncated(nf, nq)),
+        subset_by_index=[0, n_states])
+    assert np.abs(spec.energies - energies[:n_states]).max() < 1e-10
+    runs = np.split(np.arange(n_states + 1),
+                    np.flatnonzero(np.diff(energies) >= 0.02) + 1)
+    for run in runs:
+        solved = run[run < n_states]
+        span, got = vectors[:, run], spec.vectors[:, solved]
+        if len(run) == 1:
+            if len(solved):
+                assert abs(float(span[:, 0] @ got[:, 0])) >= 1.0 - 1e-12
+        elif len(solved) == len(run):
+            assert np.abs(got @ got.T - span @ span.T).max() < 1e-10
+        else:  # a pair cut by n_states: its solved vector lies in its plane
+            assert np.abs(got - span @ (span.T @ got)).max() < 1e-10
+    # states 6 and 7 at 350 pH are 0.0099 GHz apart, save in the charge
+    # gauge at (8, 80), which has not converged and splits them by 0.29 GHz
+    if lc == 350.0 and (gauge, dims) != ("charge", (8, 80)):
+        assert [6, 7] in [list(run) for run in runs]
+
+
+def test_shift_search_steps_past_failed_factorizations(monkeypatch,
+                                                       parts350):
+    # at 350 pH the flux-gauge ground level lies 8.4 GHz under the lowest
+    # bare energy: the factorizations at 1, 2, 4 and 8 GHz under it fail,
+    # as Cholesky must when sigma is not below the lowest level, and the
+    # first that succeeds, at 16 GHz, is the one solved with
+    infos = []
+    bands = []
+
+    def record(pbtrf):
+        def factor(ab, *args, **kwargs):
+            bands.append(np.array(ab, copy=True))
+            out = pbtrf(ab, *args, **kwargs)
+            infos.append(out[1])
+            return out
+        return factor
+
+    _patch_pbtrf(monkeypatch, record)
+    spec = coupled_levels("flux", parts350.raw, 6, 40)
+    h = kron_product_hamiltonian(spec.coupling.truncated(40, 6))
+    dense = np.linalg.eigvalsh(h)
+    assert len(infos) == 5 and infos[-1] == 0
+    assert all(info > 0 for info in infos[:-1])
+    _assert_factored_bands(bands, h)
+    sigmas = list(itertools.islice(_shifts(h), len(bands)))
+    assert sigmas[-1] < dense[0] <= sigmas[-2]
+    assert np.abs(spec.energies - dense[:8]).max() < 1e-10
 
 
 def _eigenspaces(levels):
@@ -384,11 +528,12 @@ def _current_unit(raw):
 def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
                                                      phix, gauge, dims,
                                                      n_states):
-    # above BANDED_DIM_LIMIT the states call is a Lanczos solve with
-    # vectors; against the dense subset solve of the same matrix its levels
-    # agree, its vectors span the same eigenspaces (levels within 1e-6 GHz
-    # of each other count as one) and each lone level's observables agree,
-    # whatever sign ARPACK gives a vector.  Both solves leave residuals
+    # above BANDED_DIM_LIMIT the states call is a shift-invert Lanczos
+    # solve with vectors; against the dense subset solve of the same matrix
+    # its levels agree, its vectors span the same eigenspaces (levels
+    # within 1e-6 GHz of each other count as one) and each lone level's
+    # observables agree, whatever sign ARPACK gives a vector.  Both solves
+    # leave residuals
     # near 1e-12, which turn a vector by up to about that over the gap to
     # the nearest other level, so below a 1 GHz gap the vector and
     # observable tolerances grow as 1 / gap: at phix = 0.5 a tunnel pair
@@ -428,14 +573,15 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
 
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_states_call_at_5120_product_states(assembled_dims, parts350, gauge):
-    # (32, 160), where the 350 pH gauges agree to 0.07 MHz: matrix-free,
-    # nothing dense assembled, orthonormal eigenpairs of the product
-    # matrix, and the levels of the levels call
+    # (32, 160), where the 350 pH gauges agree to 0.07 MHz: shift-invert
+    # Lanczos, nothing dense assembled, orthonormal eigenpairs of the
+    # product matrix as the oracle matvec applies it, and the levels of
+    # the levels call
     spec = build_coupled_eigenbasis(gauge, parts350.raw, 32, 160, 4)
     assert assembled_dims == []
     assert spec.vectors.shape == (5120, 4)
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(4)).max() < 1e-12
-    matvec = coupled._product_matvec(spec.coupling, 160, 32)
+    matvec = product_matvec(spec.coupling.truncated(160, 32))
     for energy, vector in zip(spec.energies, spec.vectors.T):
         assert np.linalg.norm(matvec(vector) - energy * vector) < 1e-9
     levels = coupled_levels(gauge, parts350.raw, 32, 160)
@@ -443,7 +589,8 @@ def test_states_call_at_5120_product_states(assembled_dims, parts350, gauge):
 
 
 def _solver_calls(monkeypatch):
-    """Names of the coupled eigensolvers called, in call order."""
+    """Names of the coupled eigensolvers and factorizations called, in call
+    order."""
     calls = []
     for module, name in ((scipy.linalg, "eigvals_banded"),
                          (scipy.linalg, "eigh"),
@@ -455,36 +602,58 @@ def _solver_calls(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, record)
+
+    def name_factor(pbtrf):
+        def factor(*args, **kwargs):
+            calls.append("pbtrf")
+            return pbtrf(*args, **kwargs)
+        return factor
+
+    _patch_pbtrf(monkeypatch, name_factor)
     return calls
 
 
-@pytest.mark.parametrize("dims, solver", [
-    ((8, 60), "eigvals_banded"),  # 480: the configured truncations
-    ((8, 80), "eigsh"),           # 640
+def _shift_invert_calls(calls):
+    """Whether calls is one or more factorizations, then one eigsh."""
+    return calls[-1:] == ["eigsh"] and set(calls[:-1]) == {"pbtrf"}
+
+
+@pytest.mark.parametrize("dims, banded", [
+    ((2, 4), True),    # 8: every level of the band
+    ((3, 3), False),   # 9
+    ((8, 60), False),  # 480: the configured truncations
+    ((8, 80), False),  # 640
 ])
 def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
-                                               solver):
+                                               banded):
     calls = _solver_calls(monkeypatch)
     coupled_levels("charge", parts350.raw, *dims)
-    assert calls == [solver]
+    if banded:
+        assert calls == ["eigvals_banded"]
+    else:
+        assert _shift_invert_calls(calls), calls
 
 
-@pytest.mark.parametrize("dims, solver", [
-    ((8, 64), "eigh"),   # 512, the largest dense solve
-    ((8, 65), "eigsh"),  # 520
+@pytest.mark.parametrize("dims, dense", [
+    ((8, 64), True),   # 512, the largest dense solve
+    ((8, 65), False),  # 520
 ])
 def test_states_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
-                                               solver):
+                                               dense):
     calls = _solver_calls(monkeypatch)
     build_coupled_eigenbasis("charge", parts350.raw, *dims, 4)
-    assert calls == [solver]
+    if dense:
+        assert calls == ["eigh"]
+    else:
+        assert _shift_invert_calls(calls), calls
 
 
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_matrix_free_states_call_at_its_edges(parts20, gauge):
     # twelve states at 640 product states, more than the levels call's
     # eight; every state of the dimension, which ARPACK cannot solve for,
-    # is a numeric failure, and no state at all a ValueError
+    # is a numeric failure (a config names it first), and no state at all
+    # a ValueError
     raw = parts20.raw
     spec = build_coupled_eigenbasis(gauge, raw, 8, 80, 12)
     assert spec.energies.shape == (12,)
@@ -622,12 +791,14 @@ def test_both_matrix_forms_reject_quadrature_beyond_neighbours(parts20,
 
 
 def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
+    # up to eight product states the levels call takes every level of the
+    # band
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
-    with pytest.raises(EigensolveError, match="banded"):
-        coupled_levels("flux", parts20.raw, 6, 40)
+    with pytest.raises(EigensolveError, match="banded coupled"):
+        coupled_levels("flux", parts20.raw, 2, 4)
 
 
 @pytest.mark.parametrize("error", [
@@ -637,15 +808,44 @@ def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
 ])
 def test_matrix_free_levels_failure_raises_eigensolve_error(monkeypatch,
                                                             parts20, error):
+    # an ARPACK failure of the shift-invert solve, in the levels call at
+    # 240 and 640 product states and in the states call at 640
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    for solve, dims in ((coupled_levels, (6, 40)), (coupled_levels, (8, 80)),
+                        (lambda *a: build_coupled_eigenbasis(*a, n_states=4),
+                         (8, 80))):
+        with pytest.raises(EigensolveError,
+                           match="shift-invert coupled eigensolve failed"):
+            solve("flux", parts20.raw, *dims)
+
+
+def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
+                                                                 parts20):
+    # a dpbtrf that never succeeds: the shift steps down to 1 GHz under the
+    # Gershgorin bound, is tried there once, and the solve gives up
+    bands = []
+
+    def never(pbtrf):
+        def factor(ab, *args, **kwargs):
+            bands.append(np.array(ab, copy=True))
+            return ab, 1
+        return factor
+
+    h = kron_product_hamiltonian(
+        circuit_coupling("flux", parts20.raw, 80, 8).truncated(80, 8))
+    _patch_pbtrf(monkeypatch, never)
     for solve in (coupled_levels,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
+        bands.clear()
         with pytest.raises(EigensolveError,
-                           match="matrix-free coupled eigensolve failed"):
+                           match="shift-invert coupled eigensolve failed"):
             solve("flux", parts20.raw, 8, 80)
+        _assert_factored_bands(bands, h)
+        sigmas = list(itertools.islice(_shifts(h), len(bands) + 1))
+        assert sigmas[-1] == sigmas[-2] < sigmas[-3]
 
 
 def test_states_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
