@@ -165,7 +165,9 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     start = np.array([getattr(initial, name) for name in PARAM_NAMES])
     if n_fock is None:
         n_fock = default_n_fock(initial.g / initial.omega)
-    from scipy.optimize import least_squares  # on first use, as in qubit.py
+    # on first use: the Rabi fit is the only user of scipy.optimize, whose
+    # import costs about 17 MiB and 0.1 s that other runs need not pay
+    from scipy.optimize import least_squares
 
     def with_theta(theta: np.ndarray) -> RabiParams:
         return replace(initial, **{name: float(value)

@@ -9,7 +9,9 @@ and the ground/excited diagonal flux elements follow
 -+ Phi2max * eps / sqrt(eps^2 + Delta_q^2).  Fitting those forms to the
 plane-wave levels yields the qubit parameters (Delta_q, Ip, Phi2max) of the
 two-level model; q2max is the magnitude of the off-diagonal charge element
-at the symmetry point.
+at the symmetry point.  The level fit needs numpy only: omega_os is the
+mean doublet midpoint, and (Delta_q, Ip) follow by Gauss-Newton on the
+splitting.
 
 The qubit eigenvectors are real, so both element tables are real: the
 symmetric Phi[j, i] = <j|phase|i> and the antisymmetric B with
@@ -73,33 +75,61 @@ def number_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
 
 
 def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelFit:
-    """Least-squares fit of the avoided-crossing form to the lowest doublet."""
+    """Least-squares fit of the avoided-crossing form to the lowest doublet.
+
+    The misfit of a bias point is 2 (omega_os - m)^2 + (s - d)^2 / 2, with
+    m the doublet midpoint, d = e1 - e0 and s the model splitting, so
+    omega_os is the mean midpoint.  (Delta_q, Ip) then fit s to d by
+    Gauss-Newton steps from the splitting's minimum and edge, until a step
+    moves every parameter by at most 1e-15 of its value, or by at most
+    1e-12 without halving the step before it (the data's rounding floor).
+    20 steps without that, non-finite data, or a final misfit above ten
+    times the start's raise TwoLevelFitError.
+    """
     phix = np.asarray(phix, dtype=float)
-    mean = 0.5 * (np.asarray(e0) + np.asarray(e1))
-    split = np.asarray(e1) - np.asarray(e0)
+    e0 = np.asarray(e0, dtype=float)
+    e1 = np.asarray(e1, dtype=float)
+    if not (np.all(np.isfinite(e0)) and np.all(np.isfinite(e1))):
+        raise TwoLevelFitError("two-level fit data are not finite")
+    mean = 0.5 * (e0 + e1)
+    split = e1 - e0
     dq0 = float(split.min())
     edge = float(split[np.argmax(np.abs(phix - 0.5))])
     eps_edge = math.sqrt(max(edge**2 - dq0**2, 1e-12))
     slope_flux = float(np.max(np.abs(phix - 0.5)))
     ip0 = eps_edge / max(bias_to_ghz(1.0, 0.5 + slope_flux), 1e-12)
+    k = bias_to_ghz(1.0, phix)
 
     def residuals(params: np.ndarray) -> np.ndarray:
         omega_os, dq, ip = params
-        s = np.sqrt(bias_to_ghz(ip, phix) ** 2 + dq**2)
+        s = np.sqrt((ip * k) ** 2 + dq**2)
         return np.concatenate([omega_os - 0.5 * s - e0, omega_os + 0.5 * s - e1])
 
     start = np.array([float(mean.mean()), dq0, ip0])
     initial = float(np.mean(residuals(start) ** 2))
-    # scipy.optimize is imported on first use: loading it takes about 50 MB
-    # of resident memory, which runs that never fit need not carry
-    from scipy.optimize import least_squares
-
-    sol = least_squares(residuals, start, method="lm",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    residual = float(np.mean(sol.fun**2))
-    if residual > 10.0 * max(initial, 1e-30) or not np.all(np.isfinite(sol.x)):
+    theta, last = start[1:], math.inf
+    for _ in range(20):
+        dq, ip = theta
+        s = np.sqrt((ip * k) ** 2 + dq**2)
+        jac = np.column_stack([dq / s, ip * k**2 / s])
+        step = np.linalg.lstsq(jac, split - s, rcond=None)[0]
+        theta = theta + step
+        if not np.all(np.isfinite(theta)):
+            break
+        size = float(np.max(np.abs(step) / np.abs(theta)))
+        # a small step that no longer halves is rounding noise of the data
+        if size <= 1e-15 or 0.5 * last <= size <= 1e-12:
+            break
+        last = size
+    else:
+        raise TwoLevelFitError("two-level fit did not converge in 20 steps")
+    params = np.concatenate([start[:1], theta])
+    residual = float(np.mean(residuals(params) ** 2))
+    # the rounding of the levels themselves, below which no fit can go
+    floor = (np.finfo(float).eps * float(np.max(np.abs([e0, e1])))) ** 2
+    if residual > 10.0 * max(initial, floor) or not np.all(np.isfinite(params)):
         raise TwoLevelFitError("two-level fit diverged")
-    omega_os, dq, ip = sol.x
+    omega_os, dq, ip = params
     return TwoLevelFit(Delta_q=abs(float(dq)), Ip=abs(float(ip)),
                        omega_os=float(omega_os), fit_residual=residual)
 

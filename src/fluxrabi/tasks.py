@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
@@ -98,6 +97,9 @@ def _sweep(cfg: RunConfig, point, gauges=("flux",), circuits=None,
     if cfg.workers <= 1 or len(points) <= 1:
         tails = list(map(point, *args))
     else:
+        # imported on first use: a serial run need not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             tails = list(pool.map(point, *args, chunksize=1))
     rows = [(lc, raw.phix, gauge) + tail

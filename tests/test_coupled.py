@@ -700,7 +700,8 @@ def _full_eigh_spectrum(spec):
 
 
 @pytest.mark.parametrize("lc, phix", [(20.0, 0.5), (20.0, 0.494),
-                                      (350.0, 0.497), (350.0, 0.503)])
+                                      (350.0, 0.497), (350.0, 0.5),
+                                      (350.0, 0.503)])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_subset_states_call_matches_full_eigh(gauge, lc, phix):
     raw = circuit_parts(lc, phix).raw

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import hyperbola_levels
@@ -13,6 +13,7 @@ from fluxrabi.coupled import circuit_coupling
 from fluxrabi.planewave import (EDGE_WEIGHT_LIMIT, PlaneWaveBasis,
                                 diagonalize_flux_qubit, linear_kernel)
 from fluxrabi.qubit import (
+    PHIX_FIT_GRID,
     TwoLevelFit,
     TwoLevelFitError,
     characterize_qubit,
@@ -33,10 +34,80 @@ def test_two_level_fit_recovers_exact_hyperbola():
     grid = np.linspace(0.496, 0.504, 41)
     e0, e1 = hyperbola_levels(40.0, 1.3, 280.0, grid, eps_per_phix(280.0))
     fit = fit_two_level(grid, e0, e1)
-    assert fit.Delta_q == pytest.approx(1.3, rel=1e-9)
-    assert fit.Ip == pytest.approx(280.0, rel=1e-9)
-    assert fit.omega_os == pytest.approx(40.0, rel=1e-9)
+    assert fit.Delta_q == pytest.approx(1.3, rel=1e-14)
+    assert fit.Ip == pytest.approx(280.0, rel=1e-14)
+    assert fit.omega_os == pytest.approx(40.0, rel=1e-14)
     assert fit.fit_residual < 1e-16
+
+
+@settings(max_examples=50, deadline=None)
+@given(omega_os=st.floats(20.0, 200.0), delta_q=st.floats(0.5, 10.0),
+       ip=st.floats(100.0, 500.0), n_points=st.integers(5, 61))
+@example(omega_os=121.1, delta_q=9.47, ip=115.0, n_points=5)
+def test_two_level_fit_recovers_random_hyperbolas(omega_os, delta_q, ip,
+                                                  n_points):
+    # the levels round at about eps omega_os, which bounds how well any fit
+    # can place Delta_q; these ranges keep that well below 1e-12 relative.
+    # An even point count leaves 0.5 off the grid, so the start is not exact.
+    # In the explicit example the relative steps stall at rounding noise
+    # above 1e-15, which only the rounding-floor stop ends
+    grid = np.linspace(0.496, 0.504, n_points)
+    e0, e1 = hyperbola_levels(omega_os, delta_q, ip, grid, eps_per_phix(ip))
+    fit = fit_two_level(grid, e0, e1)
+    assert fit.Delta_q == pytest.approx(delta_q, rel=1e-12)
+    assert fit.Ip == pytest.approx(ip, rel=1e-12)
+    assert fit.omega_os == pytest.approx(omega_os, rel=1e-12)
+
+
+def gauss_newton_move(fit, phix, split):
+    """Largest relative move of (Delta_q, Ip) by one Gauss-Newton step of
+    sqrt(eps^2 + Delta_q^2) towards split, from fit."""
+    slope = eps_per_phix(1.0) * (phix - 0.5)
+    theta = np.array([fit.Delta_q, fit.Ip])
+    model = np.sqrt((fit.Ip * slope) ** 2 + fit.Delta_q**2)
+    jac = np.column_stack([fit.Delta_q / model, fit.Ip * slope**2 / model])
+    step = np.linalg.lstsq(jac, split - model, rcond=None)[0]
+    return float(np.max(np.abs(step) / theta))
+
+
+@pytest.mark.parametrize("lc", [0.0, 20.0, 200.0, 350.0, 700.0])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_two_level_fit_stops_at_its_minimum(gauge, lc):
+    node = getattr(circuit_parts(lc), gauge).qubit_node
+    basis = PlaneWaveBasis.for_qubit()
+    levels = np.array([diagonalize_flux_qubit(*node, float(phix), basis)
+                       .energies[:2] for phix in PHIX_FIT_GRID])
+    fit = fit_two_level(PHIX_FIT_GRID, levels[:, 0], levels[:, 1])
+    assert gauss_newton_move(fit, PHIX_FIT_GRID,
+                             levels[:, 1] - levels[:, 0]) <= 1e-14
+    # the offset decouples from the splitting: the mean doublet midpoint
+    assert fit.omega_os == pytest.approx(levels.mean(), rel=1e-14)
+
+
+def test_two_level_fit_rejects_non_finite_levels():
+    grid = np.linspace(0.496, 0.504, 21)
+    e0, e1 = hyperbola_levels(40.0, 1.3, 280.0, grid, eps_per_phix(280.0))
+    for bad in (np.nan, np.inf):
+        broken = e1.copy()
+        broken[4] = bad
+        with pytest.raises(TwoLevelFitError, match="not finite"):
+            fit_two_level(grid, e0, broken)
+
+
+def test_two_level_fit_gives_up_after_twenty_steps(monkeypatch):
+    # steps that never shrink: the fit stops at its cap, not at a result
+    grid = np.linspace(0.496, 0.504, 21)
+    e0, e1 = hyperbola_levels(40.0, 1.3, 280.0, grid, eps_per_phix(280.0))
+    steps = []
+
+    def wandering(jac, rhs, rcond=None):
+        steps.append(rhs)
+        return (-1.0) ** len(steps) * np.array([1e-3, 1e-1]), None, 2, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", wandering)
+    with pytest.raises(TwoLevelFitError, match="20 steps"):
+        fit_two_level(grid, e0, e1)
+    assert len(steps) == 20
 
 
 def test_characterization_of_reference_qubit(parts20):

@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -113,6 +115,41 @@ def test_pool_results_match_serial_path():
         assert len(serial) > 0
         assert ([[tasks._format_cell(c) for c in row] for row in serial]
                 == [[tasks._format_cell(c) for c in row] for row in pooled])
+
+
+def modules_after(code):
+    """Names of the modules a fresh interpreter holds after running code."""
+    src = os.path.dirname(os.path.dirname(tasks.__file__))
+    script = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    return set(proc.stdout.split())
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # a serial run never starts a pool, so it need not load one
+    loaded = modules_after("import fluxrabi.tasks")
+    assert "fluxrabi.tasks" in loaded
+    assert "concurrent.futures.process" not in loaded
+    assert "multiprocessing" not in loaded
+
+
+def test_only_the_rabi_fit_loads_scipy_optimize(tmp_path):
+    def run_code(task_names):
+        return ("from fluxrabi.config import NumericsConfig, reference_config\n"
+                "from fluxrabi.tasks import run\n"
+                f"run(reference_config(tasks={task_names!r}, phix_start=0.498, "
+                "phix_stop=0.502, phix_points=3, numerics=NumericsConfig("
+                "n_qubit=6, n_fock=20, verify=False), "
+                f"output_dir={str(tmp_path)!r}))")
+
+    qubit_tasks = ("qubit-spectrum", "rabi-map", "matrix-elements")
+    loaded = modules_after(run_code(qubit_tasks))
+    assert "scipy.optimize" not in loaded
+    for task in qubit_tasks:
+        assert (tmp_path / f"{task}.csv").exists()
+    assert "scipy.optimize" in modules_after(run_code(("rabi-fit",)))
 
 
 def test_perturbation_point_solves_the_qubit_once(monkeypatch):
