@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .circuit import RawCircuit
-from .constants import BANDED_DIM_LIMIT, N_COUPLED_LEVELS
+from .constants import N_COUPLED_LEVELS
 
 SCHEMA_VERSION = 1
 
@@ -75,12 +75,6 @@ class NumericsConfig:
                               f"min({N_COUPLED_LEVELS}, n_qubit * n_fock)")
         if self.n_states > dim:
             raise ConfigError("numerics.n_states exceeds n_qubit * n_fock")
-        # above the limit the states call is a Lanczos solve, which takes
-        # fewer states than the product dimension
-        if dim > BANDED_DIM_LIMIT and self.n_states >= dim:
-            raise ConfigError(
-                "numerics.n_states must be below n_qubit * n_fock above "
-                f"{BANDED_DIM_LIMIT} product states")
 
     @property
     def gauges(self) -> tuple[str, ...]:

@@ -61,11 +61,6 @@ CONVERGENCE_LIMIT_GHZ = 1e-3
 # the fits use pairs among them.
 N_COUPLED_LEVELS = 8
 
-# Largest product dimension whose eigenbasis states call runs LAPACK's dense
-# subset solve; above it the states call takes shift-invert Lanczos, which
-# solves for fewer states than the dimension only.
-BANDED_DIM_LIMIT = 512
-
 
 def charging_energy_ghz(c_farad: float) -> float:
     """Charging energy e^2 / (2 C) of a capacitance in Farad, as GHz."""

@@ -9,11 +9,11 @@ Two constructions of the same spectrum:
   states call (build_coupled_eigenbasis, lowest n_states eigenpairs) share
   one solve, _solve, on the one form of the product matrix: its band,
   written by _band as the bare energies and the blocks c X[m, m + 1] K,
-  with no Kronecker product.  Above N_COUPLED_LEVELS product states the
-  levels call is a shift-invert Lanczos solve on the band's Cholesky
-  factor (_shift_invert); the states call is LAPACK's dense subset solve
-  of the band's dense copy up to BANDED_DIM_LIMIT and the same shift-invert
-  solve, with vectors, above it.
+  with no Kronecker product.  One rule picks the path for both calls:
+  while the levels a call solves for, max(N_COUPLED_LEVELS, n_states),
+  are fewer than the product dimension, a shift-invert Lanczos solve on
+  the band's Cholesky factor (_shift_invert); otherwise LAPACK's banded
+  solver for every level of the band.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -39,8 +39,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
-from .constants import (BANDED_DIM_LIMIT, CONSTANTS, N_COUPLED_LEVELS,
-                        annihilation, ladder_sum, truncation_shift)
+from .constants import (CONSTANTS, N_COUPLED_LEVELS, annihilation,
+                        ladder_sum, truncation_shift)
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -107,9 +107,10 @@ class CoupledSpectrum:
 
     energies in GHz, ascending: the lowest n_states levels from the states
     call, the lowest min(N_COUPLED_LEVELS, dim) from the levels call, with
-    dim = n_fock n_qubit the product dimension.  vectors holds the matching
-    real eigencolumns, shape (dim, n_states), each of arbitrary sign, or
-    None from the levels call.  coupling is the product coupling the build
+    dim = n_fock n_qubit the product dimension, from whichever of _solve's
+    two paths its rule picks.  vectors holds the matching real
+    eigencolumns, shape (dim, n_states), each of arbitrary sign, or None
+    from the levels call.  coupling is the product coupling the build
     assembled from, tabulated at dims and at least N_PERT_FOCK x
     N_PERT_LEVELS.
     """
@@ -197,7 +198,9 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
     diagonal d, with kd = 2 n_qubit - 1: the bare energies on the diagonal
     and above it only the blocks c X[m, m+1] K, because X = a +- a' couples
     only neighbouring Fock states; the blocks c X[m+1, m] K below follow
-    from the symmetry _checked_slice enforces.
+    from the symmetry _checked_slice enforces.  Each block entry is added
+    to a zero, as the Kronecker form adds its coupling term, so the band is
+    that form's upper band bit for bit, signed zeros included.
     """
     sliced = _checked_slice(coupling, n_fock, n_qubit)
     kd = 2 * n_qubit - 1
@@ -205,7 +208,7 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
     band[kd] = np.add.outer(sliced.osc_energies, sliced.qubit_energies).ravel()
     a, b = np.indices((n_qubit, n_qubit))
     cols = n_qubit * np.arange(1, n_fock)[:, None, None] + b
-    band[n_qubit - 1 + a - b, cols] = (
+    band[n_qubit - 1 + a - b, cols] += (
         np.multiply.outer(np.diag(sliced.osc_elements, 1),
                           sliced.qubit_elements) * sliced.strength)
     return band
@@ -216,29 +219,22 @@ def _lowest_levels(matvec, dim: int, what: str,
     """(energies, vectors), ascending, of the real symmetric operator matvec
     of dimension dim: the lowest N_COUPLED_LEVELS levels and None, or with
     n_states the lowest n_states eigenpairs of a solve for
-    max(N_COUPLED_LEVELS, n_states).
+    max(N_COUPLED_LEVELS, n_states), which must be below dim.
 
     ARPACK's Lanczos solver (scipy.sparse.linalg.eigsh, smallest algebraic,
     tol 1e-13, from a seeded start vector so the bytes repeat), shared by
     the plane-wave cross-check, whose matvec applies its Hamiltonian, and
     the eigenbasis product's _shift_invert, whose matvec applies
-    -(H - sigma I)^-1.  A solve for dim or more levels, which ARPACK cannot
-    take, or one that fails raises EigensolveError naming what; n_states
-    below 1 raises ValueError.
+    -(H - sigma I)^-1.  A solve that fails raises EigensolveError naming
+    what.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    if n_states is not None and n_states < 1:
-        raise ValueError(f"n_states must be at least 1, not {n_states}")
-    k = max(N_COUPLED_LEVELS, n_states or 0)
-    if k >= dim:
-        raise EigensolveError(
-            f"{what} eigensolve: ARPACK takes fewer than {dim} levels, "
-            f"not {k}")
     start = np.random.default_rng(0).standard_normal(dim)
     try:
         solved = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
-                       k=k, which="SA", tol=1e-13, v0=start,
+                       k=max(N_COUPLED_LEVELS, n_states or 0), which="SA",
+                       tol=1e-13, v0=start,
                        return_eigenvectors=n_states is not None)
     except ArpackError as err:
         raise EigensolveError(f"{what} eigensolve failed: {err}") from err
@@ -247,22 +243,6 @@ def _lowest_levels(matvec, dim: int, what: str,
     levels, vectors = solved
     order = np.argsort(levels)[:n_states]
     return levels[order], vectors[:, order]
-
-
-def _dense_upper(band: np.ndarray) -> np.ndarray:
-    """The dense matrix whose upper triangle is band (LAPACK upper band
-    storage) and whose strict lower triangle is zero.
-
-    Each entry is added to a zero, as the Kronecker form adds its coupling
-    term, so the upper triangle is that form's bit for bit, signed zeros
-    included.
-    """
-    kd = band.shape[0] - 1
-    rows, cols = np.indices(band.shape)
-    keep = rows + cols >= kd  # band[r, j] holds h[j - kd + r, j]
-    h = np.zeros((band.shape[1], band.shape[1]))
-    h[(rows + cols - kd)[keep], cols[keep]] += band[keep]
-    return h
 
 
 def _coupling_for(gauge: str, raw: RawCircuit, n_qubit: int,
@@ -320,36 +300,38 @@ def _shift_invert(band: np.ndarray, n_states: int | None):
 def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
            n_states: int | None) -> CoupledSpectrum:
     """The one eigenbasis-product solve: the lowest min(N_COUPLED_LEVELS,
-    dim) levels with n_states None, else the lowest n_states eigenpairs.
+    dim) levels with n_states None, else the lowest n_states eigenpairs,
+    with dim = n_qubit n_fock and n_states in 1 .. dim (else ValueError).
 
-    _coupling_for's coupling and its _band; the path is picked on dim =
-    n_qubit n_fock.  The levels call takes every level of the band from
-    scipy.linalg.eigvals_banded up to dim N_COUPLED_LEVELS, and the
-    shift-invert Lanczos solve of _shift_invert above it.  The states call
-    takes its eigenpairs from the band's dense upper triangle by
-    scipy.linalg.eigh up to BANDED_DIM_LIMIT, whose ValueError refuses
-    n_states outside 1 .. dim, and from _shift_invert with vectors above it.
+    _coupling_for's coupling and its _band; one rule picks the path for
+    both calls.  While the solve's max(N_COUPLED_LEVELS, n_states) levels
+    are fewer than dim, it is the shift-invert Lanczos solve of
+    _shift_invert; otherwise scipy.linalg.eig_banded takes every level of
+    the band, with vectors for the states call, which keeps the lowest
+    n_states.
     """
     import scipy.linalg
 
-    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
     dim = n_qubit * n_fock
+    if n_states is not None and not 1 <= n_states <= dim:
+        raise ValueError(f"n_states must be in 1 .. {dim}, the product "
+                         f"dimension, not {n_states}")
+    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
     band = _band(coupling, n_fock, n_qubit)
-    limit = N_COUPLED_LEVELS if n_states is None else BANDED_DIM_LIMIT
     vectors = None
-    if dim > limit:
+    if max(N_COUPLED_LEVELS, n_states or 0) < dim:
         energies, vectors = _shift_invert(band, n_states)
     else:
-        what = "banded coupled" if n_states is None else "dense coupled"
         try:
-            if n_states is None:
-                energies = scipy.linalg.eigvals_banded(band)
-            else:
-                energies, vectors = scipy.linalg.eigh(
-                    _dense_upper(band), lower=False,
-                    subset_by_index=[0, n_states - 1])
+            solved = scipy.linalg.eig_banded(band,
+                                             eigvals_only=n_states is None)
         except np.linalg.LinAlgError as err:
-            raise EigensolveError(f"{what} eigensolve failed: {err}") from err
+            raise EigensolveError(
+                f"banded coupled eigensolve failed: {err}") from err
+        if n_states is None:
+            energies = solved
+        else:
+            energies, vectors = solved[0][:n_states], solved[1][:, :n_states]
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
@@ -364,9 +346,9 @@ def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
 def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
                              n_fock: int, n_states: int) -> CoupledSpectrum:
     """The states call of _solve: the lowest n_states levels and
-    eigenvectors in the Fock (x) qubit-eigenstate product basis.  Above
-    BANDED_DIM_LIMIT an n_states ARPACK cannot take, n_qubit n_fock or
-    more, raises EigensolveError.
+    eigenvectors in the Fock (x) qubit-eigenstate product basis, for any
+    n_states in 1 .. n_qubit n_fock; no dense product matrix at any
+    dimension.
     """
     return _solve(gauge, raw, n_qubit, n_fock, n_states)
 

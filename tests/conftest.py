@@ -10,8 +10,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
-import fluxrabi.coupled as coupled
 from fluxrabi.circuit import gauge_circuit
 from fluxrabi.config import reference_config
 from fluxrabi.coupled import coupled_levels
@@ -103,19 +104,45 @@ def fits():
     return fit_result
 
 
-@pytest.fixture
-def assembled_dims(monkeypatch):
-    """Dimensions of every dense matrix the states call assembles; one above
-    BANDED_DIM_LIMIT, where the states call is shift-invert Lanczos on the
-    band, fails the test before it is allocated."""
-    dims = []
-    dense_upper = coupled._dense_upper
+def patch_pbtrf(monkeypatch, wrap):
+    """Make scipy.linalg.get_lapack_funcs hand out wrap(dpbtrf) for every
+    "pbtrf" it is asked for, the other routines unchanged."""
+    get_funcs = scipy.linalg.get_lapack_funcs
 
-    def recorder(band):
-        dim = band.shape[1]
-        dims.append(dim)
-        assert dim <= coupled.BANDED_DIM_LIMIT, f"dense assembly at {dim}"
-        return dense_upper(band)
+    def lapack_funcs(names, *args, **kwargs):
+        funcs = get_funcs(names, *args, **kwargs)
+        return [wrap(f) if name == "pbtrf" else f
+                for name, f in zip(names, funcs)]
 
-    monkeypatch.setattr(coupled, "_dense_upper", recorder)
-    return dims
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lapack_funcs)
+
+
+def solver_calls(monkeypatch):
+    """Names of the coupled eigensolvers and factorizations called, in call
+    order: "eig_banded", "eigsh" and "pbtrf"."""
+    calls = []
+    for module, name in ((scipy.linalg, "eig_banded"),
+                         (scipy.sparse.linalg, "eigsh")):
+        original = getattr(module, name)
+
+        def record(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+
+    def name_factor(pbtrf):
+        def factor(*args, **kwargs):
+            calls.append("pbtrf")
+            return pbtrf(*args, **kwargs)
+        return factor
+
+    patch_pbtrf(monkeypatch, name_factor)
+    return calls
+
+
+def nothing_dense(calls):
+    """Whether solver_calls recorded solves, each on the band's Cholesky
+    factor and matrix-free: no LAPACK solve of a whole band, no dense
+    matrix."""
+    return bool(calls) and set(calls) <= {"pbtrf", "eigsh"}

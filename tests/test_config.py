@@ -206,10 +206,6 @@ def test_numerics_validation():
                         "n_states": 1}, "fit_levels"),
     ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 1,
                         "n_states": 4}, "n_states"),
-    # above 512 product states the states call takes fewer states than
-    # the dimension
-    ("numerics", None, {"n_qubit": 8, "n_fock": 80, "fit_levels": 1,
-                        "n_states": 640}, "n_states must be below"),
     ("output", "directory", None, "output directory"),
     ("output", "directory", 5, "output directory"),
     ("output", "directory", ["x"], "output directory"),
@@ -261,8 +257,11 @@ def test_smallest_truncation_for_task_accepted(task, n_qubit, n_fock):
 
 
 @pytest.mark.parametrize("n_qubit, n_fock, n_states", [
-    (8, 64, 512),  # 512 product states: the dense subset solve takes all
-    (8, 80, 639),  # 640: the Lanczos solve takes one fewer
+    # every state of the product dimension, which the banded solver takes
+    # at any size, or one fewer, which the Lanczos solve takes
+    (8, 64, 512),
+    (8, 80, 639),
+    (8, 80, 640),
 ])
 def test_largest_n_states_accepted(n_qubit, n_fock, n_states):
     doc = minimal_doc()

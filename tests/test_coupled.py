@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fluxrabi.coupled as coupled
 from fluxrabi.circuit import GAUGES, RawCircuit, gauge_circuit
-from fluxrabi.constants import CONSTANTS, ladder_sum
+from fluxrabi.constants import CONSTANTS, N_COUPLED_LEVELS, ladder_sum
 from fluxrabi.coupled import (
-    BANDED_DIM_LIMIT,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
@@ -27,34 +26,20 @@ from fluxrabi.qubit import TwoLevelFit
 from fluxrabi.rabi import map_circuit_to_rabi
 from fluxrabi.tasks import TRUNCATION_LADDER
 
-from conftest import circuit_parts
+from conftest import circuit_parts, nothing_dense, patch_pbtrf, solver_calls
 from oracles import (complex_eigenbasis_hamiltonian,
                      dense_planewave_hamiltonian, kron_product_hamiltonian,
                      ladder_difference, product_matvec)
 
 
-def _patch_pbtrf(monkeypatch, wrap):
-    """Make scipy.linalg.get_lapack_funcs hand out wrap(dpbtrf) for every
-    "pbtrf" it is asked for, the other routines unchanged."""
-    get_funcs = scipy.linalg.get_lapack_funcs
-
-    def lapack_funcs(names, *args, **kwargs):
-        funcs = get_funcs(names, *args, **kwargs)
-        return [wrap(f) if name == "pbtrf" else f
-                for name, f in zip(names, funcs)]
-
-    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lapack_funcs)
-
-
 def _solver_inputs(monkeypatch):
-    """Record a copy of every matrix handed to np.linalg.eigh, eigvalsh and
-    scipy.linalg.eigh, and of every band handed to
-    scipy.linalg.eigvals_banded or LAPACK's dpbtrf, taken before the solve,
-    and every LinearOperator handed to scipy.sparse.linalg.eigsh."""
+    """Record a copy of every matrix handed to np.linalg.eigh and eigvalsh,
+    and of every band handed to scipy.linalg.eig_banded or LAPACK's
+    dpbtrf, taken before the solve, and every LinearOperator handed to
+    scipy.sparse.linalg.eigsh."""
     seen = []
     for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
-                         (scipy.linalg, "eigh"),
-                         (scipy.linalg, "eigvals_banded"),
+                         (scipy.linalg, "eig_banded"),
                          (scipy.sparse.linalg, "eigsh")):
         solver = getattr(module, name)
 
@@ -71,7 +56,7 @@ def _solver_inputs(monkeypatch):
             return pbtrf(ab, *args, **kwargs)
         return factor
 
-    _patch_pbtrf(monkeypatch, record_factor)
+    patch_pbtrf(monkeypatch, record_factor)
     return seen
 
 
@@ -164,17 +149,18 @@ def test_states_call_refuses_qubit_levels_not_dimension(parts20):
 
 
 def test_truncation_check_and_states_call_past_banded_limit_assemble_nothing(
-        assembled_dims, parts20):
+        monkeypatch, parts20):
     # both solves of the check are levels calls, shift-invert Lanczos on
     # the band at (8, 60) and at the doubled dimension 1920; the states call
     # at the doubled truncation is one too and finds the same levels
+    calls = solver_calls(monkeypatch)
     shift, converged = truncation_check("flux", parts20.raw, 8, 60)
     assert converged and shift < 1e-3
     spec = build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
     levels = coupled_levels("flux", parts20.raw, 16, 120)
     assert spec.vectors.shape == (1920, 4)
     assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
-    assert assembled_dims == []
+    assert nothing_dense(calls), calls
 
 
 @pytest.mark.parametrize("n_qubit, checked, needed", [
@@ -297,9 +283,8 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
-    # the complex assembly has an imaginary part of exactly 0; the dense
-    # matrix the states call hands to LAPACK equals the upper triangle of
-    # its real part bit for bit; the bands that the truncation check's two
+    # the complex assembly has an imaginary part of exactly 0; the bands
+    # that the states call at dimension 240 and the truncation check's two
     # levels calls, at dimensions 240 and 960, hand to dpbtrf equal the
     # upper band of its real part bit for bit, save the shift on the
     # diagonal, with every entry outside the band exactly 0; and the
@@ -311,23 +296,22 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
         build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
         truncation_check(gauge, p.raw, 6, 40)
         assert all(h.dtype == np.float64 for h in seen)
-        dense, *solved = [h for h in seen if h.shape[1] > 32]
-        # each levels call factors one or more shifted bands, then hands
-        # one operator to eigsh
+        solved = [h for h in seen if h.shape[1] > 32]
+        # each call factors one or more shifted bands, then hands one
+        # operator to eigsh
         cut = [i for i, h in enumerate(solved)
                if isinstance(h, scipy.sparse.linalg.LinearOperator)]
-        assert len(cut) == 2 and cut[1] == len(solved) - 1
+        assert len(cut) == 3 and cut[2] == len(solved) - 1
         for n_qubit, n_fock, bands, operator in (
                 (6, 40, solved[:cut[0]], solved[cut[0]]),
-                (12, 80, solved[cut[0] + 1:cut[1]], solved[cut[1]])):
+                (6, 40, solved[cut[0] + 1:cut[1]], solved[cut[1]]),
+                (12, 80, solved[cut[1] + 1:cut[2]], solved[cut[2]])):
             dim = n_qubit * n_fock
             assert bands and bands[0].shape == (2 * n_qubit, dim)
             assert operator.shape == (dim, dim)
             ref = complex_eigenbasis_hamiltonian(gauge, p.raw, n_qubit,
                                                  n_fock, n_table=12)
             assert np.all(ref.imag == 0.0)
-            if dim == 240:
-                assert np.array_equal(dense, np.triu(ref.real))
             _assert_factored_bands(bands, ref.real)
             sigma = list(itertools.islice(_shifts(ref.real), len(bands)))[-1]
             probe = np.eye(dim)[:, :3]
@@ -407,7 +391,7 @@ def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
     # would show
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
-    assert nq * nf > BANDED_DIM_LIMIT
+    assert N_COUPLED_LEVELS < nq * nf
     spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
     banded = scipy.linalg.eigvals_banded(coupled._band(spec.coupling, nf, nq),
                                          select="i", select_range=(0, 7))
@@ -433,8 +417,9 @@ def test_shift_invert_levels_match_dense_oracle(gauge, lc):
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_shift_invert_states_match_dense_eigh(gauge, lc, dims):
-    # above BANDED_DIM_LIMIT the states call is shift-invert Lanczos with
-    # vectors; against a dense eigh of the Kronecker form its energies
+    # for fewer states than the dimension the states call is shift-invert
+    # Lanczos with vectors; against a dense eigh of the Kronecker form its
+    # energies
     # agree, each lone vector has |overlap| at least 1 - 1e-12 with the
     # dense one, and levels within 0.02 GHz of each other (the tunnel
     # pairs at 350 pH, phix = 0.5) span the same plane
@@ -482,7 +467,7 @@ def test_shift_search_steps_past_failed_factorizations(monkeypatch,
             return out
         return factor
 
-    _patch_pbtrf(monkeypatch, record)
+    patch_pbtrf(monkeypatch, record)
     spec = coupled_levels("flux", parts350.raw, 6, 40)
     h = kron_product_hamiltonian(spec.coupling.truncated(40, 6))
     dense = np.linalg.eigvalsh(h)
@@ -528,9 +513,10 @@ def _current_unit(raw):
 def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
                                                      phix, gauge, dims,
                                                      n_states):
-    # above BANDED_DIM_LIMIT the states call is a shift-invert Lanczos
-    # solve with vectors; against the dense subset solve of the same matrix
-    # its levels agree, its vectors span the same eigenspaces (levels
+    # for fewer states than the dimension the states call is a shift-invert
+    # Lanczos solve with vectors; against LAPACK's dense subset solve of the
+    # upper triangle of the Kronecker form of the same matrix its levels
+    # agree, its vectors span the same eigenspaces (levels
     # within 1e-6 GHz of each other count as one) and each lone level's
     # observables agree, whatever sign ARPACK gives a vector.  Both solves
     # leave residuals
@@ -540,11 +526,11 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
     # 3e-5 GHz apart moves a flux by 2e-8 between the two solves.
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
-    assert nq * nf > BANDED_DIM_LIMIT
+    assert max(N_COUPLED_LEVELS, n_states) < nq * nf
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
     # one level past the last state, for the gap above it
     energies, vectors = scipy.linalg.eigh(
-        coupled._dense_upper(coupled._band(spec.coupling, nf, nq)),
+        kron_product_hamiltonian(spec.coupling.truncated(nf, nq)),
         lower=False, subset_by_index=[0, n_states])
     assert spec.vectors.shape == (nq * nf, n_states)
     assert np.abs(spec.energies - energies[:n_states]).max() < 1e-9
@@ -572,13 +558,14 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
 
 
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
-def test_states_call_at_5120_product_states(assembled_dims, parts350, gauge):
+def test_states_call_at_5120_product_states(monkeypatch, parts350, gauge):
     # (32, 160), where the 350 pH gauges agree to 0.07 MHz: shift-invert
     # Lanczos, nothing dense assembled, orthonormal eigenpairs of the
     # product matrix as the oracle matvec applies it, and the levels of
     # the levels call
+    calls = solver_calls(monkeypatch)
     spec = build_coupled_eigenbasis(gauge, parts350.raw, 32, 160, 4)
-    assert assembled_dims == []
+    assert nothing_dense(calls), calls
     assert spec.vectors.shape == (5120, 4)
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(4)).max() < 1e-12
     matvec = product_matvec(spec.coupling.truncated(160, 32))
@@ -588,62 +575,34 @@ def test_states_call_at_5120_product_states(assembled_dims, parts350, gauge):
     assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
 
 
-def _solver_calls(monkeypatch):
-    """Names of the coupled eigensolvers and factorizations called, in call
-    order."""
-    calls = []
-    for module, name in ((scipy.linalg, "eigvals_banded"),
-                         (scipy.linalg, "eigh"),
-                         (scipy.sparse.linalg, "eigsh")):
-        original = getattr(module, name)
-
-        def record(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, record)
-
-    def name_factor(pbtrf):
-        def factor(*args, **kwargs):
-            calls.append("pbtrf")
-            return pbtrf(*args, **kwargs)
-        return factor
-
-    _patch_pbtrf(monkeypatch, name_factor)
-    return calls
-
-
 def _shift_invert_calls(calls):
     """Whether calls is one or more factorizations, then one eigsh."""
     return calls[-1:] == ["eigsh"] and set(calls[:-1]) == {"pbtrf"}
 
 
-@pytest.mark.parametrize("dims, banded", [
-    ((2, 4), True),    # 8: every level of the band
-    ((3, 3), False),   # 9
-    ((8, 60), False),  # 480: the configured truncations
-    ((8, 80), False),  # 640
+@pytest.mark.parametrize("dims, n_states, banded", [
+    ((2, 4), None, True),    # 8 levels: every level of the band
+    ((2, 4), 4, True),       # 4 states of a solve for 8 levels
+    ((3, 3), None, False),   # 9
+    ((3, 12), 36, True),     # every state of the band
+    ((3, 12), 35, False),    # one state fewer
+    ((6, 40), 4, False),     # 240: the configured observables truncation
+    ((8, 60), None, False),  # 480: the configured levels truncation
+    ((8, 64), 4, False),     # 512
+    ((8, 80), None, False),  # 640
 ])
-def test_levels_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
-                                               banded):
-    calls = _solver_calls(monkeypatch)
-    coupled_levels("charge", parts350.raw, *dims)
-    if banded:
-        assert calls == ["eigvals_banded"]
+def test_solve_picks_path_by_levels_and_dimension(monkeypatch, parts350,
+                                                  dims, n_states, banded):
+    # one rule for both calls: a solve for max(N_COUPLED_LEVELS, n_states)
+    # levels is shift-invert below the dimension, and LAPACK's banded
+    # solver for every level of the band at it
+    calls = solver_calls(monkeypatch)
+    if n_states is None:
+        coupled_levels("charge", parts350.raw, *dims)
     else:
-        assert _shift_invert_calls(calls), calls
-
-
-@pytest.mark.parametrize("dims, dense", [
-    ((8, 64), True),   # 512, the largest dense solve
-    ((8, 65), False),  # 520
-])
-def test_states_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
-                                               dense):
-    calls = _solver_calls(monkeypatch)
-    build_coupled_eigenbasis("charge", parts350.raw, *dims, 4)
-    if dense:
-        assert calls == ["eigh"]
+        build_coupled_eigenbasis("charge", parts350.raw, *dims, n_states)
+    if banded:
+        assert calls == ["eig_banded"]
     else:
         assert _shift_invert_calls(calls), calls
 
@@ -651,18 +610,20 @@ def test_states_call_picks_solver_by_dimension(monkeypatch, parts350, dims,
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_matrix_free_states_call_at_its_edges(parts20, gauge):
     # twelve states at 640 product states, more than the levels call's
-    # eight; every state of the dimension, which ARPACK cannot solve for,
-    # is a numeric failure (a config names it first), and no state at all
-    # a ValueError
+    # eight, from shift-invert Lanczos; every state of the dimension, which
+    # ARPACK cannot solve for, from the banded solver with the same lowest
+    # twelve; no state at all, or one more than the dimension, a ValueError
     raw = parts20.raw
     spec = build_coupled_eigenbasis(gauge, raw, 8, 80, 12)
     assert spec.energies.shape == (12,)
     assert spec.vectors.shape == (640, 12)
     assert np.all(np.diff(spec.energies) > 0.0)
-    with pytest.raises(EigensolveError, match="ARPACK takes fewer than 640"):
-        build_coupled_eigenbasis(gauge, raw, 8, 80, 640)
-    with pytest.raises(ValueError, match="n_states"):
-        build_coupled_eigenbasis(gauge, raw, 8, 80, 0)
+    full = build_coupled_eigenbasis(gauge, raw, 8, 80, 640)
+    assert full.vectors.shape == (640, 640)
+    assert np.abs(full.energies[:12] - spec.energies).max() < 1e-9
+    for n_states in (0, 641):
+        with pytest.raises(ValueError, match=r"n_states must be in 1 \.\. 640"):
+            build_coupled_eigenbasis(gauge, raw, 8, 80, n_states)
 
 
 @settings(max_examples=40, deadline=None)
@@ -676,18 +637,14 @@ def test_matrix_free_states_call_at_its_edges(parts20, gauge):
          gauge="charge", nq=1, nf=1)
 def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
                                          nq, nf):
-    # up to BANDED_DIM_LIMIT the states call copies the band into a zero
-    # matrix; the upper triangle it solves must be the Kronecker form's bit
-    # for bit, signed zeros included, with zeros below
-    assume(nq * nf <= BANDED_DIM_LIMIT)
+    # the band both calls solve must be the upper band of the Kronecker
+    # form bit for bit, signed zeros included
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
-    with pytest.MonkeyPatch.context() as patch:
-        seen = _solver_inputs(patch)
-        spec = build_coupled_eigenbasis(gauge, raw, nq, nf, 1)
-    dense = seen[-1]
+    spec = build_coupled_eigenbasis(gauge, raw, nq, nf, 1)
+    band = coupled._band(spec.coupling, nf, nq)
     kron = kron_product_hamiltonian(spec.coupling.truncated(nf, nq))
-    assert dense.shape == (nf * nq, nf * nq)
-    assert dense.tobytes() == np.triu(kron).tobytes()
+    assert band.shape == (2 * nq, nf * nq)
+    assert band.tobytes() == _upper_band(kron, 2 * nq - 1).tobytes()
 
 
 def _full_eigh_spectrum(spec):
@@ -733,7 +690,7 @@ def test_subset_states_call_at_its_edges(parts350, gauge):
                                  axis=0))
         assert np.all(overlaps >= 1.0 - 1e-12)
     for n_states in (0, 37):
-        with pytest.raises(ValueError, match="indices are not valid"):
+        with pytest.raises(ValueError, match=r"n_states must be in 1 \.\. 36"):
             build_coupled_eigenbasis(gauge, raw, 3, 12, n_states)
 
 
@@ -766,10 +723,10 @@ def test_matrix_free_planewave_matches_dense_oracle(gauge, lc, phix):
 ])
 def test_banded_levels_reject_table_without_quadrature_symmetry(
         monkeypatch, parts20, gauge, table, tilt):
-    # the band stores only the upper blocks c X[m, m+1] K, and the states
-    # call solves only its upper triangle; either determines the symmetric
-    # matrix only if K is symmetric with a + a' and antisymmetric with
-    # a - a', so every eigenbasis solve refuses a tilted K
+    # the band stores only the upper blocks c X[m, m+1] K, which determine
+    # the symmetric matrix only if K is symmetric with a + a' and
+    # antisymmetric with a - a', so every eigenbasis solve refuses a
+    # tilted K
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
     for solve in (coupled_levels,
@@ -781,9 +738,9 @@ def test_banded_levels_reject_table_without_quadrature_symmetry(
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_both_matrix_forms_reject_quadrature_beyond_neighbours(parts20,
                                                               gauge):
-    # the band, which the levels call solves and the states call copies,
-    # holds only the blocks c X[m, m + 1] K, so an X with any other entry
-    # is refused before it is written
+    # the band, which both calls solve, holds only the blocks
+    # c X[m, m + 1] K, so an X with any other entry is refused before it
+    # is written
     coupling = circuit_coupling(gauge, parts20.raw)
     osc = coupling.osc_elements + np.eye(len(coupling.osc_elements))
     bad = dataclasses.replace(coupling, osc_elements=osc)
@@ -792,14 +749,16 @@ def test_both_matrix_forms_reject_quadrature_beyond_neighbours(parts20,
 
 
 def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
-    # up to eight product states the levels call takes every level of the
-    # band
+    # at eight product states both calls take every level of the band
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(scipy.linalg, "eigvals_banded", fail)
-    with pytest.raises(EigensolveError, match="banded coupled"):
-        coupled_levels("flux", parts20.raw, 2, 4)
+    monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
+    for solve in (coupled_levels,
+                  lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
+        with pytest.raises(EigensolveError,
+                           match="banded coupled eigensolve failed"):
+            solve("flux", parts20.raw, 2, 4)
 
 
 @pytest.mark.parametrize("error", [
@@ -837,7 +796,7 @@ def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
 
     h = kron_product_hamiltonian(
         circuit_coupling("flux", parts20.raw, 80, 8).truncated(80, 8))
-    _patch_pbtrf(monkeypatch, never)
+    patch_pbtrf(monkeypatch, never)
     for solve in (coupled_levels,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
         bands.clear()
@@ -847,15 +806,6 @@ def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
         _assert_factored_bands(bands, h)
         sigmas = list(itertools.islice(_shifts(h), len(bands) + 1))
         assert sigmas[-1] == sigmas[-2] < sigmas[-3]
-
-
-def test_states_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(scipy.linalg, "eigh", fail)
-    with pytest.raises(EigensolveError, match="coupled eigensolve failed"):
-        build_coupled_eigenbasis("flux", parts20.raw, 6, 40, 4)
 
 
 def _tilted(m):
