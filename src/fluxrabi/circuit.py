@@ -58,6 +58,9 @@ class RawCircuit:
     phix: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("Lc", "L1", "L2", "C", "CJ", "EJ", "phix"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.Lc < 0.0:
             raise ValueError("Lc must be >= 0")
         for name in ("L1", "L2", "C", "CJ", "EJ"):
@@ -68,6 +71,8 @@ class RawCircuit:
     def from_lj(cls, Lc: float, L1: float, L2: float, C: float, CJ: float,
                 LJ: float, phix: float = 0.5) -> "RawCircuit":
         """Build from a junction inductance LJ in pH instead of EJ."""
+        if not math.isfinite(LJ):
+            raise ValueError("LJ must be finite")
         if LJ <= 0.0:
             raise ValueError("LJ must be > 0")
         return cls(Lc=Lc, L1=L1, L2=L2, C=C, CJ=CJ,

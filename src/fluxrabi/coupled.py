@@ -24,11 +24,14 @@ scales and coupling strengths of the gauge from circuit.gauge_circuit; the
 gauge only chooses operators here.  In the eigenbasis the coupling
 factorizes as c X (x) K, with X a real quadrature and K a real qubit table
 (the phase table, or B of <j|n|i> = 1j B), taken as qubit.phase_matrix and
-qubit.number_matrix return them; circuit_coupling builds that
-ProductCoupling once per bias point, and the eigenbasis builds, the
-perturbation sums and the observables all read slices of it.
-truncation_check compares two levels calls, the second at both
-truncations doubled.
+qubit.number_matrix return them.  X is a + a' in the flux gauge and a - a'
+in the charge gauge: both hold sqrt(m + 1) at (m, m + 1) and nothing else
+above the diagonal, so X is never tabulated; every reader writes the
+oscillator side from the one ladder, and the gauge lives in K alone.
+circuit_coupling builds that ProductCoupling once per bias point, and the
+eigenbasis builds, the perturbation sums and the observables all read
+slices of it.  truncation_check compares two levels calls, the second at
+both truncations doubled.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
-from .constants import (CONSTANTS, N_COUPLED_LEVELS, annihilation,
-                        ladder_sum, truncation_shift)
+from .constants import (CONSTANTS, N_COUPLED_LEVELS, ladder_sum,
+                        truncation_shift)
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -55,9 +58,8 @@ from .qubit import number_matrix, phase_matrix
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
 QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
 
-# Fock states and qubit levels the second-order perturbation sums run over;
-# the coupling of every eigenbasis build covers at least this slice.
-N_PERT_FOCK = 12
+# Qubit levels the second-order perturbation sums run over; the coupling of
+# every eigenbasis build tabulates at least these.
 N_PERT_LEVELS = 6
 
 
@@ -65,37 +67,37 @@ N_PERT_LEVELS = 6
 class ProductCoupling:
     """Factorized coupling c X (x) K of one gauge, with the bare energies.
 
-    X is the real oscillator quadrature on Fock states (a + a' in the flux
-    gauge, a - a' in the charge gauge) and K the real qubit element table
-    as qubit.phase_matrix or qubit.number_matrix returns it (<j|phase|i>,
-    or B with <j|n|i> = 1j B, so that -1j (a - a') (x) 1j B =
-    (a - a') (x) B).  omega is the bare oscillator frequency of the gauge;
-    qubit_phase is <j|phase|i>, read by observables().
+    Holds only what the gauge varies.  X, the real oscillator quadrature on
+    Fock states, is a + a' in the flux gauge and a - a' in the charge gauge;
+    it is not stored, since both hold sqrt(m + 1) at (m, m + 1) and nothing
+    else above the diagonal.  K is the real qubit element table as
+    qubit.phase_matrix or qubit.number_matrix returns it (<j|phase|i>, or B
+    with <j|n|i> = 1j B, so that -1j (a - a') (x) 1j B = (a - a') (x) B),
+    symmetric with a + a' and antisymmetric with a - a'.  omega is the bare
+    oscillator frequency of the gauge; qubit_phase is <j|phase|i>, read by
+    observables().
     """
 
     strength: float
-    osc_elements: np.ndarray
-    qubit_elements: np.ndarray
     omega: float
     qubit_energies: np.ndarray
+    qubit_elements: np.ndarray
     qubit_phase: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.osc_elements.shape[0] != self.osc_elements.shape[1]:
-            raise ValueError("oscillator elements must be square")
         n_levels = len(self.qubit_energies)
         if (self.qubit_elements.shape != (n_levels, n_levels)
                 or self.qubit_phase.shape != (n_levels, n_levels)):
             raise ValueError("qubit tables do not match the qubit energies")
 
-    @property
-    def osc_energies(self) -> np.ndarray:
-        return self.omega * (np.arange(len(self.osc_elements)) + 0.5)
+    def osc_energies(self, n_fock: int) -> np.ndarray:
+        """Bare oscillator energies of Fock states 0 .. n_fock - 1."""
+        return self.omega * (np.arange(n_fock) + 0.5)
 
-    def truncated(self, n_fock: int, n_levels: int) -> "ProductCoupling":
-        """The coupling on the lowest n_fock Fock states and n_levels qubit
-        levels (at most the tabulated ones)."""
-        return replace(self, osc_elements=self.osc_elements[:n_fock, :n_fock],
+    def truncated(self, n_levels: int) -> "ProductCoupling":
+        """The coupling on the lowest n_levels qubit levels (at most the
+        tabulated ones)."""
+        return replace(self,
                        qubit_elements=self.qubit_elements[:n_levels, :n_levels],
                        qubit_energies=self.qubit_energies[:n_levels],
                        qubit_phase=self.qubit_phase[:n_levels, :n_levels])
@@ -111,8 +113,8 @@ class CoupledSpectrum:
     two paths its rule picks.  vectors holds the matching real
     eigencolumns, shape (dim, n_states), each of arbitrary sign, or None
     from the levels call.  coupling is the product coupling the build
-    assembled from, tabulated at dims and at least N_PERT_FOCK x
-    N_PERT_LEVELS.
+    assembled from, tabulated at max(n_qubit, N_PERT_LEVELS) qubit levels;
+    the oscillator side of any n_fock comes from the ladder.
     """
 
     energies: np.ndarray
@@ -138,12 +140,16 @@ class Observables:
     current_2: float
 
 
-def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
+def circuit_coupling(gauge: str, raw: RawCircuit,
                      n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
 
-    Solves the qubit node of gauge_circuit(gauge, raw) and tabulates n_fock
-    Fock states and n_levels qubit levels, at most QUBIT_LEVEL_LIMIT.
+    Solves the qubit node of gauge_circuit(gauge, raw) and tabulates
+    n_levels qubit levels, at most QUBIT_LEVEL_LIMIT.  The band holds only
+    the blocks above the diagonal, so K must share the symmetry of X
+    (symmetric with a + a', antisymmetric with a - a') to 1e-12 of its
+    scale, judged on the tabulated table, for the blocks below the
+    diagonal to be their transposes; else EigensolveError.
     """
     circuit = gauge_circuit(gauge, raw)
     if n_levels > QUBIT_LEVEL_LIMIT:
@@ -154,40 +160,18 @@ def circuit_coupling(gauge: str, raw: RawCircuit, n_fock: int = N_PERT_FOCK,
                                             PlaneWaveBasis.for_qubit())
     phase = phase_matrix(qubit_spectrum, n_levels)
     if gauge == "flux":
-        osc, qub = ladder_sum(n_fock), phase
+        qub, parity = phase, 1.0
     else:
-        ladder = annihilation(n_fock)
-        osc, qub = ladder - ladder.T, number_matrix(qubit_spectrum, n_levels)
-    return ProductCoupling(
-        strength=circuit.strength, osc_elements=osc, qubit_elements=qub,
-        omega=circuit.omega, qubit_energies=qubit_spectrum.energies[:n_levels],
-        qubit_phase=phase)
-
-
-def _checked_slice(coupling: ProductCoupling, n_fock: int,
-                   n_qubit: int) -> ProductCoupling:
-    """coupling.truncated(n_fock, n_qubit), once c X (x) K is checked
-    symmetric.
-
-    The band holds only the blocks c X[m, m + 1] K, so X must vanish
-    outside its first off-diagonals, and K must share the symmetry of X
-    (symmetric with a + a', antisymmetric with a - a') to 1e-12 of its
-    scale, judged on the tabulated table before it is sliced, for the
-    blocks below the diagonal to be their transposes.
-    """
-    osc, qub = coupling.osc_elements, coupling.qubit_elements
-    neighbours = np.diag(np.diag(osc, 1), 1) + np.diag(np.diag(osc, -1), -1)
-    if not np.array_equal(osc, neighbours):
-        raise EigensolveError(
-            "oscillator quadrature has entries outside its first "
-            "off-diagonals")
-    parity = 1.0 if np.array_equal(osc, osc.T) else -1.0
+        qub, parity = number_matrix(qubit_spectrum, n_levels), -1.0
     scale = max(float(np.abs(qub).max()), 1e-30)
     if np.abs(qub - parity * qub.T).max() > 1e-12 * scale:
         raise EigensolveError(
             "qubit element table does not share the symmetry of the "
             "oscillator quadrature")
-    return coupling.truncated(n_fock, n_qubit)
+    return ProductCoupling(
+        strength=circuit.strength, omega=circuit.omega,
+        qubit_energies=qubit_spectrum.energies[:n_levels],
+        qubit_elements=qub, qubit_phase=phase)
 
 
 def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
@@ -196,20 +180,22 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
 
     The one writer of the eigenbasis-product matrix.  Row kd - d holds
     diagonal d, with kd = 2 n_qubit - 1: the bare energies on the diagonal
-    and above it only the blocks c X[m, m+1] K, because X = a +- a' couples
-    only neighbouring Fock states; the blocks c X[m+1, m] K below follow
-    from the symmetry _checked_slice enforces.  Each block entry is added
-    to a zero, as the Kronecker form adds its coupling term, so the band is
-    that form's upper band bit for bit, signed zeros included.
+    and above it only the blocks c X[m, m+1] K = c sqrt(m + 1) K, because
+    X = a +- a' couples only neighbouring Fock states, with the same upper
+    entries in both gauges; the blocks below follow from the symmetry
+    circuit_coupling enforces on K.  Each block entry is added to a zero,
+    as the Kronecker form adds its coupling term, so the band is that
+    form's upper band bit for bit, signed zeros included.
     """
-    sliced = _checked_slice(coupling, n_fock, n_qubit)
+    sliced = coupling.truncated(n_qubit)
     kd = 2 * n_qubit - 1
     band = np.zeros((kd + 1, n_fock * n_qubit))
-    band[kd] = np.add.outer(sliced.osc_energies, sliced.qubit_energies).ravel()
+    band[kd] = np.add.outer(sliced.osc_energies(n_fock),
+                            sliced.qubit_energies).ravel()
     a, b = np.indices((n_qubit, n_qubit))
     cols = n_qubit * np.arange(1, n_fock)[:, None, None] + b
     band[n_qubit - 1 + a - b, cols] += (
-        np.multiply.outer(np.diag(sliced.osc_elements, 1),
+        np.multiply.outer(np.sqrt(np.arange(1, n_fock)),
                           sliced.qubit_elements) * sliced.strength)
     return band
 
@@ -243,14 +229,6 @@ def _lowest_levels(matvec, dim: int, what: str,
     levels, vectors = solved
     order = np.argsort(levels)[:n_states]
     return levels[order], vectors[:, order]
-
-
-def _coupling_for(gauge: str, raw: RawCircuit, n_qubit: int,
-                  n_fock: int) -> ProductCoupling:
-    """circuit_coupling at (n_fock, n_qubit), and at least N_PERT_FOCK x
-    N_PERT_LEVELS."""
-    return circuit_coupling(gauge, raw, max(n_fock, N_PERT_FOCK),
-                            max(n_qubit, N_PERT_LEVELS))
 
 
 def _shift_invert(band: np.ndarray, n_states: int | None):
@@ -303,12 +281,12 @@ def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
     dim) levels with n_states None, else the lowest n_states eigenpairs,
     with dim = n_qubit n_fock and n_states in 1 .. dim (else ValueError).
 
-    _coupling_for's coupling and its _band; one rule picks the path for
-    both calls.  While the solve's max(N_COUPLED_LEVELS, n_states) levels
-    are fewer than dim, it is the shift-invert Lanczos solve of
-    _shift_invert; otherwise scipy.linalg.eig_banded takes every level of
-    the band, with vectors for the states call, which keeps the lowest
-    n_states.
+    circuit_coupling at max(n_qubit, N_PERT_LEVELS) qubit levels and its
+    _band; one rule picks the path for both calls.  While the solve's
+    max(N_COUPLED_LEVELS, n_states) levels are fewer than dim, it is the
+    shift-invert Lanczos solve of _shift_invert; otherwise
+    scipy.linalg.eig_banded takes every level of the band, with vectors for
+    the states call, which keeps the lowest n_states.
     """
     import scipy.linalg
 
@@ -316,7 +294,7 @@ def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
     if n_states is not None and not 1 <= n_states <= dim:
         raise ValueError(f"n_states must be in 1 .. {dim}, the product "
                          f"dimension, not {n_states}")
-    coupling = _coupling_for(gauge, raw, n_qubit, n_fock)
+    coupling = circuit_coupling(gauge, raw, max(n_qubit, N_PERT_LEVELS))
     band = _band(coupling, n_fock, n_qubit)
     vectors = None
     if max(N_COUPLED_LEVELS, n_states or 0) < dim:

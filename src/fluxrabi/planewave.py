@@ -53,6 +53,8 @@ class PlaneWaveBasis:
     n_waves: int = 32
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.n_max):
+            raise ValueError("n_max must be finite")
         if self.n_max <= 0.0:
             raise ValueError("n_max must be > 0")
         if self.n_waves < 8 or self.n_waves % 2:

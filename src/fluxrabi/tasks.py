@@ -25,7 +25,6 @@ from .circuit import GAUGES, RawCircuit, gauge_circuit
 from .config import RunConfig
 from .constants import PACKAGE_VERSION
 from .coupled import (
-    N_PERT_FOCK,
     N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
@@ -220,11 +219,11 @@ def _matrix_element_rows(gauge, raw, num):
 def _perturbation_rows(gauge, raw, num):
     """Dispersive shifts; first_order_max_abs is NaN at guarded points.
 
-    The sums run over the N_PERT_FOCK x N_PERT_LEVELS slice of the coupling
-    the levels call assembled from, so the qubit is solved once.
+    The sums run over the N_PERT_LEVELS slice of the coupling the levels
+    call assembled from, so the qubit is solved once.
     """
     spec = coupled_levels(gauge, raw, num.n_qubit, num.n_fock)
-    coupling = spec.coupling.truncated(N_PERT_FOCK, N_PERT_LEVELS)
+    coupling = spec.coupling.truncated(N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
     ok = True

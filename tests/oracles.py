@@ -113,7 +113,7 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     their complex forms, Phi + 0j and <j|n|i> = 1j B, and no claim about
     which part of the product vanishes.  Reference for the real
     assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
-    cover the lowest max(2 n_qubit, 6) levels of its first truncation.
+    cover the lowest max(n_qubit, 6) levels.
 
     The network reduction and the gauge parameters are written out here
     rather than read from fluxrabi.circuit.gauge_circuit:
@@ -207,20 +207,37 @@ def dense_planewave_hamiltonian(gauge, raw):
     return h
 
 
-def kron_product_hamiltonian(coupling):
-    """Eigenbasis-product Hamiltonian of a ProductCoupling by Kronecker
-    products, oscillator-major, in the operation order
+def _product_tables(spec):
+    """(X, oscillator energies, qubit energies, K, c) of the eigenbasis
+    product of a CoupledSpectrum at its dims.
+
+    X is written here from this module's own ladder, a + a' in the flux
+    gauge and a - a' in the charge gauge; only the qubit side, the
+    oscillator frequency and c are read from spec.coupling.
+    """
+    n_fock, n_qubit = spec.dims
+    coupling = spec.coupling
+    ladder = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+    osc = ladder + ladder.T if spec.gauge == "flux" else ladder - ladder.T
+    return (osc, coupling.omega * (np.arange(n_fock) + 0.5),
+            coupling.qubit_energies[:n_qubit],
+            coupling.qubit_elements[:n_qubit, :n_qubit], coupling.strength)
+
+
+def kron_product_hamiltonian(spec):
+    """Eigenbasis-product Hamiltonian of a CoupledSpectrum at its dims by
+    Kronecker products, oscillator-major, in the operation order
 
         diag(osc) (x) 1 + 1 (x) diag(qubit) + c X (x) K.
 
     Reference for the product matrix of fluxrabi.coupled._band: the band
     both eigenbasis calls solve must be this form's upper band bit for bit.
     """
-    nf, nq = len(coupling.osc_elements), len(coupling.qubit_energies)
-    h = np.kron(np.diag(coupling.osc_energies), np.eye(nq))
-    h += np.kron(np.eye(nf), np.diag(coupling.qubit_energies))
-    term = np.kron(coupling.osc_elements, coupling.qubit_elements)
-    term *= coupling.strength
+    osc, osc_energies, qubit_energies, qub, strength = _product_tables(spec)
+    h = np.kron(np.diag(osc_energies), np.eye(len(qubit_energies)))
+    h += np.kron(np.eye(len(osc_energies)), np.diag(qubit_energies))
+    term = np.kron(osc, qub)
+    term *= strength
     h += term
     return h
 
@@ -240,9 +257,9 @@ def fix_phases_loop(vectors):
     return out
 
 
-def product_matvec(coupling):
-    """Eigenbasis-product Hamiltonian of a ProductCoupling as a matvec on
-    flat oscillator-major states.
+def product_matvec(spec):
+    """Eigenbasis-product Hamiltonian of a CoupledSpectrum at its dims as a
+    matvec on flat oscillator-major states.
 
     A state held as an n_fock x n_qubit array x maps to E o x + (X x K') c,
     with E the bare energies, read from the full tables rather than from
@@ -250,11 +267,11 @@ def product_matvec(coupling):
     factor fluxrabi.coupled applies at dimensions too large for
     kron_product_hamiltonian.
     """
-    bare = np.add.outer(coupling.osc_energies, coupling.qubit_energies)
-    osc, qub = coupling.osc_elements, coupling.qubit_elements
+    osc, osc_energies, qubit_energies, qub, strength = _product_tables(spec)
+    bare = np.add.outer(osc_energies, qubit_energies)
 
     def matvec(v):
         x = v.reshape(bare.shape)
-        return (bare * x + (osc @ x @ qub.T) * coupling.strength).ravel()
+        return (bare * x + (osc @ x @ qub.T) * strength).ravel()
 
     return matvec

@@ -6,6 +6,7 @@ import pytest
 
 from fluxrabi.circuit import RawCircuit, gauge_circuit
 from fluxrabi.constants import NA, PF, PH, UV
+from fluxrabi.planewave import PlaneWaveBasis
 
 
 def make(lc=20.0):
@@ -23,6 +24,25 @@ def test_raw_circuit_validation():
     with pytest.raises(ValueError):
         RawCircuit.from_lj(Lc=20.0, L1=780.0, L2=2030.0, C=0.87, CJ=4.84,
                            LJ=0.0)
+
+
+_FIELDS = dict(Lc=20.0, L1=780.0, L2=2030.0, C=0.87, CJ=4.84, EJ=165.0,
+               phix=0.5)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", [*_FIELDS, "LJ", "n_max"])
+def test_non_finite_values_refused_by_name(field, value):
+    # a NaN or infinite element value, junction inductance or plane-wave
+    # interval is refused where it is given, not at the first solve
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        if field == "n_max":
+            PlaneWaveBasis(n_max=value)
+        elif field == "LJ":
+            RawCircuit.from_lj(LJ=value, **{k: v for k, v in _FIELDS.items()
+                                            if k != "EJ"})
+        else:
+            RawCircuit(**{**_FIELDS, field: value})
 
 
 def test_star_reduction_closed_form():

@@ -120,8 +120,7 @@ def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "32" in err
 
 
-def test_doubled_truncation_past_banded_limit_assembles_nothing(
-        monkeypatch, tmp_path):
+def test_doubled_truncation_check_assembles_nothing(monkeypatch, tmp_path):
     # the configured build (8, 60), dimension 480, and its doubled check,
     # dimension 1920, are levels calls, shift-invert Lanczos solves on the
     # band, and assemble nothing
@@ -138,8 +137,8 @@ def test_doubled_truncation_past_banded_limit_assembles_nothing(
     assert probe["converged"] and 0.0 < probe["truncation_shift_GHz"] < 1e-3
 
 
-def test_observables_past_banded_limit_assembles_nothing(monkeypatch,
-                                                         tmp_path):
+def test_observables_at_640_product_states_assemble_nothing(monkeypatch,
+                                                            tmp_path):
     # at (8, 80), 640 product states, both the levels and the states call
     # are shift-invert Lanczos solves: circuit-spectrum and observables
     # succeed without a dense matrix

@@ -99,7 +99,7 @@ def _upper_band(h, kd):
     return band
 
 
-def test_ladder_quadratures(parts20):
+def test_ladder_quadratures():
     sum_mat = ladder_sum(4)
     expected = np.zeros((4, 4))
     for n in range(3):
@@ -109,13 +109,6 @@ def test_ladder_quadratures(parts20):
     assert np.abs(diff - diff.conj().T).max() == 0.0
     assert diff[0, 1] == pytest.approx(-1j)
     assert diff[1, 0] == pytest.approx(1j)
-    # the real quadratures of the product coupling: a + a' in the flux
-    # gauge, and a - a' = 1j * (-1j (a - a')) in the charge gauge
-    p = parts20
-    flux = circuit_coupling("flux", p.raw, n_fock=4)
-    charge = circuit_coupling("charge", p.raw, n_fock=4)
-    assert np.array_equal(flux.osc_elements, sum_mat)
-    assert np.array_equal(charge.osc_elements, (1j * diff).real)
 
 
 def test_coupling_coefficients_vanish_when_decoupled():
@@ -148,7 +141,7 @@ def test_states_call_refuses_qubit_levels_not_dimension(parts20):
                                  n_states=4)
 
 
-def test_truncation_check_and_states_call_past_banded_limit_assemble_nothing(
+def test_truncation_check_and_doubled_states_call_assemble_nothing(
         monkeypatch, parts20):
     # both solves of the check are levels calls, shift-invert Lanczos on
     # the band at (8, 60) and at the doubled dimension 1920; the states call
@@ -322,18 +315,17 @@ def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc)
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_truncated_coupling_equals_direct_tables(gauge, lc):
-    # a slice of a coupling tabulated at a larger truncation is bit for bit
+    # a slice of a coupling tabulated at more qubit levels is bit for bit
     # the coupling tabulated at the slice, so the perturbation sums can read
-    # the 12 x 6 slice of any eigenbasis build without a second solve
+    # the 6-level slice of any eigenbasis build without a second solve
     for phix in (0.494, 0.5, 0.503):
         p = circuit_parts(lc, phix)
-        direct = circuit_coupling(gauge, p.raw, 12, 6)
-        sliced = circuit_coupling(gauge, p.raw, 80, 12).truncated(12, 6)
+        direct = circuit_coupling(gauge, p.raw, 6)
+        sliced = circuit_coupling(gauge, p.raw, 12).truncated(6)
         assert direct.qubit_elements.dtype == np.float64
         for field in dataclasses.fields(direct):
             assert np.array_equal(getattr(direct, field.name),
                                   getattr(sliced, field.name)), field.name
-        assert np.array_equal(direct.osc_energies, sliced.osc_energies)
 
 
 @settings(max_examples=30, deadline=None)
@@ -367,8 +359,7 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
     spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
-    dense = np.linalg.eigvalsh(
-        kron_product_hamiltonian(spec.coupling.truncated(nf, nq)))
+    dense = np.linalg.eigvalsh(kron_product_hamiltonian(spec))
     assert spec.energies.shape == (min(8, nq * nf),)
     assert np.abs(spec.energies - dense[:8]).max() < 1e-9
 
@@ -407,8 +398,7 @@ def test_shift_invert_levels_match_dense_oracle(gauge, lc):
     raw = circuit_parts(lc).raw
     for nq, nf in TRUNCATION_LADDER + ((16, 120),):
         spec = coupled_levels(gauge, raw, nq, nf)
-        dense = np.linalg.eigvalsh(
-            kron_product_hamiltonian(spec.coupling.truncated(nf, nq)))
+        dense = np.linalg.eigvalsh(kron_product_hamiltonian(spec))
         assert spec.energies.shape == (8,)
         assert np.abs(spec.energies - dense[:8]).max() < 1e-10, (nq, nf)
 
@@ -428,9 +418,8 @@ def test_shift_invert_states_match_dense_eigh(gauge, lc, dims):
     raw = circuit_parts(lc).raw
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
     # one level past the last state, to tell whether it has a partner
-    energies, vectors = scipy.linalg.eigh(
-        kron_product_hamiltonian(spec.coupling.truncated(nf, nq)),
-        subset_by_index=[0, n_states])
+    energies, vectors = scipy.linalg.eigh(kron_product_hamiltonian(spec),
+                                          subset_by_index=[0, n_states])
     assert np.abs(spec.energies - energies[:n_states]).max() < 1e-10
     runs = np.split(np.arange(n_states + 1),
                     np.flatnonzero(np.diff(energies) >= 0.02) + 1)
@@ -469,7 +458,7 @@ def test_shift_search_steps_past_failed_factorizations(monkeypatch,
 
     patch_pbtrf(monkeypatch, record)
     spec = coupled_levels("flux", parts350.raw, 6, 40)
-    h = kron_product_hamiltonian(spec.coupling.truncated(40, 6))
+    h = kron_product_hamiltonian(spec)
     dense = np.linalg.eigvalsh(h)
     assert len(infos) == 5 and infos[-1] == 0
     assert all(info > 0 for info in infos[:-1])
@@ -529,9 +518,9 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
     assert max(N_COUPLED_LEVELS, n_states) < nq * nf
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
     # one level past the last state, for the gap above it
-    energies, vectors = scipy.linalg.eigh(
-        kron_product_hamiltonian(spec.coupling.truncated(nf, nq)),
-        lower=False, subset_by_index=[0, n_states])
+    energies, vectors = scipy.linalg.eigh(kron_product_hamiltonian(spec),
+                                          lower=False,
+                                          subset_by_index=[0, n_states])
     assert spec.vectors.shape == (nq * nf, n_states)
     assert np.abs(spec.energies - energies[:n_states]).max() < 1e-9
     dense = dataclasses.replace(spec, energies=energies[:n_states],
@@ -568,7 +557,7 @@ def test_states_call_at_5120_product_states(monkeypatch, parts350, gauge):
     assert nothing_dense(calls), calls
     assert spec.vectors.shape == (5120, 4)
     assert np.abs(spec.vectors.T @ spec.vectors - np.eye(4)).max() < 1e-12
-    matvec = product_matvec(spec.coupling.truncated(160, 32))
+    matvec = product_matvec(spec)
     for energy, vector in zip(spec.energies, spec.vectors.T):
         assert np.linalg.norm(matvec(vector) - energy * vector) < 1e-9
     levels = coupled_levels(gauge, parts350.raw, 32, 160)
@@ -607,25 +596,6 @@ def test_solve_picks_path_by_levels_and_dimension(monkeypatch, parts350,
         assert _shift_invert_calls(calls), calls
 
 
-@pytest.mark.parametrize("gauge", ["flux", "charge"])
-def test_matrix_free_states_call_at_its_edges(parts20, gauge):
-    # twelve states at 640 product states, more than the levels call's
-    # eight, from shift-invert Lanczos; every state of the dimension, which
-    # ARPACK cannot solve for, from the banded solver with the same lowest
-    # twelve; no state at all, or one more than the dimension, a ValueError
-    raw = parts20.raw
-    spec = build_coupled_eigenbasis(gauge, raw, 8, 80, 12)
-    assert spec.energies.shape == (12,)
-    assert spec.vectors.shape == (640, 12)
-    assert np.all(np.diff(spec.energies) > 0.0)
-    full = build_coupled_eigenbasis(gauge, raw, 8, 80, 640)
-    assert full.vectors.shape == (640, 640)
-    assert np.abs(full.energies[:12] - spec.energies).max() < 1e-9
-    for n_states in (0, 641):
-        with pytest.raises(ValueError, match=r"n_states must be in 1 \.\. 640"):
-            build_coupled_eigenbasis(gauge, raw, 8, 80, n_states)
-
-
 @settings(max_examples=40, deadline=None)
 @given(lc=st.one_of(st.just(0.0), st.floats(0.0, 400.0)),
        l1=st.floats(200.0, 1000.0),
@@ -642,7 +612,7 @@ def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, 1)
     band = coupled._band(spec.coupling, nf, nq)
-    kron = kron_product_hamiltonian(spec.coupling.truncated(nf, nq))
+    kron = kron_product_hamiltonian(spec)
     assert band.shape == (2 * nq, nf * nq)
     assert band.tobytes() == _upper_band(kron, 2 * nq - 1).tobytes()
 
@@ -650,9 +620,7 @@ def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
 def _full_eigh_spectrum(spec):
     """spec with every level and eigenvector of a full np.linalg.eigh of the
     Kronecker form of the same product matrix."""
-    n_fock, n_qubit = spec.dims
-    energies, vectors = np.linalg.eigh(
-        kron_product_hamiltonian(spec.coupling.truncated(n_fock, n_qubit)))
+    energies, vectors = np.linalg.eigh(kron_product_hamiltonian(spec))
     return dataclasses.replace(spec, energies=energies, vectors=vectors)
 
 
@@ -660,7 +628,7 @@ def _full_eigh_spectrum(spec):
                                       (350.0, 0.497), (350.0, 0.5),
                                       (350.0, 0.503)])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
-def test_subset_states_call_matches_full_eigh(gauge, lc, phix):
+def test_states_call_matches_full_eigh(gauge, lc, phix):
     raw = circuit_parts(lc, phix).raw
     spec = build_coupled_eigenbasis(gauge, raw, 6, 40, 4)
     full = _full_eigh_spectrum(spec)
@@ -677,21 +645,37 @@ def test_subset_states_call_matches_full_eigh(gauge, lc, phix):
             assert abs(v - r) <= 1e-9 * max(1.0, abs(r)), (field.name, v, r)
 
 
+@pytest.mark.parametrize("lc, dims, few", [
+    (350.0, (3, 12), 1),   # one state of 36
+    (20.0, (8, 80), 12),   # twelve of 640, more than the levels call's 8
+])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
-def test_subset_states_call_at_its_edges(parts350, gauge):
-    # one state, and every state of the product dimension
-    raw = parts350.raw
-    for n_states in (1, 3 * 12):
-        spec = build_coupled_eigenbasis(gauge, raw, 3, 12, n_states)
-        full = _full_eigh_spectrum(spec)
-        assert spec.vectors.shape == (36, n_states)
-        assert np.abs(spec.energies - full.energies[:n_states]).max() < 1e-10
-        overlaps = np.abs(np.sum(spec.vectors * full.vectors[:, :n_states],
+def test_states_call_at_its_edges(gauge, lc, dims, few):
+    # few states from shift-invert Lanczos, and every state of the
+    # dimension, which ARPACK cannot solve for, from the banded solver with
+    # the same lowest few; both against a full np.linalg.eigh of the
+    # Kronecker form.  No state at all, or one more than the dimension, is
+    # a ValueError
+    raw = circuit_parts(lc).raw
+    nq, nf = dims
+    dim = nq * nf
+    spec = build_coupled_eigenbasis(gauge, raw, nq, nf, few)
+    assert spec.energies.shape == (few,)
+    assert np.all(np.diff(spec.energies) > 0.0)
+    full = build_coupled_eigenbasis(gauge, raw, nq, nf, dim)
+    assert np.abs(full.energies[:few] - spec.energies).max() < 1e-9
+    for solved in (spec, full):
+        n_states = len(solved.energies)
+        ref = _full_eigh_spectrum(solved)
+        assert solved.vectors.shape == (dim, n_states)
+        assert np.abs(solved.energies - ref.energies[:n_states]).max() < 1e-10
+        overlaps = np.abs(np.sum(solved.vectors * ref.vectors[:, :n_states],
                                  axis=0))
         assert np.all(overlaps >= 1.0 - 1e-12)
-    for n_states in (0, 37):
-        with pytest.raises(ValueError, match=r"n_states must be in 1 \.\. 36"):
-            build_coupled_eigenbasis(gauge, raw, 3, 12, n_states)
+    for n_states in (0, dim + 1):
+        with pytest.raises(ValueError,
+                           match=rf"n_states must be in 1 \.\. {dim}"):
+            build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
 
 
 def test_observables_rejects_state_outside_spectrum(parts20):
@@ -725,27 +709,14 @@ def test_banded_levels_reject_table_without_quadrature_symmetry(
         monkeypatch, parts20, gauge, table, tilt):
     # the band stores only the upper blocks c X[m, m+1] K, which determine
     # the symmetric matrix only if K is symmetric with a + a' and
-    # antisymmetric with a - a', so every eigenbasis solve refuses a
-    # tilted K
+    # antisymmetric with a - a', so circuit_coupling, and with it every
+    # eigenbasis solve, refuses a tilted K
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
     for solve in (coupled_levels,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
         with pytest.raises(EigensolveError, match="symmetry"):
             solve(gauge, parts20.raw, 6, 40)
-
-
-@pytest.mark.parametrize("gauge", ["flux", "charge"])
-def test_both_matrix_forms_reject_quadrature_beyond_neighbours(parts20,
-                                                              gauge):
-    # the band, which both calls solve, holds only the blocks
-    # c X[m, m + 1] K, so an X with any other entry is refused before it
-    # is written
-    coupling = circuit_coupling(gauge, parts20.raw)
-    osc = coupling.osc_elements + np.eye(len(coupling.osc_elements))
-    bad = dataclasses.replace(coupling, osc_elements=osc)
-    with pytest.raises(EigensolveError, match="first off-diagonals"):
-        coupled._band(bad, 6, 4)
 
 
 def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
@@ -794,8 +765,7 @@ def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
             return ab, 1
         return factor
 
-    h = kron_product_hamiltonian(
-        circuit_coupling("flux", parts20.raw, 80, 8).truncated(80, 8))
+    h = kron_product_hamiltonian(coupled_levels("flux", parts20.raw, 8, 80))
     patch_pbtrf(monkeypatch, never)
     for solve in (coupled_levels,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):

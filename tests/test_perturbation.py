@@ -11,32 +11,22 @@ from conftest import circuit_parts, dispersive_shift
 
 
 def synthetic_coupling(strength=0.1, qubit_gap=1.0, omega=1.0):
-    osc = np.zeros((3, 3))
-    osc[0, 1] = osc[1, 0] = 1.0
-    osc[1, 2] = osc[2, 1] = np.sqrt(2.0)
     qub = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return ProductCoupling(strength=strength, osc_elements=osc,
-                           qubit_elements=qub, omega=omega,
+    return ProductCoupling(strength=strength, omega=omega,
                            qubit_energies=np.array([0.0, qubit_gap]),
-                           qubit_phase=qub)
+                           qubit_elements=qub, qubit_phase=qub)
 
 
 def test_product_coupling_shape_validation():
     with pytest.raises(ValueError):
-        ProductCoupling(strength=1.0, osc_elements=np.zeros((2, 3)),
-                        qubit_elements=np.eye(2), omega=1.0,
-                        qubit_energies=np.zeros(2), qubit_phase=np.eye(2))
+        ProductCoupling(strength=1.0, omega=1.0, qubit_energies=np.zeros(3),
+                        qubit_elements=np.eye(2), qubit_phase=np.eye(2))
     with pytest.raises(ValueError):
-        ProductCoupling(strength=1.0, osc_elements=np.eye(2),
-                        qubit_elements=np.eye(2), omega=1.0,
-                        qubit_energies=np.zeros(3), qubit_phase=np.eye(2))
-    with pytest.raises(ValueError):
-        ProductCoupling(strength=1.0, osc_elements=np.eye(2),
-                        qubit_elements=np.eye(2), omega=1.0,
-                        qubit_energies=np.zeros(2), qubit_phase=np.eye(3))
-    # the oscillator energies follow the quadrature's Fock range
+        ProductCoupling(strength=1.0, omega=1.0, qubit_energies=np.zeros(2),
+                        qubit_elements=np.eye(2), qubit_phase=np.eye(3))
+    # the oscillator energies of the lowest n_fock Fock states
     c = synthetic_coupling(omega=2.0)
-    assert np.array_equal(c.osc_energies, [1.0, 3.0, 5.0])
+    assert np.array_equal(c.osc_energies(3), [1.0, 3.0, 5.0])
 
 
 def test_first_order_vanishes_for_ladder_quadratures(parts20):
@@ -75,7 +65,7 @@ def test_symmetric_shift_for_two_level_restriction(parts20):
     # antisymmetric between the two qubit levels
     p = parts20
     full = circuit_coupling("flux", p.raw)
-    restricted = full.truncated(len(full.osc_elements), 2)
+    restricted = full.truncated(2)
     chi_g = dispersive_shift(restricted, 0)
     chi_e = dispersive_shift(restricted, 1)
     assert chi_g == pytest.approx(-chi_e, rel=1e-12)

@@ -182,8 +182,8 @@ def test_qubit_layer_is_real(parts20):
               number_matrix(spec, 6), linear_kernel(basis)]
     for gauge in ("flux", "charge"):
         coupling = circuit_coupling(gauge, p.raw)
-        tables += [coupling.osc_elements, coupling.qubit_elements,
-                   coupling.qubit_energies, coupling.qubit_phase]
+        tables += [coupling.qubit_elements, coupling.qubit_energies,
+                   coupling.qubit_phase]
     assert [t.dtype for t in tables] == [np.float64] * len(tables)
 
 
