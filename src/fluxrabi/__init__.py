@@ -23,7 +23,7 @@ from .coupled import (
 )
 from .fitting import (RabiFitResult, fit_rabi, fit_transition_pairs,
                       ground_residual_mhz2, model_pair_table)
-from .perturbation import ShiftTable, first_order_shift, second_order_table
+from .perturbation import ShiftTable, second_order_table
 from .planewave import (
     BasisRangeWarning,
     EigensolveError,
@@ -69,7 +69,6 @@ __all__ = [
     "circuit_coupling",
     "coupled_levels",
     "diagonalize_flux_qubit",
-    "first_order_shift",
     "fit_rabi",
     "fit_transition_pairs",
     "fit_two_level",

@@ -6,9 +6,9 @@ inductances, pF for the oscillator capacitance, fF for the junction
 capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
 
-Two numerical pieces are kept here: the Fock-basis matrices of a and a + a',
-shared by the coupled-circuit and Rabi-model builds, and the truncation
-shift of the lowest N_COUPLED_LEVELS levels against a solve at doubled
+Two numerical pieces are kept here: the oscillator ladder sqrt(m + 1),
+from which every Fock-basis operator is written, and the truncation shift
+of the lowest N_COUPLED_LEVELS levels against a solve at doubled
 truncation, which the coupled build's truncation check reports.
 """
 
@@ -84,15 +84,11 @@ def bias_to_ghz(ip_na: float, phix_phi0: float) -> float:
     return 2.0 * current_flux_to_ghz(ip_na, phix_phi0 - 0.5)
 
 
-def annihilation(n_fock: int) -> np.ndarray:
-    """Matrix of the annihilation operator a on Fock states 0 .. n_fock - 1."""
-    return np.diag(np.sqrt(np.arange(1, n_fock)), 1)
-
-
-def ladder_sum(n_fock: int) -> np.ndarray:
-    """Matrix of a + a' (dimensionless Phi-type quadrature)."""
-    ladder = annihilation(n_fock)
-    return ladder + ladder.T
+def fock_ladder(n_fock: int) -> np.ndarray:
+    """<m|a|m + 1> = sqrt(m + 1) for m = 0 .. n_fock - 2: a on Fock states
+    0 .. n_fock - 1 is np.diag(fock_ladder(n_fock), 1), and a + a' and
+    a - a' hold the same entries above the diagonal and no others."""
+    return np.sqrt(np.arange(1, n_fock))
 
 
 def truncation_shift(energies: np.ndarray,

@@ -27,7 +27,8 @@ factorizes as c X (x) K, with X a real quadrature and K a real qubit table
 qubit.number_matrix return them.  X is a + a' in the flux gauge and a - a'
 in the charge gauge: both hold sqrt(m + 1) at (m, m + 1) and nothing else
 above the diagonal, so X is never tabulated; every reader writes the
-oscillator side from the one ladder, and the gauge lives in K alone.
+oscillator side from the one ladder, constants.fock_ladder, and the gauge
+lives in K alone.
 circuit_coupling builds that ProductCoupling once per bias point, and the
 eigenbasis builds, the perturbation sums and the observables all read
 slices of it.  truncation_check compares two levels calls, the second at
@@ -42,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
-from .constants import (CONSTANTS, N_COUPLED_LEVELS, ladder_sum,
+from .constants import (CONSTANTS, N_COUPLED_LEVELS, fock_ladder,
                         truncation_shift)
 from .planewave import (
     EigensolveError,
@@ -89,10 +90,6 @@ class ProductCoupling:
         if (self.qubit_elements.shape != (n_levels, n_levels)
                 or self.qubit_phase.shape != (n_levels, n_levels)):
             raise ValueError("qubit tables do not match the qubit energies")
-
-    def osc_energies(self, n_fock: int) -> np.ndarray:
-        """Bare oscillator energies of Fock states 0 .. n_fock - 1."""
-        return self.omega * (np.arange(n_fock) + 0.5)
 
     def truncated(self, n_levels: int) -> "ProductCoupling":
         """The coupling on the lowest n_levels qubit levels (at most the
@@ -190,13 +187,13 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
     sliced = coupling.truncated(n_qubit)
     kd = 2 * n_qubit - 1
     band = np.zeros((kd + 1, n_fock * n_qubit))
-    band[kd] = np.add.outer(sliced.osc_energies(n_fock),
+    band[kd] = np.add.outer(sliced.omega * (np.arange(n_fock) + 0.5),
                             sliced.qubit_energies).ravel()
     a, b = np.indices((n_qubit, n_qubit))
     cols = n_qubit * np.arange(1, n_fock)[:, None, None] + b
     band[n_qubit - 1 + a - b, cols] += (
-        np.multiply.outer(np.sqrt(np.arange(1, n_fock)),
-                          sliced.qubit_elements) * sliced.strength)
+        np.multiply.outer(fock_ladder(n_fock), sliced.qubit_elements)
+        * sliced.strength)
     return band
 
 
@@ -414,7 +411,8 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit,
     photon = float(weights @ np.arange(n_fock))
     # Phi1 is proportional to a + a' in both gauges (the zero-point
     # amplitude differs through the gauge's own omega).
-    phi1 = float(np.einsum("mi,mn,ni->", psi, ladder_sum(n_fock), psi))
+    up = np.diag(fock_ladder(n_fock), 1)
+    phi1 = float(np.einsum("mi,mn,ni->", psi, up + up.T, psi))
     phi1 *= circuit.phi1_zpf
     phi2 = float(np.einsum("mi,ij,mj->", psi, qubit_phase, psi))
     phi1_physical = phi1

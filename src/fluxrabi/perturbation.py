@@ -1,20 +1,21 @@
 """Perturbative dispersive shifts for product couplings.
 
 The coupling between the oscillator and the qubit factorizes into an
-oscillator quadrature times a qubit operator, V = c X (x) K.  For a bare
-state |m, i> the first-order shift is c X_mm K_ii and the second-order
-shift is
+oscillator quadrature times a qubit operator, V = c X (x) K.  X is a + a'
+in the flux gauge and a - a' in the charge gauge, with the same
+|X_mn|^2 = max(m, n) for |m - n| = 1 and no other element, so the
+first-order shift c X_mm K_ii of a bare state |m, i> is zero and its
+second-order shift is
 
-    sum_{(n,j) != (m,i)}  |c X_mn K_ij|^2 / (E_mi - E_nj)
+    sum_j  m |c K_ij|^2 / (omega + E_i - E_j)
+         + (m + 1) |c K_ij|^2 / (-omega + E_i - E_j),
 
-which this module evaluates exactly over the N_PERT_FOCK lowest Fock
-states and the qubit levels the coupling tabulates, broken down by
-intermediate qubit level so the dominant virtual transitions can be read
-off.  The net dispersive shift of the oscillator against qubit level i is
+the exact sum over every state V reaches, |m - 1, j> and |m + 1, j> for
+the qubit levels the coupling tabulates, broken down by intermediate qubit
+level so the dominant virtual transitions can be read off.  The net
+dispersive shift of the oscillator against qubit level i is
 shift(1, i) - shift(0, i).  The coupling is the real ProductCoupling of
-fluxrabi.coupled, which holds the qubit side only: X is a + a' in the flux
-gauge and a - a' in the charge gauge, with the same |X_mn|^2 and no
-diagonal in either, so both sums read X from the one ladder a + a'.
+fluxrabi.coupled, which holds the qubit side only.
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import ladder_sum
 # ProductCoupling and circuit_coupling live in coupled, next to the
 # eigenbasis build that assembles from the same coupling; they are
 # re-exported here because perfbench/spans.py looks circuit_coupling up in
 # this module by name.
 from .coupled import ProductCoupling, circuit_coupling  # noqa: F401
-
-# Fock states the second-order sums run over.
-N_PERT_FOCK = 12
 
 # Denominators smaller than this (GHz) with a nonzero matrix element mean
 # the state is effectively degenerate and the series is invalid.
@@ -54,29 +51,27 @@ class ShiftTable:
     excluded: tuple[tuple[int, int], ...] = ()
 
 
-def first_order_shift(coupling: ProductCoupling, photon: int, level: int) -> float:
-    """c X_mm K_ii: a signed zero, as X has no diagonal in either gauge."""
-    return float(coupling.strength * ladder_sum(N_PERT_FOCK)[photon, photon]
-                 * coupling.qubit_elements[level, level])
-
-
 def second_order_table(coupling: ProductCoupling, photon: int, level: int) -> ShiftTable:
-    """Exact second-order sum over all retained intermediate states: the
-    N_PERT_FOCK lowest Fock states times the tabulated qubit levels."""
-    amp2 = (np.abs(coupling.strength) ** 2
-            * np.abs(ladder_sum(N_PERT_FOCK)[photon, :, None]) ** 2
-            * np.abs(coupling.qubit_elements[level, None, :]) ** 2)
-    osc_energies = coupling.osc_energies(N_PERT_FOCK)
-    e_state = osc_energies[photon] + coupling.qubit_energies[level]
-    denom = e_state - (osc_energies[:, None]
-                       + coupling.qubit_energies[None, :])
+    """Exact second-order sum over the intermediate states |photon -+ 1, j>
+    for every tabulated qubit level j.
+
+    photon must be >= 0 and level a tabulated qubit level, else ValueError.
+    """
+    n_levels = len(coupling.qubit_energies)
+    if photon < 0 or not 0 <= level < n_levels:
+        raise ValueError(f"need photon >= 0 and level in 0 .. {n_levels - 1}, "
+                         f"not photon {photon}, level {level}")
+    rows = np.array([n for n in (photon - 1, photon + 1) if n >= 0])
+    amp2 = (coupling.strength ** 2 * np.maximum(rows, photon)[:, None]
+            * coupling.qubit_elements[level, None, :] ** 2)
+    denom = ((photon - rows)[:, None] * coupling.omega
+             + (coupling.qubit_energies[level] - coupling.qubit_energies))
     active = amp2 > ELEMENT_FLOOR
-    active[photon, level] = False
     degenerate = active & (np.abs(denom) < DEGENERACY_LIMIT_GHZ)
     active &= ~degenerate
     terms = np.zeros_like(amp2)
     terms[active] = amp2[active] / denom[active]
-    contributions = terms.sum(axis=0)
-    excluded = tuple((int(m), int(j)) for m, j in zip(*np.nonzero(degenerate)))
-    return ShiftTable(total=float(terms.sum()), contributions=contributions,
+    excluded = tuple((int(rows[r]), int(j))
+                     for r, j in zip(*np.nonzero(degenerate)))
+    return ShiftTable(total=float(terms.sum()), contributions=terms.sum(axis=0),
                       excluded=excluded)

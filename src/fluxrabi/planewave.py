@@ -70,20 +70,20 @@ class PlaneWaveBasis:
         return self.wave_indices * (math.pi / self.n_max)
 
     @classmethod
-    def for_qubit(cls, n_waves: int = 32, n_max: float = 8.0) -> "PlaneWaveBasis":
-        """Default qubit basis; n_max = 8 spans phases of roughly +-2 pi."""
-        return cls(n_max=n_max, n_waves=n_waves)
+    def for_qubit(cls) -> "PlaneWaveBasis":
+        """The fixed qubit basis: 32 waves on n_max = 8, which spans phases
+        of roughly +-2 pi."""
+        return cls(n_max=8.0, n_waves=32)
 
     @classmethod
-    def for_oscillator(cls, ec_ghz: float, el_ghz: float, n_waves: int = 64,
-                       n_widths: float = 10.0) -> "PlaneWaveBasis":
-        """Size the interval to n_widths zero-point charge widths.
+    def for_oscillator(cls, ec_ghz: float, el_ghz: float) -> "PlaneWaveBasis":
+        """64 waves on an interval of 10 zero-point charge widths.
 
         The ground state of 4 EC n^2 + EL phi^2 / 2 has
         <n^2> = sqrt(EL / (32 EC)).
         """
         n_zpf = (el_ghz / (32.0 * ec_ghz)) ** 0.25
-        return cls(n_max=n_widths * n_zpf, n_waves=n_waves)
+        return cls(n_max=10.0 * n_zpf, n_waves=64)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import GAUGES, RawCircuit, gauge_circuit
-from .constants import annihilation, bias_to_ghz, ladder_sum
+from .constants import bias_to_ghz, fock_ladder
 from .qubit import TwoLevelFit
 
 # Fock truncation defaults: deep-strong coupling needs the large basis.
@@ -79,13 +79,13 @@ def _structure(n_fock: int, variant: str) -> tuple[np.ndarray, ...]:
     a_mat = np.kron(number, eye2)
     b_mat = -0.5 * np.kron(eye_f, sz)
     c_mat = -0.5 * np.kron(eye_f, sx)
+    up = np.diag(fock_ladder(n_fock), 1)
     if variant == "flux":
-        d_mat = np.kron(ladder_sum(n_fock), sx)
+        d_mat = np.kron(up + up.T, sx)
     else:
-        ladder = annihilation(n_fock)
         # 1j sigma_y (a - a') is real: both factors are antisymmetric.
         isy = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        d_mat = np.kron(ladder.T - ladder, isy)
+        d_mat = np.kron(up.T - up, isy)
     return a_mat, b_mat, c_mat, d_mat
 
 

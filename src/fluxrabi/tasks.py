@@ -33,7 +33,7 @@ from .coupled import (
     truncation_check,
 )
 from .fitting import fit_rabi, fit_transition_pairs, model_pair_table
-from .perturbation import first_order_shift, second_order_table
+from .perturbation import second_order_table
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
                     number_matrix, phase_matrix)
@@ -217,7 +217,8 @@ def _matrix_element_rows(gauge, raw, num):
 
 
 def _perturbation_rows(gauge, raw, num):
-    """Dispersive shifts; first_order_max_abs is NaN at guarded points.
+    """Dispersive shifts; first_order_max_abs is NaN at guarded points and
+    0.0 elsewhere, since X has no diagonal in either gauge.
 
     The sums run over the N_PERT_LEVELS slice of the coupling the levels
     call assembled from, so the qubit is solved once.
@@ -242,10 +243,8 @@ def _perturbation_rows(gauge, raw, num):
         out += [("perturbation", f"net_contribution_from_{QUBIT_LEVEL_TAGS[j]}",
                  level, value, "GHz")
                 for j, value in enumerate(upper.contributions - lower.contributions)]
-    first = max(abs(first_order_shift(coupling, m, i))
-                for m in (0, 1) for i in (0, 1))
     return out + [("perturbation", "first_order_max_abs", "",
-                   first if ok else math.nan, "GHz")]
+                   0.0 if ok else math.nan, "GHz")]
 
 
 def _wavefunction_rows(gauge, raw, num):

@@ -98,10 +98,22 @@ def n_representation(spectrum, index, grid_points=None):
     return waves @ spectrum.coefficients[index]
 
 
+def annihilation_matrix(n_fock):
+    """Matrix of a on Fock states 0 .. n_fock - 1, written here rather than
+    read from fluxrabi.constants."""
+    return np.diag(np.sqrt(np.arange(1, n_fock)), 1)
+
+
+def quadrature_matrix(gauge, n_fock):
+    """The real oscillator quadrature X of a gauge: a + a' in the flux
+    gauge, a - a' in the charge gauge."""
+    ladder = annihilation_matrix(n_fock)
+    return ladder + ladder.T if gauge == "flux" else ladder - ladder.T
+
+
 def ladder_difference(n_fock):
     """Matrix of -1j (a - a') (dimensionless q-type quadrature), complex."""
-    ladder = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
-    return -1j * (ladder - ladder.T)
+    return -1j * quadrature_matrix("charge", n_fock)
 
 
 def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
@@ -132,7 +144,7 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
     """
     from fluxrabi.constants import (CONSTANTS, FF, GHZ, NA, PF, PH,
                                     charging_energy_ghz, current_flux_to_ghz,
-                                    inductive_energy_ghz, ladder_sum)
+                                    inductive_energy_ghz)
     from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
     from fluxrabi.qubit import number_matrix, phase_matrix
 
@@ -149,7 +161,7 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
                     if coupled else 0.0)
         l_fq = 1.0 / (1.0 / (num / raw.L1) + 1.0 / l12)
         elfq = inductive_energy_ghz(l_fq * PH)
-        osc = ladder_sum(n_fock)
+        osc = quadrature_matrix("flux", n_fock)
 
         def table(spectrum, n):
             return phase_matrix(spectrum, n) + 0j
@@ -217,9 +229,7 @@ def _product_tables(spec):
     """
     n_fock, n_qubit = spec.dims
     coupling = spec.coupling
-    ladder = np.diag(np.sqrt(np.arange(1, n_fock)), 1)
-    osc = ladder + ladder.T if spec.gauge == "flux" else ladder - ladder.T
-    return (osc, coupling.omega * (np.arange(n_fock) + 0.5),
+    return (quadrature_matrix(spec.gauge, n_fock), coupling.omega * (np.arange(n_fock) + 0.5),
             coupling.qubit_energies[:n_qubit],
             coupling.qubit_elements[:n_qubit, :n_qubit], coupling.strength)
 
@@ -275,3 +285,40 @@ def product_matvec(spec):
         return (bare * x + (osc @ x @ qub.T) * strength).ravel()
 
     return matvec
+
+
+def second_order_terms(coupling, gauge, photon, level):
+    """Brute-force second-order terms of |photon, level> under the product
+    coupling c X (x) K of a ProductCoupling, X the quadrature of gauge.
+
+    Assembles V = c X (x) K densely over 40 Fock states, oscillator major,
+    and visits every off-diagonal element <s|V|t> of the row of
+    s = |photon, level> (the row, as K is symmetric only to 1e-12 of its
+    scale and the library reads K[level, j]).  An element whose square
+    exceeds 1e-30 gives the term |V_st|^2 / (E_s - E_t), unless
+    |E_s - E_t| is below 1e-3 GHz; then t is listed by its (photon, level)
+    pair instead.
+
+    Returns (terms, excluded): terms[n, j] the term through |n, j>, zero
+    where there is none, and excluded in ascending t.  Reference for
+    fluxrabi.perturbation.second_order_table, which visits only
+    |photon -+ 1, j>.
+    """
+    n_fock, n_levels = 40, len(coupling.qubit_energies)
+    v = coupling.strength * np.kron(quadrature_matrix(gauge, n_fock),
+                                    coupling.qubit_elements)
+    bare = np.add.outer(coupling.omega * (np.arange(n_fock) + 0.5),
+                        coupling.qubit_energies).ravel()
+    s = photon * n_levels + level
+    terms = np.zeros(n_fock * n_levels)
+    excluded = []
+    for t in range(len(bare)):
+        amp2 = v[s, t] ** 2
+        if t == s or not amp2 > 1e-30:
+            continue
+        denom = bare[s] - bare[t]
+        if abs(denom) < 1e-3:
+            excluded.append(divmod(t, n_levels))
+        else:
+            terms[t] = amp2 / denom
+    return terms.reshape(n_fock, n_levels), tuple(excluded)

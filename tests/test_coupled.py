@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fluxrabi.coupled as coupled
 from fluxrabi.circuit import GAUGES, RawCircuit, gauge_circuit
-from fluxrabi.constants import CONSTANTS, N_COUPLED_LEVELS, ladder_sum
+from fluxrabi.constants import CONSTANTS, N_COUPLED_LEVELS, fock_ladder
 from fluxrabi.coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
@@ -100,11 +100,11 @@ def _upper_band(h, kd):
 
 
 def test_ladder_quadratures():
-    sum_mat = ladder_sum(4)
+    up = np.diag(fock_ladder(4), 1)
     expected = np.zeros((4, 4))
     for n in range(3):
         expected[n, n + 1] = expected[n + 1, n] = np.sqrt(n + 1.0)
-    assert np.abs(sum_mat - expected).max() == 0.0
+    assert np.abs(up + up.T - expected).max() == 0.0
     diff = ladder_difference(4)
     assert np.abs(diff - diff.conj().T).max() == 0.0
     assert diff[0, 1] == pytest.approx(-1j)

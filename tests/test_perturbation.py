@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxrabi.coupled import (ProductCoupling, build_coupled_eigenbasis,
                               circuit_coupling)
-from fluxrabi.perturbation import first_order_shift, second_order_table
+from fluxrabi.perturbation import second_order_table
 
 from conftest import circuit_parts, dispersive_shift
+from oracles import second_order_terms
 
 
 def synthetic_coupling(strength=0.1, qubit_gap=1.0, omega=1.0):
@@ -24,18 +27,82 @@ def test_product_coupling_shape_validation():
     with pytest.raises(ValueError):
         ProductCoupling(strength=1.0, omega=1.0, qubit_energies=np.zeros(2),
                         qubit_elements=np.eye(2), qubit_phase=np.eye(3))
-    # the oscillator energies of the lowest n_fock Fock states
-    c = synthetic_coupling(omega=2.0)
-    assert np.array_equal(c.osc_energies(3), [1.0, 3.0, 5.0])
 
 
-def test_first_order_vanishes_for_ladder_quadratures(parts20):
-    p = parts20
-    for gauge in ("flux", "charge"):
-        coupling = circuit_coupling(gauge, p.raw)
-        for m in range(3):
-            for i in range(4):
-                assert first_order_shift(coupling, m, i) == 0.0
+def test_out_of_range_state_rejected(parts20):
+    # a negative photon or level would index from the end of the tables
+    coupling = circuit_coupling("flux", parts20.raw)
+    n_levels = len(coupling.qubit_energies)
+    for photon, level in ((-1, 0), (0, -1), (0, n_levels)):
+        with pytest.raises(ValueError):
+            second_order_table(coupling, photon, level)
+    assert np.isfinite(second_order_table(coupling, 0, n_levels - 1).total)
+
+
+def _assert_matches_brute_force(coupling, gauge, photon, level):
+    """second_order_table against the dense oracle sum over 40 Fock
+    states: excluded equal, the total and each contribution within 1e-12
+    of the summed magnitudes of its terms."""
+    table = second_order_table(coupling, photon, level)
+    terms, excluded = second_order_terms(coupling, gauge, photon, level)
+    assert table.excluded == excluded
+    assert (abs(table.total - terms.sum())
+            <= 1e-12 * np.abs(terms).sum())
+    assert np.all(np.abs(table.contributions - terms.sum(axis=0))
+                  <= 1e-12 * np.abs(terms).sum(axis=0))
+
+
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_second_order_table_matches_brute_force_sum(lc, gauge):
+    coupling = circuit_coupling(gauge, circuit_parts(lc).raw)
+    for photon in range(3):
+        for level in range(len(coupling.qubit_energies)):
+            _assert_matches_brute_force(coupling, gauge, photon, level)
+
+
+def test_quasi_degenerate_exclusions_match_brute_force_sum():
+    c = synthetic_coupling(strength=0.1, qubit_gap=1.0 + 1e-7, omega=1.0)
+    assert second_order_table(c, 1, 0).excluded
+    for photon in range(3):
+        for level in range(2):
+            _assert_matches_brute_force(c, "flux", photon, level)
+
+
+def _elements():
+    """Zero, or a value of magnitude in [1e-3, 1]: clear of the element
+    floor, so both sums keep the same terms."""
+    return st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_second_order_table_matches_brute_force_property(data):
+    # energies and omega on a 2^-10 GHz grid, so both sums form the same
+    # denominators exactly and the degeneracy guard (2^-10 < 1e-3) drops
+    # the same contributors
+    n_levels = data.draw(st.integers(1, 5), label="n_levels")
+    gauge = data.draw(st.sampled_from(["flux", "charge"]), label="gauge")
+    energies = np.array(data.draw(
+        st.lists(st.integers(0, 8192), min_size=n_levels, max_size=n_levels),
+        label="energies")) / 1024.0
+    omega = data.draw(st.integers(1, 4096), label="omega") / 1024.0
+    strength = data.draw(_elements(), label="strength")
+    upper = np.array(data.draw(
+        st.lists(_elements(), min_size=n_levels ** 2,
+                 max_size=n_levels ** 2), label="elements"))
+    upper = np.triu(upper.reshape(n_levels, n_levels))
+    # K symmetric with a + a', antisymmetric (no diagonal) with a - a'
+    if gauge == "flux":
+        qub = upper + np.triu(upper, 1).T
+    else:
+        qub = np.triu(upper, 1) - np.triu(upper, 1).T
+    coupling = ProductCoupling(strength=strength, omega=omega,
+                               qubit_energies=energies, qubit_elements=qub,
+                               qubit_phase=qub)
+    photon = data.draw(st.integers(0, 10), label="photon")
+    level = data.draw(st.integers(0, n_levels - 1), label="level")
+    _assert_matches_brute_force(coupling, gauge, photon, level)
 
 
 def test_two_state_shift_closed_form():

@@ -29,8 +29,9 @@ def test_basis_validation():
 
 
 def test_oscillator_basis_sizing():
-    basis = PlaneWaveBasis.for_oscillator(0.02, 60.0, n_widths=10.0)
+    basis = PlaneWaveBasis.for_oscillator(0.02, 60.0)
     assert basis.n_max == pytest.approx(10.0 * (60.0 / (32.0 * 0.02)) ** 0.25)
+    assert basis.n_waves == 64
 
 
 def test_wave_numbers_symmetric_range():
@@ -81,7 +82,7 @@ def test_unresolvable_phase_extent_warns():
     p = circuit_parts(20.0)
     # a huge charge interval starves the phase-space coverage of the fixed
     # wave count, pushing ground-state weight onto the outermost waves
-    basis = PlaneWaveBasis.for_qubit(n_max=40.0)
+    basis = PlaneWaveBasis(n_max=40.0, n_waves=32)
     with pytest.warns(BasisRangeWarning):
         diagonalize_flux_qubit(*p.flux.qubit_node, 0.5, basis)
 
@@ -91,7 +92,7 @@ def test_qubit_levels_ordered_and_converged_in_basis():
     small = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
                                    PlaneWaveBasis.for_qubit())
     big = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
-                                 PlaneWaveBasis.for_qubit(n_waves=64))
+                                 PlaneWaveBasis(n_max=8.0, n_waves=64))
     # ascending and free of degenerate pairs (no two levels within 1 Hz)
     assert np.diff(small.energies).min() >= 1e-9
     assert np.abs(small.energies[:6] - big.energies[:6]).max() < 1e-6
