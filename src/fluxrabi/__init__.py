@@ -17,7 +17,6 @@ from .coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
-    coupled_levels,
     observables,
     truncation_check,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "build_coupled_planewave",
     "characterize_qubit",
     "circuit_coupling",
-    "coupled_levels",
     "diagonalize_flux_qubit",
     "fit_rabi",
     "fit_transition_pairs",

@@ -6,10 +6,8 @@ inductances, pF for the oscillator capacitance, fF for the junction
 capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
 
-Two numerical pieces are kept here: the oscillator ladder sqrt(m + 1),
-from which every Fock-basis operator is written, and the truncation shift
-of the lowest N_COUPLED_LEVELS levels against a solve at doubled
-truncation, which the coupled build's truncation check reports.
+One numerical piece is kept here: the oscillator ladder sqrt(m + 1),
+from which every Fock-basis operator is written.
 """
 
 from __future__ import annotations
@@ -53,10 +51,6 @@ FF = 1e-15
 NA = 1e-9
 UV = 1e-6
 
-# Largest shift (GHz) of the lowest levels on doubling a truncation that
-# still counts as converged.
-CONVERGENCE_LIMIT_GHZ = 1e-3
-
 # Coupled levels each sweep point keeps and the truncation shift compares;
 # the fits use pairs among them.
 N_COUPLED_LEVELS = 8
@@ -90,15 +84,3 @@ def fock_ladder(n_fock: int) -> np.ndarray:
     a - a' hold the same entries above the diagonal and no others."""
     return np.sqrt(np.arange(1, n_fock))
 
-
-def truncation_shift(energies: np.ndarray,
-                     doubled: np.ndarray) -> tuple[float, bool]:
-    """Largest shift of the lowest N_COUPLED_LEVELS levels against the
-    doubled solve.
-
-    Returns the shift in GHz and whether it stays under
-    CONVERGENCE_LIMIT_GHZ.
-    """
-    count = min(N_COUPLED_LEVELS, len(energies))
-    shift = float(np.abs(energies[:count] - doubled[:count]).max())
-    return shift, shift < CONVERGENCE_LIMIT_GHZ

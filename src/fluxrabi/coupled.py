@@ -4,16 +4,16 @@ Two constructions of the same spectrum:
 
 * eigenbasis product: analytic oscillator Fock states times numerically
   computed qubit eigenstates, with the coupling expressed through ladder
-  and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  The
-  levels call (coupled_levels, lowest N_COUPLED_LEVELS levels) and the
-  states call (build_coupled_eigenbasis, lowest n_states eigenpairs) share
-  one solve, _solve, on the one form of the product matrix: its band,
-  written by _band as the bare energies and the blocks c X[m, m + 1] K,
-  with no Kronecker product.  One rule picks the path for both calls:
-  while the levels a call solves for, max(N_COUPLED_LEVELS, n_states),
-  are fewer than the product dimension, a shift-invert Lanczos solve on
-  the band's Cholesky factor (_shift_invert); otherwise LAPACK's banded
-  solver for every level of the band.
+  and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  One
+  call, build_coupled_eigenbasis, solves it: the lowest N_COUPLED_LEVELS
+  levels without vectors, or the lowest n_states eigenpairs, on the one
+  form of the product matrix: its band, written by _band as the bare
+  energies and the blocks c X[m, m + 1] K, with no Kronecker product.
+  One rule picks the path: while the levels the call solves for,
+  max(N_COUPLED_LEVELS, n_states), are fewer than the product dimension,
+  a shift-invert Lanczos solve on the band's Cholesky factor
+  (_shift_invert); otherwise LAPACK's banded solver for every level of
+  the band.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -43,8 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import RawCircuit, gauge_circuit
-from .constants import (CONSTANTS, N_COUPLED_LEVELS, fock_ladder,
-                        truncation_shift)
+from .constants import CONSTANTS, N_COUPLED_LEVELS, fock_ladder
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
@@ -58,6 +57,14 @@ from .qubit import number_matrix, phase_matrix
 
 # Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
 QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
+
+# Largest shift (GHz) of the lowest levels on doubling a truncation that
+# still counts as converged.
+CONVERGENCE_LIMIT_GHZ = 1e-3
+
+# Entries of a qubit element table under this fraction of its largest are
+# rounding noise, to circuit_coupling's symmetry check and the perturbation.
+TABLE_NOISE = 1e-12
 
 # Qubit levels the second-order perturbation sums run over; the coupling of
 # every eigenbasis build tabulates at least these.
@@ -104,12 +111,11 @@ class ProductCoupling:
 class CoupledSpectrum:
     """Eigensolution of the eigenbasis-product build in one gauge.
 
-    energies in GHz, ascending: the lowest n_states levels from the states
-    call, the lowest min(N_COUPLED_LEVELS, dim) from the levels call, with
-    dim = n_fock n_qubit the product dimension, from whichever of _solve's
-    two paths its rule picks.  vectors holds the matching real
+    energies in GHz, ascending: the lowest n_states levels, or the lowest
+    min(N_COUPLED_LEVELS, dim) with n_states None, where dim = n_fock
+    n_qubit is the product dimension.  vectors holds the matching real
     eigencolumns, shape (dim, n_states), each of arbitrary sign, or None
-    from the levels call.  coupling is the product coupling the build
+    with n_states None.  coupling is the product coupling the build
     assembled from, tabulated at max(n_qubit, N_PERT_LEVELS) qubit levels;
     the oscillator side of any n_fock comes from the ladder.
     """
@@ -144,8 +150,8 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
     Solves the qubit node of gauge_circuit(gauge, raw) and tabulates
     n_levels qubit levels, at most QUBIT_LEVEL_LIMIT.  The band holds only
     the blocks above the diagonal, so K must share the symmetry of X
-    (symmetric with a + a', antisymmetric with a - a') to 1e-12 of its
-    scale, judged on the tabulated table, for the blocks below the
+    (symmetric with a + a', antisymmetric with a - a') to TABLE_NOISE of
+    its scale, judged on the tabulated table, for the blocks below the
     diagonal to be their transposes; else EigensolveError.
     """
     circuit = gauge_circuit(gauge, raw)
@@ -161,7 +167,7 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
     else:
         qub, parity = number_matrix(qubit_spectrum, n_levels), -1.0
     scale = max(float(np.abs(qub).max()), 1e-30)
-    if np.abs(qub - parity * qub.T).max() > 1e-12 * scale:
+    if np.abs(qub - parity * qub.T).max() > TABLE_NOISE * scale:
         raise EigensolveError(
             "qubit element table does not share the symmetry of the "
             "oscillator quadrature")
@@ -272,18 +278,21 @@ def _shift_invert(band: np.ndarray, n_states: int | None):
     return sigma - 1.0 / theta, vectors
 
 
-def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
-           n_states: int | None) -> CoupledSpectrum:
-    """The one eigenbasis-product solve: the lowest min(N_COUPLED_LEVELS,
-    dim) levels with n_states None, else the lowest n_states eigenpairs,
-    with dim = n_qubit n_fock and n_states in 1 .. dim (else ValueError).
+def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
+                             n_fock: int,
+                             n_states: int | None = None) -> CoupledSpectrum:
+    """The one eigenbasis-product solve, in the Fock (x) qubit-eigenstate
+    product basis: the lowest min(N_COUPLED_LEVELS, dim) levels and no
+    vectors with n_states None (the levels call), else the lowest n_states
+    eigenpairs (the states call), with dim = n_qubit n_fock and n_states in
+    1 .. dim (else ValueError).
 
     circuit_coupling at max(n_qubit, N_PERT_LEVELS) qubit levels and its
-    _band; one rule picks the path for both calls.  While the solve's
-    max(N_COUPLED_LEVELS, n_states) levels are fewer than dim, it is the
-    shift-invert Lanczos solve of _shift_invert; otherwise
-    scipy.linalg.eig_banded takes every level of the band, with vectors for
-    the states call, which keeps the lowest n_states.
+    _band; nothing dense at any dimension.  One rule picks the path: while
+    the solve's max(N_COUPLED_LEVELS, n_states) levels are fewer than dim,
+    it is the shift-invert Lanczos solve of _shift_invert; otherwise
+    scipy.linalg.eig_banded takes every level of the band, with vectors
+    when n_states is given, keeping the lowest n_states.
     """
     import scipy.linalg
 
@@ -311,32 +320,16 @@ def _solve(gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
 
-def coupled_levels(gauge: str, raw: RawCircuit, n_qubit: int,
-                   n_fock: int) -> CoupledSpectrum:
-    """The levels call of _solve: the lowest min(N_COUPLED_LEVELS,
-    n_qubit n_fock) levels, vectors None; nothing dense at any dimension."""
-    return _solve(gauge, raw, n_qubit, n_fock, None)
-
-
-def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
-                             n_fock: int, n_states: int) -> CoupledSpectrum:
-    """The states call of _solve: the lowest n_states levels and
-    eigenvectors in the Fock (x) qubit-eigenstate product basis, for any
-    n_states in 1 .. n_qubit n_fock; no dense product matrix at any
-    dimension.
-    """
-    return _solve(gauge, raw, n_qubit, n_fock, n_states)
-
-
 def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
                      n_fock: int) -> tuple[float, bool]:
-    """(shift, converged) of the lowest N_COUPLED_LEVELS levels at
-    (n_qubit, n_fock) against (2 n_qubit, 2 n_fock), as
-    constants.truncation_shift; both are levels calls.
+    """(shift, converged): the largest shift in GHz of the lowest
+    N_COUPLED_LEVELS levels at (n_qubit, n_fock) against (2 n_qubit,
+    2 n_fock), and whether it is under CONVERGENCE_LIMIT_GHZ.
     """
-    spec = coupled_levels(gauge, raw, n_qubit, n_fock)
-    doubled = coupled_levels(gauge, raw, 2 * n_qubit, 2 * n_fock)
-    return truncation_shift(spec.energies, doubled.energies)
+    levels = build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock).energies
+    doubled = build_coupled_eigenbasis(gauge, raw, 2 * n_qubit, 2 * n_fock)
+    shift = float(np.abs(levels - doubled.energies[:len(levels)]).max())
+    return shift, shift < CONVERGENCE_LIMIT_GHZ
 
 
 def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
@@ -355,7 +348,7 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
     that -c (1j A1) (x) (1j A2) = c A1 (x) A2 and the operator is real
     symmetric.  Each node Hamiltonian is checked Hermitian and each A
     antisymmetric; the solve is _lowest_levels, the Lanczos driver the
-    eigenbasis calls' shift-invert solve shares.  Returns the levels
+    eigenbasis build's shift-invert solve shares.  Returns the levels
     ascending.
     """
     circuit = gauge_circuit(gauge, raw)
@@ -394,8 +387,8 @@ def observables(spec: CoupledSpectrum, raw: RawCircuit,
     """Photon number, flux expectations, and loop currents of one eigenstate.
 
     state_index counts from the ground state and must be below the number
-    of states the spectrum holds; a spectrum from the levels call carries
-    no eigenvectors and is rejected.
+    of states the spectrum holds; a spectrum built with n_states None
+    carries no eigenvectors and is rejected.
     """
     if spec.vectors is None:
         raise ValueError("observables needs a spectrum built with vectors")

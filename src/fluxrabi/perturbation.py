@@ -28,12 +28,12 @@ import numpy as np
 # eigenbasis build that assembles from the same coupling; they are
 # re-exported here because perfbench/spans.py looks circuit_coupling up in
 # this module by name.
-from .coupled import ProductCoupling, circuit_coupling  # noqa: F401
+from .coupled import (TABLE_NOISE, ProductCoupling,  # noqa: F401
+                      circuit_coupling)
 
-# Denominators smaller than this (GHz) with a nonzero matrix element mean
+# Denominators smaller than this (GHz) with a counted matrix element mean
 # the state is effectively degenerate and the series is invalid.
 DEGENERACY_LIMIT_GHZ = 1e-3
-ELEMENT_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,11 @@ class ShiftTable:
     """Second-order shift of |photon, level> and its per-level breakdown.
 
     contributions[j] sums the terms routed through intermediate qubit
-    level j.  Quasi-degenerate contributors (denominator below the guard
-    with a nonzero element) are excluded from the sums and listed as
-    (photon, level) pairs in excluded.
+    level j.  K[level, j] counts only above TABLE_NOISE of max |K| and at
+    a nonzero strength, so parity-forbidden (noise) elements at phix = 0.5
+    and every element at Lc = 0 add exactly 0.  Quasi-degenerate
+    contributors (denominator below the guard with a counted element) are
+    excluded from the sums and listed as (photon, level) pairs in excluded.
     """
 
     total: float
@@ -66,9 +68,11 @@ def second_order_table(coupling: ProductCoupling, photon: int, level: int) -> Sh
             * coupling.qubit_elements[level, None, :] ** 2)
     denom = ((photon - rows)[:, None] * coupling.omega
              + (coupling.qubit_energies[level] - coupling.qubit_energies))
-    active = amp2 > ELEMENT_FLOOR
-    degenerate = active & (np.abs(denom) < DEGENERACY_LIMIT_GHZ)
-    active &= ~degenerate
+    elements = np.abs(coupling.qubit_elements)
+    counted = ((elements[level] > TABLE_NOISE * elements.max())
+               & (coupling.strength != 0.0))
+    degenerate = counted & (np.abs(denom) < DEGENERACY_LIMIT_GHZ)
+    active = counted & ~degenerate
     terms = np.zeros_like(amp2)
     terms[active] = amp2[active] / denom[active]
     excluded = tuple((int(rows[r]), int(j))

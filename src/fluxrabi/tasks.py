@@ -4,10 +4,11 @@ Sweep tasks share one engine, _sweep: it walks circuits x gauges x bias
 points, hands each point to a pure top-level point function (through one
 process pool when workers > 1) and returns long-format rows (Lc_pH,
 phix_Phi0, gauge, provenance, quantity, coordinate, value, unit) in (Lc,
-phix, gauge, quantity, coordinate) order.  A point function depends only on
-its arguments, so the rows are bit-identical for any worker count.  The
-qubit two-level reduction and its Rabi mapping run once per circuit and
-gauge in a process (_reduction).
+phix, gauge, quantity) order, each quantity's rows in the order their
+producer writes them.  A point function depends only on its arguments, so
+the rows are bit-identical for any worker count.  The qubit two-level
+reduction and its Rabi mapping run once per circuit and gauge in a process
+(_reduction).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .coupled import (
     N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
-    coupled_levels,
     observables,
     truncation_check,
 )
@@ -76,7 +76,7 @@ def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
 def _sort_key(row: tuple):
     lc, phix = row[0], row[1]
     return (lc, math.isnan(phix), phix if not math.isnan(phix) else 0.0,
-            row[2], row[4], str(row[5]))
+            row[2], row[4])
 
 
 def _sweep(cfg: RunConfig, point, gauges=("flux",), circuits=None,
@@ -187,7 +187,8 @@ def _qubit_level_rows(gauge, raw, num):
 
 
 def _level_rows(gauge, raw, num):
-    energies = coupled_levels(gauge, raw, num.n_qubit, num.n_fock).energies
+    energies = build_coupled_eigenbasis(gauge, raw, num.n_qubit,
+                                        num.n_fock).energies
     return _level_tails("eigenbasis-product", [float(e) for e in energies])
 
 
@@ -220,10 +221,10 @@ def _perturbation_rows(gauge, raw, num):
     """Dispersive shifts; first_order_max_abs is NaN at guarded points and
     0.0 elsewhere, since X has no diagonal in either gauge.
 
-    The sums run over the N_PERT_LEVELS slice of the coupling the levels
-    call assembled from, so the qubit is solved once.
+    The sums run over the N_PERT_LEVELS slice of the coupling the
+    eigenbasis build assembled from, so the qubit is solved once.
     """
-    spec = coupled_levels(gauge, raw, num.n_qubit, num.n_fock)
+    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
     coupling = spec.coupling.truncated(N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
@@ -408,8 +409,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
     for lc, raw in cfg.circuits():
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
-            levels = {gauge: coupled_levels(gauge, raw, n_qubit=nq,
-                                            n_fock=nf).energies
+            levels = {gauge: build_coupled_eigenbasis(gauge, raw, n_qubit=nq,
+                                                      n_fock=nf).energies
                       for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
@@ -421,8 +422,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                          "lowest8_gauge_gap", coord, gap, "GHz"))
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
-        eigen = coupled_levels("flux", raw, cfg.numerics.n_qubit,
-                               cfg.numerics.n_fock).energies
+        eigen = build_coupled_eigenbasis("flux", raw, cfg.numerics.n_qubit,
+                                         cfg.numerics.n_fock).energies
         # a truncation below 8 product states has fewer levels to compare
         plane = build_coupled_planewave("flux", raw)[:len(eigen)]
         cross = float(np.abs(eigen - plane).max())

@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 
 from fluxrabi.circuit import gauge_circuit
 from fluxrabi.config import reference_config
-from fluxrabi.coupled import coupled_levels
+from fluxrabi.coupled import build_coupled_eigenbasis
 from fluxrabi.fitting import fit_rabi, fit_transition_pairs
 from fluxrabi.perturbation import second_order_table
 from fluxrabi.qubit import characterize_qubit
@@ -63,7 +63,7 @@ def coupled_fit_levels(lc):
     rows = []
     for phix in FIT_GRID:
         raw = dataclasses.replace(p.raw, phix=float(phix))
-        spec = coupled_levels("flux", raw, n_qubit=8, n_fock=60)
+        spec = build_coupled_eigenbasis("flux", raw, n_qubit=8, n_fock=60)
         rows.append(spec.energies[:8])
     return np.array(rows)
 

@@ -294,8 +294,9 @@ def second_order_terms(coupling, gauge, photon, level):
     Assembles V = c X (x) K densely over 40 Fock states, oscillator major,
     and visits every off-diagonal element <s|V|t> of the row of
     s = |photon, level> (the row, as K is symmetric only to 1e-12 of its
-    scale and the library reads K[level, j]).  An element whose square
-    exceeds 1e-30 gives the term |V_st|^2 / (E_s - E_t), unless
+    scale and the library reads K[level, j]).  A nonzero element whose
+    qubit factor K[level, j] exceeds 1e-12 of max |K| (smaller ones are
+    rounding noise) gives the term |V_st|^2 / (E_s - E_t), unless
     |E_s - E_t| is below 1e-3 GHz; then t is listed by its (photon, level)
     pair instead.
 
@@ -310,12 +311,14 @@ def second_order_terms(coupling, gauge, photon, level):
     bare = np.add.outer(coupling.omega * (np.arange(n_fock) + 0.5),
                         coupling.qubit_energies).ravel()
     s = photon * n_levels + level
+    noise = 1e-12 * np.abs(coupling.qubit_elements).max()
     terms = np.zeros(n_fock * n_levels)
     excluded = []
     for t in range(len(bare)):
-        amp2 = v[s, t] ** 2
-        if t == s or not amp2 > 1e-30:
+        qubit_factor = coupling.qubit_elements[level, t % n_levels]
+        if t == s or v[s, t] == 0.0 or not abs(qubit_factor) > noise:
             continue
+        amp2 = v[s, t] ** 2
         denom = bare[s] - bare[t]
         if abs(denom) < 1e-3:
             excluded.append(divmod(t, n_levels))

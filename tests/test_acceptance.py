@@ -16,7 +16,6 @@ from fluxrabi.coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
-    coupled_levels,
     observables,
 )
 from fluxrabi.perturbation import second_order_table
@@ -160,7 +159,8 @@ def test_c08_gauge_invariance():
         for nq, nf in ((6, 40), (12, 80), (20, 100)):
             levels = {}
             for gauge in ("flux", "charge"):
-                spec = coupled_levels(gauge, p.raw, n_qubit=nq, n_fock=nf)
+                spec = build_coupled_eigenbasis(gauge, p.raw, n_qubit=nq,
+                                                n_fock=nf)
                 levels[gauge] = spec.energies[:8]
             gaps[(nq, nf)] = float(np.abs(levels["flux"]
                                           - levels["charge"]).max()) * 1e3
@@ -237,7 +237,7 @@ def test_c10_oracle_equivalence():
         p = circuit_parts(lc)
         # truncation that holds the lowest 8 levels at deep coupling (the
         # same one the spectrum-fit data uses)
-        eig = coupled_levels("flux", p.raw, n_qubit=8, n_fock=60)
+        eig = build_coupled_eigenbasis("flux", p.raw, n_qubit=8, n_fock=60)
         pw = build_coupled_planewave("flux", p.raw)
         gap = float(np.abs(eig.energies[:8] - pw[:8]).max()) * 1e3
         ok = ok and gap < 1.0

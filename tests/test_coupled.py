@@ -17,7 +17,6 @@ from fluxrabi.coupled import (
     build_coupled_eigenbasis,
     build_coupled_planewave,
     circuit_coupling,
-    coupled_levels,
     observables,
     truncation_check,
 )
@@ -150,7 +149,7 @@ def test_truncation_check_and_doubled_states_call_assemble_nothing(
     shift, converged = truncation_check("flux", parts20.raw, 8, 60)
     assert converged and shift < 1e-3
     spec = build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
-    levels = coupled_levels("flux", parts20.raw, 16, 120)
+    levels = build_coupled_eigenbasis("flux", parts20.raw, 16, 120)
     assert spec.vectors.shape == (1920, 4)
     assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
     assert nothing_dense(calls), calls
@@ -205,12 +204,12 @@ def test_flux_eigenbasis_converged_at_default_truncation(parts20):
 def test_levels_call_matches_states_call(parts20):
     p = parts20
     full = build_coupled_eigenbasis("charge", p.raw, 6, 40, 8)
-    levels = coupled_levels("charge", p.raw, 6, 40)
+    levels = build_coupled_eigenbasis("charge", p.raw, 6, 40)
     assert levels.vectors is None
     assert levels.dims == full.dims
     assert levels.energies.shape == (8,)
     assert np.abs(levels.energies - full.energies[:8]).max() < 1e-9
-    again = coupled_levels("charge", p.raw, 6, 40)
+    again = build_coupled_eigenbasis("charge", p.raw, 6, 40)
     assert np.array_equal(again.energies, levels.energies)
 
 
@@ -261,7 +260,7 @@ def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
     # a levels-only build carries no eigenvectors; observables must not
     # misread it
     p = parts20
-    spec = coupled_levels("flux", p.raw, 6, 40)
+    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
     with pytest.raises(ValueError, match="vectors"):
         observables(spec, p.raw, 0)
 
@@ -358,7 +357,7 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
                                             gauge, dims):
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
-    spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
+    spec = build_coupled_eigenbasis(gauge, raw, n_qubit=nq, n_fock=nf)
     dense = np.linalg.eigvalsh(kron_product_hamiltonian(spec))
     assert spec.energies.shape == (min(8, nq * nf),)
     assert np.abs(spec.energies - dense[:8]).max() < 1e-9
@@ -383,7 +382,7 @@ def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
     assert N_COUPLED_LEVELS < nq * nf
-    spec = coupled_levels(gauge, raw, n_qubit=nq, n_fock=nf)
+    spec = build_coupled_eigenbasis(gauge, raw, n_qubit=nq, n_fock=nf)
     banded = scipy.linalg.eigvals_banded(coupled._band(spec.coupling, nf, nq),
                                          select="i", select_range=(0, 7))
     assert spec.energies.shape == (8,)
@@ -397,7 +396,7 @@ def test_shift_invert_levels_match_dense_oracle(gauge, lc):
     # against np.linalg.eigvalsh of the Kronecker form of the same matrix
     raw = circuit_parts(lc).raw
     for nq, nf in TRUNCATION_LADDER + ((16, 120),):
-        spec = coupled_levels(gauge, raw, nq, nf)
+        spec = build_coupled_eigenbasis(gauge, raw, nq, nf)
         dense = np.linalg.eigvalsh(kron_product_hamiltonian(spec))
         assert spec.energies.shape == (8,)
         assert np.abs(spec.energies - dense[:8]).max() < 1e-10, (nq, nf)
@@ -457,7 +456,7 @@ def test_shift_search_steps_past_failed_factorizations(monkeypatch,
         return factor
 
     patch_pbtrf(monkeypatch, record)
-    spec = coupled_levels("flux", parts350.raw, 6, 40)
+    spec = build_coupled_eigenbasis("flux", parts350.raw, 6, 40)
     h = kron_product_hamiltonian(spec)
     dense = np.linalg.eigvalsh(h)
     assert len(infos) == 5 and infos[-1] == 0
@@ -560,7 +559,7 @@ def test_states_call_at_5120_product_states(monkeypatch, parts350, gauge):
     matvec = product_matvec(spec)
     for energy, vector in zip(spec.energies, spec.vectors.T):
         assert np.linalg.norm(matvec(vector) - energy * vector) < 1e-9
-    levels = coupled_levels(gauge, parts350.raw, 32, 160)
+    levels = build_coupled_eigenbasis(gauge, parts350.raw, 32, 160)
     assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
 
 
@@ -587,7 +586,7 @@ def test_solve_picks_path_by_levels_and_dimension(monkeypatch, parts350,
     # solver for every level of the band at it
     calls = solver_calls(monkeypatch)
     if n_states is None:
-        coupled_levels("charge", parts350.raw, *dims)
+        build_coupled_eigenbasis("charge", parts350.raw, *dims)
     else:
         build_coupled_eigenbasis("charge", parts350.raw, *dims, n_states)
     if banded:
@@ -713,7 +712,7 @@ def test_banded_levels_reject_table_without_quadrature_symmetry(
     # eigenbasis solve, refuses a tilted K
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
-    for solve in (coupled_levels,
+    for solve in (build_coupled_eigenbasis,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
         with pytest.raises(EigensolveError, match="symmetry"):
             solve(gauge, parts20.raw, 6, 40)
@@ -725,7 +724,7 @@ def test_banded_solver_failure_raises_eigensolve_error(monkeypatch, parts20):
         raise np.linalg.LinAlgError("no convergence")
 
     monkeypatch.setattr(scipy.linalg, "eig_banded", fail)
-    for solve in (coupled_levels,
+    for solve in (build_coupled_eigenbasis,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
         with pytest.raises(EigensolveError,
                            match="banded coupled eigensolve failed"):
@@ -745,7 +744,8 @@ def test_matrix_free_levels_failure_raises_eigensolve_error(monkeypatch,
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    for solve, dims in ((coupled_levels, (6, 40)), (coupled_levels, (8, 80)),
+    for solve, dims in ((build_coupled_eigenbasis, (6, 40)),
+                        (build_coupled_eigenbasis, (8, 80)),
                         (lambda *a: build_coupled_eigenbasis(*a, n_states=4),
                          (8, 80))):
         with pytest.raises(EigensolveError,
@@ -765,9 +765,10 @@ def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
             return ab, 1
         return factor
 
-    h = kron_product_hamiltonian(coupled_levels("flux", parts20.raw, 8, 80))
+    h = kron_product_hamiltonian(
+        build_coupled_eigenbasis("flux", parts20.raw, 8, 80))
     patch_pbtrf(monkeypatch, never)
-    for solve in (coupled_levels,
+    for solve in (build_coupled_eigenbasis,
                   lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
         bands.clear()
         with pytest.raises(EigensolveError,

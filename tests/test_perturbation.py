@@ -70,8 +70,8 @@ def test_quasi_degenerate_exclusions_match_brute_force_sum():
 
 
 def _elements():
-    """Zero, or a value of magnitude in [1e-3, 1]: clear of the element
-    floor, so both sums keep the same terms."""
+    """Zero, or a value of magnitude in [1e-3, 1]: clear of the noise
+    tolerance, so both sums keep the same terms."""
     return st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
 
 
@@ -103,6 +103,21 @@ def test_second_order_table_matches_brute_force_property(data):
     photon = data.draw(st.integers(0, 10), label="photon")
     level = data.draw(st.integers(0, n_levels - 1), label="level")
     _assert_matches_brute_force(coupling, gauge, photon, level)
+
+
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+@pytest.mark.parametrize("gauge", ["flux", "charge"])
+def test_parity_forbidden_contributions_are_exactly_zero(lc, gauge):
+    # at phix = 0.5 the qubit states alternate in parity and both phase and
+    # charge are odd, so K[level, j] with level + j even is rounding noise
+    # (4.3e-13 of max |K| for K[0, 0] at 20 pH, flux gauge); the levels the
+    # perturbation task reads route nothing through them
+    coupling = circuit_coupling(gauge, circuit_parts(lc).raw)
+    for photon in (0, 1):
+        for level in (0, 1):
+            table = second_order_table(coupling, photon, level)
+            assert np.all(table.contributions[level::2] == 0.0)
+            assert np.all(table.contributions[1 - level::2] != 0.0)
 
 
 def test_two_state_shift_closed_form():

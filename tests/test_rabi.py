@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fluxrabi.constants import truncation_shift
+from fluxrabi.coupled import CONVERGENCE_LIMIT_GHZ
 from fluxrabi.rabi import (
     RabiParams,
     default_n_fock,
@@ -96,15 +96,19 @@ def test_hamiltonian_is_real_symmetric():
         assert np.abs(h - h.T).max() == 0.0
 
 
+def _doubling_shift(params, n_fock):
+    """Largest shift of the lowest 8 levels at n_fock against 2 n_fock."""
+    return float(np.abs(rabi_energies(params, 0.5, n_fock)[:8]
+                        - rabi_energies(params, 0.5, 2 * n_fock)[:8]).max())
+
+
 def test_truncation_flag_is_honest():
     # the deep-coupling Rabi model converges at 60 Fock states and a
     # starved 6-state truncation is flagged against its doubled solve
     deep = RabiParams(omega=6.27, Delta_q=2.14, Ip=282.0, g=7.31)
-    assert truncation_shift(rabi_energies(deep, 0.5, 60),
-                            rabi_energies(deep, 0.5, 120))[1]
-    shift, converged = truncation_shift(rabi_energies(deep, 0.5, 6),
-                                        rabi_energies(deep, 0.5, 12))
-    assert not converged
+    assert _doubling_shift(deep, 60) < CONVERGENCE_LIMIT_GHZ
+    shift = _doubling_shift(deep, 6)
+    assert not shift < CONVERGENCE_LIMIT_GHZ
     assert shift > 0.1
 
 

@@ -14,7 +14,7 @@ import pytest
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import NumericsConfig, reference_config
-from fluxrabi.coupled import coupled_levels
+from fluxrabi.coupled import build_coupled_eigenbasis
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.tasks import (
@@ -202,7 +202,7 @@ def test_level_rows_are_banded_levels(gauge):
     num = NumericsConfig(n_qubit=8, n_fock=60)
     rows = tasks._level_rows(gauge, raw, num)
     levels = [r[3] for r in rows if r[1].startswith("energy_level_")]
-    expected = coupled_levels(gauge, raw, 8, 60).energies
+    expected = build_coupled_eigenbasis(gauge, raw, 8, 60).energies
     assert levels == [float(e) for e in expected]
 
 
@@ -371,6 +371,53 @@ def test_sort_key_orders_scalars_after_sweep_rows():
     rows = [scalar_row, sweep_row, other_lc]
     rows.sort(key=_sort_key)
     assert rows == [other_lc, sweep_row, scalar_row]
+
+
+def test_rows_of_one_quantity_keep_their_producer_order():
+    # the coordinate column is not sorted on: gauge-check's rungs follow
+    # the ladder (not 12x80 first), wave numbers ascend (not -0.39 first)
+    # and observables' states count up past 9
+    cfg = small_config(phix_points=1,
+                       numerics=NumericsConfig(n_states=12, gauge="flux"))
+    waves = [float(k) for k in PlaneWaveBasis.for_qubit().wave_numbers]
+    assert waves == sorted(waves)
+    checked = {"gauge-check": ("lowest8_gauge_gap",
+                               [f"{nq}x{nf}" for nq, nf in
+                                tasks.TRUNCATION_LADDER]),
+               "wavefunctions": ("state_0_prob", waves),
+               "observables": ("photon_number", list(range(12)))}
+    for task, (quantity, expected) in checked.items():
+        rows = tasks.TASKS[task](cfg).rows
+        assert [r[5] for r in rows if r[4] == quantity] == expected, task
+
+
+def test_every_eigenbasis_band_is_written_inside_the_traced_call(
+        monkeypatch):
+    # perfbench/spans.py times the coupled solves by wrapping
+    # build_coupled_eigenbasis wherever it is named; every band a task
+    # solves, the doubled truncation check's included, must be written
+    # inside one such call
+    import fluxrabi.coupled as coupled
+
+    counts = {"calls": 0, "bands": 0}
+    build, band = coupled.build_coupled_eigenbasis, coupled._band
+
+    def traced(*args, **kwargs):
+        counts["calls"] += 1
+        return build(*args, **kwargs)
+
+    def counted(*args):
+        counts["bands"] += 1
+        return band(*args)
+
+    for module in (coupled, tasks):
+        monkeypatch.setattr(module, "build_coupled_eigenbasis", traced)
+    monkeypatch.setattr(coupled, "_band", counted)
+    cfg = small_config(numerics=NumericsConfig(verify=True))
+    for task in ("circuit-spectrum", "gauge-check", "perturbation",
+                 "observables"):
+        tasks.TASKS[task](cfg)
+    assert counts["bands"] == counts["calls"] > 0
 
 
 def test_cell_formatting_preserves_types():
