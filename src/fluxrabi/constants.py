@@ -6,8 +6,9 @@ inductances, pF for the oscillator capacitance, fF for the junction
 capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
 
-One numerical piece is kept here: the oscillator ladder sqrt(m + 1),
-from which every Fock-basis operator is written.
+Two numerical pieces are kept here: the oscillator ladder sqrt(m + 1),
+from which every Fock-basis operator is written, and the stopping rule of
+the least-squares loops (step_settled).
 """
 
 from __future__ import annotations
@@ -84,3 +85,15 @@ def fock_ladder(n_fock: int) -> np.ndarray:
     a - a' hold the same entries above the diagonal and no others."""
     return np.sqrt(np.arange(1, n_fock))
 
+
+# Relative step below which a least-squares loop has reached its minimum,
+# and the rounding floor of the data, below which steps stop shrinking.
+STEP_CONVERGED = 1e-15
+STEP_NOISE = 1e-12
+
+
+def step_settled(size: float, last: float) -> bool:
+    """True once a step of relative size `size` ends a least-squares loop:
+    it is at most STEP_CONVERGED, or at most STEP_NOISE without halving
+    `last`, the size of the step before it (rounding noise of the data)."""
+    return size <= STEP_CONVERGED or 0.5 * last <= size <= STEP_NOISE

@@ -4,24 +4,29 @@ Fits the four parameters (omega, Delta_q, g, Ip) of the qubit-oscillator
 model to a table of transition frequencies sampled on a flux grid:
 table[p, c] is transition pairs[c] at grid[p], and model_pair_table
 evaluates the model on the same layout.  The objective is the mean squared
-residual over all (flux, transition) points in MHz^2, minimized by
-Levenberg-Marquardt with one re-start from the nudged minimum.  The model
-Hamiltonian is linear in the parameters, so the Jacobian is exact: by the
-Hellmann-Feynman theorem each level's derivative is the expectation of the
-matching structure matrix in its eigenvector, one eigh per bias point.
-Nothing is random, so repeated runs give identical results.  The residual
-reported alongside the fitted parameters is restricted to transitions from the
+residual over all (flux, transition) points in MHz^2, minimized by a numpy
+Levenberg-Marquardt loop with one re-start from the nudged minimum.  The
+model Hamiltonian is linear in the parameters, so the Jacobian is exact: by
+the Hellmann-Feynman theorem each level's derivative is the expectation of
+the matching structure matrix in its eigenvector, one eigh per bias point.
+Each run keeps a trust radius on the parameters scaled by its start and
+takes Gauss-Newton steps once the cost's rounding hides their gain, until
+a step meets the stopping rule of constants.step_settled: the fit ends at
+the Gauss-Newton minimum, not at a cost test short of it.  Nothing is
+random, so repeated runs give identical results.  The residual reported
+alongside the fitted parameters is restricted to transitions from the
 ground state, which is the conventional figure of merit for this kind of
 spectrum fit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import bias_to_ghz
+from .constants import STEP_NOISE, bias_to_ghz, step_settled
 from .rabi import (RabiParams, _structure, default_n_fock, rabi_energies,
                    rabi_hamiltonian)
 
@@ -30,6 +35,12 @@ RESTART_STEP = (1.02, 0.98, 1.05, 1.001)
 
 # Order of the fitted parameters in the optimizer's vector.
 PARAM_NAMES = ("omega", "Delta_q", "g", "Ip")
+
+# Residual evaluations one Levenberg-Marquardt run may spend.
+MAX_EVAL = 60
+# Predicted gain, as a share of the cost, below which the gain ratio is
+# rounding noise: 100 times the cost's own rounding on the fits (1e-12).
+COST_NOISE = 1e-10
 
 
 class FitDataError(ValueError):
@@ -146,6 +157,96 @@ def ground_residual_mhz2(params: RabiParams, grid: np.ndarray,
     return float((residuals[:, ground].ravel() ** 2).mean())
 
 
+def _trust_step(jac: np.ndarray, grad: np.ndarray,
+                radius: float) -> tuple[np.ndarray, bool]:
+    """(step, gauss_newton): -(J'J + lam)^-1 J'r for the smallest lam >= 0
+    whose step fits in radius; gauss_newton is True when lam = 0.
+
+    lam comes from the eigen-decomposition of J'J: |step(lam)| = radius is
+    solved by Newton's method on 1 / |step|, concave and increasing in lam,
+    so the iterates approach the root from below (More, 1978).  Directions
+    without curvature get no step (the least-norm solution).
+    """
+    curvature, basis = np.linalg.eigh(jac.T @ jac)
+    curvature = np.maximum(curvature, 0.0)
+    along = basis.T @ grad
+    lam = 0.0
+    for _ in range(30):
+        inverse = np.divide(1.0, curvature + lam, out=np.zeros_like(along),
+                            where=curvature + lam > 0.0)
+        step = -along * inverse
+        norm = float(np.linalg.norm(step))
+        if norm <= 1.001 * radius:
+            break
+        lam += ((1.0 / radius - 1.0 / norm) * norm**3
+                / float(np.sum(step**2 * inverse)))
+    return basis @ step, lam == 0.0
+
+
+def _levenberg_marquardt(residuals, jacobian, theta0: np.ndarray):
+    """(theta, residuals at theta, settled) of one Levenberg-Marquardt run.
+
+    Steps live in the variables scaled by |theta0|, inside a trust radius
+    that starts at |theta0 / |theta0||, so the first step stays within
+    about twice each parameter, and then grows or shrinks with the gain
+    ratio (More, 1978).  A step is taken if it lowers the cost; where the
+    gain ratio is rounding noise it is taken without that test: a step
+    moving no parameter by more than STEP_NOISE, or a Gauss-Newton step
+    whose predicted gain is below COST_NOISE of the cost.  That polishes
+    the run to the Gauss-Newton minimum.  Moves are judged relative to each
+    parameter, or to 1e-3 theta0[0] where that is larger.  The run settles
+    on a taken step that constants.step_settled ends or, past COST_NOISE,
+    on a Gauss-Newton step that does not halve the one before it, and on a
+    damped step below COST_NOISE that fails to lower the cost (no step the
+    model trusts can).  MAX_EVAL residual evaluations leave it unsettled.
+    """
+    scale = np.abs(theta0)
+    floor = 1e-3 * scale[0]
+    theta, res = theta0, residuals(theta0)
+    radius = float(np.linalg.norm(theta0 / scale))
+    last, n_eval = math.inf, 1
+    jac = jacobian(theta) * scale
+    while n_eval < MAX_EVAL:
+        grad = jac.T @ res
+        step, gauss_newton = _trust_step(jac, grad, radius)
+        trial = theta + scale * step
+        trial_res = residuals(trial)
+        n_eval += 1
+        cost = 0.5 * float(res @ res)
+        predicted = -float(grad @ step + 0.5 * np.sum((jac @ step) ** 2))
+        actual = cost - 0.5 * float(trial_res @ trial_res)
+        noise = predicted <= COST_NOISE * cost
+        size = float(np.max(np.abs(trial - theta)
+                            / np.maximum(np.abs(trial), floor)))
+        if size <= STEP_NOISE or noise and gauss_newton:
+            # the gain ratio is rounding noise: polish without it
+            taken = bool(np.isfinite(actual))
+        elif noise:
+            # a damped step the model cannot tell from rounding: if it
+            # fails, no step within the radius lowers the cost
+            if not actual > 0.0:
+                return theta, res, True
+            taken = True
+        else:
+            ratio = actual / predicted
+            if not ratio >= 0.25:  # a non-finite cost shrinks it too
+                radius = 0.25 * float(np.linalg.norm(step))
+            elif ratio > 0.75 and not gauss_newton:
+                radius *= 2.0
+            taken = actual > 0.0
+        if not taken:
+            continue
+        theta, res = trial, trial_res
+        # ill-conditioned data put the rounding floor of a step above
+        # STEP_NOISE: a polishing step that stops halving has reached it too
+        if (step_settled(size, last)
+                or noise and gauss_newton and size >= 0.5 * last):
+            return theta, res, True
+        last = size
+        jac = jacobian(theta) * scale
+    return theta, res, False
+
+
 def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
              table: np.ndarray, initial: RabiParams,
              n_fock: int | None = None) -> RabiFitResult:
@@ -155,7 +256,7 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     run over it in row-major order.  Runs Levenberg-Marquardt on the signed
     residuals from the start, then once more from the first minimum nudged
     by RESTART_STEP, and keeps the lower minimum; converged requires both
-    runs to succeed and to agree below 0.1% on every parameter (relative to
+    runs to settle and to agree below 0.1% on every parameter (relative to
     1e-3 omega for a parameter smaller than that).  n_eval counts every
     residual evaluation and n_jac every evaluation of the exact Jacobian
     (_pair_jacobian), over both runs.
@@ -165,9 +266,6 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     start = np.array([getattr(initial, name) for name in PARAM_NAMES])
     if n_fock is None:
         n_fock = default_n_fock(initial.g / initial.omega)
-    # on first use: the Rabi fit is the only user of scipy.optimize, whose
-    # import costs about 17 MiB and 0.1 s that other runs need not pay
-    from scipy.optimize import least_squares
 
     def with_theta(theta: np.ndarray) -> RabiParams:
         return replace(initial, **{name: float(value)
@@ -188,24 +286,22 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
         slopes = _pair_jacobian(with_theta(theta), grid, pairs, n_fock)
         return 1e3 * slopes.reshape(-1, len(PARAM_NAMES))
 
-    # Levenberg-Marquardt in scipy's trust-region form, scaled to the run's
-    # start so that the first step stays within about twice each parameter;
-    # MINPACK's method="lm" may step 100 times that, and on a drawn
-    # self-fit it settled in a wrong minimum (tests/test_fitting.py pins it).
     # The objective is even in g, so g = 0 (the mapped start at Lc = 0) is a
-    # stationary point: each run starts at least 1e-3 omega off zero.
+    # stationary point: each run starts at least 1e-3 omega off zero.  Near
+    # that point J'J has no curvature along g, the case the damped-step
+    # settle covers: decoupled data end there with g below 1e-7.
     def minimize(theta0: np.ndarray):
         floor = 1e-3 * abs(theta0[0])
         theta0 = np.where(np.abs(theta0) < floor, floor, theta0)
-        return least_squares(residuals, theta0, jac=jacobian, method="trf",
-                             x_scale=np.abs(theta0),
-                             xtol=1e-15, ftol=1e-15, gtol=1e-15)
+        return _levenberg_marquardt(residuals, jacobian, theta0)
 
-    first = minimize(start)
-    second = minimize(np.abs(first.x) * RESTART_STEP)
-    best = min(first, second, key=lambda sol: sol.cost)  # first on a tie
-    theta = np.abs(best.x)
-    gap = np.abs(np.abs(first.x) - np.abs(second.x))
+    first, first_res, first_settled = minimize(start)
+    second, second_res, second_settled = minimize(np.abs(first) * RESTART_STEP)
+    best, best_res = ((first, first_res)  # first on a tie
+                      if first_res @ first_res <= second_res @ second_res
+                      else (second, second_res))
+    theta = np.abs(best)
+    gap = np.abs(np.abs(first) - np.abs(second))
     # gaps are judged against 1e-3 omega where a parameter is smaller, as in
     # the start lift: a fitted g near 0 must not inflate them
     spread = float((gap / np.maximum(theta, 1e-3 * theta[0])).max())
@@ -213,8 +309,8 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     return RabiFitResult(params=params,
                          residual_mhz2=ground_residual_mhz2(params, grid, pairs,
                                                             table, n_fock),
-                         objective_mhz2=float(np.mean(best.fun ** 2)),
+                         objective_mhz2=float(np.mean(best_res ** 2)),
                          n_eval=n_eval, n_jac=n_jac,
-                         converged=first.success and second.success
-                         and spread < 1e-3,
+                         converged=(first_settled and second_settled
+                                    and spread < 1e-3),
                          restart_spread=spread)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import bias_to_ghz
+from .constants import bias_to_ghz, step_settled
 from .planewave import (
     PlaneWaveBasis,
     SubsystemSpectrum,
@@ -117,8 +117,7 @@ def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelF
         if not np.all(np.isfinite(theta)):
             break
         size = float(np.max(np.abs(step) / np.abs(theta)))
-        # a small step that no longer halves is rounding noise of the data
-        if size <= 1e-15 or 0.5 * last <= size <= 1e-12:
+        if step_settled(size, last):
             break
         last = size
     else:

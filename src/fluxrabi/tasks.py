@@ -338,8 +338,6 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
     grid = cfg.phix_grid
     pairs = fit_transition_pairs(cfg.numerics.fit_levels)
     level_rows = _sweep(cfg, _level_rows)
-    # probe before fitting: the doubled solves then run without the memory
-    # that scipy.optimize holds once loaded
     probes = {f"Lc={lc}/flux": _probe(cfg, raw, "flux")
               for lc, raw in cfg.circuits()}
     detail = {}
@@ -508,7 +506,7 @@ def task_regression(cfg: RunConfig) -> TaskResult:
     at mid-bias; an unconverged check clears the converged flag.
     """
     meta = _base_metadata(cfg, "regression")
-    probe = _probe(cfg, cfg.circuit_at(350.0), "flux")  # before fitting
+    probe = _probe(cfg, cfg.circuit_at(350.0), "flux")
     values = compute_regression_values(cfg)
     meta["fit_data_convergence"] = {"Lc=350.0/flux": probe}
     meta["converged"] = probe["converged"]

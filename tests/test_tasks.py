@@ -13,7 +13,7 @@ import pytest
 
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import GAUGES, gauge_circuit
-from fluxrabi.config import NumericsConfig, reference_config
+from fluxrabi.config import TASK_NAMES, NumericsConfig, reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
@@ -135,21 +135,19 @@ def test_import_leaves_the_process_pool_unloaded():
     assert "multiprocessing" not in loaded
 
 
-def test_only_the_rabi_fit_loads_scipy_optimize(tmp_path):
-    def run_code(task_names):
-        return ("from fluxrabi.config import NumericsConfig, reference_config\n"
-                "from fluxrabi.tasks import run\n"
-                f"run(reference_config(tasks={task_names!r}, phix_start=0.498, "
-                "phix_stop=0.502, phix_points=3, numerics=NumericsConfig("
-                "n_qubit=6, n_fock=20, verify=False), "
-                f"output_dir={str(tmp_path)!r}))")
-
-    qubit_tasks = ("qubit-spectrum", "rabi-map", "matrix-elements")
-    loaded = modules_after(run_code(qubit_tasks))
+def test_no_task_loads_scipy_optimize(tmp_path):
+    # every fit is numpy alone, the Rabi fit included
+    loaded = modules_after(
+        "from fluxrabi.config import TASK_NAMES, NumericsConfig, "
+        "reference_config\n"
+        "from fluxrabi.tasks import run\n"
+        "run(reference_config(tasks=TASK_NAMES, phix_start=0.498, "
+        "phix_stop=0.502, phix_points=3, numerics=NumericsConfig("
+        f"n_qubit=6, n_fock=20, verify=False), output_dir={str(tmp_path)!r}))")
     assert "scipy.optimize" not in loaded
-    for task in qubit_tasks:
+    assert "fluxrabi.tasks" in loaded
+    for task in TASK_NAMES:
         assert (tmp_path / f"{task}.csv").exists()
-    assert "scipy.optimize" in modules_after(run_code(("rabi-fit",)))
 
 
 def test_perturbation_point_solves_the_qubit_once(monkeypatch):
