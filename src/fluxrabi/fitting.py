@@ -8,7 +8,11 @@ residual over all (flux, transition) points in MHz^2, minimized by a numpy
 Levenberg-Marquardt loop with one re-start from the nudged minimum.  The
 model Hamiltonian is linear in the parameters, so the Jacobian is exact: by
 the Hellmann-Feynman theorem each level's derivative is the expectation of
-the matching structure matrix in its eigenvector, one eigh per bias point.
+the matching structure matrix in its eigenvector.  One evaluation is one
+eigh over the Hamiltonians of the whole grid, stacked, and returns the
+residuals and the Jacobian together.  The Fock truncation is the rung of
+rabi.RABI_FOCK_LADDER that rabi.fock_rung picks at the grid's two ends and
+middle, and the fit checks it again at the parameters it ends at.
 Each run keeps a trust radius on the parameters scaled by its start and
 takes Gauss-Newton steps once the cost's rounding hides their gain, until
 a step meets the stopping rule of constants.step_settled: the fit ends at
@@ -27,8 +31,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import STEP_NOISE, bias_to_ghz, step_settled
-from .rabi import (RabiParams, _structure, default_n_fock, rabi_energies,
-                   rabi_hamiltonian)
+from .rabi import (FOCK_TOL_GHZ, RABI_FOCK_LADDER, RabiParams, _structure,
+                   fock_rung, fock_shift, rabi_energies, rabi_hamiltonian)
 
 # Relative nudge of the first minimum that the agreement re-start runs from.
 RESTART_STEP = (1.02, 0.98, 1.05, 1.001)
@@ -66,15 +70,18 @@ def fit_transition_pairs(max_level: int) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class RabiFitResult:
     """residual_mhz2 covers ground-state transitions only; objective_mhz2
-    is the minimized mean over every data point."""
+    is the minimized mean over every data point.  n_fock is the Fock
+    truncation the fit ran at and fock_shift_GHz its rabi.fock_shift at
+    the fitted parameters."""
 
     params: RabiParams
     residual_mhz2: float
     objective_mhz2: float
     n_eval: int
-    n_jac: int
     converged: bool
     restart_spread: float
+    n_fock: int
+    fock_shift_GHz: float
 
 
 def _check_params(params: RabiParams) -> None:
@@ -84,49 +91,47 @@ def _check_params(params: RabiParams) -> None:
         raise FitDataError("model parameters must be finite, omega > 0")
 
 
+def _rung_biases(grid: np.ndarray) -> np.ndarray:
+    """The grid's two ends and middle, where rabi.fock_rung picks the
+    Fock truncation of a model on it."""
+    return np.asarray(grid, dtype=float)[[0, len(grid) // 2, -1]]
+
+
 def model_pair_table(params: RabiParams, phix_grid: np.ndarray,
                      pairs: tuple[tuple[int, int], ...],
                      n_fock: int | None = None) -> np.ndarray:
-    """table[p, c] = model transition pairs[c] at phix_grid[p], in GHz.
+    """table[p, c] = model transition pairs[c] at phix_grid[p], in GHz, at
+    n_fock or, when it is None, at the rung fock_rung picks on the grid.
 
     Raises FitDataError before any solve unless params pass _check_params.
     """
     _check_params(params)
     if n_fock is None:
-        n_fock = default_n_fock(params.g / params.omega)
-    return _pair_table(params, phix_grid, pairs, n_fock)
+        n_fock = fock_rung(params, _rung_biases(phix_grid))
+    lower, upper = np.array(pairs).T
+    energies = rabi_energies(params, phix_grid, n_fock)
+    return energies[:, upper] - energies[:, lower]
 
 
-def _pair_table(params: RabiParams, phix_grid: np.ndarray,
-                pairs: tuple[tuple[int, int], ...], n_fock: int) -> np.ndarray:
-    out = np.empty((len(phix_grid), len(pairs)))
-    for p, phix in enumerate(phix_grid):
-        energies = rabi_energies(params, phix, n_fock)
-        out[p] = [energies[j] - energies[i] for i, j in pairs]
-    return out
-
-
-def _pair_jacobian(params: RabiParams, phix_grid: np.ndarray,
-                   pairs: tuple[tuple[int, int], ...],
-                   n_fock: int) -> np.ndarray:
-    """jac[p, c, k] = d table[p, c] / d theta_k, theta in PARAM_NAMES order.
+def _table_and_jacobian(params: RabiParams, grid: np.ndarray,
+                        pairs: tuple[tuple[int, int], ...],
+                        n_fock: int) -> tuple[np.ndarray, np.ndarray]:
+    """(table, jac): model_pair_table's table and jac[p, c, k] = d table[p, c]
+    / d theta_k, theta in PARAM_NAMES order, from one stacked eigh.
 
     H = omega A + Delta_q B + eps C + g D with eps = bias_to_ghz(Ip, phix)
     linear in Ip, so dE_n/dtheta = <n|dH/dtheta|n> (Hellmann-Feynman) on
-    the lowest max(j) + 1 eigenvectors of one eigh per bias point.
+    the lowest max(j) + 1 eigenvectors at each bias.
     """
     a_mat, b_mat, c_mat, d_mat = _structure(n_fock, params.variant)
     lower, upper = np.array(pairs).T
-    count = upper.max() + 1
-    out = np.empty((len(phix_grid), len(pairs), len(PARAM_NAMES)))
-    for p, phix in enumerate(phix_grid):
-        h = rabi_hamiltonian(params, phix, n_fock)
-        v = np.linalg.eigh(h)[1][:, :count]
-        slopes = np.array([np.sum(v * (m @ v), axis=0)
-                           for m in (a_mat, b_mat, d_mat, c_mat)])
-        slopes[3] *= bias_to_ghz(1.0, phix)
-        out[p] = (slopes[:, upper] - slopes[:, lower]).T
-    return out
+    energies, vectors = np.linalg.eigh(rabi_hamiltonian(params, grid, n_fock))
+    v = vectors[..., :upper.max() + 1]
+    slopes = np.stack([np.sum(v * (m @ v), axis=-2)
+                       for m in (a_mat, b_mat, d_mat, c_mat)], axis=-1)
+    slopes[..., 3] *= bias_to_ghz(1.0, grid)[:, None]
+    return (energies[:, upper] - energies[:, lower],
+            slopes[:, upper] - slopes[:, lower])
 
 
 def _check_table(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
@@ -150,7 +155,8 @@ def _check_table(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
 def ground_residual_mhz2(params: RabiParams, grid: np.ndarray,
                          pairs: tuple[tuple[int, int], ...], table: np.ndarray,
                          n_fock: int | None = None) -> float:
-    """Mean squared residual restricted to transitions from the ground state."""
+    """Mean squared residual restricted to transitions from the ground
+    state, with the model at n_fock as in model_pair_table."""
     table = _check_table(grid, pairs, table)
     ground = [c for c, (i, _) in enumerate(pairs) if i == 0]
     residuals = 1e3 * (model_pair_table(params, grid, pairs, n_fock) - table)
@@ -183,8 +189,9 @@ def _trust_step(jac: np.ndarray, grad: np.ndarray,
     return basis @ step, lam == 0.0
 
 
-def _levenberg_marquardt(residuals, jacobian, theta0: np.ndarray):
-    """(theta, residuals at theta, settled) of one Levenberg-Marquardt run.
+def _levenberg_marquardt(evaluate, theta0: np.ndarray):
+    """(theta, residuals at theta, settled) of one Levenberg-Marquardt run;
+    evaluate(theta) returns the residuals and their Jacobian together.
 
     Steps live in the variables scaled by |theta0|, inside a trust radius
     that starts at |theta0 / |theta0||, so the first step stays within
@@ -202,15 +209,15 @@ def _levenberg_marquardt(residuals, jacobian, theta0: np.ndarray):
     """
     scale = np.abs(theta0)
     floor = 1e-3 * scale[0]
-    theta, res = theta0, residuals(theta0)
+    theta, (res, jac) = theta0, evaluate(theta0)
+    jac = jac * scale
     radius = float(np.linalg.norm(theta0 / scale))
     last, n_eval = math.inf, 1
-    jac = jacobian(theta) * scale
     while n_eval < MAX_EVAL:
         grad = jac.T @ res
         step, gauss_newton = _trust_step(jac, grad, radius)
         trial = theta + scale * step
-        trial_res = residuals(trial)
+        trial_res, trial_jac = evaluate(trial)
         n_eval += 1
         cost = 0.5 * float(res @ res)
         predicted = -float(grad @ step + 0.5 * np.sum((jac @ step) ** 2))
@@ -236,14 +243,13 @@ def _levenberg_marquardt(residuals, jacobian, theta0: np.ndarray):
             taken = actual > 0.0
         if not taken:
             continue
-        theta, res = trial, trial_res
+        theta, res, jac = trial, trial_res, trial_jac * scale
         # ill-conditioned data put the rounding floor of a step above
         # STEP_NOISE: a polishing step that stops halving has reached it too
         if (step_settled(size, last)
                 or noise and gauss_newton and size >= 0.5 * last):
             return theta, res, True
         last = size
-        jac = jacobian(theta) * scale
     return theta, res, False
 
 
@@ -257,34 +263,42 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     residuals from the start, then once more from the first minimum nudged
     by RESTART_STEP, and keeps the lower minimum; converged requires both
     runs to settle and to agree below 0.1% on every parameter (relative to
-    1e-3 omega for a parameter smaller than that).  n_eval counts every
-    residual evaluation and n_jac every evaluation of the exact Jacobian
-    (_pair_jacobian), over both runs.
+    1e-3 omega for a parameter smaller than that).  n_eval counts the
+    evaluations of residuals and Jacobian, one stacked eigh each, over all
+    runs.  n_fock None takes the rung fock_rung picks at the start, and
+    where that rung does not hold at the fitted parameters, takes the rung
+    fock_rung picks there and fits once more from the start; converged then
+    also needs a rung below the ladder's top (the top is where no rung
+    settled).  converged needs the fock_shift of the final n_fock at the
+    fitted parameters below FOCK_TOL_GHZ.  Raises FitDataError for an
+    n_fock above the ladder's top, where fock_shift would describe a
+    smaller truncation.
     """
     table = _check_table(grid, pairs, table)
     _check_params(initial)
+    if n_fock is not None and n_fock > RABI_FOCK_LADDER[-1]:
+        raise FitDataError(f"n_fock above {RABI_FOCK_LADDER[-1]}")
+    grid = np.asarray(grid, dtype=float)
+    probe = _rung_biases(grid)
     start = np.array([getattr(initial, name) for name in PARAM_NAMES])
-    if n_fock is None:
-        n_fock = default_n_fock(initial.g / initial.omega)
+    chosen = n_fock is None
+    if chosen:
+        n_fock = fock_rung(initial, probe)
 
     def with_theta(theta: np.ndarray) -> RabiParams:
         return replace(initial, **{name: float(value)
                                    for name, value in zip(PARAM_NAMES, theta)})
 
-    n_eval = n_jac = 0
+    n_eval = 0
 
-    def residuals(theta: np.ndarray) -> np.ndarray:
+    def evaluate(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal n_eval
         n_eval += 1
         # unchecked: a step may leave the physical region and come back
-        model = _pair_table(with_theta(theta), grid, pairs, n_fock)
-        return 1e3 * (model - table).ravel()
-
-    def jacobian(theta: np.ndarray) -> np.ndarray:
-        nonlocal n_jac
-        n_jac += 1
-        slopes = _pair_jacobian(with_theta(theta), grid, pairs, n_fock)
-        return 1e3 * slopes.reshape(-1, len(PARAM_NAMES))
+        model, slopes = _table_and_jacobian(with_theta(theta), grid, pairs,
+                                            n_fock)
+        return (1e3 * (model - table).ravel(),
+                1e3 * slopes.reshape(-1, len(PARAM_NAMES)))
 
     # The objective is even in g, so g = 0 (the mapped start at Lc = 0) is a
     # stationary point: each run starts at least 1e-3 omega off zero.  Near
@@ -293,24 +307,37 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     def minimize(theta0: np.ndarray):
         floor = 1e-3 * abs(theta0[0])
         theta0 = np.where(np.abs(theta0) < floor, floor, theta0)
-        return _levenberg_marquardt(residuals, jacobian, theta0)
+        return _levenberg_marquardt(evaluate, theta0)
 
-    first, first_res, first_settled = minimize(start)
-    second, second_res, second_settled = minimize(np.abs(first) * RESTART_STEP)
-    best, best_res = ((first, first_res)  # first on a tie
-                      if first_res @ first_res <= second_res @ second_res
-                      else (second, second_res))
-    theta = np.abs(best)
-    gap = np.abs(np.abs(first) - np.abs(second))
+    def fit_twice():
+        """(first run, second run, kept run); a run is (theta, residuals,
+        settled) and the kept one has the lower cost, the first on a tie."""
+        first = minimize(start)
+        second = minimize(np.abs(first[0]) * RESTART_STEP)
+        return first, second, min(first, second,
+                                  key=lambda run: run[1] @ run[1])
+
+    first, second, best = fit_twice()
+    params = with_theta(np.abs(best[0]))
+    shift = fock_shift(params, probe, n_fock)
+    if chosen and shift >= FOCK_TOL_GHZ and n_fock < RABI_FOCK_LADDER[-1]:
+        n_fock = fock_rung(params, probe)
+        first, second, best = fit_twice()
+        params = with_theta(np.abs(best[0]))
+        shift = fock_shift(params, probe, n_fock)
+    theta = np.abs(best[0])
+    gap = np.abs(np.abs(first[0]) - np.abs(second[0]))
     # gaps are judged against 1e-3 omega where a parameter is smaller, as in
     # the start lift: a fitted g near 0 must not inflate them
     spread = float((gap / np.maximum(theta, 1e-3 * theta[0])).max())
-    params = with_theta(theta)
     return RabiFitResult(params=params,
                          residual_mhz2=ground_residual_mhz2(params, grid, pairs,
                                                             table, n_fock),
-                         objective_mhz2=float(np.mean(best_res ** 2)),
-                         n_eval=n_eval, n_jac=n_jac,
-                         converged=(first_settled and second_settled
-                                    and spread < 1e-3),
-                         restart_spread=spread)
+                         objective_mhz2=float(np.mean(best[1] ** 2)),
+                         n_eval=n_eval,
+                         converged=(first[2] and second[2] and spread < 1e-3
+                                    and shift < FOCK_TOL_GHZ
+                                    and not (chosen and n_fock
+                                             == RABI_FOCK_LADDER[-1])),
+                         restart_spread=spread, n_fock=n_fock,
+                         fock_shift_GHz=shift)

@@ -21,6 +21,11 @@ two-level charge e q2max is half the operator element <g|q2|e> = 2e q2max.
 This is the quantity the g' benchmark values pin: with it g'(Lc = 350 pH)
 meets its 0.492 GHz pin to 0.1%, where the full element would double it.
 PAPER.md holds only the abstract and does not settle the factor.
+
+The model is solved dense, at one bias or stacked over many in one call.
+Its Fock truncation is a rung of RABI_FOCK_LADDER chosen by evidence
+(fock_rung): the smallest whose lowest levels stop moving against the
+next rung.
 """
 
 from __future__ import annotations
@@ -31,12 +36,15 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import GAUGES, RawCircuit, gauge_circuit
-from .constants import bias_to_ghz, fock_ladder
+from .constants import N_COUPLED_LEVELS, bias_to_ghz, fock_ladder
 from .qubit import TwoLevelFit
 
-# Fock truncation defaults: deep-strong coupling needs the large basis.
-N_FOCK_WEAK = 20
-N_FOCK_DEEP = 60
+# Fock truncations of the model, tried in turn: the first rung whose lowest
+# N_COUPLED_LEVELS levels (those the fits read) move by less than
+# FOCK_TOL_GHZ against the next rung is the one a model solve needs.  At
+# 20 pH 10 suffices; at 350 pH the flux variant (g / omega = 1.2) needs 30.
+RABI_FOCK_LADDER = (10, 15, 20, 30, 40, 60, 80, 120)
+FOCK_TOL_GHZ = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,10 +67,6 @@ class RabiParams:
     def epsilon(self, phix: float) -> float:
         """Bias eps(phix) in GHz."""
         return bias_to_ghz(self.Ip, phix)
-
-
-def default_n_fock(g_over_omega: float) -> int:
-    return N_FOCK_WEAK if abs(g_over_omega) < 0.2 else N_FOCK_DEEP
 
 
 @lru_cache(maxsize=32)
@@ -89,17 +93,41 @@ def _structure(n_fock: int, variant: str) -> tuple[np.ndarray, ...]:
     return a_mat, b_mat, c_mat, d_mat
 
 
-def rabi_hamiltonian(params: RabiParams, phix: float, n_fock: int) -> np.ndarray:
-    """Assembled model Hamiltonian in GHz (real symmetric)."""
+def rabi_hamiltonian(params: RabiParams, phix, n_fock: int) -> np.ndarray:
+    """Assembled model Hamiltonian in GHz (real symmetric), (2 n_fock,
+    2 n_fock) at one bias, stacked to (P, 2 n_fock, 2 n_fock) over an
+    array of P biases; each matrix of the stack holds the same bits as
+    the call at its bias alone."""
     a_mat, b_mat, c_mat, d_mat = _structure(n_fock, params.variant)
-    eps = params.epsilon(phix)
+    eps = params.epsilon(np.asarray(phix, dtype=float))[..., None, None]
     return (params.omega * a_mat + params.Delta_q * b_mat
             + eps * c_mat + params.g * d_mat)
 
 
-def rabi_energies(params: RabiParams, phix: float, n_fock: int) -> np.ndarray:
-    """Eigenvalues only; fast path for fitting loops."""
+def rabi_energies(params: RabiParams, phix, n_fock: int) -> np.ndarray:
+    """Ascending levels in GHz, (2 n_fock,) at one bias or (P, 2 n_fock)
+    over an array of P biases, from one stacked eigvalsh."""
     return np.linalg.eigvalsh(rabi_hamiltonian(params, phix, n_fock))
+
+
+def fock_shift(params: RabiParams, phix, n_fock: int) -> float:
+    """Largest move of the lowest N_COUPLED_LEVELS levels at the biases phix
+    from n_fock to the next rung of RABI_FOCK_LADDER above it.  At or
+    above the top rung there is none: the move is then the one between
+    the ladder's last two rungs."""
+    above = [rung for rung in RABI_FOCK_LADDER if rung > n_fock]
+    low, high = (n_fock, above[0]) if above else RABI_FOCK_LADDER[-2:]
+    moved = (rabi_energies(params, phix, low)[..., :N_COUPLED_LEVELS]
+             - rabi_energies(params, phix, high)[..., :N_COUPLED_LEVELS])
+    return float(np.abs(moved).max())
+
+
+def fock_rung(params: RabiParams, phix) -> int:
+    """Smallest rung of RABI_FOCK_LADDER whose fock_shift at the biases
+    phix is below FOCK_TOL_GHZ; the top rung when none is."""
+    return next((rung for rung in RABI_FOCK_LADDER[:-1]
+                 if fock_shift(params, phix, rung) < FOCK_TOL_GHZ),
+                RABI_FOCK_LADDER[-1])
 
 
 def map_circuit_to_rabi(gauge: str, raw: RawCircuit,

@@ -32,7 +32,8 @@ from .coupled import (
     observables,
     truncation_check,
 )
-from .fitting import fit_rabi, fit_transition_pairs, model_pair_table
+from .fitting import (RabiFitResult, fit_rabi, fit_transition_pairs,
+                      model_pair_table)
 from .perturbation import second_order_table
 from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
@@ -354,18 +355,25 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
                 ("fitted_g", params.g, "GHz"), ("fitted_Ip", params.Ip, "nA"),
                 ("fit_residual", result.residual_mhz2, "MHz^2")))
             rows += _pair_rows(lc, variant, "fit", "fitted_transition", grid,
-                               pairs, model_pair_table(params, grid, pairs))
-            detail[f"Lc={lc}/{variant}"] = {
-                "residual_MHz2": result.residual_mhz2,
-                "converged": result.converged,
-                "n_eval": result.n_eval,
-                "n_jac": result.n_jac,
-                "restart_spread": result.restart_spread,
-            }
+                               pairs, model_pair_table(params, grid, pairs,
+                                                       result.n_fock))
+            detail[f"Lc={lc}/{variant}"] = _fit_detail(result)
     return _result(cfg, "rabi-fit", rows, fits=detail,
                    fit_data_convergence=probes,
                    converged=all(d["converged"] for d in
                                  (*detail.values(), *probes.values())))
+
+
+def _fit_detail(result: RabiFitResult) -> dict:
+    """The health record of one fit that rabi-fit and regression write."""
+    return {
+        "residual_MHz2": result.residual_mhz2,
+        "converged": result.converged,
+        "n_eval": result.n_eval,
+        "n_fock": result.n_fock,
+        "fock_shift_GHz": result.fock_shift_GHz,
+        "restart_spread": result.restart_spread,
+    }
 
 
 def task_matrix_elements(cfg: RunConfig) -> TaskResult:
@@ -468,9 +476,10 @@ REGRESSION_BOUNDS = (
 )
 
 
-def compute_regression_values(cfg: RunConfig) -> dict:
-    """All pinned benchmark quantities for the configured branch sums."""
-    values = {}
+def compute_regression_values(cfg: RunConfig) -> tuple[dict, dict]:
+    """(values, fits): all pinned benchmark quantities for the configured
+    branch sums, and the _fit_detail of each 350 pH fit they read."""
+    values, fits = {}, {}
     for lc in (20.0, 350.0):
         raw = cfg.circuit_at(lc)
         tag = f"{int(lc)}"
@@ -496,20 +505,23 @@ def compute_regression_values(cfg: RunConfig) -> dict:
         values[f"fit{max_level}_350_g_GHz"] = result.params.g
         values[f"fit{max_level}_350_Ip_nA"] = result.params.Ip
         values[f"fit{max_level}_350_residual_MHz2"] = result.residual_mhz2
-    return values
+        fits[f"fit{max_level}_350"] = _fit_detail(result)
+    return values, fits
 
 
 def task_regression(cfg: RunConfig) -> TaskResult:
     """Computed benchmark quantities against their pinned expectations.
 
     The 350 pH flux-gauge fit data are checked for truncation convergence
-    at mid-bias; an unconverged check clears the converged flag.
+    at mid-bias; an unconverged check or fit clears the converged flag.
     """
     meta = _base_metadata(cfg, "regression")
     probe = _probe(cfg, cfg.circuit_at(350.0), "flux")
-    values = compute_regression_values(cfg)
+    values, fits = compute_regression_values(cfg)
     meta["fit_data_convergence"] = {"Lc=350.0/flux": probe}
-    meta["converged"] = probe["converged"]
+    meta["fits"] = fits
+    meta["converged"] = all(d["converged"]
+                            for d in (probe, *fits.values()))
     rows = []
     n_fail = 0
     for name, expected, tol_pct in REGRESSION_PINS:

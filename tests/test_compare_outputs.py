@@ -74,3 +74,52 @@ def test_missing_file_and_bad_arguments(tmp_path, capsys):
     assert compare_outputs.main([parent, change]) == 1
     assert "only in the parent directory" in capsys.readouterr().out
     assert compare_outputs.main([parent]) == 2
+
+
+def _regression_csv(computed: float, expected: float = 2.388) -> str:
+    deviation = abs(computed - expected) / expected * 100.0
+    return ("quantity,computed,expected,tolerance_pct,deviation_pct,status\n"
+            f"fit3_350_Delta_q_GHz,{computed!r},{expected!r},2.0,"
+            f"{deviation!r},pass\n")
+
+
+def _run_regression(tmp_path, capsys, parent_csv, change_csv):
+    parent = _write(tmp_path / "parent", parent_csv)
+    change = _write(tmp_path / "change", change_csv)
+    code = compare_outputs.main([parent, change])
+    return code, capsys.readouterr().out
+
+
+def test_deviation_pct_follows_its_computed_cell_within_bound(
+        tmp_path, capsys):
+    # computed moves by 5e-10 of itself, inside the bound; its percent
+    # deviation moves 100 / 2.388 times as far (5e-8), which the computed
+    # cell's bound carried through the formula admits
+    base = 2.3886868350
+    code, out = _run_regression(tmp_path, capsys, _regression_csv(base),
+                                _regression_csv(base * (1 + 5e-10)))
+    assert code == 0, out
+    assert "VIOLATION" not in out
+
+
+def test_deviation_pct_follows_its_computed_cell_beyond_bound(
+        tmp_path, capsys):
+    # a move of 2e-9 fails the computed cell and its percent cell alike
+    base = 2.3886868350
+    code, out = _run_regression(tmp_path, capsys, _regression_csv(base),
+                                _regression_csv(base * (1 + 2e-9)))
+    assert code == 1
+    assert "line 2 column 2" in out
+    assert "line 2 column 5" in out
+
+
+def test_deviation_pct_alone_beyond_carried_bound_fails(tmp_path, capsys):
+    # the percent cell moving by more than the carried bound (1e-7 here)
+    # with its computed cell unchanged is a violation of that cell alone
+    text = _regression_csv(2.3886868350)
+    deviation = text.split(",")[-2]
+    moved = text.replace(deviation, repr(float(deviation) + 3e-7))
+    code, out = _run_regression(tmp_path, capsys, text, moved)
+    assert code == 1
+    assert "line 2 column 5" in out
+    assert "line 2 column 2" not in out

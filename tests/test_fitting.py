@@ -16,7 +16,8 @@ from fluxrabi.fitting import (
     ground_residual_mhz2,
     model_pair_table,
 )
-from fluxrabi.rabi import RabiParams, default_n_fock, rabi_energies
+from fluxrabi.rabi import (FOCK_TOL_GHZ, RABI_FOCK_LADDER, RabiParams,
+                           fock_rung, fock_shift, rabi_energies)
 
 
 GRID = np.linspace(0.496, 0.504, 11)
@@ -26,9 +27,8 @@ def gauss_newton_move(params, grid, pairs, table, n_fock):
     """Largest relative parameter move of one Gauss-Newton step, with the
     exact Jacobian, from params; near 0 at a least-squares minimum."""
     theta = np.array([getattr(params, name) for name in fitting.PARAM_NAMES])
-    residuals = (fitting._pair_table(params, grid, pairs, n_fock)
-                 - table).ravel()
-    jac = fitting._pair_jacobian(params, grid, pairs, n_fock)
+    model, jac = fitting._table_and_jacobian(params, grid, pairs, n_fock)
+    residuals = (model - table).ravel()
     step = np.linalg.lstsq(jac.reshape(residuals.size, -1), -residuals,
                            rcond=None)[0]
     return float(np.max(np.abs(step) / np.abs(theta)))
@@ -48,15 +48,20 @@ START = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Arguments of every rabi_energies call the fitting module makes."""
+    """(name, argument) of every numpy eigensolve call made while it is in
+    use, whichever module makes it."""
     calls = []
-    original = fitting.rabi_energies
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(name):
+        original = getattr(np.linalg, name)
 
-    monkeypatch.setattr(fitting, "rabi_energies", counted)
+        def solve(a, *args, **kwargs):
+            calls.append((name, a))
+            return original(a, *args, **kwargs)
+        return solve
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
     return calls
 
 
@@ -179,9 +184,8 @@ def test_fit_is_a_gauss_newton_minimum(variant):
     result = fit_rabi(GRID, pairs, table, start, n_fock=16)
     assert gauss_newton_move(result.params, GRID, pairs, table, 16) <= 1e-12
     result = fit_result(20.0, variant)
-    start = mapped_params(20.0, variant)
     move = gauss_newton_move(result.params, FIT_GRID, pairs, fit_data(20.0, 3),
-                             default_n_fock(start.g / start.omega))
+                             result.n_fock)
     assert move <= 1e-12
 
 
@@ -198,27 +202,24 @@ def test_fit_at_the_evaluation_cap_is_not_converged(monkeypatch):
     assert np.isfinite(result.objective_mhz2)
 
 
-def test_n_eval_counts_every_residual_evaluation(monkeypatch, solves):
-    jacobian_solves = []
-    hamiltonian = fitting.rabi_hamiltonian
-
-    def counted(*args):
-        jacobian_solves.append(args)
-        return hamiltonian(*args)
-
-    monkeypatch.setattr(fitting, "rabi_hamiltonian", counted)
+def test_n_eval_counts_one_eigh_per_evaluation(solves):
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(3)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
     start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.45)
     solves.clear()
     result = fit_rabi(GRID, pairs, table, start, n_fock=16)
-    # one model solve per bias point per evaluation, plus the reported
-    # ground residual's pass; the Jacobian takes one eigh per bias point
-    # per evaluation, at least one in each of the two runs
-    assert len(solves) == result.n_eval * len(GRID) + len(GRID)
-    assert len(jacobian_solves) == result.n_jac * len(GRID)
-    assert 2 <= result.n_jac <= result.n_eval
+    # each evaluation is one eigh of the whole grid's stacked Hamiltonians
+    # (the 2-D eighs are the trust steps' 4 x 4 J'J); past the runs only
+    # eigenvalues are solved: the stacked reported ground residual and the
+    # rung check, 2 x 3 biases
+    model = [a.shape for name, a in solves if name == "eigh" and a.ndim == 3]
+    assert model == [(len(GRID), 32, 32)] * result.n_eval
+    assert all(a.shape == (4, 4) for name, a in solves
+               if name == "eigh" and a.ndim == 2)
+    levels = [a.shape for name, a in solves if name == "eigvalsh"]
+    assert levels == [(3, 32, 32), (3, 40, 40), (len(GRID), 32, 32)]
+    assert 2 <= result.n_eval
 
 
 @pytest.mark.parametrize("variant", ["flux", "charge"])
@@ -233,7 +234,7 @@ def test_exact_jacobian_matches_central_differences(variant, omega, delta_q,
     params = RabiParams(omega=omega, Delta_q=delta_q, Ip=ip, g=ratio * omega,
                         variant=variant)
     pairs = fit_transition_pairs(3)
-    jac = fitting._pair_jacobian(params, GRID, pairs, n_fock)
+    jac = fitting._table_and_jacobian(params, GRID, pairs, n_fock)[1]
     for k, name in enumerate(fitting.PARAM_NAMES):
         value = getattr(params, name)
         step = 1e-5 * value
@@ -243,6 +244,78 @@ def test_exact_jacobian_matches_central_differences(variant, omega, delta_q,
         central = (up - down) / (2.0 * step)
         scale = np.abs(central).max()
         assert np.abs(jac[:, :, k] - central).max() <= 1e-6 * scale, name
+
+
+@pytest.mark.parametrize("variant", ["flux", "charge"])
+@pytest.mark.parametrize("ratio", [0.02, 0.4, 1.4])
+def test_fit_table_matches_model_pair_table(variant, ratio):
+    # the fit's levels come from eigh, the tables' from eigvalsh: they
+    # differ only in the last bits
+    params = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=ratio * 6.0,
+                        variant=variant)
+    pairs = fit_transition_pairs(3)
+    table = fitting._table_and_jacobian(params, GRID, pairs, 30)[0]
+    direct = model_pair_table(params, GRID, pairs, 30)
+    assert np.abs(table - direct).max() <= 1e-12 * np.abs(table).max()
+
+
+@pytest.mark.parametrize("variant", ["flux", "charge"])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(omega=st.floats(4.0, 8.0), delta_q=st.floats(0.5, 3.0),
+       ip=st.floats(250.0, 300.0), ratio=st.floats(0.02, 1.4),
+       signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 4))
+# the start picks 15, the fitted g needs 20: fit_rabi fits again at 20
+@example(omega=6.0, delta_q=1.3, ip=280.0, ratio=0.42,
+         signs=(1.0, -1.0, -1.0, -1.0))
+def test_chosen_rung_holds_at_the_fitted_parameters(variant, omega, delta_q,
+                                                   ip, ratio, signs):
+    truth = RabiParams(omega=omega, Delta_q=delta_q, Ip=ip, g=ratio * omega,
+                       variant=variant)
+    pairs = fit_transition_pairs(3)
+    table = model_pair_table(truth, GRID, pairs)
+    nudge = 1.0 + np.array(signs) * (0.03, 0.05, 0.10, 0.01)
+    start = RabiParams(omega=omega * nudge[0], Delta_q=delta_q * nudge[1],
+                       g=truth.g * nudge[2], Ip=ip * nudge[3], variant=variant)
+    result = fit_rabi(GRID, pairs, table, start)
+    biases = GRID[[0, len(GRID) // 2, -1]]
+    assert result.n_fock < RABI_FOCK_LADDER[-1]
+    assert result.n_fock >= fock_rung(start, biases)
+    assert result.fock_shift_GHz < FOCK_TOL_GHZ
+    assert result.fock_shift_GHz == fock_shift(result.params, biases,
+                                               result.n_fock)
+
+
+def test_fit_where_no_rung_settles_is_not_converged():
+    # g / omega = 5: the lowest 8 levels still move by 1e-10 GHz from 80 to
+    # 120 Fock states, so the fit runs at 120 and says it is not converged
+    truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=30.0)
+    grid = np.array([0.499, 0.5, 0.501])
+    pairs = fit_transition_pairs(3)
+    table = model_pair_table(truth, grid, pairs, n_fock=120)
+    result = fit_rabi(grid, pairs, table, truth)
+    assert result.n_fock == RABI_FOCK_LADDER[-1]
+    assert result.fock_shift_GHz >= FOCK_TOL_GHZ
+    assert not result.converged
+
+
+def test_fit_at_a_given_top_rung_can_converge(solves):
+    # a caller's n_fock is judged by its own fock_shift, not by whether the
+    # ladder's top was reached; above the top fock_shift would describe a
+    # smaller truncation, so such an n_fock is rejected before any solve
+    truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
+    grid = np.array([0.499, 0.5, 0.501])
+    pairs = fit_transition_pairs(3)
+    top = RABI_FOCK_LADDER[-1]
+    table = model_pair_table(truth, grid, pairs, n_fock=top)
+    start = RabiParams(omega=6.1, Delta_q=1.25, Ip=282.0, g=0.45)
+    result = fit_rabi(grid, pairs, table, start, n_fock=top)
+    assert result.n_fock == top
+    assert result.fock_shift_GHz < FOCK_TOL_GHZ
+    assert result.converged
+    solves.clear()
+    with pytest.raises(FitDataError):
+        fit_rabi(grid, pairs, table, start, n_fock=top + 1)
+    assert not solves
 
 
 @pytest.mark.parametrize("lc, variant", [(20.0, "charge"), (350.0, "flux")])

@@ -8,15 +8,21 @@ import pytest
 
 from fluxrabi.coupled import CONVERGENCE_LIMIT_GHZ
 from fluxrabi.rabi import (
+    FOCK_TOL_GHZ,
+    RABI_FOCK_LADDER,
     RabiParams,
-    default_n_fock,
+    fock_rung,
+    fock_shift,
     map_circuit_to_rabi,
     rabi_energies,
     rabi_hamiltonian,
 )
 from fluxrabi.qubit import TwoLevelFit, characterize_qubit
 
-from conftest import circuit_parts, mapped_params
+from conftest import FIT_GRID, circuit_parts, mapped_params
+
+# The fit grid's two ends and middle, where the fits pick their rung.
+RUNG_BIASES = FIT_GRID[[0, len(FIT_GRID) // 2, -1]]
 
 
 def test_variant_validation():
@@ -24,10 +30,37 @@ def test_variant_validation():
         RabiParams(omega=6.0, Delta_q=1.2, Ip=280.0, g=0.4, variant="mixed")
 
 
-def test_default_fock_truncation_threshold():
-    assert default_n_fock(0.1) == 20
-    assert default_n_fock(0.5) == 60
-    assert default_n_fock(-0.5) == 60
+@pytest.mark.parametrize("lc, variant, rung", [
+    (20.0, "flux", 10), (20.0, "charge", 10), (185.0, "flux", 20),
+    (350.0, "flux", 30)])
+def test_fock_rung_of_mapped_models(lc, variant, rung):
+    # the smallest rung whose lowest 8 levels move by under 1e-12 GHz
+    # against the next: the rung below it moves them by more
+    params = mapped_params(lc, variant)
+    assert fock_rung(params, RUNG_BIASES) == rung
+    assert fock_shift(params, RUNG_BIASES, rung) < FOCK_TOL_GHZ
+    below = RABI_FOCK_LADDER.index(rung) - 1
+    if below >= 0:
+        assert fock_shift(params, RUNG_BIASES,
+                          RABI_FOCK_LADDER[below]) >= FOCK_TOL_GHZ
+
+
+def test_fock_rung_falls_back_to_the_top_when_none_settles():
+    # g / omega = 5: the levels still move by 2e-9 GHz from 80 to 120
+    params = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=30.0)
+    assert fock_rung(params, RUNG_BIASES) == RABI_FOCK_LADDER[-1]
+    assert fock_shift(params, RUNG_BIASES, 120) == fock_shift(
+        params, RUNG_BIASES, 80) >= FOCK_TOL_GHZ
+
+
+@pytest.mark.parametrize("variant", ["flux", "charge"])
+def test_stacked_levels_match_per_point_calls_bit_for_bit(variant):
+    params = RabiParams(omega=6.0, Delta_q=1.24, Ip=281.0, g=2.0,
+                        variant=variant)
+    stacked = rabi_energies(params, FIT_GRID, 30)
+    assert stacked.shape == (len(FIT_GRID), 60)
+    for row, phix in zip(stacked, FIT_GRID):
+        assert np.array_equal(row, rabi_energies(params, phix, 30))
 
 
 def test_decoupled_model_is_exact_sum():

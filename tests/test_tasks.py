@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -221,8 +222,9 @@ def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
     # every fit converges
     def converged_fit(grid, pairs, table, initial):
         return RabiFitResult(params=initial, residual_mhz2=0.0,
-                             objective_mhz2=0.0, n_eval=0, n_jac=0,
-                             converged=True, restart_spread=0.0)
+                             objective_mhz2=0.0, n_eval=0, converged=True,
+                             restart_spread=0.0, n_fock=10,
+                             fock_shift_GHz=0.0)
 
     monkeypatch.setattr(tasks, "fit_rabi", converged_fit)
     numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40)
@@ -299,7 +301,7 @@ def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     exact = {name: expected for name, expected, _ in REGRESSION_PINS}
     exact.update({name: bound for name, bound in REGRESSION_BOUNDS})
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg: dict(exact))
+                        lambda cfg: (dict(exact), {}))
     cfg = reference_config(output_dir=str(tmp_path / "pass"))
     result = task_regression(cfg)
     assert result.metadata["n_fail"] == 0
@@ -309,7 +311,7 @@ def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     off = dict(exact)
     off["map20_g_GHz"] = exact["map20_g_GHz"] * 1.05  # outside the 1% pin
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg: dict(off))
+                        lambda cfg: (dict(off), {}))
     result = task_regression(cfg)
     assert result.metadata["n_fail"] == 1
     statuses = {row[0]: row[5] for row in result.rows}
@@ -320,7 +322,7 @@ def test_regression_statuses_from_stubbed_values(monkeypatch, tmp_path):
     # other coarse pins keep their stated bands.
     stub = dict(exact)
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg: dict(stub))
+                        lambda cfg: (dict(stub), {}))
     for value, expected_status in ((0.04344, "pass"), (0.0436, "fail")):
         stub["charge20_g_GHz"] = value
         rows = {row[0]: row for row in task_regression(cfg).rows}
@@ -338,7 +340,7 @@ def test_regression_residual_bound_is_one_sided(monkeypatch):
     values = {name: expected for name, expected, _ in REGRESSION_PINS}
     values["fit3_350_residual_MHz2"] = 24.9  # under the ceiling: fine
     monkeypatch.setattr(tasks, "compute_regression_values",
-                        lambda cfg: dict(values))
+                        lambda cfg: (dict(values), {}))
     result = task_regression(reference_config())
     statuses = {row[0]: row[5] for row in result.rows}
     assert statuses["fit3_350_residual_MHz2"] == "pass"
@@ -424,3 +426,31 @@ def test_cell_formatting_preserves_types():
     assert tasks._format_cell(7) == "7"
     assert tasks._format_cell(np.int64(7)) == "7"
     assert tasks._format_cell("flux") == "flux"
+
+
+def test_regression_records_fit_convergence(monkeypatch, tmp_path):
+    # a 350 pH fit that does not settle clears regression's converged flag
+    # (exit 3), even when its fit data are converged; each fit's health
+    # record sits under fits
+    fit = tasks.fit_rabi
+
+    def unsettled(grid, pairs, table, initial):
+        result = fit(grid, pairs, table, initial)
+        return dataclasses.replace(result, converged=len(pairs) != 7)
+
+    monkeypatch.setattr(tasks, "fit_rabi", unsettled)
+    numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40,
+                              verify=False)
+    cfg = reference_config(tasks=("regression",), phix_start=0.499,
+                           phix_stop=0.501, phix_points=3, numerics=numerics,
+                           output_dir=str(tmp_path))
+    assert run(cfg) == 3
+    meta = json.loads(open(tmp_path / "regression.json").read())
+    assert meta["converged"] is False
+    assert meta["fit_data_convergence"]["Lc=350.0/flux"]["converged"]
+    assert {name: fit["converged"] for name, fit in meta["fits"].items()} \
+        == {"fit3_350": True, "fit7_350": False}
+    for detail in meta["fits"].values():
+        assert {"n_eval", "n_fock", "fock_shift_GHz",
+                "restart_spread"} <= detail.keys()
+        assert detail["n_fock"] == 30

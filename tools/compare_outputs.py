@@ -5,9 +5,13 @@
 Prints the sha256 of every file on both sides.  CSV files must have the
 same rows and columns and JSON files the same keys and list lengths; text
 cells and JSON strings, booleans and nulls must be equal, and a numeric
-cell may move by at most 1e-9 * max(1, |parent value|).  Any other file
-must be byte-identical.  The largest scaled numeric deviation of each file
-is printed.  Exits 0 when every file meets the contract, 1 on any
+cell may move by at most 1e-9 * max(1, |parent value|).  A deviation_pct
+cell of a CSV that also has computed and expected columns (regression.csv)
+is 100 |computed - expected| / |expected|, so it is judged by the bound of
+its computed cell carried through that formula:
+100 * 1e-9 * max(1, |computed|) / |expected|, parent values.  Any other
+file must be byte-identical.  The largest scaled numeric deviation of each
+file is printed.  Exits 0 when every file meets the contract, 1 on any
 violation, 2 on bad arguments.  Uses only the standard library.
 """
 
@@ -40,24 +44,28 @@ class _Comparison:
         self.violations: list[str] = []
         self.max_dev = 0.0
 
-    def numbers(self, a: float, b: float, where: str) -> None:
+    def numbers(self, a: float, b: float, where: str,
+                scale: float | None = None) -> None:
+        """Judge b against a by |a - b| <= REL_TOL * scale, scale
+        max(1, |a|) unless given."""
         if a == b or (math.isnan(a) and math.isnan(b)):
             return
-        dev = abs(a - b) / max(1.0, abs(a))
+        dev = abs(a - b) / (max(1.0, abs(a)) if scale is None else scale)
         if math.isnan(dev):
             dev = math.inf
         self.max_dev = max(self.max_dev, dev)
         if not dev <= REL_TOL:
             self.violations.append(f"{where}: {a!r} -> {b!r}")
 
-    def csv_cells(self, a: str, b: str, where: str) -> None:
+    def csv_cells(self, a: str, b: str, where: str,
+                  scale: float | None = None) -> None:
         try:
             x, y = float(a), float(b)
         except ValueError:
             if a != b:
                 self.violations.append(f"{where}: text {a!r} -> {b!r}")
             return
-        self.numbers(x, y, where)
+        self.numbers(x, y, where, scale)
 
     def json_values(self, a, b, where: str) -> None:
         numeric = (int, float)
@@ -82,6 +90,21 @@ class _Comparison:
             self.violations.append(f"{where}: {a!r} -> {b!r}")
 
 
+def _deviation_scale(header: list[str], row: list[str]) -> float | None:
+    """Scale of the row's deviation_pct cell: the bound of its computed
+    cell carried through 100 |computed - expected| / |expected|.  None
+    where the header lacks either column (ValueError from index) or the
+    row's expected is not a finite non-zero number."""
+    try:
+        computed = float(row[header.index("computed")])
+        expected = float(row[header.index("expected")])
+    except (ValueError, IndexError):
+        return None
+    if not (math.isfinite(expected) and expected != 0.0):
+        return None
+    return 100.0 * max(1.0, abs(computed)) / abs(expected)
+
+
 def compare_file(parent: str, change: str) -> _Comparison:
     result = _Comparison()
     if parent.endswith(".csv"):
@@ -91,13 +114,18 @@ def compare_file(parent: str, change: str) -> _Comparison:
         if len(rows_a) != len(rows_b):
             result.violations.append(f"rows {len(rows_a)} -> {len(rows_b)}")
             return result
+        header = rows_a[0] if rows_a else []
+        derived = (header.index("deviation_pct")
+                   if "deviation_pct" in header else -1)
         for n, (row_a, row_b) in enumerate(zip(rows_a, rows_b), start=1):
             if len(row_a) != len(row_b):
                 result.violations.append(
                     f"line {n}: columns {len(row_a)} -> {len(row_b)}")
                 continue
             for col, (a, b) in enumerate(zip(row_a, row_b)):
-                result.csv_cells(a, b, f"line {n} column {col + 1}")
+                result.csv_cells(a, b, f"line {n} column {col + 1}",
+                                 _deviation_scale(header, row_a)
+                                 if col == derived else None)
     elif parent.endswith(".json"):
         with open(parent, encoding="utf-8") as fa, \
                 open(change, encoding="utf-8") as fb:
