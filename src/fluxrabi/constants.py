@@ -7,8 +7,9 @@ capacitance, nA for currents, uV for voltages, and external flux in units of
 the flux quantum Phi0 = h/(2e).
 
 Two numerical pieces are kept here: the oscillator ladder sqrt(m + 1),
-from which every Fock-basis operator is written, and the stopping rule of
-the least-squares loops (step_settled).
+from which every Fock-basis operator is written, and the one least-squares
+loop, levenberg_marquardt, that both the qubit's two-level reduction and
+the Rabi fit run, capped at MAX_EVAL evaluations.
 """
 
 from __future__ import annotations
@@ -90,10 +91,104 @@ def fock_ladder(n_fock: int) -> np.ndarray:
 # and the rounding floor of the data, below which steps stop shrinking.
 STEP_CONVERGED = 1e-15
 STEP_NOISE = 1e-12
+# Residual evaluations one Levenberg-Marquardt run may spend.
+MAX_EVAL = 60
+# Predicted gain, as a share of the cost, below which the gain ratio is
+# rounding noise: 100 times the cost's own rounding on the Rabi fits (1e-12).
+COST_NOISE = 1e-10
 
 
-def step_settled(size: float, last: float) -> bool:
-    """True once a step of relative size `size` ends a least-squares loop:
-    it is at most STEP_CONVERGED, or at most STEP_NOISE without halving
-    `last`, the size of the step before it (rounding noise of the data)."""
-    return size <= STEP_CONVERGED or 0.5 * last <= size <= STEP_NOISE
+def _trust_step(jac: np.ndarray, grad: np.ndarray,
+                radius: float) -> tuple[np.ndarray, bool]:
+    """(step, gauss_newton): -(J'J + lam)^-1 J'r for the smallest lam >= 0
+    whose step fits in radius; gauss_newton is True when lam = 0.
+
+    lam comes from the eigen-decomposition of J'J: |step(lam)| = radius is
+    solved by Newton's method on 1 / |step|, concave and increasing in lam,
+    so the iterates approach the root from below (More, 1978).  Directions
+    without curvature get no step (the least-norm solution).
+    """
+    curvature, basis = np.linalg.eigh(jac.T @ jac)
+    curvature = np.maximum(curvature, 0.0)
+    along = basis.T @ grad
+    lam = 0.0
+    for _ in range(30):
+        inverse = np.divide(1.0, curvature + lam, out=np.zeros_like(along),
+                            where=curvature + lam > 0.0)
+        step = -along * inverse
+        norm = float(np.linalg.norm(step))
+        if norm <= 1.001 * radius:
+            break
+        lam += ((1.0 / radius - 1.0 / norm) * norm**3
+                / float(np.sum(step**2 * inverse)))
+    return basis @ step, lam == 0.0
+
+
+def levenberg_marquardt(evaluate, theta0: np.ndarray):
+    """(theta, residuals at theta, settled) of one Levenberg-Marquardt run;
+    evaluate(theta) returns the residuals and their Jacobian together.
+
+    Steps live in the variables scaled by |theta0|, inside a trust radius
+    that starts at |theta0 / |theta0||, so the first step stays within
+    about twice each parameter, and then grows or shrinks with the gain
+    ratio (More, 1978).  A step is taken if it lowers the cost; where the
+    gain ratio is rounding noise it is taken without that test: a step
+    moving no parameter by more than STEP_NOISE, or a Gauss-Newton step
+    whose predicted gain is below COST_NOISE of the cost or 100 times its
+    rounding (each residual rounds at eps of its model value J theta: the
+    model must be homogeneous of degree one in theta, as both fits' are).
+    That polishes the run to the Gauss-Newton minimum.  Moves are judged
+    relative to each parameter, or to 1e-3 of the first start parameter
+    where that is larger.  The run settles on a taken step that moves none
+    by more than STEP_CONVERGED, or that does not halve the step before it
+    and either moves none by more than STEP_NOISE or is such a polishing
+    Gauss-Newton step; and on a damped step with a gain below the noise
+    that fails to lower the cost (no step the model trusts can).  MAX_EVAL
+    residual evaluations leave it unsettled.
+    """
+    scale = np.abs(theta0)
+    floor = 1e-3 * scale[0]
+    theta, (res, jac) = theta0, evaluate(theta0)
+    jac = jac * scale
+    radius = float(np.linalg.norm(theta0 / scale))
+    last, n_eval = math.inf, 1
+    while n_eval < MAX_EVAL:
+        grad = jac.T @ res
+        step, gauss_newton = _trust_step(jac, grad, radius)
+        trial = theta + scale * step
+        trial_res, trial_jac = evaluate(trial)
+        n_eval += 1
+        cost = 0.5 * float(res @ res)
+        predicted = -float(grad @ step + 0.5 * np.sum((jac @ step) ** 2))
+        actual = cost - 0.5 * float(trial_res @ trial_res)
+        rounding = float(np.abs(res) @ np.abs(jac @ (theta / scale)))
+        noise = predicted <= max(COST_NOISE * cost,
+                                 100.0 * np.finfo(float).eps * rounding)
+        size = float(np.max(np.abs(trial - theta)
+                            / np.maximum(np.abs(trial), floor)))
+        if size <= STEP_NOISE or noise and gauss_newton:
+            # the gain ratio is rounding noise: polish without it
+            taken = bool(np.isfinite(actual))
+        elif noise:
+            # a damped step the model cannot tell from rounding: if it
+            # fails, no step within the radius lowers the cost
+            if not actual > 0.0:
+                return theta, res, True
+            taken = True
+        else:
+            ratio = actual / predicted
+            if not ratio >= 0.25:  # a non-finite cost shrinks it too
+                radius = 0.25 * float(np.linalg.norm(step))
+            elif ratio > 0.75 and not gauss_newton:
+                radius *= 2.0
+            taken = actual > 0.0
+        if not taken:
+            continue
+        theta, res, jac = trial, trial_res, trial_jac * scale
+        # ill-conditioned data put the rounding floor of a step above
+        # STEP_NOISE: a polishing step that stops halving has reached it too
+        if size <= STEP_CONVERGED or size >= 0.5 * last and (
+                size <= STEP_NOISE or noise and gauss_newton):
+            return theta, res, True
+        last = size
+    return theta, res, False

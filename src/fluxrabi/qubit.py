@@ -10,8 +10,8 @@ and the ground/excited diagonal flux elements follow
 plane-wave levels yields the qubit parameters (Delta_q, Ip, Phi2max) of the
 two-level model; q2max is the magnitude of the off-diagonal charge element
 at the symmetry point.  The level fit needs numpy only: omega_os is the
-mean doublet midpoint, and (Delta_q, Ip) follow by Gauss-Newton on the
-splitting.
+mean doublet midpoint, and (Delta_q, Ip) follow from the splitting by
+constants.levenberg_marquardt, the least-squares loop of the Rabi fit.
 
 The qubit eigenvectors are real, so both element tables are real: the
 symmetric Phi[j, i] = <j|phase|i> and the antisymmetric B with
@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import bias_to_ghz, step_settled
+from .constants import bias_to_ghz, levenberg_marquardt
 from .planewave import (
     PlaneWaveBasis,
     SubsystemSpectrum,
@@ -80,11 +80,10 @@ def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelF
     The misfit of a bias point is 2 (omega_os - m)^2 + (s - d)^2 / 2, with
     m the doublet midpoint, d = e1 - e0 and s the model splitting, so
     omega_os is the mean midpoint.  (Delta_q, Ip) then fit s to d by
-    Gauss-Newton steps from the splitting's minimum and edge, until a step
-    moves every parameter by at most 1e-15 of its value, or by at most
-    1e-12 without halving the step before it (the data's rounding floor).
-    20 steps without that, non-finite data, or a final misfit above ten
-    times the start's raise TwoLevelFitError.
+    constants.levenberg_marquardt from the splitting's minimum and edge.
+    Non-finite data, a splitting that reaches 0 (the start has no scale),
+    a run that does not settle or a final misfit above ten times the
+    start's raise TwoLevelFitError.
     """
     phix = np.asarray(phix, dtype=float)
     e0 = np.asarray(e0, dtype=float)
@@ -94,6 +93,8 @@ def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelF
     mean = 0.5 * (e0 + e1)
     split = e1 - e0
     dq0 = float(split.min())
+    if not dq0 > 0.0:
+        raise TwoLevelFitError("the doublet closes: no splitting to fit")
     edge = float(split[np.argmax(np.abs(phix - 0.5))])
     eps_edge = math.sqrt(max(edge**2 - dq0**2, 1e-12))
     slope_flux = float(np.max(np.abs(phix - 0.5)))
@@ -105,23 +106,16 @@ def fit_two_level(phix: np.ndarray, e0: np.ndarray, e1: np.ndarray) -> TwoLevelF
         s = np.sqrt((ip * k) ** 2 + dq**2)
         return np.concatenate([omega_os - 0.5 * s - e0, omega_os + 0.5 * s - e1])
 
-    start = np.array([float(mean.mean()), dq0, ip0])
-    initial = float(np.mean(residuals(start) ** 2))
-    theta, last = start[1:], math.inf
-    for _ in range(20):
+    def splitting(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dq, ip = theta
         s = np.sqrt((ip * k) ** 2 + dq**2)
-        jac = np.column_stack([dq / s, ip * k**2 / s])
-        step = np.linalg.lstsq(jac, split - s, rcond=None)[0]
-        theta = theta + step
-        if not np.all(np.isfinite(theta)):
-            break
-        size = float(np.max(np.abs(step) / np.abs(theta)))
-        if step_settled(size, last):
-            break
-        last = size
-    else:
-        raise TwoLevelFitError("two-level fit did not converge in 20 steps")
+        return s - split, np.column_stack([dq / s, ip * k**2 / s])
+
+    start = np.array([float(mean.mean()), dq0, ip0])
+    initial = float(np.mean(residuals(start) ** 2))
+    theta, _, settled = levenberg_marquardt(splitting, start[1:])
+    if not settled:
+        raise TwoLevelFitError("two-level fit did not settle")
     params = np.concatenate([start[:1], theta])
     residual = float(np.mean(residuals(params) ** 2))
     # the rounding of the levels themselves, below which no fit can go

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fluxrabi.constants as constants
 import fluxrabi.fitting as fitting
 from conftest import FIT_GRID, fit_data, fit_result, mapped_params
 from fluxrabi.fitting import (
@@ -104,9 +105,10 @@ def test_model_parameters_checked_before_any_solve(solves, omega):
     params = dataclasses.replace(START, omega=omega)
     pairs = ((0, 1), (1, 2))
     with pytest.raises(FitDataError):
-        model_pair_table(params, GRID, pairs)
+        model_pair_table(params, GRID, pairs, n_fock=16)
     with pytest.raises(FitDataError):
-        ground_residual_mhz2(params, GRID, pairs, np.ones((len(GRID), 2)))
+        ground_residual_mhz2(params, GRID, pairs, np.ones((len(GRID), 2)),
+                             n_fock=16)
     assert solves == []
 
 
@@ -191,7 +193,7 @@ def test_fit_is_a_gauss_newton_minimum(variant):
 
 def test_fit_at_the_evaluation_cap_is_not_converged(monkeypatch):
     # a run out of evaluations reports what it reached, with no exception
-    monkeypatch.setattr(fitting, "MAX_EVAL", 3)
+    monkeypatch.setattr(constants, "MAX_EVAL", 3)
     truth = RabiParams(omega=6.0, Delta_q=1.3, Ip=280.0, g=0.4)
     pairs = fit_transition_pairs(3)
     table = model_pair_table(truth, GRID, pairs, n_fock=16)
@@ -272,7 +274,8 @@ def test_chosen_rung_holds_at_the_fitted_parameters(variant, omega, delta_q,
     truth = RabiParams(omega=omega, Delta_q=delta_q, Ip=ip, g=ratio * omega,
                        variant=variant)
     pairs = fit_transition_pairs(3)
-    table = model_pair_table(truth, GRID, pairs)
+    table = model_pair_table(truth, GRID, pairs,
+                             fock_rung(truth, GRID[[0, len(GRID) // 2, -1]]))
     nudge = 1.0 + np.array(signs) * (0.03, 0.05, 0.10, 0.01)
     start = RabiParams(omega=omega * nudge[0], Delta_q=delta_q * nudge[1],
                        g=truth.g * nudge[2], Ip=ip * nudge[3], variant=variant)

@@ -1,12 +1,14 @@
 """Two-level reduction of the qubit node and its matrix elements."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fluxrabi.constants as constants
 from oracles import hyperbola_levels
 from fluxrabi.constants import CONSTANTS
 from fluxrabi.coupled import circuit_coupling
@@ -94,20 +96,60 @@ def test_two_level_fit_rejects_non_finite_levels():
             fit_two_level(grid, e0, broken)
 
 
-def test_two_level_fit_gives_up_after_twenty_steps(monkeypatch):
-    # steps that never shrink: the fit stops at its cap, not at a result
-    grid = np.linspace(0.496, 0.504, 21)
+def test_two_level_fit_gives_up_at_the_evaluation_cap(monkeypatch):
+    # an even point count leaves 0.5 off the grid, so the start is not
+    # exact; two evaluations cannot settle the fit, and it says so rather
+    # than return where it stopped
+    grid = np.linspace(0.496, 0.504, 20)
     e0, e1 = hyperbola_levels(40.0, 1.3, 280.0, grid, eps_per_phix(280.0))
-    steps = []
-
-    def wandering(jac, rhs, rcond=None):
-        steps.append(rhs)
-        return (-1.0) ** len(steps) * np.array([1e-3, 1e-1]), None, 2, None
-
-    monkeypatch.setattr(np.linalg, "lstsq", wandering)
-    with pytest.raises(TwoLevelFitError, match="20 steps"):
+    assert fit_two_level(grid, e0, e1).Delta_q == pytest.approx(1.3, rel=1e-12)
+    monkeypatch.setattr(constants, "MAX_EVAL", 2)
+    with pytest.raises(TwoLevelFitError, match="did not settle"):
         fit_two_level(grid, e0, e1)
-    assert len(steps) == 20
+
+
+def test_closing_doublet_is_a_fit_error():
+    # Delta_q = 0 with 0.5 on the grid: the splitting reaches 0 there, so
+    # the start has no scale; the fit says so before any step, silently
+    grid = np.linspace(0.496, 0.504, 21)
+    e0, e1 = hyperbola_levels(40.0, 0.0, 280.0, grid, eps_per_phix(280.0))
+    assert np.min(e1 - e0) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(TwoLevelFitError, match="closes"):
+            fit_two_level(grid, e0, e1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(omega_os=st.floats(20.0, 200.0), delta_q=st.floats(0.1, 10.0),
+       ip=st.floats(50.0, 800.0), n_points=st.integers(5, 61),
+       log_noise=st.floats(-9.0, -3.0), seed=st.integers(0, 2**32 - 1))
+# the noise leaves residuals of about 1e-8 of the levels, so the cost rounds
+# at about 1e-8 of itself and hides the gain of the last polishing step
+@example(omega_os=176.6, delta_q=7.48, ip=368.8, n_points=16, log_noise=-5.6,
+         seed=299)
+# six points and Delta_q << eps at the edge: cond 2400, so the step rounds
+# at about 1e-13 of the parameters
+@example(omega_os=132.4, delta_q=0.15, ip=599.8, n_points=6, log_noise=-3.5,
+         seed=916)
+def test_two_level_fit_of_noisy_hyperbolas_stops_at_its_minimum(
+        omega_os, delta_q, ip, n_points, log_noise, seed):
+    # levels with Gaussian noise of 1e-9 to 1e-3 GHz: one more Gauss-Newton
+    # step moves the fit by at most 1e-14, or by the rounding of such a
+    # step, cond eps of the parameters, where the Jacobian scaled by them
+    # is ill-conditioned
+    grid = np.linspace(0.496, 0.504, n_points)
+    e0, e1 = hyperbola_levels(omega_os, delta_q, ip, grid, eps_per_phix(ip))
+    rng = np.random.default_rng(seed)
+    noise = 10.0**log_noise
+    e0 = e0 + noise * rng.standard_normal(n_points)
+    e1 = e1 + noise * rng.standard_normal(n_points)
+    fit = fit_two_level(grid, e0, e1)
+    eps = eps_per_phix(fit.Ip) * (grid - 0.5)
+    model = np.sqrt(eps**2 + fit.Delta_q**2)
+    scaled = np.column_stack([fit.Delta_q**2 / model, eps**2 / model])
+    floor = np.linalg.cond(scaled) * np.finfo(float).eps
+    assert gauss_newton_move(fit, grid, e1 - e0) <= max(1e-14, floor)
 
 
 def test_characterization_of_reference_qubit(parts20):
