@@ -8,7 +8,12 @@ phix, gauge, quantity) order, each quantity's rows in the order their
 producer writes them.  A point function depends only on its arguments, so
 the rows are bit-identical for any worker count.  The qubit two-level
 reduction and its Rabi mapping run once per circuit and gauge in a process
-(_reduction).
+(_reduction).  Point solves that two tasks repeat run once per run:
+observables and perturbation read one coupled states call per (Lc, gauge,
+bias), and qubit-spectrum, matrix-elements and wavefunctions one flux qubit
+solve per (Lc, bias), through a memo (_shared) that lives only while run
+runs and hands out read-only arrays.  A pool child solves for itself, and a
+point function called outside run solves fresh.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -50,6 +55,9 @@ TRUNCATION_LADDER = ((4, 10), (6, 20), (6, 40), (8, 60), (12, 80))
 # Qubit levels the plane-wave qubit tasks report.
 N_QUBIT_LEVELS = 6
 
+# Eigenpairs the perturbation rows read: |1,g> and |1,e> sit at 2 and 3.
+N_PERT_STATES = 4
+
 OBSERVABLE_UNITS = (("photon_number", "1"), ("flux_1", "rad"),
                     ("flux_2", "rad"), ("current_1", "nA"),
                     ("current_2", "nA"))
@@ -72,6 +80,37 @@ def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
     """
     fit = characterize_qubit(*gauge_circuit(gauge, raw).qubit_node)
     return fit, map_circuit_to_rabi(gauge, raw, fit)
+
+
+# Point solves of the current run, keyed on the solver and its arguments;
+# None outside run.
+_solves: dict | None = None
+
+
+def _read_only(value):
+    """value with every array it holds, in nested dataclasses too, made
+    read-only, so a write into a shared solve raises."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif is_dataclass(value):
+        for field in fields(value):
+            _read_only(getattr(value, field.name))
+    return value
+
+
+def _shared(solve, *args):
+    """solve(*args), solved once per run and read-only when run is running;
+    solved fresh otherwise.
+
+    Callers pass the solver as a module global looked up at call time, so
+    a wrapper installed on that name sees every real solve.
+    """
+    if _solves is None:
+        return solve(*args)
+    key = (solve, *args)
+    if key not in _solves:
+        _solves[key] = _read_only(solve(*args))
+    return _solves[key]
 
 
 def _sort_key(row: tuple):
@@ -177,9 +216,25 @@ def _level_tails(provenance: str, energies: list[float]) -> list[tuple]:
 
 
 def _qubit_solve(raw: RawCircuit):
-    """The flux-gauge qubit node at the bias of raw."""
-    return diagonalize_flux_qubit(*gauge_circuit("flux", raw).qubit_node,
-                                  raw.phix, PlaneWaveBasis.for_qubit())
+    """The flux-gauge qubit node at the bias of raw, shared by the qubit
+    tasks of a run."""
+    return _shared(diagonalize_flux_qubit,
+                   *gauge_circuit("flux", raw).qubit_node, raw.phix,
+                   PlaneWaveBasis.for_qubit())
+
+
+def _states(gauge, raw, num):
+    """The coupled states call observables and perturbation share at a
+    point: the eigenpairs of num.n_states, at least N_PERT_STATES and at
+    most the product dimension.
+
+    The extra vectors cost nothing, and observables' bytes do not move:
+    the Lanczos solve is for max(N_COUPLED_LEVELS, n_states) levels either
+    way, and the banded solve takes every level.
+    """
+    n_states = min(max(num.n_states, N_PERT_STATES), num.n_qubit * num.n_fock)
+    return _shared(build_coupled_eigenbasis, gauge, raw, num.n_qubit,
+                   num.n_fock, n_states)
 
 
 def _qubit_level_rows(gauge, raw, num):
@@ -194,8 +249,7 @@ def _level_rows(gauge, raw, num):
 
 
 def _observable_rows(gauge, raw, num):
-    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock,
-                                    num.n_states)
+    spec = _states(gauge, raw, num)
     out = []
     for state in range(num.n_states):
         obs = observables(spec, raw, state)
@@ -222,10 +276,12 @@ def _perturbation_rows(gauge, raw, num):
     """Dispersive shifts; first_order_max_abs is NaN at guarded points and
     0.0 elsewhere, since X has no diagonal in either gauge.
 
-    The sums run over the N_PERT_LEVELS slice of the coupling the
-    eigenbasis build assembled from, so the qubit is solved once.
+    The exact shifts and the sums both read the states call observables
+    makes (_states), the sums through the N_PERT_LEVELS slice of the
+    coupling it assembled from: one qubit solve per point, and within a
+    run one coupled solve for both tasks.
     """
-    spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock)
+    spec = _states(gauge, raw, num)
     coupling = spec.coupling.truncated(N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
@@ -582,15 +638,24 @@ def write_outputs(result: TaskResult, out_dir: str) -> tuple[str, str]:
 
 
 def run(cfg: RunConfig, log=None) -> int:
-    """Execute every configured task; 0 on success, 3 if any flag tripped."""
-    exit_code = 0
-    for name in cfg.tasks:
-        result = TASKS[name](cfg)
-        csv_path, json_path = write_outputs(result, cfg.output_dir)
-        converged = result.metadata.get("converged", True)
-        if not converged:
-            exit_code = 3
-        if log is not None:
-            flag = "" if converged else "  [convergence flag raised]"
-            log(f"{name}: wrote {csv_path} and {json_path}{flag}")
-    return exit_code
+    """Execute every configured task; 0 on success, 3 if any flag tripped.
+
+    The point solves the tasks share (_shared) are kept until run returns
+    or raises.
+    """
+    global _solves
+    _solves = {}
+    try:
+        exit_code = 0
+        for name in cfg.tasks:
+            result = TASKS[name](cfg)
+            csv_path, json_path = write_outputs(result, cfg.output_dir)
+            converged = result.metadata.get("converged", True)
+            if not converged:
+                exit_code = 3
+            if log is not None:
+                flag = "" if converged else "  [convergence flag raised]"
+                log(f"{name}: wrote {csv_path} and {json_path}{flag}")
+        return exit_code
+    finally:
+        _solves = None

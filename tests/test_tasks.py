@@ -15,7 +15,7 @@ import pytest
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import TASK_NAMES, NumericsConfig, reference_config
-from fluxrabi.coupled import build_coupled_eigenbasis
+from fluxrabi.coupled import build_coupled_eigenbasis, observables
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.tasks import (
@@ -173,6 +173,106 @@ def test_perturbation_point_solves_the_qubit_once(monkeypatch):
             tasks._perturbation_rows(gauge, replace(raw, phix=phix),
                                      NumericsConfig())
             assert biases == [phix]
+
+
+def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
+    # within one run, observables and perturbation read one coupled states
+    # call per (Lc, gauge, bias), and qubit-spectrum, matrix-elements and
+    # wavefunctions one flux qubit solve per (Lc, bias); the memo that
+    # shares them is gone once run returns or raises
+    coupled_solves, qubit_solves = [], []
+
+    def coupled_counted(gauge, raw, *args):
+        coupled_solves.append((raw.Lc, gauge, raw.phix))
+        return build_coupled_eigenbasis(gauge, raw, *args)
+
+    def qubit_counted(ecj, ej, elfq, phix, basis):
+        qubit_solves.append((elfq, phix))
+        return diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
+
+    monkeypatch.setattr(tasks, "build_coupled_eigenbasis", coupled_counted)
+    monkeypatch.setattr(tasks, "diagonalize_flux_qubit", qubit_counted)
+    cfg = small_config(
+        tasks=("observables", "perturbation", "qubit-spectrum",
+               "matrix-elements", "wavefunctions"),
+        lc_list=(20.0, 350.0), output_dir=str(tmp_path),
+        numerics=NumericsConfig(gauge="both", n_qubit=4, n_fock=10))
+    assert run(cfg) == 0
+    assert tasks._solves is None
+    grid = [float(phix) for phix in cfg.phix_grid]
+    assert sorted(coupled_solves) == sorted(
+        (lc, gauge, phix) for lc in cfg.lc_list for gauge in GAUGES
+        for phix in grid)
+    elfq = {gauge_circuit("flux", raw).ELFQ for _, raw in cfg.circuits()}
+    assert len(elfq) == 2
+    assert sorted(qubit_solves) == sorted(
+        (e, phix) for e in elfq for phix in {*grid, cfg.circuit.phix})
+
+    def failing(run_cfg):
+        assert tasks._solves  # the solves of the tasks before it
+        raise RuntimeError("task failed")
+
+    monkeypatch.setitem(tasks.TASKS, "wavefunctions", failing)
+    with pytest.raises(RuntimeError, match="task failed"):
+        run(cfg)
+    assert tasks._solves is None
+
+
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+def test_perturbation_exact_shift_matches_the_levels_call(lc):
+    # net_shift_exact reads the energies of the states call observables
+    # shares, no longer a levels-only call: they agree to rounding
+    num = NumericsConfig()
+    for gauge in GAUGES:
+        for phix in (0.494, 0.5, 0.503):
+            raw = replace(reference_config(lc=lc).circuit, phix=phix)
+            levels = build_coupled_eigenbasis(gauge, raw, num.n_qubit,
+                                              num.n_fock).energies
+            omega = gauge_circuit(gauge, raw).omega
+            exact = {r[2]: r[3] for r in tasks._perturbation_rows(gauge, raw, num)
+                     if r[1] == "net_shift_exact"}
+            for level in (0, 1):
+                assert exact[level] == pytest.approx(
+                    levels[2 + level] - levels[level] - omega, abs=1e-12)
+
+
+@pytest.mark.parametrize("num", [
+    NumericsConfig(n_states=2),
+    # a product dimension under 4 caps the shared call at every state
+    NumericsConfig(n_qubit=1, n_fock=3, n_states=2, fit_levels=1)])
+@pytest.mark.parametrize("lc", [20.0, 350.0])
+def test_observable_rows_match_a_direct_solve_of_their_states(lc, num):
+    # observables share the perturbation's 4-state call; at n_states 2 its
+    # rows keep the bytes of a 2-state solve
+    raw = replace(reference_config(lc=lc).circuit, phix=0.503)
+    for gauge in GAUGES:
+        spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock, 2)
+        expected = [getattr(observables(spec, raw, state), name)
+                    for state in range(2)
+                    for name, _ in tasks.OBSERVABLE_UNITS]
+        rows = tasks._observable_rows(gauge, raw, num)
+        assert (np.array([r[3] for r in rows]).tobytes()
+                == np.array(expected).tobytes())
+
+
+def test_shared_solves_are_read_only(monkeypatch):
+    # a task writing into a shared solve would change another task's rows
+    raw = reference_config().circuit
+    num = NumericsConfig(n_qubit=4, n_fock=10)
+    fresh = tasks._states("flux", raw, num)  # outside run: not shared
+    assert tasks._states("flux", raw, num) is not fresh
+    assert fresh.energies.flags.writeable
+    monkeypatch.setattr(tasks, "_solves", {})
+    spec = tasks._states("flux", raw, num)
+    qubit = tasks._qubit_solve(raw)
+    assert tasks._states("flux", raw, num) is spec
+    assert tasks._qubit_solve(raw) is qubit
+    coupling = spec.coupling
+    for array in (spec.energies, spec.vectors, coupling.qubit_energies,
+                  coupling.qubit_elements, coupling.qubit_phase,
+                  qubit.energies, qubit.coefficients):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
 
 
 @pytest.mark.parametrize("lc", [20.0, 350.0])
