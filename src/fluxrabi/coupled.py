@@ -47,6 +47,7 @@ from .constants import CONSTANTS, N_COUPLED_LEVELS, fock_ladder
 from .planewave import (
     EigensolveError,
     PlaneWaveBasis,
+    _shared,
     check_hermitian,
     diagonalize_flux_qubit,
     linear_kernel,
@@ -147,20 +148,21 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
                      n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
 
-    Solves the qubit node of gauge_circuit(gauge, raw) and tabulates
-    n_levels qubit levels, at most QUBIT_LEVEL_LIMIT.  The band holds only
-    the blocks above the diagonal, so K must share the symmetry of X
-    (symmetric with a + a', antisymmetric with a - a') to TABLE_NOISE of
-    its scale, judged on the tabulated table, for the blocks below the
-    diagonal to be their transposes; else EigensolveError.
+    Solves the qubit node of gauge_circuit(gauge, raw), once per run
+    (planewave._shared), and tabulates n_levels qubit levels, at most
+    QUBIT_LEVEL_LIMIT.  The band holds only the blocks above the diagonal,
+    so K must share the symmetry of X (symmetric with a + a',
+    antisymmetric with a - a') to TABLE_NOISE of its scale, judged on the
+    tabulated table, for the blocks below the diagonal to be their
+    transposes; else EigensolveError.
     """
     circuit = gauge_circuit(gauge, raw)
     if n_levels > QUBIT_LEVEL_LIMIT:
         raise EigensolveError(
             f"{n_levels} qubit levels requested; the qubit basis resolves "
             f"{QUBIT_LEVEL_LIMIT}")
-    qubit_spectrum = diagonalize_flux_qubit(*circuit.qubit_node, raw.phix,
-                                            PlaneWaveBasis.for_qubit())
+    qubit_spectrum = _shared(diagonalize_flux_qubit, *circuit.qubit_node,
+                             raw.phix, PlaneWaveBasis.for_qubit())
     phase = phase_matrix(qubit_spectrum, n_levels)
     if gauge == "flux":
         qub, parity = phase, 1.0
@@ -382,38 +384,38 @@ def build_coupled_planewave(gauge: str, raw: RawCircuit) -> np.ndarray:
     return _lowest_levels(matvec, dims[0] * dims[1], "plane-wave product")[0]
 
 
-def observables(spec: CoupledSpectrum, raw: RawCircuit,
-                state_index: int) -> Observables:
-    """Photon number, flux expectations, and loop currents of one eigenstate.
+def observables(spec: CoupledSpectrum,
+                raw: RawCircuit) -> tuple[Observables, ...]:
+    """Photon number, flux expectations, and loop currents of every
+    eigenstate the spectrum holds, ground state first.
 
-    state_index counts from the ground state and must be below the number
-    of states the spectrum holds; a spectrum built with n_states None
-    carries no eigenvectors and is rejected.
+    One pass over the (n_states, n_fock, n_qubit) block of the vectors and
+    one 2 x 2 solve for the currents of all states.  A spectrum built with
+    n_states None carries no eigenvectors and is rejected.
     """
     if spec.vectors is None:
         raise ValueError("observables needs a spectrum built with vectors")
-    if not 0 <= state_index < spec.vectors.shape[1]:
-        raise ValueError(
-            f"state_index {state_index} is outside the "
-            f"{spec.vectors.shape[1]} states of the spectrum")
     circuit = gauge_circuit(spec.gauge, raw)
     n_fock, n_qubit = spec.dims
     qubit_phase = spec.coupling.qubit_phase[:n_qubit, :n_qubit]
-    psi = spec.vectors[:, state_index].reshape(n_fock, n_qubit)
-    weights = np.sum(np.abs(psi) ** 2, axis=1)
-    photon = float(weights @ np.arange(n_fock))
+    psi = spec.vectors.T.reshape(-1, n_fock, n_qubit)
+    photon = np.sum(np.sum(psi**2, axis=2) * np.arange(n_fock), axis=1)
     # Phi1 is proportional to a + a' in both gauges (the zero-point
-    # amplitude differs through the gauge's own omega).
-    up = np.diag(fock_ladder(n_fock), 1)
-    phi1 = float(np.einsum("mi,mn,ni->", psi, up + up.T, psi))
-    phi1 *= circuit.phi1_zpf
-    phi2 = float(np.einsum("mi,ij,mj->", psi, qubit_phase, psi))
+    # amplitude differs through the gauge's own omega), whose only entries
+    # are sqrt(m + 1) at (m, m + 1) and (m + 1, m).
+    overlap = np.sum(psi[:, :-1] * psi[:, 1:], axis=2)
+    phi1 = (2.0 * np.sum(overlap * fock_ladder(n_fock), axis=1)
+            * circuit.phi1_zpf)
+    phi2 = np.sum((psi @ qubit_phase) * psi, axis=(1, 2))
     phi1_physical = phi1
     if spec.gauge == "charge" and circuit.coupled:
         phi1_physical = phi1 + (circuit.L_LC / circuit.L12) * phi2
     flux_quantum = CONSTANTS.Phi0 / (2.0 * math.pi)
     l_matrix = np.array([[raw.Lc + raw.L1, raw.Lc], [raw.Lc, raw.Lc + raw.L2]])
-    flux_wb = np.array([phi1_physical, phi2]) * flux_quantum
-    currents = np.linalg.solve(l_matrix, flux_wb) * 1e21
-    return Observables(photon_number=photon, flux_1=phi1, flux_2=phi2,
-                       current_1=float(currents[0]), current_2=float(currents[1]))
+    # one solve for the inverse; each state's currents are then its 2 x 2
+    # product, written out so that no state's bits depend on the others
+    inverse = np.linalg.solve(l_matrix, np.eye(2)) * 1e21
+    currents = (inverse[:, :1] * (phi1_physical * flux_quantum)
+                + inverse[:, 1:] * (phi2 * flux_quantum))
+    return tuple(Observables(*map(float, values))
+                 for values in zip(photon, phi1, phi2, *currents))

@@ -18,13 +18,19 @@ The n kernel is purely imaginary, so linear_kernel returns the real
 antisymmetric A with n = 1j A.  Both node Hamiltonians are real symmetric;
 eigensolves are dense, return all levels of the chosen basis, and give
 real eigenvectors.
+
+Within one tasks.run, solves go through one memo, _shared, keyed on the
+solver and its arguments: every qubit-node solve (the coupled builds, the
+two-level reduction and the qubit tasks alike) and the coupled states
+calls of tasks, so a node is solved once per bias for the whole run.
+Outside run each call solves fresh.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -173,3 +179,34 @@ def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
         )
     return SubsystemSpectrum(energies=energies, coefficients=coeffs,
                              basis=basis)
+
+
+# Point solves of the current tasks.run, keyed on the solver and its
+# arguments; None outside run.
+_solves: dict | None = None
+
+
+def _read_only(value):
+    """value with every array it holds, in nested dataclasses too, made
+    read-only, so a write into a shared solve raises."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif is_dataclass(value):
+        for field in fields(value):
+            _read_only(getattr(value, field.name))
+    return value
+
+
+def _shared(solve, *args):
+    """solve(*args), solved once per run and read-only when run is running;
+    solved fresh otherwise.
+
+    Callers pass the solver as a module global looked up at call time, so
+    a wrapper installed on that name sees every real solve.
+    """
+    if _solves is None:
+        return solve(*args)
+    key = (solve, *args)
+    if key not in _solves:
+        _solves[key] = _read_only(solve(*args))
+    return _solves[key]

@@ -29,6 +29,7 @@ from .constants import bias_to_ghz, levenberg_marquardt
 from .planewave import (
     PlaneWaveBasis,
     SubsystemSpectrum,
+    _shared,
     diagonalize_flux_qubit,
     linear_kernel,
 )
@@ -153,14 +154,16 @@ def extract_phi2max(phix: np.ndarray, flux_gg: np.ndarray, flux_ee: np.ndarray,
 def characterize_qubit(ecj: float, ej: float, elfq: float) -> TwoLevelFit:
     """Complete two-level reduction of a qubit node over PHIX_FIT_GRID.
 
-    Sweeps the plane-wave solve on PlaneWaveBasis.for_qubit(), fits the
-    level doublet, extracts Phi2max from the diagonal flux elements, and
-    evaluates q2max at phix = 0.5.
+    Sweeps the plane-wave solve on PlaneWaveBasis.for_qubit(), each solve
+    shared within a run (planewave._shared), fits the level doublet,
+    extracts Phi2max from the diagonal flux elements, and evaluates q2max
+    at phix = 0.5.
     """
     basis = PlaneWaveBasis.for_qubit()
     e0, e1, gg, ee = [], [], [], []
     for phix in PHIX_FIT_GRID:
-        spectrum = diagonalize_flux_qubit(ecj, ej, elfq, float(phix), basis)
+        spectrum = _shared(diagonalize_flux_qubit, ecj, ej, elfq, float(phix),
+                           basis)
         phase = phase_matrix(spectrum, 2)
         e0.append(spectrum.energies[0])
         e1.append(spectrum.energies[1])
@@ -168,6 +171,6 @@ def characterize_qubit(ecj: float, ej: float, elfq: float) -> TwoLevelFit:
         ee.append(phase[1, 1] / (2.0 * math.pi))
     fit = fit_two_level(PHIX_FIT_GRID, np.array(e0), np.array(e1))
     phi2max = extract_phi2max(PHIX_FIT_GRID, np.array(gg), np.array(ee), fit)
-    symmetric = diagonalize_flux_qubit(ecj, ej, elfq, 0.5, basis)
+    symmetric = _shared(diagonalize_flux_qubit, ecj, ej, elfq, 0.5, basis)
     q2max = abs(number_matrix(symmetric, 2)[0, 1])
     return replace(fit, Phi2max=phi2max, q2max=float(q2max))

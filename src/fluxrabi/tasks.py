@@ -3,17 +3,19 @@
 Sweep tasks share one engine, _sweep: it walks circuits x gauges x bias
 points, hands each point to a pure top-level point function (through one
 process pool when workers > 1) and returns long-format rows (Lc_pH,
-phix_Phi0, gauge, provenance, quantity, coordinate, value, unit) in (Lc,
-phix, gauge, quantity) order, each quantity's rows in the order their
-producer writes them.  A point function depends only on its arguments, so
-the rows are bit-identical for any worker count.  The qubit two-level
-reduction and its Rabi mapping run once per circuit and gauge in a process
-(_reduction).  Point solves that two tasks repeat run once per run:
-observables and perturbation read one coupled states call per (Lc, gauge,
-bias), and qubit-spectrum, matrix-elements and wavefunctions one flux qubit
-solve per (Lc, bias), through a memo (_shared) that lives only while run
-runs and hands out read-only arrays.  A pool child solves for itself, and a
-point function called outside run solves fresh.
+phix_Phi0, gauge, provenance, quantity, coordinate, value, unit); _result
+sorts a task's rows into (Lc, phix, gauge, quantity) order, each
+quantity's rows in the order their producer writes them.  A point function
+depends only on its arguments, so the rows are bit-identical for any
+worker count.  The qubit two-level reduction and its Rabi mapping run once
+per circuit and gauge in a process (_reduction).  Point solves run once
+per run, through a memo (planewave._shared) that lives only while run runs
+and hands out read-only arrays: observables and perturbation read one
+coupled states call per (Lc, gauge, bias), and every qubit-node solve of
+the run, in the coupled builds, the two-level reductions and the qubit
+tasks alike, is shared, keyed on (node, bias), so the charge-gauge node,
+which does not change with Lc, is solved once for all Lc.  A pool child
+solves for itself, and a point function called outside run solves fresh.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -40,7 +42,8 @@ from .coupled import (
 from .fitting import (RabiFitResult, fit_rabi, fit_transition_pairs,
                       model_pair_table)
 from .perturbation import second_order_table
-from .planewave import PlaneWaveBasis, diagonalize_flux_qubit
+from . import planewave
+from .planewave import PlaneWaveBasis, _shared, diagonalize_flux_qubit
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
                     number_matrix, phase_matrix)
 from .rabi import RabiParams, map_circuit_to_rabi
@@ -82,37 +85,6 @@ def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
     return fit, map_circuit_to_rabi(gauge, raw, fit)
 
 
-# Point solves of the current run, keyed on the solver and its arguments;
-# None outside run.
-_solves: dict | None = None
-
-
-def _read_only(value):
-    """value with every array it holds, in nested dataclasses too, made
-    read-only, so a write into a shared solve raises."""
-    if isinstance(value, np.ndarray):
-        value.flags.writeable = False
-    elif is_dataclass(value):
-        for field in fields(value):
-            _read_only(getattr(value, field.name))
-    return value
-
-
-def _shared(solve, *args):
-    """solve(*args), solved once per run and read-only when run is running;
-    solved fresh otherwise.
-
-    Callers pass the solver as a module global looked up at call time, so
-    a wrapper installed on that name sees every real solve.
-    """
-    if _solves is None:
-        return solve(*args)
-    key = (solve, *args)
-    if key not in _solves:
-        _solves[key] = _read_only(solve(*args))
-    return _solves[key]
-
-
 def _sort_key(row: tuple):
     lc, phix = row[0], row[1]
     return (lc, math.isnan(phix), phix if not math.isnan(phix) else 0.0,
@@ -121,7 +93,8 @@ def _sort_key(row: tuple):
 
 def _sweep(cfg: RunConfig, point, gauges=("flux",), circuits=None,
            grid=None) -> list[tuple]:
-    """Rows of point over circuits x gauges x bias grid, sorted by _sort_key.
+    """Rows of point over circuits x gauges x bias grid, in the order of
+    the points; _result sorts them.
 
     point(gauge, raw, numerics), with raw biased at the point, returns row
     tails (provenance, quantity, coordinate, value, unit).  circuits and
@@ -144,7 +117,7 @@ def _sweep(cfg: RunConfig, point, gauges=("flux",), circuits=None,
     rows = [(lc, raw.phix, gauge) + tail
             for (lc, gauge, raw), point_tails in zip(points, tails)
             for tail in point_tails]
-    return sorted(rows, key=_sort_key)
+    return rows
 
 
 def _scalar_rows(lc: float, gauge: str, provenance: str, items) -> list[tuple]:
@@ -249,13 +222,10 @@ def _level_rows(gauge, raw, num):
 
 
 def _observable_rows(gauge, raw, num):
-    spec = _states(gauge, raw, num)
-    out = []
-    for state in range(num.n_states):
-        obs = observables(spec, raw, state)
-        out += [("eigenbasis-product", name, state, getattr(obs, name), unit)
-                for name, unit in OBSERVABLE_UNITS]
-    return out
+    states = observables(_states(gauge, raw, num), raw)[:num.n_states]
+    return [("eigenbasis-product", name, state, getattr(obs, name), unit)
+            for state, obs in enumerate(states)
+            for name, unit in OBSERVABLE_UNITS]
 
 
 def _matrix_element_rows(gauge, raw, num):
@@ -279,7 +249,8 @@ def _perturbation_rows(gauge, raw, num):
     The exact shifts and the sums both read the states call observables
     makes (_states), the sums through the N_PERT_LEVELS slice of the
     coupling it assembled from: one qubit solve per point, and within a
-    run one coupled solve for both tasks.
+    run one coupled solve for both tasks and one qubit solve per (node,
+    bias) for every task.
     """
     spec = _states(gauge, raw, num)
     coupling = spec.coupling.truncated(N_PERT_LEVELS)
@@ -640,11 +611,10 @@ def write_outputs(result: TaskResult, out_dir: str) -> tuple[str, str]:
 def run(cfg: RunConfig, log=None) -> int:
     """Execute every configured task; 0 on success, 3 if any flag tripped.
 
-    The point solves the tasks share (_shared) are kept until run returns
-    or raises.
+    The point solves the tasks share (planewave._shared) are kept until
+    run returns or raises.
     """
-    global _solves
-    _solves = {}
+    planewave._solves = {}
     try:
         exit_code = 0
         for name in cfg.tasks:
@@ -658,4 +628,4 @@ def run(cfg: RunConfig, log=None) -> int:
                 log(f"{name}: wrote {csv_path} and {json_path}{flag}")
         return exit_code
     finally:
-        _solves = None
+        planewave._solves = None

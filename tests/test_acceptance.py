@@ -186,8 +186,7 @@ def test_c09_observables():
             p = circuit_parts(lc, phix)
             for gauge in ("flux", "charge"):
                 spec = build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
-                for state in range(4):
-                    obs = observables(spec, p.raw, state)
+                for obs in observables(spec, p.raw):
                     worst_current = max(worst_current, abs(obs.current_1))
     ok = ok and worst_current < 0.01
     lines.append(f"  max |<I1>| over states/biases/gauges: "
@@ -198,7 +197,7 @@ def test_c09_observables():
     for lc in lcs:
         p = circuit_parts(lc, 0.498)
         spec = build_coupled_eigenbasis("flux", p.raw, 6, 40, 1)
-        phi1.append(observables(spec, p.raw, 0).flux_1)
+        phi1.append(observables(spec, p.raw)[0].flux_1)
     r2, slope = origin_r_squared(lcs, np.array(phi1))
     ok = ok and r2 > 0.999
     lines.append(f"  flux-gauge phase_1 vs Lc at phix=0.498: through-origin "
@@ -206,7 +205,7 @@ def test_c09_observables():
 
     p = circuit_parts(350.0, 0.498)
     spec = build_coupled_eigenbasis("charge", p.raw, 6, 40, 1)
-    frame_phi1 = observables(spec, p.raw, 0).flux_1
+    frame_phi1 = observables(spec, p.raw)[0].flux_1
     ok = ok and abs(frame_phi1) < 1e-6
     lines.append(f"  charge-gauge frame <Phi1>: {frame_phi1:.2e} "
                  f"(= 0 required)")
@@ -218,7 +217,7 @@ def test_c09_observables():
         # charge-frame photon number
         spec = build_coupled_eigenbasis(gauge, p.raw,
                                         n_qubit=12, n_fock=80, n_states=1)
-        photon[gauge] = observables(spec, p.raw, 0).photon_number
+        photon[gauge] = observables(spec, p.raw)[0].photon_number
     ok = ok and photon["charge"] < 0.2 * photon["flux"]
     lines.append(f"  ground photon number at Lc=350: charge "
                  f"{photon['charge']:.4f} vs flux {photon['flux']:.4f} "

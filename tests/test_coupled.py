@@ -183,7 +183,7 @@ def test_qubit_slice_at_basis_edge_solves():
                                         n_fock=20, n_states=4)
         assert spec.dims == (20, n_qubit)
         assert spec.vectors.shape == (20 * n_qubit, 4)
-        assert observables(spec, p.raw, 0).photon_number >= 0.0
+        assert observables(spec, p.raw)[0].photon_number >= 0.0
 
 
 def test_truncation_flag_honest_for_starved_charge_solve():
@@ -228,8 +228,7 @@ def test_loop_one_carries_no_current(parts20):
     p = parts20
     for gauge in ("flux", "charge"):
         spec = build_coupled_eigenbasis(gauge, p.raw, 6, 40, 4)
-        for state in range(4):
-            obs = observables(spec, p.raw, state)
+        for obs in observables(spec, p.raw):
             assert abs(obs.current_1) < 1e-2
 
 
@@ -239,7 +238,7 @@ def test_ground_flux_expectation_is_odd_around_symmetry(parts20):
     for phix in (0.498, 0.502):
         raw = dataclasses.replace(p.raw, phix=phix)
         spec = build_coupled_eigenbasis("flux", raw, 6, 40, 1)
-        values.append(observables(spec, raw, 0))
+        values.append(observables(spec, raw)[0])
     assert values[0].flux_2 == pytest.approx(-values[1].flux_2, rel=1e-6)
     assert values[0].flux_1 == pytest.approx(-values[1].flux_1, rel=1e-6)
     assert abs(values[0].flux_2) > 0.1
@@ -249,7 +248,7 @@ def test_charge_gauge_frame_flux_vanishes(parts20):
     p = parts20
     raw = dataclasses.replace(p.raw, phix=0.498)
     spec = build_coupled_eigenbasis("charge", raw, 6, 40, 1)
-    obs = observables(spec, raw, 0)
+    obs = observables(spec, raw)[0]
     # the momentum-shifted oscillator mode has no flux displacement; the
     # loop currents still come out through the gauge-restored flux
     assert abs(obs.flux_1) < 1e-6
@@ -262,13 +261,13 @@ def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
     p = parts20
     spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
     with pytest.raises(ValueError, match="vectors"):
-        observables(spec, p.raw, 0)
+        observables(spec, p.raw)
 
 
 def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
     p = parts20
     spec = build_coupled_eigenbasis("flux", p.raw, 6, 40, 1)
-    obs = observables(spec, p.raw, 0)
+    obs = observables(spec, p.raw)[0]
     assert 0.0 <= obs.photon_number < 0.1
 
 
@@ -525,6 +524,7 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
     dense = dataclasses.replace(spec, energies=energies[:n_states],
                                 vectors=vectors[:, :n_states])
     units = {"current_1": _current_unit(raw), "current_2": _current_unit(raw)}
+    obs_got, obs_ref = observables(spec, raw), observables(dense, raw)
     for run, gap in _eigenspaces(energies):
         solved = run[run < n_states]
         if len(solved) == 0:
@@ -537,8 +537,7 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
             assert np.abs(got - span @ (span.T @ got)).max() <= tol
         if len(run) > 1:
             continue
-        got, ref = observables(spec, raw, run[0]), observables(dense, raw,
-                                                               run[0])
+        got, ref = obs_got[run[0]], obs_ref[run[0]]
         for field in dataclasses.fields(got):
             v, r = getattr(got, field.name), getattr(ref, field.name)
             scale = max(units.get(field.name, 1.0), abs(r))
@@ -636,9 +635,7 @@ def test_states_call_matches_full_eigh(gauge, lc, phix):
     assert np.abs(spec.energies - full.energies[:4]).max() < 1e-10
     overlaps = np.abs(np.sum(spec.vectors * full.vectors[:, :4], axis=0))
     assert np.all(overlaps >= 1.0 - 1e-12)
-    for state in range(4):
-        got = observables(spec, raw, state)
-        ref = observables(full, raw, state)
+    for got, ref in zip(observables(spec, raw), observables(full, raw)):
         for field in dataclasses.fields(got):
             v, r = getattr(got, field.name), getattr(ref, field.name)
             assert abs(v - r) <= 1e-9 * max(1.0, abs(r)), (field.name, v, r)
@@ -677,14 +674,17 @@ def test_states_call_at_its_edges(gauge, lc, dims, few):
             build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
 
 
-def test_observables_rejects_state_outside_spectrum(parts20):
-    # the spectrum holds the lowest n_states states only; a negative index
-    # would silently read the highest of them
+def test_observables_cover_exactly_the_spectrum_states(parts20):
+    # one Observables per state the spectrum holds, ground state first, each
+    # the same bits as from a spectrum holding that state alone
     spec = build_coupled_eigenbasis("flux", parts20.raw, 6, 40, 4)
-    for state in (-1, 4):
-        with pytest.raises(ValueError, match="state_index"):
-            observables(spec, parts20.raw, state)
-    assert observables(spec, parts20.raw, 3).photon_number >= 0.0
+    states = observables(spec, parts20.raw)
+    assert len(states) == spec.vectors.shape[1] == 4
+    for state, obs in enumerate(states):
+        alone = dataclasses.replace(spec,
+                                    vectors=spec.vectors[:, state:state + 1])
+        assert observables(alone, parts20.raw) == (obs,)
+        assert obs.photon_number >= 0.0
 
 
 @pytest.mark.parametrize("lc, phix", [(20.0, 0.5), (350.0, 0.5),

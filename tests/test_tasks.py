@@ -12,12 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fluxrabi.planewave as planewave
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import TASK_NAMES, NumericsConfig, reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis, observables
 from fluxrabi.fitting import RabiFitResult
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
+from fluxrabi.qubit import PHIX_FIT_GRID
 from fluxrabi.tasks import (
     REGRESSION_BOUNDS,
     REGRESSION_PINS,
@@ -177,9 +179,13 @@ def test_perturbation_point_solves_the_qubit_once(monkeypatch):
 
 def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
     # within one run, observables and perturbation read one coupled states
-    # call per (Lc, gauge, bias), and qubit-spectrum, matrix-elements and
-    # wavefunctions one flux qubit solve per (Lc, bias); the memo that
-    # shares them is gone once run returns or raises
+    # call per (Lc, gauge, bias), and every qubit-node solve, in the coupled
+    # builds, the two-level reductions and the qubit tasks, runs once per
+    # (node, bias): the charge node, the same at every Lc, once for both.
+    # The memo that shares them is gone once run returns or raises
+    import fluxrabi.coupled as coupled
+    import fluxrabi.qubit as qubit
+
     coupled_solves, qubit_solves = [], []
 
     def coupled_counted(gauge, raw, *args):
@@ -187,35 +193,77 @@ def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
         return build_coupled_eigenbasis(gauge, raw, *args)
 
     def qubit_counted(ecj, ej, elfq, phix, basis):
-        qubit_solves.append((elfq, phix))
+        qubit_solves.append((ecj, ej, elfq, phix))
         return diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
 
     monkeypatch.setattr(tasks, "build_coupled_eigenbasis", coupled_counted)
-    monkeypatch.setattr(tasks, "diagonalize_flux_qubit", qubit_counted)
+    for module in (coupled, qubit, tasks):
+        monkeypatch.setattr(module, "diagonalize_flux_qubit", qubit_counted)
+    tasks._reduction.cache_clear()  # so the reductions solve in this run
     cfg = small_config(
-        tasks=("observables", "perturbation", "qubit-spectrum",
+        tasks=("observables", "perturbation", "qubit-spectrum", "rabi-map",
                "matrix-elements", "wavefunctions"),
         lc_list=(20.0, 350.0), output_dir=str(tmp_path),
         numerics=NumericsConfig(gauge="both", n_qubit=4, n_fock=10))
     assert run(cfg) == 0
-    assert tasks._solves is None
+    assert planewave._solves is None
     grid = [float(phix) for phix in cfg.phix_grid]
     assert sorted(coupled_solves) == sorted(
         (lc, gauge, phix) for lc in cfg.lc_list for gauge in GAUGES
         for phix in grid)
-    elfq = {gauge_circuit("flux", raw).ELFQ for _, raw in cfg.circuits()}
-    assert len(elfq) == 2
+    nodes = {gauge: {gauge_circuit(gauge, raw).qubit_node
+                     for _, raw in cfg.circuits()} for gauge in GAUGES}
+    assert (len(nodes["flux"]), len(nodes["charge"])) == (2, 1)
+    fit_grid = {float(phix) for phix in PHIX_FIT_GRID} | {0.5}
+    flux_biases = {*grid, cfg.circuit.phix} | fit_grid
+    charge_biases = {*grid} | fit_grid
     assert sorted(qubit_solves) == sorted(
-        (e, phix) for e in elfq for phix in {*grid, cfg.circuit.phix})
+        [(*node, phix) for node in nodes["flux"] for phix in flux_biases]
+        + [(*node, phix) for node in nodes["charge"]
+           for phix in charge_biases])
 
     def failing(run_cfg):
-        assert tasks._solves  # the solves of the tasks before it
+        assert planewave._solves  # the solves of the tasks before it
         raise RuntimeError("task failed")
 
     monkeypatch.setitem(tasks.TASKS, "wavefunctions", failing)
     with pytest.raises(RuntimeError, match="task failed"):
         run(cfg)
-    assert tasks._solves is None
+    assert planewave._solves is None
+
+
+def test_coupled_build_from_a_shared_qubit_solve_matches_a_fresh_one(
+        monkeypatch, tmp_path):
+    # inside run the coupled builds read qubit solves another task made (the
+    # flux node from qubit-spectrum, the charge node at 350 pH from the
+    # build at 20 pH); each equals a build outside run bit for bit
+    memo = {}
+    wavefunctions = tasks.TASKS["wavefunctions"]
+
+    def keeping(run_cfg):
+        memo.update(planewave._solves)
+        return wavefunctions(run_cfg)
+
+    monkeypatch.setitem(tasks.TASKS, "wavefunctions", keeping)
+    cfg = small_config(
+        tasks=("qubit-spectrum", "observables", "wavefunctions"),
+        lc_list=(20.0, 350.0), output_dir=str(tmp_path),
+        numerics=NumericsConfig(gauge="both", n_qubit=4, n_fock=10))
+    assert run(cfg) == 0
+    builds = {key[1:]: spec for key, spec in memo.items()
+              if key[0] is build_coupled_eigenbasis}
+    assert sorted((raw.Lc, gauge) for gauge, raw, *_ in builds) == sorted(
+        (lc, gauge) for lc in cfg.lc_list for gauge in GAUGES
+        for _ in cfg.phix_grid)
+    for args, shared in builds.items():
+        fresh = build_coupled_eigenbasis(*args)
+        for name in ("energies", "vectors"):
+            assert getattr(shared, name).tobytes() == getattr(fresh,
+                                                              name).tobytes()
+        for field in dataclasses.fields(fresh.coupling):
+            assert (np.asarray(getattr(shared.coupling, field.name)).tobytes()
+                    == np.asarray(getattr(fresh.coupling,
+                                          field.name)).tobytes())
 
 
 @pytest.mark.parametrize("lc", [20.0, 350.0])
@@ -247,8 +295,7 @@ def test_observable_rows_match_a_direct_solve_of_their_states(lc, num):
     raw = replace(reference_config(lc=lc).circuit, phix=0.503)
     for gauge in GAUGES:
         spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock, 2)
-        expected = [getattr(observables(spec, raw, state), name)
-                    for state in range(2)
+        expected = [getattr(obs, name) for obs in observables(spec, raw)
                     for name, _ in tasks.OBSERVABLE_UNITS]
         rows = tasks._observable_rows(gauge, raw, num)
         assert (np.array([r[3] for r in rows]).tobytes()
@@ -262,7 +309,7 @@ def test_shared_solves_are_read_only(monkeypatch):
     fresh = tasks._states("flux", raw, num)  # outside run: not shared
     assert tasks._states("flux", raw, num) is not fresh
     assert fresh.energies.flags.writeable
-    monkeypatch.setattr(tasks, "_solves", {})
+    monkeypatch.setattr(planewave, "_solves", {})
     spec = tasks._states("flux", raw, num)
     qubit = tasks._qubit_solve(raw)
     assert tasks._states("flux", raw, num) is spec
