@@ -32,7 +32,7 @@ lives in K alone.
 circuit_coupling builds that ProductCoupling once per bias point, and the
 eigenbasis builds, the perturbation sums and the observables all read
 slices of it.  truncation_check compares two levels calls, the second at
-both truncations doubled.
+both truncations doubled, each shared within a run (planewave._shared).
 """
 
 from __future__ import annotations
@@ -328,9 +328,9 @@ def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
     N_COUPLED_LEVELS levels at (n_qubit, n_fock) against (2 n_qubit,
     2 n_fock), and whether it is under CONVERGENCE_LIMIT_GHZ.
     """
-    levels = build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock).energies
-    doubled = build_coupled_eigenbasis(gauge, raw, 2 * n_qubit, 2 * n_fock)
-    shift = float(np.abs(levels - doubled.energies[:len(levels)]).max())
+    levels, doubled = (_shared(build_coupled_eigenbasis, gauge, raw,
+                               k * n_qubit, k * n_fock).energies for k in (1, 2))
+    shift = float(np.abs(levels - doubled[:len(levels)]).max())
     return shift, shift < CONVERGENCE_LIMIT_GHZ
 
 

@@ -20,10 +20,10 @@ eigensolves are dense, return all levels of the chosen basis, and give
 real eigenvectors.
 
 Within one tasks.run, solves go through one memo, _shared, keyed on the
-solver and its arguments: every qubit-node solve (the coupled builds, the
-two-level reduction and the qubit tasks alike) and the coupled states
-calls of tasks, so a node is solved once per bias for the whole run.
-Outside run each call solves fresh.
+solver and its positional arguments: every qubit-node solve (the coupled
+builds, the two-level reduction and the qubit tasks alike), every coupled
+call and every two-level reduction, so a node is solved once per bias for
+the whole run.  Outside run each call solves fresh.
 """
 
 from __future__ import annotations

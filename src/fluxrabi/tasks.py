@@ -7,14 +7,14 @@ phix_Phi0, gauge, provenance, quantity, coordinate, value, unit); _result
 sorts a task's rows into (Lc, phix, gauge, quantity) order, each
 quantity's rows in the order their producer writes them.  A point function
 depends only on its arguments, so the rows are bit-identical for any
-worker count.  The qubit two-level reduction and its Rabi mapping run once
-per circuit and gauge in a process (_reduction).  Point solves run once
-per run, through a memo (planewave._shared) that lives only while run runs
-and hands out read-only arrays: observables and perturbation read one
-coupled states call per (Lc, gauge, bias), and every qubit-node solve of
-the run, in the coupled builds, the two-level reductions and the qubit
-tasks alike, is shared, keyed on (node, bias), so the charge-gauge node,
-which does not change with Lc, is solved once for all Lc.  A pool child
+worker count.  Solves run once per run, through a memo (planewave._shared)
+that lives only while run runs, keyed on the solver and its positional
+arguments, and hands out read-only arrays: each coupled call (circuit-
+spectrum's levels, the rabi-fit and regression fit data, the truncation
+probes, the gauge-check rungs, and the states call observables and
+perturbation share), each two-level reduction, keyed on the qubit node, and
+each qubit-node solve, keyed on (node, bias).  So the charge-gauge node, the
+same at every Lc, is solved and reduced once for all Lc.  A pool child
 solves for itself, and a point function called outside run solves fresh.
 """
 
@@ -25,7 +25,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -74,14 +73,13 @@ class TaskResult:
     metadata: dict
 
 
-@lru_cache(maxsize=64)
 def _reduction(raw: RawCircuit, gauge: str) -> tuple[TwoLevelFit, RabiParams]:
-    """Two-level reduction of the qubit node of one gauge, and its mapping.
+    """One gauge's two-level reduction, shared within a run, and its mapping.
 
     characterize_qubit is looked up as a module global at call time, so a
-    wrapper installed on that name sees every reduction.
+    wrapper installed on that name sees every real reduction.
     """
-    fit = characterize_qubit(*gauge_circuit(gauge, raw).qubit_node)
+    fit = _shared(characterize_qubit, *gauge_circuit(gauge, raw).qubit_node)
     return fit, map_circuit_to_rabi(gauge, raw, fit)
 
 
@@ -91,18 +89,16 @@ def _sort_key(row: tuple):
             row[2], row[4])
 
 
-def _sweep(cfg: RunConfig, point, gauges=("flux",), circuits=None,
-           grid=None) -> list[tuple]:
+def _sweep(cfg: RunConfig, point, gauges=("flux",), grid=None) -> list[tuple]:
     """Rows of point over circuits x gauges x bias grid, in the order of
     the points; _result sorts them.
 
     point(gauge, raw, numerics), with raw biased at the point, returns row
-    tails (provenance, quantity, coordinate, value, unit).  circuits and
-    grid default to the configured Lc sweep and bias grid.
+    tails (provenance, quantity, coordinate, value, unit).  grid defaults
+    to the configured bias grid.
     """
-    circuits = cfg.circuits() if circuits is None else circuits
     grid = cfg.phix_grid if grid is None else grid
-    points = [(lc, gauge, replace(raw, phix=phix)) for lc, raw in circuits
+    points = [(lc, gauge, replace(raw, phix=phix)) for lc, raw in cfg.circuits()
               for gauge in gauges for phix in grid]
     args = ([p[1] for p in points], [p[2] for p in points],
             [cfg.numerics] * len(points))
@@ -165,12 +161,10 @@ def _probe(cfg: RunConfig, raw: RawCircuit, gauge: str) -> dict:
     return {"converged": converged, "truncation_shift_GHz": shift}
 
 
-def _pair_table(rows: list[tuple], lc: float, grid, pairs) -> np.ndarray:
-    """table[p, c] = level difference pairs[c] at grid[p], from _level_rows."""
-    level = {(r[1], r[4]): r[6] for r in rows if r[0] == lc}
-    return np.array([[level[(phix, f"energy_level_{j}")]
-                      - level[(phix, f"energy_level_{i}")] for i, j in pairs]
-                     for phix in grid])
+def _fit_levels(cfg: RunConfig, raw: RawCircuit) -> np.ndarray:
+    """The fit data: levels[p] = the flux-gauge levels at grid[p]."""
+    return np.array([_levels("flux", replace(raw, phix=phix), cfg.numerics)
+                     for phix in cfg.phix_grid])
 
 
 def _pair_rows(lc: float, gauge: str, provenance: str, prefix: str, grid,
@@ -215,10 +209,15 @@ def _qubit_level_rows(gauge, raw, num):
     return _level_tails("planewave", [float(e) for e in energies])
 
 
+def _levels(gauge, raw, num):
+    """The levels call at a point, shared within a run."""
+    return _shared(build_coupled_eigenbasis, gauge, raw, num.n_qubit,
+                   num.n_fock).energies
+
+
 def _level_rows(gauge, raw, num):
-    energies = build_coupled_eigenbasis(gauge, raw, num.n_qubit,
-                                        num.n_fock).energies
-    return _level_tails("eigenbasis-product", [float(e) for e in energies])
+    return _level_tails("eigenbasis-product",
+                        [float(e) for e in _levels(gauge, raw, num)])
 
 
 def _observable_rows(gauge, raw, num):
@@ -365,12 +364,13 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
     rows = []
     grid = cfg.phix_grid
     pairs = fit_transition_pairs(cfg.numerics.fit_levels)
-    level_rows = _sweep(cfg, _level_rows)
+    lower, upper = np.array(pairs).T
     probes = {f"Lc={lc}/flux": _probe(cfg, raw, "flux")
               for lc, raw in cfg.circuits()}
     detail = {}
     for lc, raw in cfg.circuits():
-        table = _pair_table(level_rows, lc, grid, pairs)
+        levels = _fit_levels(cfg, raw)
+        table = levels[:, upper] - levels[:, lower]
         rows += _pair_rows(lc, "flux", "eigenbasis-product", "data_transition",
                            grid, pairs, table)
         for variant in GAUGES:
@@ -442,9 +442,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
     for lc, raw in cfg.circuits():
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
-            levels = {gauge: build_coupled_eigenbasis(gauge, raw, n_qubit=nq,
-                                                      n_fock=nf).energies
-                      for gauge in GAUGES}
+            levels = {gauge: _shared(build_coupled_eigenbasis, gauge, raw, nq,
+                                     nf).energies for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
                 (levels["flux"] - levels["flux"][0])
@@ -455,8 +454,7 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                          "lowest8_gauge_gap", coord, gap, "GHz"))
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
-        eigen = build_coupled_eigenbasis("flux", raw, cfg.numerics.n_qubit,
-                                         cfg.numerics.n_fock).energies
+        eigen = _levels("flux", raw, cfg.numerics)
         # a truncation below 8 product states has fewer levels to compare
         plane = build_coupled_planewave("flux", raw)[:len(eigen)]
         cross = float(np.abs(eigen - plane).max())
@@ -522,10 +520,11 @@ def compute_regression_values(cfg: RunConfig) -> tuple[dict, dict]:
     values["EJ_GHz"] = raw.EJ
     values["ECJ_GHz"] = gauge_circuit("flux", raw).ECJ
     raw, grid = cfg.circuit_at(350.0), cfg.phix_grid
-    level_rows = _sweep(cfg, _level_rows, circuits=[(350.0, raw)])
+    levels = _fit_levels(cfg, raw)
     for max_level in (3, 7):
         pairs = fit_transition_pairs(max_level)
-        table = _pair_table(level_rows, 350.0, grid, pairs)
+        lower, upper = np.array(pairs).T
+        table = levels[:, upper] - levels[:, lower]
         result = fit_rabi(grid, pairs, table, _reduction(raw, "flux")[1])
         values[f"fit{max_level}_350_omega_GHz"] = result.params.omega
         values[f"fit{max_level}_350_Delta_q_GHz"] = result.params.Delta_q

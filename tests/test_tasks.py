@@ -199,7 +199,6 @@ def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
     monkeypatch.setattr(tasks, "build_coupled_eigenbasis", coupled_counted)
     for module in (coupled, qubit, tasks):
         monkeypatch.setattr(module, "diagonalize_flux_qubit", qubit_counted)
-    tasks._reduction.cache_clear()  # so the reductions solve in this run
     cfg = small_config(
         tasks=("observables", "perturbation", "qubit-spectrum", "rabi-map",
                "matrix-elements", "wavefunctions"),
@@ -230,6 +229,93 @@ def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
     with pytest.raises(RuntimeError, match="task failed"):
         run(cfg)
     assert planewave._solves is None
+
+
+def count_coupled_calls(monkeypatch):
+    """The (Lc, gauge, phix, n_qubit, n_fock, n_states) of every
+    build_coupled_eigenbasis call, made from tasks or coupled."""
+    import fluxrabi.coupled as coupled
+
+    calls = []
+
+    def counted(gauge, raw, n_qubit, n_fock, n_states=None):
+        calls.append((raw.Lc, gauge, raw.phix, n_qubit, n_fock, n_states))
+        return build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock, n_states)
+
+    for module in (coupled, tasks):
+        monkeypatch.setattr(module, "build_coupled_eigenbasis", counted)
+    return calls
+
+
+def test_run_makes_each_coupled_call_once(monkeypatch, tmp_path):
+    # circuit-spectrum's sweep and probe, rabi-fit's fit data and probe and
+    # gauge-check's ladder rungs and cross-check read one levels call per
+    # argument tuple: at the (4, 10) rung the mid-bias point of the sweep,
+    # both probes, the flux rung and the cross-check are one solve
+    calls = count_coupled_calls(monkeypatch)
+    assert (4, 10) in tasks.TRUNCATION_LADDER
+    cfg = small_config(
+        tasks=("circuit-spectrum", "rabi-fit", "gauge-check"),
+        lc_list=(20.0, 350.0), output_dir=str(tmp_path),
+        numerics=NumericsConfig(gauge="flux", n_qubit=4, n_fock=10))
+    grid = [float(phix) for phix in cfg.phix_grid]
+    assert grid[1] == cfg.circuit.phix == 0.5
+    run(cfg)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {
+        *((lc, "flux", phix, 4, 10, None) for lc in cfg.lc_list
+          for phix in grid),
+        *((lc, "flux", 0.5, 8, 20, None) for lc in cfg.lc_list),
+        *((lc, gauge, 0.5, nq, nf, None) for lc in cfg.lc_list
+          for gauge in GAUGES for nq, nf in tasks.TRUNCATION_LADDER)}
+
+
+def load_workloads():
+    """The WORKLOADS of perfbench/workloads.py, run by path; it imports only
+    the standard library."""
+    import runpy
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "workloads.py")
+    return runpy.run_path(path)["WORKLOADS"]
+
+
+@pytest.mark.parametrize("workload, distinct", [("levels", 17), ("fit", 12)])
+def test_workload_makes_each_coupled_call_once(monkeypatch, tmp_path,
+                                               workload, distinct):
+    # levels: 7 sweep points, the doubled probe and the 10 ladder rungs,
+    # whose flux (8, 60) rung is the probe's, the cross-check's and the
+    # mid-bias sweep point's solve; fit: 11 fit-data points and the doubled
+    # probe
+    from fluxrabi.config import parse_config
+
+    calls = count_coupled_calls(monkeypatch)
+    doc = load_workloads()[workload].config
+    run(parse_config(doc, output_override=str(tmp_path)))
+    assert len(calls) == len(set(calls)) == distinct
+
+
+def test_nothing_outlives_a_run(monkeypatch, tmp_path):
+    # each run makes its own two-level reductions: one per qubit node, so
+    # the charge node, the same at both Lc, is reduced once
+    from fluxrabi.qubit import characterize_qubit
+
+    reductions = []
+
+    def counted(ecj, ej, elfq):
+        reductions.append((ecj, ej, elfq))
+        return characterize_qubit(ecj, ej, elfq)
+
+    monkeypatch.setattr(tasks, "characterize_qubit", counted)
+    cfg = small_config(tasks=("rabi-map",), lc_list=(20.0, 350.0),
+                       output_dir=str(tmp_path))
+    nodes = {gauge_circuit(gauge, raw).qubit_node
+             for _, raw in cfg.circuits() for gauge in GAUGES}
+    assert len(nodes) == 3
+    for _ in range(2):
+        reductions.clear()
+        assert run(cfg) == 0
+        assert sorted(reductions) == sorted(nodes)
 
 
 def test_coupled_build_from_a_shared_qubit_solve_matches_a_fresh_one(
@@ -342,8 +428,8 @@ def test_perturbative_rows_independent_of_eigenbasis_truncation(lc):
 
 @pytest.mark.parametrize("gauge", GAUGES)
 def test_level_rows_are_banded_levels(gauge):
-    # _level_rows is the circuit-spectrum data and the rabi-fit and
-    # regression fit data: bit for bit the banded levels call
+    # _level_rows is the circuit-spectrum data, from the levels call the
+    # rabi-fit and regression fit data read: bit for bit the banded call
     raw = replace(reference_config(lc=350.0).circuit, phix=0.497)
     num = NumericsConfig(n_qubit=8, n_fock=60)
     rows = tasks._level_rows(gauge, raw, num)
