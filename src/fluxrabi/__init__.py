@@ -20,8 +20,7 @@ from .coupled import (
     observables,
     truncation_check,
 )
-from .fitting import (RabiFitResult, fit_rabi, fit_transition_pairs,
-                      ground_residual_mhz2, model_pair_table)
+from .fitting import RabiFitResult, fit_rabi, fit_transition_pairs
 from .perturbation import ShiftTable, second_order_table
 from .planewave import (
     BasisRangeWarning,
@@ -71,10 +70,8 @@ __all__ = [
     "fit_transition_pairs",
     "fit_two_level",
     "gauge_circuit",
-    "ground_residual_mhz2",
     "load_config",
     "map_circuit_to_rabi",
-    "model_pair_table",
     "observables",
     "rabi_hamiltonian",
     "reference_config",

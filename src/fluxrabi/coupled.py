@@ -64,7 +64,7 @@ QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
 CONVERGENCE_LIMIT_GHZ = 1e-3
 
 # Entries of a qubit element table under this fraction of its largest are
-# rounding noise, to circuit_coupling's symmetry check and the perturbation.
+# rounding noise to the perturbation sums.
 TABLE_NOISE = 1e-12
 
 # Qubit levels the second-order perturbation sums run over; the coupling of
@@ -152,9 +152,9 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
     (planewave._shared), and tabulates n_levels qubit levels, at most
     QUBIT_LEVEL_LIMIT.  The band holds only the blocks above the diagonal,
     so K must share the symmetry of X (symmetric with a + a',
-    antisymmetric with a - a') to TABLE_NOISE of its scale, judged on the
-    tabulated table, for the blocks below the diagonal to be their
-    transposes; else EigensolveError.
+    antisymmetric with a - a'), judged on the tabulated table by
+    check_hermitian on K or on 1j K, for the blocks below the diagonal to
+    be their transposes; else EigensolveError.
     """
     circuit = gauge_circuit(gauge, raw)
     if n_levels > QUBIT_LEVEL_LIMIT:
@@ -165,14 +165,12 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
                              raw.phix, PlaneWaveBasis.for_qubit())
     phase = phase_matrix(qubit_spectrum, n_levels)
     if gauge == "flux":
-        qub, parity = phase, 1.0
+        qub = phase
+        check_hermitian(qub, "qubit element table, by the symmetry of a + a',")
     else:
-        qub, parity = number_matrix(qubit_spectrum, n_levels), -1.0
-    scale = max(float(np.abs(qub).max()), 1e-30)
-    if np.abs(qub - parity * qub.T).max() > TABLE_NOISE * scale:
-        raise EigensolveError(
-            "qubit element table does not share the symmetry of the "
-            "oscillator quadrature")
+        qub = number_matrix(qubit_spectrum, n_levels)
+        check_hermitian(1j * qub,
+                        "qubit element table, by the symmetry of a - a',")
     return ProductCoupling(
         strength=circuit.strength, omega=circuit.omega,
         qubit_energies=qubit_spectrum.energies[:n_levels],

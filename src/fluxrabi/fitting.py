@@ -1,10 +1,11 @@
 """Least-squares extraction of two-level model parameters from spectra.
 
 Fits the four parameters (omega, Delta_q, g, Ip) of the qubit-oscillator
-model to a table of transition frequencies sampled on a flux grid:
-table[p, c] is transition pairs[c] at grid[p], and model_pair_table
-evaluates the model on the same layout.  The objective is the mean squared
-residual over all (flux, transition) points in MHz^2, minimized by
+model to the circuit's levels on a flux grid: fit_rabi takes levels[p] at
+grid[p] and a top level, fits the transitions fit_transition_pairs picks
+among them, and returns the data and the model's fitted transitions with
+the parameters.  The objective is the mean squared residual over all
+(flux, transition) points in MHz^2, minimized by
 constants.levenberg_marquardt, the loop the qubit's two-level reduction
 also runs, with one re-start from the nudged minimum.  The model
 Hamiltonian is linear in the parameters, so the Jacobian is exact: by the
@@ -41,7 +42,7 @@ PARAM_NAMES = ("omega", "Delta_q", "g", "Ip")
 
 
 class FitDataError(ValueError):
-    """The transition table or the start cannot be fit."""
+    """The levels or the start cannot be fit."""
 
 
 def fit_transition_pairs(max_level: int) -> tuple[tuple[int, int], ...]:
@@ -62,10 +63,13 @@ def fit_transition_pairs(max_level: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class RabiFitResult:
-    """residual_mhz2 covers ground-state transitions only; objective_mhz2
-    is the minimized mean over every data point.  n_fock is the Fock
-    truncation the fit ran at and fock_shift_GHz its rabi.fock_shift at
-    the fitted parameters."""
+    """pairs are the fit's transitions, fit_transition_pairs(max_level);
+    data[p, c] is the circuit's transition pairs[c] at grid[p] and
+    fitted[p, c] the model's at the fitted parameters and n_fock, in GHz.
+    residual_mhz2 is the mean square of fitted - data over the
+    ground-state columns only; objective_mhz2 is the minimized mean over
+    every data point.  n_fock is the Fock truncation the fit ran at and
+    fock_shift_GHz its rabi.fock_shift at the fitted parameters."""
 
     params: RabiParams
     residual_mhz2: float
@@ -75,6 +79,9 @@ class RabiFitResult:
     restart_spread: float
     n_fock: int
     fock_shift_GHz: float
+    pairs: tuple[tuple[int, int], ...]
+    data: np.ndarray
+    fitted: np.ndarray
 
 
 def _check_params(params: RabiParams) -> None:
@@ -84,101 +91,80 @@ def _check_params(params: RabiParams) -> None:
         raise FitDataError("model parameters must be finite, omega > 0")
 
 
-def model_pair_table(params: RabiParams, phix_grid: np.ndarray,
-                     pairs: tuple[tuple[int, int], ...],
-                     n_fock: int) -> np.ndarray:
-    """table[p, c] = model transition pairs[c] at phix_grid[p], in GHz, at
-    n_fock Fock states.
-
-    Raises FitDataError before any solve unless params pass _check_params.
-    """
-    _check_params(params)
+def _transitions(values: np.ndarray,
+                 pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """out[p, c] = values[p, j] - values[p, i] for pairs[c] = (i, j)."""
     lower, upper = np.array(pairs).T
-    energies = rabi_energies(params, phix_grid, n_fock)
-    return energies[:, upper] - energies[:, lower]
+    return values[:, upper] - values[:, lower]
 
 
 def _table_and_jacobian(params: RabiParams, grid: np.ndarray,
                         pairs: tuple[tuple[int, int], ...],
                         n_fock: int) -> tuple[np.ndarray, np.ndarray]:
-    """(table, jac): model_pair_table's table and jac[p, c, k] = d table[p, c]
-    / d theta_k, theta in PARAM_NAMES order, from one stacked eigh.
+    """(table, jac): the model's transitions table[p, c] = pairs[c] at
+    grid[p] and jac[p, c, k] = d table[p, c] / d theta_k, theta in
+    PARAM_NAMES order, from one stacked eigh.
 
     H = omega A + Delta_q B + eps C + g D with eps = bias_to_ghz(Ip, phix)
     linear in Ip, so dE_n/dtheta = <n|dH/dtheta|n> (Hellmann-Feynman) on
     the lowest max(j) + 1 eigenvectors at each bias.
     """
     a_mat, b_mat, c_mat, d_mat = _structure(n_fock, params.variant)
-    lower, upper = np.array(pairs).T
     energies, vectors = np.linalg.eigh(rabi_hamiltonian(params, grid, n_fock))
-    v = vectors[..., :upper.max() + 1]
+    v = vectors[..., :max(j for _, j in pairs) + 1]
     slopes = np.stack([np.sum(v * (m @ v), axis=-2)
                        for m in (a_mat, b_mat, d_mat, c_mat)], axis=-1)
     slopes[..., 3] *= bias_to_ghz(1.0, grid)[:, None]
-    return (energies[:, upper] - energies[:, lower],
-            slopes[:, upper] - slopes[:, lower])
+    return _transitions(energies, pairs), _transitions(slopes, pairs)
 
 
-def _check_table(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
-                 table: np.ndarray) -> np.ndarray:
-    """table as a float array; FitDataError unless it can be fit."""
-    table = np.asarray(table, dtype=float)
-    if table.shape != (len(grid), len(pairs)):
-        raise FitDataError(f"table shape {table.shape} is not (grid, pairs) "
-                           f"= ({len(grid)}, {len(pairs)})")
-    if table.size < 4:
+def _fit_data(grid: np.ndarray, levels: np.ndarray, max_level: int
+              ) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """(pairs, data): fit_transition_pairs(max_level) and their transitions
+    in levels; FitDataError unless they can be fit."""
+    pairs = fit_transition_pairs(max_level)
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 2 or levels.shape[0] != len(grid) \
+            or levels.shape[1] <= max_level:
+        raise FitDataError(f"levels shape {levels.shape} is not (grid, "
+                           f"> max_level) = ({len(grid)}, > {max_level})")
+    data = _transitions(levels, pairs)
+    if data.size < 4:
         raise FitDataError("need at least as many points as parameters")
-    if any(i < 0 or j <= i for i, j in pairs):
-        raise FitDataError("each transition must go up the level ladder")
-    if all(i != 0 for i, _ in pairs):
-        raise FitDataError("no ground-state transitions in the data")
-    if not np.isfinite(table).all():
-        raise FitDataError("transition table entries must be finite")
-    return table
+    if not np.isfinite(data).all():
+        raise FitDataError("transitions must be finite")
+    return pairs, data
 
 
-def ground_residual_mhz2(params: RabiParams, grid: np.ndarray,
-                         pairs: tuple[tuple[int, int], ...], table: np.ndarray,
-                         n_fock: int) -> float:
-    """Mean squared residual restricted to transitions from the ground
-    state, with the model at n_fock as in model_pair_table."""
-    table = _check_table(grid, pairs, table)
-    ground = [c for c, (i, _) in enumerate(pairs) if i == 0]
-    residuals = 1e3 * (model_pair_table(params, grid, pairs, n_fock) - table)
-    return float((residuals[:, ground].ravel() ** 2).mean())
+def fit_rabi(grid: np.ndarray, levels: np.ndarray, max_level: int,
+             initial: RabiParams) -> RabiFitResult:
+    """Fit the model to the circuit's levels from a mapped start.
 
-
-def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
-             table: np.ndarray, initial: RabiParams,
-             n_fock: int | None = None) -> RabiFitResult:
-    """Minimize the mean squared transition residual from a mapped start.
-
-    table[p, c] is transition pairs[c] at grid[p], in GHz; the residuals
-    run over it in row-major order.  Runs Levenberg-Marquardt on the signed
-    residuals from the start, then once more from the first minimum nudged
-    by RESTART_STEP, and keeps the lower minimum; converged requires both
+    levels[p] holds the circuit's lowest levels at grid[p], in GHz, at
+    least max_level + 1 of them; the data are their transitions
+    fit_transition_pairs(max_level), and the residuals run over them in
+    row-major order.  Runs Levenberg-Marquardt on the signed residuals
+    from the start, then once more from the first minimum nudged by
+    RESTART_STEP, and keeps the lower minimum; converged requires both
     runs to settle and to agree below 0.1% on every parameter (relative to
     1e-3 omega for a parameter smaller than that).  n_eval counts the
     evaluations of residuals and Jacobian, one stacked eigh each, over all
-    runs.  n_fock None takes the rung fock_rung picks at the start, and
-    where that rung does not hold at the fitted parameters, takes the rung
-    fock_rung picks there and fits once more from the start; converged then
-    also needs a rung below the ladder's top (the top is where no rung
-    settled).  converged needs the fock_shift of the final n_fock at the
-    fitted parameters below FOCK_TOL_GHZ.  Raises FitDataError for an
-    n_fock above the ladder's top, where fock_shift would describe a
-    smaller truncation.
+    runs.  The Fock truncation is the rung fock_rung picks at the start;
+    where that rung does not hold at the fitted parameters, the fit takes
+    the rung fock_rung picks there and runs once more from the start.
+    converged also needs the fock_shift of the final rung at the fitted
+    parameters below FOCK_TOL_GHZ and a rung below the ladder's top (the
+    top is where no rung settled).  One stacked eigvalsh at the fitted
+    parameters gives fitted and, with data, residual_mhz2.  Raises
+    FitDataError before any solve for levels or a start that cannot be
+    fit.
     """
-    table = _check_table(grid, pairs, table)
+    pairs, data = _fit_data(grid, levels, max_level)
     _check_params(initial)
-    if n_fock is not None and n_fock > RABI_FOCK_LADDER[-1]:
-        raise FitDataError(f"n_fock above {RABI_FOCK_LADDER[-1]}")
     grid = np.asarray(grid, dtype=float)
     probe = grid[[0, len(grid) // 2, -1]]
     start = np.array([getattr(initial, name) for name in PARAM_NAMES])
-    chosen = n_fock is None
-    if chosen:
-        n_fock = fock_rung(initial, probe)
+    n_fock = fock_rung(initial, probe)
 
     def with_theta(theta: np.ndarray) -> RabiParams:
         return replace(initial, **{name: float(value)
@@ -192,7 +178,7 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
         # unchecked: a step may leave the physical region and come back
         model, slopes = _table_and_jacobian(with_theta(theta), grid, pairs,
                                             n_fock)
-        return (1e3 * (model - table).ravel(),
+        return (1e3 * (model - data).ravel(),
                 1e3 * slopes.reshape(-1, len(PARAM_NAMES)))
 
     # The objective is even in g, so g = 0 (the mapped start at Lc = 0) is a
@@ -215,7 +201,7 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     first, second, best = fit_twice()
     params = with_theta(np.abs(best[0]))
     shift = fock_shift(params, probe, n_fock)
-    if chosen and shift >= FOCK_TOL_GHZ and n_fock < RABI_FOCK_LADDER[-1]:
+    if shift >= FOCK_TOL_GHZ and n_fock < RABI_FOCK_LADDER[-1]:
         n_fock = fock_rung(params, probe)
         first, second, best = fit_twice()
         params = with_theta(np.abs(best[0]))
@@ -225,14 +211,16 @@ def fit_rabi(grid: np.ndarray, pairs: tuple[tuple[int, int], ...],
     # gaps are judged against 1e-3 omega where a parameter is smaller, as in
     # the start lift: a fitted g near 0 must not inflate them
     spread = float((gap / np.maximum(theta, 1e-3 * theta[0])).max())
+    fitted = _transitions(rabi_energies(params, grid, n_fock), pairs)
+    ground = [c for c, (i, _) in enumerate(pairs) if i == 0]
+    misses = 1e3 * (fitted - data)[:, ground].ravel()
     return RabiFitResult(params=params,
-                         residual_mhz2=ground_residual_mhz2(params, grid, pairs,
-                                                            table, n_fock),
+                         residual_mhz2=float((misses ** 2).mean()),
                          objective_mhz2=float(np.mean(best[1] ** 2)),
                          n_eval=n_eval,
                          converged=(first[2] and second[2] and spread < 1e-3
                                     and shift < FOCK_TOL_GHZ
-                                    and not (chosen and n_fock
-                                             == RABI_FOCK_LADDER[-1])),
+                                    and n_fock < RABI_FOCK_LADDER[-1]),
                          restart_spread=spread, n_fock=n_fock,
-                         fock_shift_GHz=shift)
+                         fock_shift_GHz=shift, pairs=pairs, data=data,
+                         fitted=fitted)

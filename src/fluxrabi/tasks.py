@@ -38,8 +38,7 @@ from .coupled import (
     observables,
     truncation_check,
 )
-from .fitting import (RabiFitResult, fit_rabi, fit_transition_pairs,
-                      model_pair_table)
+from .fitting import RabiFitResult, fit_rabi
 from .perturbation import second_order_table
 from . import planewave
 from .planewave import PlaneWaveBasis, _shared, diagonalize_flux_qubit
@@ -162,7 +161,8 @@ def _probe(cfg: RunConfig, raw: RawCircuit, gauge: str) -> dict:
 
 
 def _fit_levels(cfg: RunConfig, raw: RawCircuit) -> np.ndarray:
-    """The fit data: levels[p] = the flux-gauge levels at grid[p]."""
+    """The levels fit_rabi reads: levels[p] = the flux-gauge levels at
+    grid[p]."""
     return np.array([_levels("flux", replace(raw, phix=phix), cfg.numerics)
                      for phix in cfg.phix_grid])
 
@@ -363,18 +363,18 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
     """
     rows = []
     grid = cfg.phix_grid
-    pairs = fit_transition_pairs(cfg.numerics.fit_levels)
-    lower, upper = np.array(pairs).T
     probes = {f"Lc={lc}/flux": _probe(cfg, raw, "flux")
               for lc, raw in cfg.circuits()}
     detail = {}
     for lc, raw in cfg.circuits():
         levels = _fit_levels(cfg, raw)
-        table = levels[:, upper] - levels[:, lower]
-        rows += _pair_rows(lc, "flux", "eigenbasis-product", "data_transition",
-                           grid, pairs, table)
         for variant in GAUGES:
-            result = fit_rabi(grid, pairs, table, _reduction(raw, variant)[1])
+            result = fit_rabi(grid, levels, cfg.numerics.fit_levels,
+                              _reduction(raw, variant)[1])
+            if variant == "flux":
+                rows += _pair_rows(lc, "flux", "eigenbasis-product",
+                                   "data_transition", grid, result.pairs,
+                                   result.data)
             params = result.params
             rows += _scalar_rows(lc, variant, "fit", (
                 ("fitted_omega", params.omega, "GHz"),
@@ -382,8 +382,7 @@ def task_rabi_fit(cfg: RunConfig) -> TaskResult:
                 ("fitted_g", params.g, "GHz"), ("fitted_Ip", params.Ip, "nA"),
                 ("fit_residual", result.residual_mhz2, "MHz^2")))
             rows += _pair_rows(lc, variant, "fit", "fitted_transition", grid,
-                               pairs, model_pair_table(params, grid, pairs,
-                                                       result.n_fock))
+                               result.pairs, result.fitted)
             detail[f"Lc={lc}/{variant}"] = _fit_detail(result)
     return _result(cfg, "rabi-fit", rows, fits=detail,
                    fit_data_convergence=probes,
@@ -522,10 +521,7 @@ def compute_regression_values(cfg: RunConfig) -> tuple[dict, dict]:
     raw, grid = cfg.circuit_at(350.0), cfg.phix_grid
     levels = _fit_levels(cfg, raw)
     for max_level in (3, 7):
-        pairs = fit_transition_pairs(max_level)
-        lower, upper = np.array(pairs).T
-        table = levels[:, upper] - levels[:, lower]
-        result = fit_rabi(grid, pairs, table, _reduction(raw, "flux")[1])
+        result = fit_rabi(grid, levels, max_level, _reduction(raw, "flux")[1])
         values[f"fit{max_level}_350_omega_GHz"] = result.params.omega
         values[f"fit{max_level}_350_Delta_q_GHz"] = result.params.Delta_q
         values[f"fit{max_level}_350_g_GHz"] = result.params.g

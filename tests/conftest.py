@@ -16,7 +16,7 @@ import scipy.sparse.linalg
 from fluxrabi.circuit import gauge_circuit
 from fluxrabi.config import reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis
-from fluxrabi.fitting import fit_rabi, fit_transition_pairs
+from fluxrabi.fitting import fit_rabi
 from fluxrabi.perturbation import second_order_table
 from fluxrabi.qubit import characterize_qubit
 from fluxrabi.rabi import map_circuit_to_rabi
@@ -69,19 +69,10 @@ def coupled_fit_levels(lc):
 
 
 @lru_cache(maxsize=None)
-def fit_data(lc, max_level):
-    """table[p, c] = transition fit_transition_pairs(max_level)[c] at
-    FIT_GRID[p], from the exact flux-gauge levels."""
-    energies = coupled_fit_levels(lc)
-    return np.column_stack([energies[:, j] - energies[:, i]
-                            for i, j in fit_transition_pairs(max_level)])
-
-
-@lru_cache(maxsize=None)
 def fit_result(lc, variant, max_level=3):
-    """Spectrum fit of one model variant to the exact flux-gauge data."""
-    return fit_rabi(FIT_GRID, fit_transition_pairs(max_level),
-                    fit_data(lc, max_level), mapped_params(lc, variant))
+    """Spectrum fit of one model variant to the exact flux-gauge levels."""
+    return fit_rabi(FIT_GRID, coupled_fit_levels(lc), max_level,
+                    mapped_params(lc, variant))
 
 
 @pytest.fixture(scope="session")

@@ -12,12 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fluxrabi.fitting as fitting
 import fluxrabi.planewave as planewave
+import fluxrabi.rabi as rabi
 import fluxrabi.tasks as tasks
 from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import TASK_NAMES, NumericsConfig, reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis, observables
-from fluxrabi.fitting import RabiFitResult
+from fluxrabi.fitting import RabiFitResult, fit_transition_pairs
 from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
 from fluxrabi.qubit import PHIX_FIT_GRID
 from fluxrabi.tasks import (
@@ -453,11 +455,14 @@ def test_rabi_fit_flags_unconverged_fit_data(monkeypatch, tmp_path):
     # at Lc = 350 pH the (6, 40) flux-gauge levels shift by megahertz when
     # the truncation doubles; rabi-fit must flag its fit data even when
     # every fit converges
-    def converged_fit(grid, pairs, table, initial):
+    def converged_fit(grid, levels, max_level, initial):
+        pairs = fit_transition_pairs(max_level)
+        table = np.zeros((len(grid), len(pairs)))
         return RabiFitResult(params=initial, residual_mhz2=0.0,
                              objective_mhz2=0.0, n_eval=0, converged=True,
                              restart_spread=0.0, n_fock=10,
-                             fock_shift_GHz=0.0)
+                             fock_shift_GHz=0.0, pairs=pairs, data=table,
+                             fitted=table)
 
     monkeypatch.setattr(tasks, "fit_rabi", converged_fit)
     numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40)
@@ -479,8 +484,8 @@ def test_rabi_fit_converges_from_decoupled_start(monkeypatch, tmp_path):
     results = {}
     fit = tasks.fit_rabi
 
-    def recorded(grid, pairs, table, initial):
-        results[initial.variant] = fit(grid, pairs, table, initial)
+    def recorded(grid, levels, max_level, initial):
+        results[initial.variant] = fit(grid, levels, max_level, initial)
         return results[initial.variant]
 
     monkeypatch.setattr(tasks, "fit_rabi", recorded)
@@ -495,6 +500,35 @@ def test_rabi_fit_converges_from_decoupled_start(monkeypatch, tmp_path):
         assert result.converged
         assert result.params.g > 1e-3
         assert result.objective_mhz2 < bound[variant] * (1 + 1e-9)
+
+
+def test_rabi_fit_solves_the_model_only_inside_the_fit(monkeypatch):
+    # the fitted transitions rabi-fit writes are the ones each fit returns,
+    # so no model Hamiltonian is built outside fit_rabi
+    built = {"inside": 0, "outside": 0}
+    depth = 0
+    hamiltonian, fit = rabi.rabi_hamiltonian, tasks.fit_rabi
+
+    def counted(*args):
+        built["inside" if depth else "outside"] += 1
+        return hamiltonian(*args)
+
+    def fit_counted(*args):
+        nonlocal depth
+        depth += 1
+        try:
+            return fit(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(rabi, "rabi_hamiltonian", counted)
+    monkeypatch.setattr(fitting, "rabi_hamiltonian", counted)
+    monkeypatch.setattr(tasks, "fit_rabi", fit_counted)
+    numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40,
+                              verify=False)
+    tasks.task_rabi_fit(small_config(tasks=("rabi-fit",), numerics=numerics))
+    assert built["inside"] > 0
+    assert built["outside"] == 0
 
 
 def test_run_raises_exit_code_on_convergence_flag(tmp_path):
@@ -667,9 +701,9 @@ def test_regression_records_fit_convergence(monkeypatch, tmp_path):
     # record sits under fits
     fit = tasks.fit_rabi
 
-    def unsettled(grid, pairs, table, initial):
-        result = fit(grid, pairs, table, initial)
-        return dataclasses.replace(result, converged=len(pairs) != 7)
+    def unsettled(grid, levels, max_level, initial):
+        result = fit(grid, levels, max_level, initial)
+        return dataclasses.replace(result, converged=max_level != 7)
 
     monkeypatch.setattr(tasks, "fit_rabi", unsettled)
     numerics = NumericsConfig(gauge="flux", n_qubit=6, n_fock=40,
