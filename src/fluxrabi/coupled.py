@@ -9,11 +9,9 @@ Two constructions of the same spectrum:
   levels without vectors, or the lowest n_states eigenpairs, on the one
   form of the product matrix: its band, written by _band as the bare
   energies and the blocks c X[m, m + 1] K, with no Kronecker product.
-  One rule picks the path: while the levels the call solves for,
-  max(N_COUPLED_LEVELS, n_states), are fewer than the product dimension,
-  a shift-invert Lanczos solve on the band's Cholesky factor
-  (_shift_invert); otherwise LAPACK's banded solver for every level of
-  the band.
+  One path solves every call: a shift-invert Lanczos solve on the band's
+  Cholesky factor (_shift_invert) for max(N_COUPLED_LEVELS, n_states)
+  levels, which must be fewer than the product dimension.
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -64,8 +62,11 @@ QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
 CONVERGENCE_LIMIT_GHZ = 1e-3
 
 # Entries of a qubit element table under this fraction of its largest are
-# rounding noise to the perturbation sums.
-TABLE_NOISE = 1e-12
+# rounding noise to the perturbation sums: at phix = 0.5 the parity-
+# forbidden entries of the 6-level tables reach 2.3e-12 of it and the
+# allowed ones are at least 2.5e-2 of it; at phix = 0.5006 the smallest
+# flux-gauge entry is 1.7e-5 of it.
+TABLE_NOISE = 1e-10
 
 # Qubit levels the second-order perturbation sums run over; the coupling of
 # every eigenbasis build tabulates at least these.
@@ -113,8 +114,8 @@ class CoupledSpectrum:
     """Eigensolution of the eigenbasis-product build in one gauge.
 
     energies in GHz, ascending: the lowest n_states levels, or the lowest
-    min(N_COUPLED_LEVELS, dim) with n_states None, where dim = n_fock
-    n_qubit is the product dimension.  vectors holds the matching real
+    N_COUPLED_LEVELS with n_states None, either count below the product
+    dimension dim = n_fock n_qubit.  vectors holds the matching real
     eigencolumns, shape (dim, n_states), each of arbitrary sign, or None
     with n_states None.  coupling is the product coupling the build
     assembled from, tabulated at max(n_qubit, N_PERT_LEVELS) qubit levels;
@@ -282,40 +283,27 @@ def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
                              n_fock: int,
                              n_states: int | None = None) -> CoupledSpectrum:
     """The one eigenbasis-product solve, in the Fock (x) qubit-eigenstate
-    product basis: the lowest min(N_COUPLED_LEVELS, dim) levels and no
-    vectors with n_states None (the levels call), else the lowest n_states
-    eigenpairs (the states call), with dim = n_qubit n_fock and n_states in
-    1 .. dim (else ValueError).
+    product basis: the lowest N_COUPLED_LEVELS levels and no vectors with
+    n_states None (the levels call), else the lowest n_states eigenpairs
+    (the states call).
 
-    circuit_coupling at max(n_qubit, N_PERT_LEVELS) qubit levels and its
-    _band; nothing dense at any dimension.  One rule picks the path: while
-    the solve's max(N_COUPLED_LEVELS, n_states) levels are fewer than dim,
-    it is the shift-invert Lanczos solve of _shift_invert; otherwise
-    scipy.linalg.eig_banded takes every level of the band, with vectors
-    when n_states is given, keeping the lowest n_states.
+    circuit_coupling at max(n_qubit, N_PERT_LEVELS) qubit levels, its
+    _band, and the shift-invert Lanczos solve of _shift_invert for
+    max(N_COUPLED_LEVELS, n_states) levels; nothing dense at any
+    dimension.  Lanczos solves for fewer levels than the operator has, so
+    that count must be below the product dimension n_qubit n_fock, and
+    n_states at least 1, else ValueError before any solve.
     """
-    import scipy.linalg
-
-    dim = n_qubit * n_fock
-    if n_states is not None and not 1 <= n_states <= dim:
-        raise ValueError(f"n_states must be in 1 .. {dim}, the product "
-                         f"dimension, not {n_states}")
+    if n_states is not None and n_states < 1:
+        raise ValueError(f"n_states must be at least 1, not {n_states}")
+    solved = max(N_COUPLED_LEVELS, n_states or 0)
+    if not solved < n_qubit * n_fock:
+        raise ValueError(
+            f"max({N_COUPLED_LEVELS}, n_states) must be below the product "
+            f"dimension n_qubit * n_fock = {n_qubit * n_fock}, not {solved}")
     coupling = circuit_coupling(gauge, raw, max(n_qubit, N_PERT_LEVELS))
-    band = _band(coupling, n_fock, n_qubit)
-    vectors = None
-    if max(N_COUPLED_LEVELS, n_states or 0) < dim:
-        energies, vectors = _shift_invert(band, n_states)
-    else:
-        try:
-            solved = scipy.linalg.eig_banded(band,
-                                             eigvals_only=n_states is None)
-        except np.linalg.LinAlgError as err:
-            raise EigensolveError(
-                f"banded coupled eigensolve failed: {err}") from err
-        if n_states is None:
-            energies = solved
-        else:
-            energies, vectors = solved[0][:n_states], solved[1][:, :n_states]
+    energies, vectors = _shift_invert(_band(coupling, n_fock, n_qubit),
+                                      n_states)
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
@@ -328,7 +316,7 @@ def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
     """
     levels, doubled = (_shared(build_coupled_eigenbasis, gauge, raw,
                                k * n_qubit, k * n_fock).energies for k in (1, 2))
-    shift = float(np.abs(levels - doubled[:len(levels)]).max())
+    shift = float(np.abs(levels - doubled).max())
     return shift, shift < CONVERGENCE_LIMIT_GHZ
 
 

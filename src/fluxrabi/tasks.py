@@ -192,16 +192,14 @@ def _qubit_solve(raw: RawCircuit):
 
 def _states(gauge, raw, num):
     """The coupled states call observables and perturbation share at a
-    point: the eigenpairs of num.n_states, at least N_PERT_STATES and at
-    most the product dimension.
+    point: the eigenpairs of num.n_states, at least N_PERT_STATES.
 
     The extra vectors cost nothing, and observables' bytes do not move:
     the Lanczos solve is for max(N_COUPLED_LEVELS, n_states) levels either
-    way, and the banded solve takes every level.
+    way.
     """
-    n_states = min(max(num.n_states, N_PERT_STATES), num.n_qubit * num.n_fock)
     return _shared(build_coupled_eigenbasis, gauge, raw, num.n_qubit,
-                   num.n_fock, n_states)
+                   num.n_fock, max(num.n_states, N_PERT_STATES))
 
 
 def _qubit_level_rows(gauge, raw, num):
@@ -453,10 +451,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
                          "lowest8_gauge_gap", coord, gap, "GHz"))
             rows.append((lc, raw.phix, "-", "eigenbasis-product",
                          "transition_gauge_gap", coord, trans_gap, "GHz"))
-        eigen = _levels("flux", raw, cfg.numerics)
-        # a truncation below 8 product states has fewer levels to compare
-        plane = build_coupled_planewave("flux", raw)[:len(eigen)]
-        cross = float(np.abs(eigen - plane).max())
+        cross = float(np.abs(_levels("flux", raw, cfg.numerics)
+                             - build_coupled_planewave("flux", raw)).max())
         rows.append((lc, raw.phix, "flux", "planewave-product",
                      "planewave_vs_eigenbasis_gap",
                      f"{cfg.numerics.n_qubit}x{cfg.numerics.n_fock}",

@@ -295,7 +295,7 @@ def second_order_terms(coupling, gauge, photon, level):
     and visits every off-diagonal element <s|V|t> of the row of
     s = |photon, level> (the row, as K is symmetric only to 1e-12 of its
     scale and the library reads K[level, j]).  A nonzero element whose
-    qubit factor K[level, j] exceeds 1e-12 of max |K| (smaller ones are
+    qubit factor K[level, j] exceeds 1e-10 of max |K| (smaller ones are
     rounding noise) gives the term |V_st|^2 / (E_s - E_t), unless
     |E_s - E_t| is below 1e-3 GHz; then t is listed by its (photon, level)
     pair instead.
@@ -311,7 +311,7 @@ def second_order_terms(coupling, gauge, photon, level):
     bare = np.add.outer(coupling.omega * (np.arange(n_fock) + 0.5),
                         coupling.qubit_energies).ravel()
     s = photon * n_levels + level
-    noise = 1e-12 * np.abs(coupling.qubit_elements).max()
+    noise = 1e-10 * np.abs(coupling.qubit_elements).max()
     terms = np.zeros(n_fock * n_levels)
     excluded = []
     for t in range(len(bare)):

@@ -90,6 +90,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, small_doc(), name="ok.json")
     assert main(["run", "--config", cfg, "--tasks", "bogus"]) == 2
     assert "config error" in capsys.readouterr().err
+    # (2, 4) has 8 product states, as many as every coupled solve finds
+    cfg = write_doc(tmp_path, small_doc(n_qubit=2, n_fock=4), name="small.json")
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert ("max(8, n_states) must be below n_qubit * n_fock"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_empty_out_flag_exits_2(tmp_path, capsys):

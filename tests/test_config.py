@@ -201,11 +201,12 @@ def test_numerics_validation():
     ("numerics", "verify", "no", "verify"),
     # each sweep point keeps 8 levels, so fit pairs reach level 7 at most
     ("numerics", "fit_levels", 8, "fit_levels"),
-    # a (1, 2) truncation has two levels: fit level 2 and state 3 are absent
-    ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 2,
+    # at the smallest truncation solved, (1, 9), fit level 8 is still
+    # refused, and so are as many states as the product dimension
+    ("numerics", None, {"n_qubit": 1, "n_fock": 9, "fit_levels": 8,
                         "n_states": 1}, "fit_levels"),
-    ("numerics", None, {"n_qubit": 1, "n_fock": 2, "fit_levels": 1,
-                        "n_states": 4}, "n_states"),
+    ("numerics", None, {"n_qubit": 1, "n_fock": 9, "fit_levels": 1,
+                        "n_states": 9}, "n_states"),
     ("output", "directory", None, "output directory"),
     ("output", "directory", 5, "output directory"),
     ("output", "directory", ["x"], "output directory"),
@@ -222,14 +223,10 @@ def test_malformed_values_rejected(section, key, value, match):
 
 
 @pytest.mark.parametrize("task, n_qubit, n_fock, match", [
-    # the regression fit 7 reads coupled levels 0 .. 7
-    ("regression", 1, 6, "regression"),
-    ("regression", 7, 1, "regression"),
     # perturbation reads |1,g> and |1,e> at indices 2 and 3; with one
     # qubit level they are |2,g> and |3,g>, with one Fock state absent
-    ("perturbation", 1, 3, "perturbation"),
-    ("perturbation", 1, 8, "perturbation"),
-    ("perturbation", 8, 1, "perturbation"),
+    ("perturbation", 1, 9, "perturbation"),
+    ("perturbation", 9, 1, "perturbation"),
 ])
 def test_truncation_too_small_for_task_rejected(task, n_qubit, n_fock, match):
     doc = minimal_doc()
@@ -244,9 +241,9 @@ def test_truncation_too_small_for_task_rejected(task, n_qubit, n_fock, match):
 
 
 @pytest.mark.parametrize("task, n_qubit, n_fock", [
-    ("regression", 1, 8),
-    ("regression", 2, 4),
-    ("perturbation", 2, 2),
+    ("regression", 1, 9),
+    ("regression", 3, 3),
+    ("perturbation", 2, 5),
 ])
 def test_smallest_truncation_for_task_accepted(task, n_qubit, n_fock):
     doc = minimal_doc()
@@ -257,17 +254,38 @@ def test_smallest_truncation_for_task_accepted(task, n_qubit, n_fock):
 
 
 @pytest.mark.parametrize("n_qubit, n_fock, n_states", [
-    # every state of the product dimension, which the banded solver takes
-    # at any size, or one fewer, which the Lanczos solve takes
-    (8, 64, 512),
+    # one state fewer than the product dimension, the most a Lanczos solve
+    # takes
+    (8, 64, 511),
     (8, 80, 639),
-    (8, 80, 640),
 ])
 def test_largest_n_states_accepted(n_qubit, n_fock, n_states):
     doc = minimal_doc()
     doc["numerics"] = {"n_qubit": n_qubit, "n_fock": n_fock,
                        "fit_levels": 1, "n_states": n_states}
     assert parse_config(doc).numerics.n_states == n_states
+
+
+@pytest.mark.parametrize("n_qubit, n_fock, n_states", [
+    # every coupled solve is a Lanczos solve for max(8, n_states) levels,
+    # which must be fewer than the product dimension, whatever the tasks
+    (1, 1, 1),
+    (1, 8, 1),
+    (2, 4, 4),
+    (3, 3, 9),
+    (8, 64, 512),
+    (8, 80, 640),
+])
+def test_truncation_without_room_for_the_solve_rejected(n_qubit, n_fock,
+                                                        n_states):
+    doc = minimal_doc()
+    doc["tasks"] = ["qubit-spectrum"]
+    doc["numerics"] = {"n_qubit": n_qubit, "n_fock": n_fock,
+                       "fit_levels": 1, "n_states": n_states}
+    with pytest.raises(ConfigError, match=(
+            r"numerics: max\(8, n_states\) must be below n_qubit \* n_fock, "
+            "the product dimension")):
+        parse_config(doc)
 
 
 def test_overrides_and_workers():

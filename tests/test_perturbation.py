@@ -105,16 +105,16 @@ def test_second_order_table_matches_brute_force_property(data):
     _assert_matches_brute_force(coupling, gauge, photon, level)
 
 
-@pytest.mark.parametrize("lc", [20.0, 350.0])
+@pytest.mark.parametrize("lc", [20.0, 100.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_parity_forbidden_contributions_are_exactly_zero(lc, gauge):
     # at phix = 0.5 the qubit states alternate in parity and both phase and
     # charge are odd, so K[level, j] with level + j even is rounding noise
-    # (4.3e-13 of max |K| for K[0, 0] at 20 pH, flux gauge); the levels the
-    # perturbation task reads route nothing through them
+    # (up to 2.3e-12 of max |K|, K[5, 5] at 20 pH, flux gauge); no level of
+    # the table routes anything through them
     coupling = circuit_coupling(gauge, circuit_parts(lc).raw)
     for photon in (0, 1):
-        for level in (0, 1):
+        for level in range(len(coupling.qubit_energies)):
             table = second_order_table(coupling, photon, level)
             assert np.all(table.contributions[level::2] == 0.0)
             assert np.all(table.contributions[1 - level::2] != 0.0)
