@@ -15,6 +15,7 @@ import numpy as np
 
 from .circuit import RawCircuit
 from .constants import N_COUPLED_LEVELS
+from .coupled import QUBIT_LEVEL_LIMIT
 
 SCHEMA_VERSION = 1
 
@@ -108,6 +109,16 @@ class RunConfig:
         # perturbation reads |1,g> and |1,e> at indices 2 and 3
         if "perturbation" in self.tasks and min(num.n_qubit, num.n_fock) < 2:
             raise ConfigError("perturbation needs n_qubit >= 2 and n_fock >= 2")
+        # every coupled solve tabulates n_qubit qubit levels, and the verify
+        # probe of these tasks twice that
+        probed = num.verify and any(task in self.tasks for task in (
+            "circuit-spectrum", "rabi-fit", "regression"))
+        needed = num.n_qubit * (2 if probed else 1)
+        if needed > QUBIT_LEVEL_LIMIT:
+            raise ConfigError(
+                f"numerics: {needed} qubit levels needed (n_qubit"
+                f"{', doubled by verify' if probed else ''}); the qubit basis "
+                f"resolves {QUBIT_LEVEL_LIMIT}")
         try:
             self.circuits()
         except ValueError as exc:

@@ -5,13 +5,12 @@ Two constructions of the same spectrum:
 * eigenbasis product: analytic oscillator Fock states times numerically
   computed qubit eigenstates, with the coupling expressed through ladder
   and qubit matrix elements.  Truncation set by (n_fock, n_qubit).  One
-  call, build_coupled_eigenbasis, solves it: the lowest N_COUPLED_LEVELS
-  levels without vectors, or the lowest n_states eigenpairs, on the one
-  form of the product matrix: its band, written by _band as the bare
-  energies and the blocks c X[m, m + 1] K, with no Kronecker product.
-  One path solves every call: a shift-invert Lanczos solve on the band's
-  Cholesky factor (_shift_invert) for max(N_COUPLED_LEVELS, n_states)
-  levels, which must be fewer than the product dimension.
+  call, build_coupled_eigenbasis, solves it, with one result: the lowest
+  max(N_COUPLED_LEVELS, n_states) eigenpairs, fewer than the product
+  dimension, of the one form of the product matrix: its band, written by
+  _band as the bare energies and the blocks c X[m, m + 1] K, with no
+  Kronecker product.  The solve is shift-invert Lanczos on the band's
+  Cholesky factor (_shift_invert).
 * plane-wave product: the direct tensor product of the two plane-wave
   bases, where both flux operators are diagonal (flux gauge) or both
   charge operators are kernel matrices (charge gauge).  Free of eigenbasis
@@ -29,8 +28,8 @@ oscillator side from the one ladder, constants.fock_ladder, and the gauge
 lives in K alone.
 circuit_coupling builds that ProductCoupling once per bias point, and the
 eigenbasis builds, the perturbation sums and the observables all read
-slices of it.  truncation_check compares two levels calls, the second at
-both truncations doubled, each shared within a run (planewave._shared).
+slices of it.  truncation_check compares two solves, the second at both
+truncations doubled, each shared within a run (planewave._shared).
 """
 
 from __future__ import annotations
@@ -113,17 +112,16 @@ class ProductCoupling:
 class CoupledSpectrum:
     """Eigensolution of the eigenbasis-product build in one gauge.
 
-    energies in GHz, ascending: the lowest n_states levels, or the lowest
-    N_COUPLED_LEVELS with n_states None, either count below the product
-    dimension dim = n_fock n_qubit.  vectors holds the matching real
-    eigencolumns, shape (dim, n_states), each of arbitrary sign, or None
-    with n_states None.  coupling is the product coupling the build
+    energies in GHz, ascending: the lowest max(N_COUPLED_LEVELS, n_states)
+    levels, fewer than the product dimension dim = n_fock n_qubit.  vectors
+    holds the matching real eigencolumns, shape (dim, len(energies)), each
+    of arbitrary sign.  coupling is the product coupling the build
     assembled from, tabulated at max(n_qubit, N_PERT_LEVELS) qubit levels;
     the oscillator side of any n_fock comes from the ladder.
     """
 
     energies: np.ndarray
-    vectors: np.ndarray | None
+    vectors: np.ndarray
     gauge: str
     dims: tuple[int, int]
     coupling: ProductCoupling
@@ -205,11 +203,9 @@ def _band(coupling: ProductCoupling, n_fock: int, n_qubit: int) -> np.ndarray:
 
 
 def _lowest_levels(matvec, dim: int, what: str,
-                   n_states: int | None = None):
-    """(energies, vectors), ascending, of the real symmetric operator matvec
-    of dimension dim: the lowest N_COUPLED_LEVELS levels and None, or with
-    n_states the lowest n_states eigenpairs of a solve for
-    max(N_COUPLED_LEVELS, n_states), which must be below dim.
+                   n_levels: int = N_COUPLED_LEVELS):
+    """(energies, vectors): the lowest n_levels eigenpairs, ascending, of
+    the real symmetric operator matvec of dimension dim, n_levels below dim.
 
     ARPACK's Lanczos solver (scipy.sparse.linalg.eigsh, smallest algebraic,
     tol 1e-13, from a seeded start vector so the bytes repeat), shared by
@@ -222,20 +218,16 @@ def _lowest_levels(matvec, dim: int, what: str,
 
     start = np.random.default_rng(0).standard_normal(dim)
     try:
-        solved = eigsh(LinearOperator((dim, dim), matvec=matvec, dtype=float),
-                       k=max(N_COUPLED_LEVELS, n_states or 0), which="SA",
-                       tol=1e-13, v0=start,
-                       return_eigenvectors=n_states is not None)
+        levels, vectors = eigsh(
+            LinearOperator((dim, dim), matvec=matvec, dtype=float),
+            k=n_levels, which="SA", tol=1e-13, v0=start)
     except ArpackError as err:
         raise EigensolveError(f"{what} eigensolve failed: {err}") from err
-    if n_states is None:
-        return np.sort(solved), None
-    levels, vectors = solved
-    order = np.argsort(levels)[:n_states]
+    order = np.argsort(levels)
     return levels[order], vectors[:, order]
 
 
-def _shift_invert(band: np.ndarray, n_states: int | None):
+def _shift_invert(band: np.ndarray, n_levels: int):
     """_lowest_levels of the matrix H whose upper band is band, by the
     spectral transformation: the lowest levels E of H are the best
     separated levels theta = -1 / (E - sigma) of -(H - sigma I)^-1
@@ -275,35 +267,32 @@ def _shift_invert(band: np.ndarray, n_states: int | None):
     def apply(v):
         return -pbtrs(factor, v)[0]
 
-    theta, vectors = _lowest_levels(apply, band.shape[1], what, n_states)
+    theta, vectors = _lowest_levels(apply, band.shape[1], what, n_levels)
     return sigma - 1.0 / theta, vectors
 
 
-def build_coupled_eigenbasis(gauge: str, raw: RawCircuit, n_qubit: int,
-                             n_fock: int,
-                             n_states: int | None = None) -> CoupledSpectrum:
+def build_coupled_eigenbasis(
+        gauge: str, raw: RawCircuit, n_qubit: int, n_fock: int,
+        n_states: int = N_COUPLED_LEVELS) -> CoupledSpectrum:
     """The one eigenbasis-product solve, in the Fock (x) qubit-eigenstate
-    product basis: the lowest N_COUPLED_LEVELS levels and no vectors with
-    n_states None (the levels call), else the lowest n_states eigenpairs
-    (the states call).
+    product basis: the lowest max(N_COUPLED_LEVELS, n_states) eigenpairs.
 
     circuit_coupling at max(n_qubit, N_PERT_LEVELS) qubit levels, its
-    _band, and the shift-invert Lanczos solve of _shift_invert for
-    max(N_COUPLED_LEVELS, n_states) levels; nothing dense at any
-    dimension.  Lanczos solves for fewer levels than the operator has, so
-    that count must be below the product dimension n_qubit n_fock, and
-    n_states at least 1, else ValueError before any solve.
+    _band, and the shift-invert Lanczos solve of _shift_invert; nothing
+    dense at any dimension.  Lanczos solves for fewer levels than the
+    operator has, so that count must be below the product dimension
+    n_qubit n_fock, and n_states at least 1, else ValueError before any
+    solve.
     """
-    if n_states is not None and n_states < 1:
+    if n_states < 1:
         raise ValueError(f"n_states must be at least 1, not {n_states}")
-    solved = max(N_COUPLED_LEVELS, n_states or 0)
+    solved = max(N_COUPLED_LEVELS, n_states)
     if not solved < n_qubit * n_fock:
         raise ValueError(
             f"max({N_COUPLED_LEVELS}, n_states) must be below the product "
             f"dimension n_qubit * n_fock = {n_qubit * n_fock}, not {solved}")
     coupling = circuit_coupling(gauge, raw, max(n_qubit, N_PERT_LEVELS))
-    energies, vectors = _shift_invert(_band(coupling, n_fock, n_qubit),
-                                      n_states)
+    energies, vectors = _shift_invert(_band(coupling, n_fock, n_qubit), solved)
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)
 
@@ -315,7 +304,8 @@ def truncation_check(gauge: str, raw: RawCircuit, n_qubit: int,
     2 n_fock), and whether it is under CONVERGENCE_LIMIT_GHZ.
     """
     levels, doubled = (_shared(build_coupled_eigenbasis, gauge, raw,
-                               k * n_qubit, k * n_fock).energies for k in (1, 2))
+                               k * n_qubit, k * n_fock,
+                               N_COUPLED_LEVELS).energies for k in (1, 2))
     shift = float(np.abs(levels - doubled).max())
     return shift, shift < CONVERGENCE_LIMIT_GHZ
 
@@ -375,12 +365,9 @@ def observables(spec: CoupledSpectrum,
     """Photon number, flux expectations, and loop currents of every
     eigenstate the spectrum holds, ground state first.
 
-    One pass over the (n_states, n_fock, n_qubit) block of the vectors and
-    one 2 x 2 solve for the currents of all states.  A spectrum built with
-    n_states None carries no eigenvectors and is rejected.
+    One pass over the (states, n_fock, n_qubit) block of the vectors and
+    one 2 x 2 solve for the currents of all states.
     """
-    if spec.vectors is None:
-        raise ValueError("observables needs a spectrum built with vectors")
     circuit = gauge_circuit(spec.gauge, raw)
     n_fock, n_qubit = spec.dims
     qubit_phase = spec.coupling.qubit_phase[:n_qubit, :n_qubit]

@@ -9,13 +9,12 @@ quantity's rows in the order their producer writes them.  A point function
 depends only on its arguments, so the rows are bit-identical for any
 worker count.  Solves run once per run, through a memo (planewave._shared)
 that lives only while run runs, keyed on the solver and its positional
-arguments, and hands out read-only arrays: each coupled call (circuit-
-spectrum's levels, the rabi-fit and regression fit data, the truncation
-probes, the gauge-check rungs, and the states call observables and
-perturbation share), each two-level reduction, keyed on the qubit node, and
-each qubit-node solve, keyed on (node, bias).  So the charge-gauge node, the
-same at every Lc, is solved and reduced once for all Lc.  A pool child
-solves for itself, and a point function called outside run solves fresh.
+arguments, and hands out read-only arrays: each coupled solve, one per
+(gauge, bias, truncation) whatever task reads it (_point), each two-level
+reduction, keyed on the qubit node, and each qubit-node solve, keyed on
+(node, bias).  So the charge-gauge node, the same at every Lc, is solved
+and reduced once for all Lc.  A pool child solves for itself, and a point
+function called outside run solves fresh.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .circuit import GAUGES, RawCircuit, gauge_circuit
 from .config import RunConfig
-from .constants import PACKAGE_VERSION
+from .constants import N_COUPLED_LEVELS, PACKAGE_VERSION
 from .coupled import (
     N_PERT_LEVELS,
     build_coupled_eigenbasis,
@@ -55,9 +54,6 @@ TRUNCATION_LADDER = ((4, 10), (6, 20), (6, 40), (8, 60), (12, 80))
 
 # Qubit levels the plane-wave qubit tasks report.
 N_QUBIT_LEVELS = 6
-
-# Eigenpairs the perturbation rows read: |1,g> and |1,e> sit at 2 and 3.
-N_PERT_STATES = 4
 
 OBSERVABLE_UNITS = (("photon_number", "1"), ("flux_1", "rad"),
                     ("flux_2", "rad"), ("current_1", "nA"),
@@ -190,27 +186,23 @@ def _qubit_solve(raw: RawCircuit):
                    PlaneWaveBasis.for_qubit())
 
 
-def _states(gauge, raw, num):
-    """The coupled states call observables and perturbation share at a
-    point: the eigenpairs of num.n_states, at least N_PERT_STATES.
-
-    The extra vectors cost nothing, and observables' bytes do not move:
-    the Lanczos solve is for max(N_COUPLED_LEVELS, n_states) levels either
-    way.
-    """
+def _point(gauge, raw, num):
+    """The one coupled solve of a point that every task reads, shared
+    within a run.  With n_states at most N_COUPLED_LEVELS its arguments
+    are those of truncation_check and the gauge-check rungs, so they share
+    it too."""
     return _shared(build_coupled_eigenbasis, gauge, raw, num.n_qubit,
-                   num.n_fock, max(num.n_states, N_PERT_STATES))
+                   num.n_fock, max(N_COUPLED_LEVELS, num.n_states))
+
+
+def _levels(gauge, raw, num):
+    """The lowest N_COUPLED_LEVELS levels of the point's solve."""
+    return _point(gauge, raw, num).energies[:N_COUPLED_LEVELS]
 
 
 def _qubit_level_rows(gauge, raw, num):
     energies = _qubit_solve(raw).energies[:N_QUBIT_LEVELS]
     return _level_tails("planewave", [float(e) for e in energies])
-
-
-def _levels(gauge, raw, num):
-    """The levels call at a point, shared within a run."""
-    return _shared(build_coupled_eigenbasis, gauge, raw, num.n_qubit,
-                   num.n_fock).energies
 
 
 def _level_rows(gauge, raw, num):
@@ -219,7 +211,7 @@ def _level_rows(gauge, raw, num):
 
 
 def _observable_rows(gauge, raw, num):
-    states = observables(_states(gauge, raw, num), raw)[:num.n_states]
+    states = observables(_point(gauge, raw, num), raw)[:num.n_states]
     return [("eigenbasis-product", name, state, getattr(obs, name), unit)
             for state, obs in enumerate(states)
             for name, unit in OBSERVABLE_UNITS]
@@ -243,13 +235,12 @@ def _perturbation_rows(gauge, raw, num):
     """Dispersive shifts; first_order_max_abs is NaN at guarded points and
     0.0 elsewhere, since X has no diagonal in either gauge.
 
-    The exact shifts and the sums both read the states call observables
-    makes (_states), the sums through the N_PERT_LEVELS slice of the
-    coupling it assembled from: one qubit solve per point, and within a
-    run one coupled solve for both tasks and one qubit solve per (node,
-    bias) for every task.
+    The exact shifts and the sums both read the point's solve (_point),
+    the sums through the N_PERT_LEVELS slice of the coupling it assembled
+    from: one qubit solve per point, and within a run one coupled solve
+    per point for every task and one qubit solve per (node, bias).
     """
-    spec = _states(gauge, raw, num)
+    spec = _point(gauge, raw, num)
     coupling = spec.coupling.truncated(N_PERT_LEVELS)
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
@@ -440,7 +431,8 @@ def task_gauge_check(cfg: RunConfig) -> TaskResult:
         gaps = []
         for nq, nf in TRUNCATION_LADDER:
             levels = {gauge: _shared(build_coupled_eigenbasis, gauge, raw, nq,
-                                     nf).energies for gauge in GAUGES}
+                                     nf, N_COUPLED_LEVELS).energies
+                      for gauge in GAUGES}
             gap = float(np.abs(levels["flux"] - levels["charge"]).max())
             trans_gap = float(np.abs(
                 (levels["flux"] - levels["flux"][0])

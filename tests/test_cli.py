@@ -105,32 +105,49 @@ def test_empty_out_flag_exits_2(tmp_path, capsys):
     assert "output directory" in capsys.readouterr().err
 
 
-def test_numeric_failure_exits_3(tmp_path, capsys):
-    doc = small_doc(n_qubit=60, n_fock=80)
+def test_numeric_failure_exits_3(monkeypatch, tmp_path, capsys):
+    # an ARPACK failure in a coupled solve, the first gauge-check makes, is
+    # a numeric failure
+    def fail(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
+    doc = small_doc()
     doc["tasks"] = ["gauge-check"]
     doc["sweep"]["phix_points"] = 1
     cfg = write_doc(tmp_path, doc)
     out = str(tmp_path / "never")
     assert main(["run", "--config", cfg, "--out", out]) == 3
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numeric failure" in err
+    assert "shift-invert coupled eigensolve failed" in err
 
 
-def test_qubit_basis_overflow_exits_3(tmp_path, capsys):
-    # 40 qubit levels do not fit the 32-wave qubit basis: the run stops
-    # with the limit named instead of solving a smaller basis
-    doc = small_doc(n_qubit=40, n_fock=20)
-    doc["tasks"] = ["observables"]
+@pytest.mark.parametrize("n_qubit, verify, needed", [
+    (20, True, 40),   # the verify probe solves at 40 qubit levels
+    (40, False, 40),
+])
+def test_qubit_basis_overflow_exits_2(tmp_path, capsys, n_qubit, verify,
+                                      needed):
+    # more qubit levels than the 32-wave qubit basis resolves are a config
+    # error, refused before any task runs
+    doc = small_doc(n_qubit=n_qubit, n_fock=20, verify=verify)
+    doc["tasks"] = ["qubit-spectrum", "circuit-spectrum"]
     doc["sweep"]["phix_points"] = 1
     cfg = write_doc(tmp_path, doc)
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "numeric failure" in err and "32" in err
+    assert f"{needed} qubit levels needed" in err
+    assert "the qubit basis resolves 32" in err
+    assert not out.exists()
 
 
 def test_doubled_truncation_check_assembles_nothing(monkeypatch, tmp_path):
     # the configured build (8, 60), dimension 480, and its doubled check,
-    # dimension 1920, are levels calls, shift-invert Lanczos solves on the
-    # band, and assemble nothing
+    # dimension 1920, are shift-invert Lanczos solves on the band, and
+    # assemble nothing
     doc = small_doc(n_qubit=8, n_fock=60, verify=True, gauge="flux")
     doc["tasks"] = ["circuit-spectrum"]
     doc["sweep"]["phix_points"] = 1
@@ -146,9 +163,9 @@ def test_doubled_truncation_check_assembles_nothing(monkeypatch, tmp_path):
 
 def test_observables_at_640_product_states_assemble_nothing(monkeypatch,
                                                             tmp_path):
-    # at (8, 80), 640 product states, both the levels and the states call
-    # are shift-invert Lanczos solves: circuit-spectrum and observables
-    # succeed without a dense matrix
+    # at (8, 80), 640 product states, the coupled solve is shift-invert
+    # Lanczos: circuit-spectrum and observables succeed without a dense
+    # matrix
     doc = small_doc(n_qubit=8, n_fock=80, verify=False)
     doc["sweep"]["phix_points"] = 1
     calls = solver_calls(monkeypatch)
@@ -165,7 +182,7 @@ def test_observables_at_640_product_states_assemble_nothing(monkeypatch,
 def test_planewave_solver_failure_exits_3(monkeypatch, tmp_path, capsys):
     # an ARPACK failure in the gauge-check cross-check is a numeric
     # failure; only the dimension-2048 plane-wave solve fails, while the
-    # ladder's shift-invert levels calls reach the real solver
+    # ladder's shift-invert solves reach the real solver
     solver = scipy.sparse.linalg.eigsh
 
     def fail(a, *args, **kwargs):

@@ -288,6 +288,34 @@ def test_truncation_without_room_for_the_solve_rejected(n_qubit, n_fock,
         parse_config(doc)
 
 
+@pytest.mark.parametrize("n_qubit, verify, tasks, needed", [
+    # the verify probe of circuit-spectrum, rabi-fit and regression solves
+    # at n_qubit doubled
+    (20, True, ["circuit-spectrum"], 40),
+    (17, True, ["rabi-fit"], 34),
+    (17, True, ["regression"], 34),
+    # every coupled solve tabulates n_qubit levels, whatever the tasks
+    (40, False, ["circuit-spectrum"], 40),
+    (33, True, ["qubit-spectrum"], 33),
+    # accepted: all 32 levels, and no probe without those tasks or verify
+    (16, True, ["circuit-spectrum", "rabi-fit", "regression"], None),
+    (20, True, ["observables", "perturbation", "gauge-check"], None),
+    (32, False, ["circuit-spectrum"], None),
+])
+def test_qubit_levels_beyond_the_basis_rejected(n_qubit, verify, tasks,
+                                                needed):
+    doc = minimal_doc()
+    doc["tasks"] = tasks
+    doc["numerics"] = {"n_qubit": n_qubit, "verify": verify}
+    if needed is None:
+        assert parse_config(doc).numerics.n_qubit == n_qubit
+        return
+    with pytest.raises(ConfigError, match=(
+            rf"numerics: {needed} qubit levels needed .*; the qubit basis "
+            "resolves 32")):
+        parse_config(doc)
+
+
 def test_overrides_and_workers():
     cfg = parse_config(minimal_doc(), output_override="elsewhere",
                        tasks_override=["rabi-map"], workers=3)

@@ -142,16 +142,14 @@ def test_states_call_refuses_qubit_levels_not_dimension(parts20):
 
 def test_truncation_check_and_doubled_states_call_assemble_nothing(
         monkeypatch, parts20):
-    # both solves of the check are levels calls, shift-invert Lanczos on
-    # the band at (8, 60) and at the doubled dimension 1920; the states call
-    # at the doubled truncation is one too and finds the same levels
+    # both solves of the check are shift-invert Lanczos solves on the band,
+    # at (8, 60) and at the doubled dimension 1920, and the doubled solve
+    # holds its eight eigenpairs like any other
     calls = solver_calls(monkeypatch)
     shift, converged = truncation_check("flux", parts20.raw, 8, 60)
     assert converged and shift < 1e-3
-    spec = build_coupled_eigenbasis("flux", parts20.raw, 16, 120, 4)
-    levels = build_coupled_eigenbasis("flux", parts20.raw, 16, 120)
-    assert spec.vectors.shape == (1920, 4)
-    assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
+    spec = build_coupled_eigenbasis("flux", parts20.raw, 16, 120)
+    assert spec.vectors.shape == (1920, 8)
     assert nothing_dense(calls), calls
 
 
@@ -182,7 +180,7 @@ def test_qubit_slice_at_basis_edge_solves():
         spec = build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
                                         n_fock=20, n_states=4)
         assert spec.dims == (20, n_qubit)
-        assert spec.vectors.shape == (20 * n_qubit, 4)
+        assert spec.vectors.shape == (20 * n_qubit, 8)
         assert observables(spec, p.raw)[0].photon_number >= 0.0
 
 
@@ -202,15 +200,19 @@ def test_flux_eigenbasis_converged_at_default_truncation(parts20):
 
 
 def test_levels_call_matches_states_call(parts20):
+    # a coupled call returns the lowest eight eigenpairs for any n_states
+    # up to eight, the same bytes as the default call; the levels the tasks
+    # read from it equal a dense oracle
     p = parts20
-    full = build_coupled_eigenbasis("charge", p.raw, 6, 40, 8)
-    levels = build_coupled_eigenbasis("charge", p.raw, 6, 40)
-    assert levels.vectors is None
-    assert levels.dims == full.dims
-    assert levels.energies.shape == (8,)
-    assert np.abs(levels.energies - full.energies[:8]).max() < 1e-9
-    again = build_coupled_eigenbasis("charge", p.raw, 6, 40)
-    assert np.array_equal(again.energies, levels.energies)
+    spec = build_coupled_eigenbasis("charge", p.raw, 6, 40)
+    assert spec.energies.shape == (8,)
+    assert spec.vectors.shape == (240, 8)
+    for n_states in (1, 4, 8):
+        again = build_coupled_eigenbasis("charge", p.raw, 6, 40, n_states)
+        assert again.energies.tobytes() == spec.energies.tobytes()
+        assert again.vectors.tobytes() == spec.vectors.tobytes()
+    dense = np.linalg.eigvalsh(kron_product_hamiltonian(spec))
+    assert np.abs(spec.energies - dense[:8]).max() < 1e-10
 
 
 def test_charge_gauge_planewave_agrees_with_eigenbasis(parts20):
@@ -255,15 +257,6 @@ def test_charge_gauge_frame_flux_vanishes(parts20):
     assert abs(obs.current_2) > 100.0
 
 
-def test_observables_rejects_spectrum_without_eigenbasis_context(parts20):
-    # a levels-only build carries no eigenvectors; observables must not
-    # misread it
-    p = parts20
-    spec = build_coupled_eigenbasis("flux", p.raw, 6, 40)
-    with pytest.raises(ValueError, match="vectors"):
-        observables(spec, p.raw)
-
-
 def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
     p = parts20
     spec = build_coupled_eigenbasis("flux", p.raw, 6, 40, 1)
@@ -275,8 +268,8 @@ def test_photon_number_nonnegative_and_small_in_ground_state(parts20):
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_real_assembly_is_real_part_of_complex_reference(monkeypatch, gauge, lc):
     # the complex assembly has an imaginary part of exactly 0; the bands
-    # that the states call at dimension 240 and the truncation check's two
-    # levels calls, at dimensions 240 and 960, hand to dpbtrf equal the
+    # that a coupled call at dimension 240 and the truncation check's two
+    # solves, at dimensions 240 and 960, hand to dpbtrf equal the
     # upper band of its real part bit for bit, save the shift on the
     # diagonal, with every entry outside the band exactly 0; and the
     # operator each hands to eigsh applies -(H - sigma I)^-1
@@ -373,8 +366,8 @@ def test_banded_levels_match_dense_assembly(lc, l1, l2, c, cj, lj, phix,
          gauge="flux", dims=(8, 80))
 def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
                                                gauge, dims):
-    # above eight product states the levels call is a shift-invert Lanczos
-    # solve; it must find the lowest eight levels of the same matrix as
+    # above eight product states the coupled call is a shift-invert
+    # Lanczos solve; it must find the lowest eight levels of the same matrix as
     # LAPACK's banded solver,
     # also at Lc = 0, where the matrix is diagonal and a dropped level
     # would show
@@ -391,7 +384,7 @@ def test_matrix_free_levels_match_banded_solve(lc, l1, l2, c, cj, lj, phix,
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_shift_invert_levels_match_dense_oracle(gauge, lc):
-    # every rung of gauge-check's ladder and (16, 120): the levels call
+    # every rung of gauge-check's ladder and (16, 120): the coupled call
     # against np.linalg.eigvalsh of the Kronecker form of the same matrix
     raw = circuit_parts(lc).raw
     for nq, nf in TRUNCATION_LADDER + ((16, 120),):
@@ -405,7 +398,7 @@ def test_shift_invert_levels_match_dense_oracle(gauge, lc):
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_shift_invert_states_match_dense_eigh(gauge, lc, dims):
-    # for fewer states than the dimension the states call is shift-invert
+    # for fewer states than the dimension the coupled call is shift-invert
     # Lanczos with vectors; against a dense eigh of the Kronecker form its
     # energies
     # agree, each lone vector has |overlap| at least 1 - 1e-12 with the
@@ -500,7 +493,7 @@ def _current_unit(raw):
 def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
                                                      phix, gauge, dims,
                                                      n_states):
-    # for fewer states than the dimension the states call is a shift-invert
+    # for fewer states than the dimension the coupled call is a shift-invert
     # Lanczos solve with vectors; against LAPACK's dense subset solve of the
     # upper triangle of the Kronecker form of the same matrix its levels
     # agree, its vectors span the same eigenspaces (levels
@@ -513,27 +506,28 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
     # 3e-5 GHz apart moves a flux by 2e-8 between the two solves.
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     nq, nf = dims
-    assert max(N_COUPLED_LEVELS, n_states) < nq * nf
+    count = max(N_COUPLED_LEVELS, n_states)
+    assert count < nq * nf
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
     # one level past the last state, for the gap above it
     energies, vectors = scipy.linalg.eigh(kron_product_hamiltonian(spec),
                                           lower=False,
-                                          subset_by_index=[0, n_states])
-    assert spec.vectors.shape == (nq * nf, n_states)
-    assert np.abs(spec.energies - energies[:n_states]).max() < 1e-9
-    dense = dataclasses.replace(spec, energies=energies[:n_states],
-                                vectors=vectors[:, :n_states])
+                                          subset_by_index=[0, count])
+    assert spec.vectors.shape == (nq * nf, count)
+    assert np.abs(spec.energies - energies[:count]).max() < 1e-9
+    dense = dataclasses.replace(spec, energies=energies[:count],
+                                vectors=vectors[:, :count])
     units = {"current_1": _current_unit(raw), "current_2": _current_unit(raw)}
     obs_got, obs_ref = observables(spec, raw), observables(dense, raw)
     for run, gap in _eigenspaces(energies):
-        solved = run[run < n_states]
+        solved = run[run < count]
         if len(solved) == 0:
             continue
         tol = 1e-9 / min(1.0, gap)
         span, got = vectors[:, run], spec.vectors[:, solved]
         if len(solved) == len(run):
             assert np.abs(got @ got.T - span @ span.T).max() <= tol
-        else:  # a run cut by n_states: its solved vectors lie in its span
+        else:  # a run cut by count: its solved vectors lie in its span
             assert np.abs(got - span @ (span.T @ got)).max() <= tol
         if len(run) > 1:
             continue
@@ -547,19 +541,16 @@ def test_matrix_free_states_match_dense_subset_solve(lc, l1, l2, c, cj, lj,
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_states_call_at_5120_product_states(monkeypatch, parts350, gauge):
     # (32, 160), where the 350 pH gauges agree to 0.07 MHz: shift-invert
-    # Lanczos, nothing dense assembled, orthonormal eigenpairs of the
-    # product matrix as the oracle matvec applies it, and the levels of
-    # the levels call
+    # Lanczos, nothing dense assembled, and orthonormal eigenpairs of the
+    # product matrix as the oracle matvec applies it
     calls = solver_calls(monkeypatch)
     spec = build_coupled_eigenbasis(gauge, parts350.raw, 32, 160, 4)
     assert nothing_dense(calls), calls
-    assert spec.vectors.shape == (5120, 4)
-    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(4)).max() < 1e-12
+    assert spec.vectors.shape == (5120, 8)
+    assert np.abs(spec.vectors.T @ spec.vectors - np.eye(8)).max() < 1e-12
     matvec = product_matvec(spec)
     for energy, vector in zip(spec.energies, spec.vectors.T):
         assert np.linalg.norm(matvec(vector) - energy * vector) < 1e-9
-    levels = build_coupled_eigenbasis(gauge, parts350.raw, 32, 160)
-    assert np.abs(spec.energies - levels.energies[:4]).max() < 1e-9
 
 
 def _shift_invert_calls(calls):
@@ -580,7 +571,7 @@ def _shift_invert_calls(calls):
 ])
 def test_solve_picks_path_by_levels_and_dimension(monkeypatch, parts350,
                                                   dims, n_states, refused):
-    # one rule for both calls: a solve for max(N_COUPLED_LEVELS, n_states)
+    # one rule for every call: a solve for max(N_COUPLED_LEVELS, n_states)
     # levels is shift-invert below the dimension, and at it is refused
     # before any solve, as Lanczos cannot take every level of the band
     calls = solver_calls(monkeypatch)
@@ -607,14 +598,15 @@ def test_solve_picks_path_by_levels_and_dimension(monkeypatch, parts350,
          gauge="charge", nq=1, nf=1)
 def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
                                          nq, nf):
-    # the band both calls solve must be the upper band of the Kronecker
+    # the band every call solves must be the upper band of the Kronecker
     # form bit for bit, signed zeros included, down to truncations too
     # small to solve
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
     coupling = circuit_coupling(gauge, raw, max(nq, coupled.N_PERT_LEVELS))
     band = coupled._band(coupling, nf, nq)
     kron = kron_product_hamiltonian(coupled.CoupledSpectrum(
-        energies=np.zeros(0), vectors=None, gauge=gauge, dims=(nf, nq),
+        energies=np.zeros(0), vectors=np.zeros((0, 0)), gauge=gauge,
+        dims=(nf, nq),
         coupling=coupling))
     assert band.shape == (2 * nq, nf * nq)
     assert band.tobytes() == _upper_band(kron, 2 * nq - 1).tobytes()
@@ -633,14 +625,16 @@ def _full_eigh_spectrum(spec):
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_states_call_matches_full_eigh(gauge, lc, phix):
     raw = circuit_parts(lc, phix).raw
+    # the four states observables writes by default, of the eight solved
     spec = build_coupled_eigenbasis(gauge, raw, 6, 40, 4)
     full = _full_eigh_spectrum(spec)
-    assert spec.energies.shape == (4,)
-    assert spec.vectors.shape == (240, 4)
-    assert np.abs(spec.energies - full.energies[:4]).max() < 1e-10
-    overlaps = np.abs(np.sum(spec.vectors * full.vectors[:, :4], axis=0))
+    assert spec.energies.shape == (8,)
+    assert spec.vectors.shape == (240, 8)
+    assert np.abs(spec.energies[:4] - full.energies[:4]).max() < 1e-10
+    overlaps = np.abs(np.sum(spec.vectors[:, :4] * full.vectors[:, :4],
+                             axis=0))
     assert np.all(overlaps >= 1.0 - 1e-12)
-    for got, ref in zip(observables(spec, raw), observables(full, raw)):
+    for got, ref in zip(observables(spec, raw)[:4], observables(full, raw)):
         for field in dataclasses.fields(got):
             v, r = getattr(got, field.name), getattr(ref, field.name)
             assert abs(v - r) <= 1e-9 * max(1.0, abs(r)), (field.name, v, r)
@@ -648,22 +642,23 @@ def test_states_call_matches_full_eigh(gauge, lc, phix):
 
 @pytest.mark.parametrize("lc, dims, few", [
     (350.0, (3, 12), 1),   # one state of 36
-    (20.0, (8, 80), 12),   # twelve of 640, more than the levels call's 8
+    (20.0, (8, 80), 12),   # twelve of 640, more than the default 8
 ])
 @pytest.mark.parametrize("gauge", ["flux", "charge"])
 def test_states_call_at_its_edges(gauge, lc, dims, few):
-    # few states, and one state fewer than the dimension, the most a
-    # Lanczos solve takes, with the same lowest few; both against a full
-    # np.linalg.eigh of the Kronecker form.  No state at all, or every
-    # state of the dimension, is a ValueError
+    # few states, which solve max(8, few), and one state fewer than the
+    # dimension, the most a Lanczos solve takes, with the same lowest
+    # levels; both against a full np.linalg.eigh of the Kronecker form.  No
+    # state at all, or every state of the dimension, is a ValueError
     raw = circuit_parts(lc).raw
     nq, nf = dims
     dim = nq * nf
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, few)
-    assert spec.energies.shape == (few,)
+    solved = max(N_COUPLED_LEVELS, few)
+    assert spec.energies.shape == (solved,)
     assert np.all(np.diff(spec.energies) > 0.0)
     most = build_coupled_eigenbasis(gauge, raw, nq, nf, dim - 1)
-    assert np.abs(most.energies[:few] - spec.energies).max() < 1e-9
+    assert np.abs(most.energies[:solved] - spec.energies).max() < 1e-9
     for solved in (spec, most):
         n_states = len(solved.energies)
         ref = _full_eigh_spectrum(solved)
@@ -685,10 +680,10 @@ def test_states_call_at_its_edges(gauge, lc, dims, few):
        l2=st.floats(1000.0, 3000.0), c=st.floats(0.3, 2.0),
        cj=st.floats(2.0, 10.0), lj=st.floats(600.0, 2000.0),
        phix=st.floats(0.48, 0.52), gauge=st.sampled_from(["flux", "charge"]),
-       n_states=st.one_of(st.none(), st.integers(1, 40)),
+       n_states=st.integers(1, 40),
        nq=st.integers(1, 6))
 @example(lc=350.0, l1=450.0, l2=1700.0, c=0.87, cj=4.84, lj=990.0, phix=0.5,
-         gauge="flux", n_states=None, nq=3)
+         gauge="flux", n_states=8, nq=3)
 @example(lc=350.0, l1=450.0, l2=1700.0, c=0.87, cj=4.84, lj=990.0, phix=0.5,
          gauge="charge", n_states=35, nq=1)
 def test_smallest_truncations_match_dense_eigh(lc, l1, l2, c, cj, lj, phix,
@@ -700,18 +695,14 @@ def test_smallest_truncations_match_dense_eigh(lc, l1, l2, c, cj, lj, phix,
     # dense eigh of the Kronecker form: levels within 1e-10 GHz, and each
     # vector's |overlap| with the dense one at least 1 - 1e-12
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
-    nf = max(N_COUPLED_LEVELS, n_states or 0) // nq + 1
+    count = max(N_COUPLED_LEVELS, n_states)
+    nf = count // nq + 1
     spec = build_coupled_eigenbasis(gauge, raw, nq, nf, n_states)
     energies, vectors = np.linalg.eigh(kron_product_hamiltonian(spec))
-    count = n_states or N_COUPLED_LEVELS
     assert spec.energies.shape == (count,)
     assert np.abs(spec.energies - energies[:count]).max() < 1e-10
-    if n_states is None:
-        assert spec.vectors is None
-    else:
-        overlaps = np.abs(np.sum(spec.vectors * vectors[:, :n_states],
-                                 axis=0))
-        assert np.all(overlaps >= 1.0 - 1e-12), overlaps.min()
+    overlaps = np.abs(np.sum(spec.vectors * vectors[:, :count], axis=0))
+    assert np.all(overlaps >= 1.0 - 1e-12), overlaps.min()
 
 
 def test_observables_cover_exactly_the_spectrum_states(parts20):
@@ -719,7 +710,7 @@ def test_observables_cover_exactly_the_spectrum_states(parts20):
     # the same bits as from a spectrum holding that state alone
     spec = build_coupled_eigenbasis("flux", parts20.raw, 6, 40, 4)
     states = observables(spec, parts20.raw)
-    assert len(states) == spec.vectors.shape[1] == 4
+    assert len(states) == spec.vectors.shape[1] == 8
     for state, obs in enumerate(states):
         alone = dataclasses.replace(spec,
                                     vectors=spec.vectors[:, state:state + 1])
@@ -752,10 +743,8 @@ def test_banded_levels_reject_table_without_quadrature_symmetry(
     # eigenbasis solve, refuses a tilted K
     original = getattr(coupled, table)
     monkeypatch.setattr(coupled, table, lambda *a: tilt(original(*a)))
-    for solve in (build_coupled_eigenbasis,
-                  lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
-        with pytest.raises(EigensolveError, match="symmetry"):
-            solve(gauge, parts20.raw, 6, 40)
+    with pytest.raises(EigensolveError, match="symmetry"):
+        build_coupled_eigenbasis(gauge, parts20.raw, 6, 40)
 
 
 @pytest.mark.parametrize("error", [
@@ -765,19 +754,16 @@ def test_banded_levels_reject_table_without_quadrature_symmetry(
 ])
 def test_matrix_free_levels_failure_raises_eigensolve_error(monkeypatch,
                                                             parts20, error):
-    # an ARPACK failure of the shift-invert solve, in the levels call at
-    # 240 and 640 product states and in the states call at 640
+    # an ARPACK failure of the shift-invert solve, at 240 and 640 product
+    # states
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", fail)
-    for solve, dims in ((build_coupled_eigenbasis, (6, 40)),
-                        (build_coupled_eigenbasis, (8, 80)),
-                        (lambda *a: build_coupled_eigenbasis(*a, n_states=4),
-                         (8, 80))):
+    for dims in ((6, 40), (8, 80)):
         with pytest.raises(EigensolveError,
                            match="shift-invert coupled eigensolve failed"):
-            solve("flux", parts20.raw, *dims)
+            build_coupled_eigenbasis("flux", parts20.raw, *dims)
 
 
 def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
@@ -795,15 +781,12 @@ def test_shift_search_that_never_factors_raises_eigensolve_error(monkeypatch,
     h = kron_product_hamiltonian(
         build_coupled_eigenbasis("flux", parts20.raw, 8, 80))
     patch_pbtrf(monkeypatch, never)
-    for solve in (build_coupled_eigenbasis,
-                  lambda *a: build_coupled_eigenbasis(*a, n_states=4)):
-        bands.clear()
-        with pytest.raises(EigensolveError,
-                           match="shift-invert coupled eigensolve failed"):
-            solve("flux", parts20.raw, 8, 80)
-        _assert_factored_bands(bands, h)
-        sigmas = list(itertools.islice(_shifts(h), len(bands) + 1))
-        assert sigmas[-1] == sigmas[-2] < sigmas[-3]
+    with pytest.raises(EigensolveError,
+                       match="shift-invert coupled eigensolve failed"):
+        build_coupled_eigenbasis("flux", parts20.raw, 8, 80)
+    _assert_factored_bands(bands, h)
+    sigmas = list(itertools.islice(_shifts(h), len(bands) + 1))
+    assert sigmas[-1] == sigmas[-2] < sigmas[-3]
 
 
 def _tilted(m):

@@ -183,8 +183,8 @@ def test_perturbation_point_solves_the_qubit_once(monkeypatch):
 
 
 def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
-    # within one run, observables and perturbation read one coupled states
-    # call per (Lc, gauge, bias), and every qubit-node solve, in the coupled
+    # within one run, observables and perturbation read one coupled call
+    # per (Lc, gauge, bias), and every qubit-node solve, in the coupled
     # builds, the two-level reductions and the qubit tasks, runs once per
     # (node, bias): the charge node, the same at every Lc, once for both.
     # The memo that shares them is gone once run returns or raises
@@ -237,15 +237,15 @@ def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
 
 
 def count_coupled_calls(monkeypatch):
-    """The (Lc, gauge, phix, n_qubit, n_fock, n_states) of every
-    build_coupled_eigenbasis call, made from tasks or coupled."""
+    """The (Lc, gauge, phix, *args) of every build_coupled_eigenbasis call,
+    made from tasks or coupled, args as passed after raw."""
     import fluxrabi.coupled as coupled
 
     calls = []
 
-    def counted(gauge, raw, n_qubit, n_fock, n_states=None):
-        calls.append((raw.Lc, gauge, raw.phix, n_qubit, n_fock, n_states))
-        return build_coupled_eigenbasis(gauge, raw, n_qubit, n_fock, n_states)
+    def counted(gauge, raw, *args):
+        calls.append((raw.Lc, gauge, raw.phix, *args))
+        return build_coupled_eigenbasis(gauge, raw, *args)
 
     for module in (coupled, tasks):
         monkeypatch.setattr(module, "build_coupled_eigenbasis", counted)
@@ -253,14 +253,17 @@ def count_coupled_calls(monkeypatch):
 
 
 def test_run_makes_each_coupled_call_once(monkeypatch, tmp_path):
-    # circuit-spectrum's sweep and probe, rabi-fit's fit data and probe and
-    # gauge-check's ladder rungs and cross-check read one levels call per
-    # argument tuple: at the (4, 10) rung the mid-bias point of the sweep,
-    # both probes, the flux rung and the cross-check are one solve
+    # circuit-spectrum's sweep and probe, rabi-fit's fit data and probe,
+    # gauge-check's ladder rungs and cross-check, and observables and
+    # perturbation read one call per argument tuple, all for eight
+    # eigenpairs: each sweep point is one solve for every task, and at the
+    # (4, 10) rung the mid-bias point, both probes, the flux rung and the
+    # cross-check are that solve too
     calls = count_coupled_calls(monkeypatch)
     assert (4, 10) in tasks.TRUNCATION_LADDER
     cfg = small_config(
-        tasks=("circuit-spectrum", "rabi-fit", "gauge-check"),
+        tasks=("circuit-spectrum", "rabi-fit", "gauge-check", "observables",
+               "perturbation"),
         lc_list=(20.0, 350.0), output_dir=str(tmp_path),
         numerics=NumericsConfig(gauge="flux", n_qubit=4, n_fock=10))
     grid = [float(phix) for phix in cfg.phix_grid]
@@ -268,10 +271,10 @@ def test_run_makes_each_coupled_call_once(monkeypatch, tmp_path):
     run(cfg)
     assert len(calls) == len(set(calls))
     assert set(calls) == {
-        *((lc, "flux", phix, 4, 10, None) for lc in cfg.lc_list
+        *((lc, "flux", phix, 4, 10, 8) for lc in cfg.lc_list
           for phix in grid),
-        *((lc, "flux", 0.5, 8, 20, None) for lc in cfg.lc_list),
-        *((lc, gauge, 0.5, nq, nf, None) for lc in cfg.lc_list
+        *((lc, "flux", 0.5, 8, 20, 8) for lc in cfg.lc_list),
+        *((lc, gauge, 0.5, nq, nf, 8) for lc in cfg.lc_list
           for gauge in GAUGES for nq, nf in tasks.TRUNCATION_LADDER)}
 
 
@@ -359,8 +362,8 @@ def test_coupled_build_from_a_shared_qubit_solve_matches_a_fresh_one(
 
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 def test_perturbation_exact_shift_matches_the_levels_call(lc):
-    # net_shift_exact reads the energies of the states call observables
-    # shares, no longer a levels-only call: they agree to rounding
+    # net_shift_exact reads the energies of the point's one coupled solve,
+    # the levels circuit-spectrum writes, bit for bit
     num = NumericsConfig()
     for gauge in GAUGES:
         for phix in (0.494, 0.5, 0.503):
@@ -371,8 +374,8 @@ def test_perturbation_exact_shift_matches_the_levels_call(lc):
             exact = {r[2]: r[3] for r in tasks._perturbation_rows(gauge, raw, num)
                      if r[1] == "net_shift_exact"}
             for level in (0, 1):
-                assert exact[level] == pytest.approx(
-                    levels[2 + level] - levels[level] - omega, abs=1e-12)
+                assert exact[level] == float(
+                    levels[2 + level] - levels[level] - omega)
 
 
 @pytest.mark.parametrize("num", [
@@ -381,12 +384,13 @@ def test_perturbation_exact_shift_matches_the_levels_call(lc):
     NumericsConfig(n_qubit=1, n_fock=9, n_states=2, fit_levels=1)])
 @pytest.mark.parametrize("lc", [20.0, 350.0])
 def test_observable_rows_match_a_direct_solve_of_their_states(lc, num):
-    # observables share the perturbation's 4-state call; at n_states 2 its
-    # rows keep the bytes of a 2-state solve
+    # observables read the point's one coupled solve, of eight eigenpairs;
+    # at n_states 2 its rows are the first two states of a direct solve
+    # asking for 2, bit for bit
     raw = replace(reference_config(lc=lc).circuit, phix=0.503)
     for gauge in GAUGES:
         spec = build_coupled_eigenbasis(gauge, raw, num.n_qubit, num.n_fock, 2)
-        expected = [getattr(obs, name) for obs in observables(spec, raw)
+        expected = [getattr(obs, name) for obs in observables(spec, raw)[:2]
                     for name, _ in tasks.OBSERVABLE_UNITS]
         rows = tasks._observable_rows(gauge, raw, num)
         assert (np.array([r[3] for r in rows]).tobytes()
@@ -397,13 +401,13 @@ def test_shared_solves_are_read_only(monkeypatch):
     # a task writing into a shared solve would change another task's rows
     raw = reference_config().circuit
     num = NumericsConfig(n_qubit=4, n_fock=10)
-    fresh = tasks._states("flux", raw, num)  # outside run: not shared
-    assert tasks._states("flux", raw, num) is not fresh
+    fresh = tasks._point("flux", raw, num)  # outside run: not shared
+    assert tasks._point("flux", raw, num) is not fresh
     assert fresh.energies.flags.writeable
     monkeypatch.setattr(planewave, "_solves", {})
-    spec = tasks._states("flux", raw, num)
+    spec = tasks._point("flux", raw, num)
     qubit = tasks._qubit_solve(raw)
-    assert tasks._states("flux", raw, num) is spec
+    assert tasks._point("flux", raw, num) is spec
     assert tasks._qubit_solve(raw) is qubit
     coupling = spec.coupling
     for array in (spec.energies, spec.vectors, coupling.qubit_energies,
@@ -433,8 +437,8 @@ def test_perturbative_rows_independent_of_eigenbasis_truncation(lc):
 
 @pytest.mark.parametrize("gauge", GAUGES)
 def test_level_rows_are_banded_levels(gauge):
-    # _level_rows is the circuit-spectrum data, from the levels call the
-    # rabi-fit and regression fit data read: bit for bit the banded call
+    # _level_rows is the circuit-spectrum data, from the point solve the
+    # rabi-fit and regression fit data read: bit for bit a direct call
     raw = replace(reference_config(lc=350.0).circuit, phix=0.497)
     num = NumericsConfig(n_qubit=8, n_fock=60)
     rows = tasks._level_rows(gauge, raw, num)
