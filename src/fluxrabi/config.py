@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuit import RawCircuit
 from .constants import N_COUPLED_LEVELS
-from .coupled import QUBIT_LEVEL_LIMIT
+from .qubit import QUBIT_LEVEL_LIMIT
 
 SCHEMA_VERSION = 1
 
@@ -118,7 +118,7 @@ class RunConfig:
             raise ConfigError(
                 f"numerics: {needed} qubit levels needed (n_qubit"
                 f"{', doubled by verify' if probed else ''}); the qubit basis "
-                f"resolves {QUBIT_LEVEL_LIMIT}")
+                f"holds {QUBIT_LEVEL_LIMIT}, one per wave")
         try:
             self.circuits()
         except ValueError as exc:

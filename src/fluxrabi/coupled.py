@@ -46,15 +46,11 @@ from .planewave import (
     PlaneWaveBasis,
     _shared,
     check_hermitian,
-    diagonalize_flux_qubit,
     linear_kernel,
     oscillator_hamiltonian,
     qubit_hamiltonian,
 )
-from .qubit import number_matrix, phase_matrix
-
-# Qubit levels the fixed plane-wave qubit basis resolves, one per wave.
-QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
+from .qubit import QUBIT_LEVEL_TAGS, node_spectrum, number_matrix, phase_matrix
 
 # Largest shift (GHz) of the lowest levels on doubling a truncation that
 # still counts as converged.
@@ -66,10 +62,6 @@ CONVERGENCE_LIMIT_GHZ = 1e-3
 # allowed ones are at least 2.5e-2 of it; at phix = 0.5006 the smallest
 # flux-gauge entry is 1.7e-5 of it.
 TABLE_NOISE = 1e-10
-
-# Qubit levels the second-order perturbation sums run over; the coupling of
-# every eigenbasis build tabulates at least these.
-N_PERT_LEVELS = 6
 
 
 @dataclass(frozen=True)
@@ -116,8 +108,8 @@ class CoupledSpectrum:
     levels, fewer than the product dimension dim = n_fock n_qubit.  vectors
     holds the matching real eigencolumns, shape (dim, len(energies)), each
     of arbitrary sign.  coupling is the product coupling the build
-    assembled from, tabulated at max(n_qubit, N_PERT_LEVELS) qubit levels;
-    the oscillator side of any n_fock comes from the ladder.
+    assembled from, tabulated at max(n_qubit, len(QUBIT_LEVEL_TAGS))
+    qubit levels; the oscillator side of any n_fock comes from the ladder.
     """
 
     energies: np.ndarray
@@ -144,24 +136,19 @@ class Observables:
 
 
 def circuit_coupling(gauge: str, raw: RawCircuit,
-                     n_levels: int = N_PERT_LEVELS) -> ProductCoupling:
+                     n_levels: int = len(QUBIT_LEVEL_TAGS)) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
 
-    Solves the qubit node of gauge_circuit(gauge, raw), once per run
-    (planewave._shared), and tabulates n_levels qubit levels, at most
-    QUBIT_LEVEL_LIMIT.  The band holds only the blocks above the diagonal,
-    so K must share the symmetry of X (symmetric with a + a',
-    antisymmetric with a - a'), judged on the tabulated table by
-    check_hermitian on K or on 1j K, for the blocks below the diagonal to
-    be their transposes; else EigensolveError.
+    Tabulates the lowest n_levels levels of the qubit node of
+    gauge_circuit(gauge, raw), as qubit.node_spectrum hands them out.  The
+    band holds only the blocks above the diagonal, so K must share the
+    symmetry of X (symmetric with a + a', antisymmetric with a - a'),
+    judged on the tabulated table by check_hermitian on K or on 1j K, for
+    the blocks below the diagonal to be their transposes; else
+    EigensolveError.
     """
     circuit = gauge_circuit(gauge, raw)
-    if n_levels > QUBIT_LEVEL_LIMIT:
-        raise EigensolveError(
-            f"{n_levels} qubit levels requested; the qubit basis resolves "
-            f"{QUBIT_LEVEL_LIMIT}")
-    qubit_spectrum = _shared(diagonalize_flux_qubit, *circuit.qubit_node,
-                             raw.phix, PlaneWaveBasis.for_qubit())
+    qubit_spectrum = node_spectrum(*circuit.qubit_node, raw.phix, n_levels)
     phase = phase_matrix(qubit_spectrum, n_levels)
     if gauge == "flux":
         qub = phase
@@ -172,7 +159,7 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
                         "qubit element table, by the symmetry of a - a',")
     return ProductCoupling(
         strength=circuit.strength, omega=circuit.omega,
-        qubit_energies=qubit_spectrum.energies[:n_levels],
+        qubit_energies=qubit_spectrum.energies,
         qubit_elements=qub, qubit_phase=phase)
 
 
@@ -277,8 +264,8 @@ def build_coupled_eigenbasis(
     """The one eigenbasis-product solve, in the Fock (x) qubit-eigenstate
     product basis: the lowest max(N_COUPLED_LEVELS, n_states) eigenpairs.
 
-    circuit_coupling at max(n_qubit, N_PERT_LEVELS) qubit levels, its
-    _band, and the shift-invert Lanczos solve of _shift_invert; nothing
+    circuit_coupling at max(n_qubit, len(QUBIT_LEVEL_TAGS)) qubit levels,
+    its _band, and the shift-invert Lanczos solve of _shift_invert; nothing
     dense at any dimension.  Lanczos solves for fewer levels than the
     operator has, so that count must be below the product dimension
     n_qubit n_fock, and n_states at least 1, else ValueError before any
@@ -291,7 +278,8 @@ def build_coupled_eigenbasis(
         raise ValueError(
             f"max({N_COUPLED_LEVELS}, n_states) must be below the product "
             f"dimension n_qubit * n_fock = {n_qubit * n_fock}, not {solved}")
-    coupling = circuit_coupling(gauge, raw, max(n_qubit, N_PERT_LEVELS))
+    coupling = circuit_coupling(gauge, raw,
+                                max(n_qubit, len(QUBIT_LEVEL_TAGS)))
     energies, vectors = _shift_invert(_band(coupling, n_fock, n_qubit), solved)
     return CoupledSpectrum(energies=energies, vectors=vectors, gauge=gauge,
                            dims=(n_fock, n_qubit), coupling=coupling)

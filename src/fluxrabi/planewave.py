@@ -20,16 +20,15 @@ eigensolves are dense, return all levels of the chosen basis, and give
 real eigenvectors.
 
 Within one tasks.run, solves go through one memo, _shared, keyed on the
-solver and its positional arguments: every qubit-node solve (the coupled
-builds, the two-level reduction and the qubit tasks alike), every coupled
-call and every two-level reduction, so a node is solved once per bias for
-the whole run.  Outside run each call solves fresh.
+solver and its positional arguments: every qubit-node solve, all made by
+qubit.node_spectrum, every coupled call, every two-level reduction and
+each BasisRangeWarning, so a node is solved once per bias and a warning
+given once for the whole run.  Outside run each call solves fresh.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ class EigensolveError(RuntimeError):
 
 
 class BasisRangeWarning(UserWarning):
-    """Ground state carries non-negligible weight on the outermost waves."""
+    """A level read carries non-negligible weight on the outermost waves."""
 
 
 EDGE_WEIGHT_LIMIT = 1e-6
@@ -161,24 +160,15 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def diagonalize_flux_qubit(ecj: float, ej: float, elfq: float, phix: float,
                            basis: PlaneWaveBasis) -> SubsystemSpectrum:
-    """All levels of the flux-qubit node Hamiltonian in the given basis."""
+    """All levels of the qubit node in the given basis, none checked."""
     h = qubit_hamiltonian(ecj, ej, elfq, phix, basis)
     check_hermitian(h, "assembled qubit Hamiltonian")
     try:
         energies, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as err:
         raise EigensolveError(f"qubit eigensolve failed: {err}") from err
-    coeffs = _fix_phases(vectors).T
-    edge = coeffs[0, 0] ** 2 + coeffs[0, -1] ** 2
-    if edge > EDGE_WEIGHT_LIMIT:
-        warnings.warn(
-            f"qubit ground state has weight {edge:.2e} on the outermost "
-            "waves; enlarge the basis",
-            BasisRangeWarning,
-            stacklevel=2,
-        )
-    return SubsystemSpectrum(energies=energies, coefficients=coeffs,
-                             basis=basis)
+    return SubsystemSpectrum(energies=energies,
+                             coefficients=_fix_phases(vectors).T, basis=basis)
 
 
 # Point solves of the current tasks.run, keyed on the solver and its

@@ -21,12 +21,16 @@ symmetric Phi[j, i] = <j|phase|i> and the antisymmetric B with
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import bias_to_ghz, levenberg_marquardt
 from .planewave import (
+    EDGE_WEIGHT_LIMIT,
+    BasisRangeWarning,
+    EigensolveError,
     PlaneWaveBasis,
     SubsystemSpectrum,
     _shared,
@@ -37,7 +41,11 @@ from .planewave import (
 # Bias grid of the two-level reduction.
 PHIX_FIT_GRID = np.linspace(0.496, 0.504, 41)
 
+# The named qubit levels: the qubit tasks and perturbation sums read these.
 QUBIT_LEVEL_TAGS = ("g", "e", "f", "h", "k", "l")
+
+# Qubit levels the qubit basis holds, one per wave; not all are resolved.
+QUBIT_LEVEL_LIMIT = PlaneWaveBasis.for_qubit().n_waves
 
 
 class TwoLevelFitError(RuntimeError):
@@ -58,6 +66,33 @@ class TwoLevelFit:
     fit_residual: float
     Phi2max: float | None = None
     q2max: float | None = None
+
+
+def node_spectrum(ecj: float, ej: float, elfq: float, phix: float,
+                  n_levels: int) -> SubsystemSpectrum:
+    """The lowest n_levels levels of the qubit node at bias phix: the
+    package's one solve of diagonalize_flux_qubit (looked up at call time,
+    so a wrapper on it sees every real solve) on PlaneWaveBasis.for_qubit(),
+    shared within a run whatever n_levels.  More than QUBIT_LEVEL_LIMIT
+    levels raise EigensolveError, unsolved.  A level handed out with over
+    EDGE_WEIGHT_LIMIT of its weight on the two outermost waves warns
+    BasisRangeWarning, naming only n_levels and the first such level; the
+    warning is shared like a solve, so a run warns once even after an
+    import resets the default filter's record (scipy's import does).
+    """
+    if n_levels > QUBIT_LEVEL_LIMIT:
+        raise EigensolveError(f"{n_levels} qubit levels requested; the qubit "
+                              f"basis holds {QUBIT_LEVEL_LIMIT}, one per wave")
+    spectrum = _shared(diagonalize_flux_qubit, ecj, ej, elfq, phix,
+                       PlaneWaveBasis.for_qubit())
+    coeffs = spectrum.coefficients[:n_levels]
+    edge = coeffs[:, 0] ** 2 + coeffs[:, -1] ** 2 > EDGE_WEIGHT_LIMIT
+    if edge.any():
+        _shared(warnings.warn, f"qubit level {np.argmax(edge)} of the "
+                f"{n_levels} read has over {EDGE_WEIGHT_LIMIT:g} of its "
+                "weight on the outermost waves", BasisRangeWarning, 3)
+    return replace(spectrum, energies=spectrum.energies[:n_levels],
+                   coefficients=coeffs)
 
 
 def phase_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
@@ -154,23 +189,17 @@ def extract_phi2max(phix: np.ndarray, flux_gg: np.ndarray, flux_ee: np.ndarray,
 def characterize_qubit(ecj: float, ej: float, elfq: float) -> TwoLevelFit:
     """Complete two-level reduction of a qubit node over PHIX_FIT_GRID.
 
-    Sweeps the plane-wave solve on PlaneWaveBasis.for_qubit(), each solve
-    shared within a run (planewave._shared), fits the level doublet,
+    Sweeps the lowest two levels of node_spectrum, fits the level doublet,
     extracts Phi2max from the diagonal flux elements, and evaluates q2max
     at phix = 0.5.
     """
-    basis = PlaneWaveBasis.for_qubit()
-    e0, e1, gg, ee = [], [], [], []
-    for phix in PHIX_FIT_GRID:
-        spectrum = _shared(diagonalize_flux_qubit, ecj, ej, elfq, float(phix),
-                           basis)
-        phase = phase_matrix(spectrum, 2)
-        e0.append(spectrum.energies[0])
-        e1.append(spectrum.energies[1])
-        gg.append(phase[0, 0] / (2.0 * math.pi))
-        ee.append(phase[1, 1] / (2.0 * math.pi))
-    fit = fit_two_level(PHIX_FIT_GRID, np.array(e0), np.array(e1))
-    phi2max = extract_phi2max(PHIX_FIT_GRID, np.array(gg), np.array(ee), fit)
-    symmetric = _shared(diagonalize_flux_qubit, ecj, ej, elfq, 0.5, basis)
+    spectra = [node_spectrum(ecj, ej, elfq, float(phix), 2)
+               for phix in PHIX_FIT_GRID]
+    e0, e1 = np.array([s.energies for s in spectra]).T
+    gg, ee = np.array([np.diag(phase_matrix(s, 2)) for s in spectra]).T
+    fit = fit_two_level(PHIX_FIT_GRID, e0, e1)
+    phi2max = extract_phi2max(PHIX_FIT_GRID, gg / (2.0 * math.pi),
+                              ee / (2.0 * math.pi), fit)
+    symmetric = node_spectrum(ecj, ej, elfq, 0.5, 2)
     q2max = abs(number_matrix(symmetric, 2)[0, 1])
     return replace(fit, Phi2max=phi2max, q2max=float(q2max))

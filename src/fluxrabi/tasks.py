@@ -11,10 +11,11 @@ worker count.  Solves run once per run, through a memo (planewave._shared)
 that lives only while run runs, keyed on the solver and its positional
 arguments, and hands out read-only arrays: each coupled solve, one per
 (gauge, bias, truncation) whatever task reads it (_point), each two-level
-reduction, keyed on the qubit node, and each qubit-node solve, keyed on
-(node, bias).  So the charge-gauge node, the same at every Lc, is solved
-and reduced once for all Lc.  A pool child solves for itself, and a point
-function called outside run solves fresh.
+reduction, keyed on the qubit node, and each qubit-node solve
+(qubit.node_spectrum), keyed on (node, bias) whatever the level count.  So
+the charge-gauge node, the same at every Lc, is solved and reduced once.
+A pool child solves for itself, and a point function called outside run
+solves fresh.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .circuit import GAUGES, RawCircuit, gauge_circuit
 from .config import RunConfig
 from .constants import N_COUPLED_LEVELS, PACKAGE_VERSION
 from .coupled import (
-    N_PERT_LEVELS,
     build_coupled_eigenbasis,
     build_coupled_planewave,
     observables,
@@ -40,9 +40,9 @@ from .coupled import (
 from .fitting import RabiFitResult, fit_rabi
 from .perturbation import second_order_table
 from . import planewave
-from .planewave import PlaneWaveBasis, _shared, diagonalize_flux_qubit
+from .planewave import _shared
 from .qubit import (QUBIT_LEVEL_TAGS, TwoLevelFit, characterize_qubit,
-                    number_matrix, phase_matrix)
+                    node_spectrum, number_matrix, phase_matrix)
 from .rabi import RabiParams, map_circuit_to_rabi
 
 SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
@@ -51,9 +51,6 @@ SWEEP_COLUMNS = ("Lc_pH", "phix_Phi0", "gauge", "provenance", "quantity",
 # Eigenbasis truncation ladder walked by the gauge-check task; the third
 # rung is the canonical working truncation.
 TRUNCATION_LADDER = ((4, 10), (6, 20), (6, 40), (8, 60), (12, 80))
-
-# Qubit levels the plane-wave qubit tasks report.
-N_QUBIT_LEVELS = 6
 
 OBSERVABLE_UNITS = (("photon_number", "1"), ("flux_1", "rad"),
                     ("flux_2", "rad"), ("current_1", "nA"),
@@ -178,14 +175,6 @@ def _level_tails(provenance: str, energies: list[float]) -> list[tuple]:
                    "GHz") for i in range(1, len(energies))]
 
 
-def _qubit_solve(raw: RawCircuit):
-    """The flux-gauge qubit node at the bias of raw, shared by the qubit
-    tasks of a run."""
-    return _shared(diagonalize_flux_qubit,
-                   *gauge_circuit("flux", raw).qubit_node, raw.phix,
-                   PlaneWaveBasis.for_qubit())
-
-
 def _point(gauge, raw, num):
     """The one coupled solve of a point that every task reads, shared
     within a run.  With n_states at most N_COUPLED_LEVELS its arguments
@@ -201,8 +190,9 @@ def _levels(gauge, raw, num):
 
 
 def _qubit_level_rows(gauge, raw, num):
-    energies = _qubit_solve(raw).energies[:N_QUBIT_LEVELS]
-    return _level_tails("planewave", [float(e) for e in energies])
+    spec = node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
+                         len(QUBIT_LEVEL_TAGS))
+    return _level_tails("planewave", [float(e) for e in spec.energies])
 
 
 def _level_rows(gauge, raw, num):
@@ -218,7 +208,8 @@ def _observable_rows(gauge, raw, num):
 
 
 def _matrix_element_rows(gauge, raw, num):
-    spec = _qubit_solve(raw)
+    spec = node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
+                         len(QUBIT_LEVEL_TAGS))
     phase, number = phase_matrix(spec, 3), number_matrix(spec, 3)
     out = []
     for j in range(3):
@@ -236,12 +227,12 @@ def _perturbation_rows(gauge, raw, num):
     0.0 elsewhere, since X has no diagonal in either gauge.
 
     The exact shifts and the sums both read the point's solve (_point),
-    the sums through the N_PERT_LEVELS slice of the coupling it assembled
-    from: one qubit solve per point, and within a run one coupled solve
-    per point for every task and one qubit solve per (node, bias).
+    the sums through its coupling cut to the named qubit levels: one qubit
+    solve per point, and within a run one coupled solve per point for
+    every task and one qubit solve per (node, bias).
     """
     spec = _point(gauge, raw, num)
-    coupling = spec.coupling.truncated(N_PERT_LEVELS)
+    coupling = spec.coupling.truncated(len(QUBIT_LEVEL_TAGS))
     # states (|1,g>, |1,e>) sit at indices 2, 3 while Delta_q < omega and the
     # bias stays inside the oscillator avoided crossing
     ok = True
@@ -265,10 +256,11 @@ def _perturbation_rows(gauge, raw, num):
 
 
 def _wavefunction_rows(gauge, raw, num):
-    spec = _qubit_solve(raw)
+    spec = node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
+                         len(QUBIT_LEVEL_TAGS))
     out = []
-    for i in range(N_QUBIT_LEVELS):
-        for kk, a in zip(spec.basis.wave_numbers, spec.coefficients[i]):
+    for i, coefficients in enumerate(spec.coefficients):
+        for kk, a in zip(spec.basis.wave_numbers, coefficients):
             out.append(("planewave", f"state_{i}_amplitude_real", float(kk),
                         float(a), "1"))
             out.append(("planewave", f"state_{i}_prob", float(kk),

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
+import fluxrabi
 from fluxrabi.cli import main
 
 from conftest import nothing_dense, solver_calls
@@ -130,7 +133,7 @@ def test_numeric_failure_exits_3(monkeypatch, tmp_path, capsys):
 ])
 def test_qubit_basis_overflow_exits_2(tmp_path, capsys, n_qubit, verify,
                                       needed):
-    # more qubit levels than the 32-wave qubit basis resolves are a config
+    # more qubit levels than the 32-wave qubit basis holds are a config
     # error, refused before any task runs
     doc = small_doc(n_qubit=n_qubit, n_fock=20, verify=verify)
     doc["tasks"] = ["qubit-spectrum", "circuit-spectrum"]
@@ -140,7 +143,7 @@ def test_qubit_basis_overflow_exits_2(tmp_path, capsys, n_qubit, verify,
     assert main(["run", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{needed} qubit levels needed" in err
-    assert "the qubit basis resolves 32" in err
+    assert "the qubit basis holds 32" in err
     assert not out.exists()
 
 
@@ -159,6 +162,24 @@ def test_doubled_truncation_check_assembles_nothing(monkeypatch, tmp_path):
     meta = json.loads((out / "circuit-spectrum.json").read_text())
     probe = meta["convergence_detail"]["Lc=20.0/flux"]
     assert probe["converged"] and 0.0 < probe["truncation_shift_GHz"] < 1e-3
+
+
+def test_doubled_probe_warns_of_the_unresolved_qubit_levels(tmp_path):
+    # at n_qubit 12 the verify probe solves at 24 qubit levels, past level
+    # 18, the first the qubit basis does not resolve: the run keeps its
+    # exit code and says so on stderr, once
+    doc = small_doc(n_qubit=12, n_fock=20, verify=True, gauge="flux")
+    doc["tasks"] = ["circuit-spectrum"]
+    cfg = write_doc(tmp_path, doc)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fluxrabi.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fluxrabi.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "o")], env=env, capture_output=True,
+        text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("BasisRangeWarning") == 1, proc.stderr
+    assert "qubit level 18 of the 24 read has over 1e-06" in proc.stderr
 
 
 def test_observables_at_640_product_states_assemble_nothing(monkeypatch,

@@ -312,7 +312,7 @@ def test_qubit_levels_beyond_the_basis_rejected(n_qubit, verify, tasks,
         return
     with pytest.raises(ConfigError, match=(
             rf"numerics: {needed} qubit levels needed .*; the qubit basis "
-            "resolves 32")):
+            "holds 32")):
         parse_config(doc)
 
 

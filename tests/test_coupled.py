@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from fluxrabi.coupled import (
     observables,
     truncation_check,
 )
-from fluxrabi.planewave import EigensolveError
-from fluxrabi.qubit import TwoLevelFit
+from fluxrabi.planewave import BasisRangeWarning, EigensolveError
+from fluxrabi.qubit import QUBIT_LEVEL_TAGS, TwoLevelFit
 from fluxrabi.rabi import map_circuit_to_rabi
 from fluxrabi.tasks import TRUNCATION_LADDER
 
@@ -134,7 +135,7 @@ def test_gauge_argument_validated(parts20):
 
 def test_states_call_refuses_qubit_levels_not_dimension(parts20):
     # (60, 80) is refused for its 60 qubit levels, beyond the 32 the qubit
-    # basis resolves; its product dimension 4800 sets no limit
+    # basis holds; its product dimension 4800 sets no limit
     with pytest.raises(EigensolveError, match="60 qubit levels requested"):
         build_coupled_eigenbasis("flux", parts20.raw, n_qubit=60, n_fock=80,
                                  n_states=4)
@@ -161,24 +162,29 @@ def test_truncation_check_and_doubled_states_call_assemble_nothing(
 def test_qubit_slice_beyond_basis_refused(n_qubit, checked, needed):
     p = circuit_parts(350.0)
     with pytest.raises(EigensolveError, match=(
-            f"{needed} qubit levels requested; the qubit basis resolves 32")):
+            f"{needed} qubit levels requested; the qubit basis holds 32")):
         if checked:
             truncation_check("charge", p.raw, n_qubit, 20)
         else:
             build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
                                      n_fock=20, n_states=4)
-    with pytest.raises(EigensolveError, match="resolves 32"):
+    with pytest.raises(EigensolveError, match="holds 32"):
         circuit_coupling("charge", p.raw, n_levels=33)
 
 
 def test_qubit_slice_at_basis_edge_solves():
     p = circuit_parts(350.0)
-    # the doubled solve of 16 levels uses every level the basis resolves
-    shift, _ = truncation_check("charge", p.raw, 16, 20)
+    # the doubled solve of 16 levels uses every level the basis holds, and
+    # warns that levels 18 and up are not resolved
+    with pytest.warns(BasisRangeWarning, match="level 18 of the 32 read"):
+        shift, _ = truncation_check("charge", p.raw, 16, 20)
     assert np.isfinite(shift)
     for n_qubit in (16, 32):
-        spec = build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
-                                        n_fock=20, n_states=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = build_coupled_eigenbasis("charge", p.raw, n_qubit=n_qubit,
+                                            n_fock=20, n_states=4)
+        assert bool(caught) == (n_qubit == 32)
         assert spec.dims == (20, n_qubit)
         assert spec.vectors.shape == (20 * n_qubit, 8)
         assert observables(spec, p.raw)[0].photon_number >= 0.0
@@ -602,7 +608,7 @@ def test_block_assembly_equals_kron_form(lc, l1, l2, c, cj, lj, phix, gauge,
     # form bit for bit, signed zeros included, down to truncations too
     # small to solve
     raw = RawCircuit.from_lj(Lc=lc, L1=l1, L2=l2, C=c, CJ=cj, LJ=lj, phix=phix)
-    coupling = circuit_coupling(gauge, raw, max(nq, coupled.N_PERT_LEVELS))
+    coupling = circuit_coupling(gauge, raw, max(nq, len(QUBIT_LEVEL_TAGS)))
     band = coupled._band(coupling, nf, nq)
     kron = kron_product_hamiltonian(coupled.CoupledSpectrum(
         energies=np.zeros(0), vectors=np.zeros((0, 0)), gauge=gauge,

@@ -6,7 +6,6 @@ import pytest
 from oracles import (charge_grid, fix_phases_loop, harmonic_levels,
                      kernel_via_dft, n_representation)
 from fluxrabi.planewave import (
-    BasisRangeWarning,
     PlaneWaveBasis,
     _fix_phases,
     diagonalize_flux_qubit,
@@ -76,15 +75,6 @@ def test_oscillator_reproduces_harmonic_ladder():
                                                          p.flux.EL, basis))
     exact = harmonic_levels(p.flux.EC, p.flux.EL, k=10)
     assert np.abs(energies[:10] - exact).max() < 1e-6
-
-
-def test_unresolvable_phase_extent_warns():
-    p = circuit_parts(20.0)
-    # a huge charge interval starves the phase-space coverage of the fixed
-    # wave count, pushing ground-state weight onto the outermost waves
-    basis = PlaneWaveBasis(n_max=40.0, n_waves=32)
-    with pytest.warns(BasisRangeWarning):
-        diagonalize_flux_qubit(*p.flux.qubit_node, 0.5, basis)
 
 
 def test_qubit_levels_ordered_and_converged_in_basis():

@@ -12,8 +12,9 @@ import fluxrabi.constants as constants
 from oracles import hyperbola_levels
 from fluxrabi.constants import CONSTANTS
 from fluxrabi.coupled import circuit_coupling
-from fluxrabi.planewave import (EDGE_WEIGHT_LIMIT, PlaneWaveBasis,
-                                diagonalize_flux_qubit, linear_kernel)
+from fluxrabi.planewave import (EDGE_WEIGHT_LIMIT, BasisRangeWarning,
+                                PlaneWaveBasis, diagonalize_flux_qubit,
+                                linear_kernel)
 from fluxrabi.qubit import (
     PHIX_FIT_GRID,
     TwoLevelFit,
@@ -21,6 +22,7 @@ from fluxrabi.qubit import (
     characterize_qubit,
     extract_phi2max,
     fit_two_level,
+    node_spectrum,
     number_matrix,
     phase_matrix,
 )
@@ -250,3 +252,31 @@ def test_charge_table_follows_from_phase_table(ecj, ej, elfq, phix):
     judged = np.ix_(ok, ok)
     scale = np.abs(number[judged]).max()
     assert np.abs(number - predicted)[judged].max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("lc, gauge, n_max, n_levels, first", [
+    (350.0, "charge", 8.0, 24, 18),
+    (350.0, "charge", 8.0, 19, 18),
+    (350.0, "charge", 8.0, 18, None),
+    # a huge charge interval starves the phase-space coverage of the fixed
+    # wave count, pushing ground-state weight onto the outermost waves
+    (20.0, "flux", 40.0, 1, 0),
+], ids=["24-levels", "19-levels", "18-levels", "starved-basis"])
+def test_node_spectrum_checks_each_level_it_hands_out(monkeypatch, lc, gauge,
+                                                      n_max, n_levels, first):
+    # every level handed out is judged by its weight on the outermost
+    # waves, not only the ground state; on the 32-wave basis level 18 is
+    # the first past EDGE_WEIGHT_LIMIT.  The message carries no value of
+    # the point, so a sweep warns once
+    monkeypatch.setattr(PlaneWaveBasis, "for_qubit", classmethod(
+        lambda cls: cls(n_max=n_max, n_waves=32)))
+    node = getattr(circuit_parts(lc), gauge).qubit_node
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = node_spectrum(*node, 0.5, n_levels)
+    assert [str(w.message) for w in caught] == ([] if first is None else [
+        f"qubit level {first} of the {n_levels} read has over "
+        f"{EDGE_WEIGHT_LIMIT:g} of its weight on the outermost waves"])
+    assert all(w.category is BasisRangeWarning for w in caught)
+    assert spec.energies.shape == (n_levels,)
+    assert spec.coefficients.shape == (n_levels, 32)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import dataclasses
 from dataclasses import replace
 
@@ -20,8 +21,9 @@ from fluxrabi.circuit import GAUGES, gauge_circuit
 from fluxrabi.config import TASK_NAMES, NumericsConfig, reference_config
 from fluxrabi.coupled import build_coupled_eigenbasis, observables
 from fluxrabi.fitting import RabiFitResult, fit_transition_pairs
-from fluxrabi.planewave import PlaneWaveBasis, diagonalize_flux_qubit
-from fluxrabi.qubit import PHIX_FIT_GRID
+from fluxrabi.planewave import (BasisRangeWarning, PlaneWaveBasis,
+                                diagonalize_flux_qubit)
+from fluxrabi.qubit import PHIX_FIT_GRID, node_spectrum
 from fluxrabi.tasks import (
     REGRESSION_BOUNDS,
     REGRESSION_PINS,
@@ -161,8 +163,7 @@ def test_no_task_loads_scipy_optimize(tmp_path):
 def test_perturbation_point_solves_the_qubit_once(monkeypatch):
     # the perturbation sums read a slice of the coupling the eigenbasis
     # build assembled from, so one bias point costs one qubit solve
-    import fluxrabi.coupled as coupled
-    import fluxrabi.perturbation as perturbation
+    import fluxrabi.qubit as qubit
 
     biases = []
 
@@ -170,9 +171,7 @@ def test_perturbation_point_solves_the_qubit_once(monkeypatch):
         biases.append(phix)
         return diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
 
-    for module in (coupled, perturbation, tasks):
-        monkeypatch.setattr(module, "diagonalize_flux_qubit", counted,
-                            raising=False)
+    monkeypatch.setattr(qubit, "diagonalize_flux_qubit", counted)
     raw = reference_config(lc=350.0).circuit
     for gauge in GAUGES:
         for phix in (0.499, 0.5):
@@ -188,7 +187,6 @@ def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
     # builds, the two-level reductions and the qubit tasks, runs once per
     # (node, bias): the charge node, the same at every Lc, once for both.
     # The memo that shares them is gone once run returns or raises
-    import fluxrabi.coupled as coupled
     import fluxrabi.qubit as qubit
 
     coupled_solves, qubit_solves = [], []
@@ -202,8 +200,7 @@ def test_run_solves_each_shared_point_once(monkeypatch, tmp_path):
         return diagonalize_flux_qubit(ecj, ej, elfq, phix, basis)
 
     monkeypatch.setattr(tasks, "build_coupled_eigenbasis", coupled_counted)
-    for module in (coupled, qubit, tasks):
-        monkeypatch.setattr(module, "diagonalize_flux_qubit", qubit_counted)
+    monkeypatch.setattr(qubit, "diagonalize_flux_qubit", qubit_counted)
     cfg = small_config(
         tasks=("observables", "perturbation", "qubit-spectrum", "rabi-map",
                "matrix-elements", "wavefunctions"),
@@ -397,6 +394,23 @@ def test_observable_rows_match_a_direct_solve_of_their_states(lc, num):
                 == np.array(expected).tobytes())
 
 
+def test_sweep_past_the_resolved_qubit_levels_warns_once_per_run(tmp_path):
+    # at n_qubit 20 every coupled solve tabulates qubit levels 18 and 19,
+    # which the qubit basis does not resolve, in both gauges at both Lc;
+    # the run warns once, not once per point, whatever the warning filter
+    cfg = small_config(
+        tasks=("circuit-spectrum",), phix_points=5, lc_list=(20.0, 350.0),
+        output_dir=str(tmp_path),
+        numerics=NumericsConfig(gauge="both", n_qubit=20, n_fock=10,
+                                verify=False))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(cfg) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [(
+        BasisRangeWarning, "qubit level 18 of the 20 read has over 1e-06 of "
+        "its weight on the outermost waves")]
+
+
 def test_shared_solves_are_read_only(monkeypatch):
     # a task writing into a shared solve would change another task's rows
     raw = reference_config().circuit
@@ -404,11 +418,13 @@ def test_shared_solves_are_read_only(monkeypatch):
     fresh = tasks._point("flux", raw, num)  # outside run: not shared
     assert tasks._point("flux", raw, num) is not fresh
     assert fresh.energies.flags.writeable
+    node = (*gauge_circuit("flux", raw).qubit_node, raw.phix)
     monkeypatch.setattr(planewave, "_solves", {})
     spec = tasks._point("flux", raw, num)
-    qubit = tasks._qubit_solve(raw)
+    qubit = node_spectrum(*node, 6)
     assert tasks._point("flux", raw, num) is spec
-    assert tasks._qubit_solve(raw) is qubit
+    # another level count reads the same shared solve
+    assert np.shares_memory(node_spectrum(*node, 2).energies, qubit.energies)
     coupling = spec.coupling
     for array in (spec.energies, spec.vectors, coupling.qubit_energies,
                   coupling.qubit_elements, coupling.qubit_phase,
