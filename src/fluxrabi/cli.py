@@ -39,8 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command != "run":
-        return 2
     tasks = [t.strip() for t in args.tasks.split(",")] if args.tasks else None
     try:
         cfg = load_config(args.config, output_override=args.out,

@@ -105,6 +105,11 @@ class RunConfig:
         for task in self.tasks:
             if task not in TASK_NAMES:
                 raise ConfigError(f"unknown task {task!r}; known: {TASK_NAMES}")
+        for name, values in (("task", self.tasks),
+                             ("sweep.Lc_list_pH value", self.lc_list or ())):
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:  # its rows or files would be written twice
+                raise ConfigError(f"repeated {name} {repeats[0]!r}")
         num = self.numerics
         # perturbation reads |1,g> and |1,e> at indices 2 and 3
         if "perturbation" in self.tasks and min(num.n_qubit, num.n_fock) < 2:
@@ -127,8 +132,6 @@ class RunConfig:
 
     @property
     def phix_grid(self) -> np.ndarray:
-        if self.phix_points == 1:
-            return np.array([self.phix_start])
         return np.linspace(self.phix_start, self.phix_stop, self.phix_points)
 
     def circuit_at(self, lc: float) -> RawCircuit:
@@ -247,7 +250,7 @@ def load_config(path: str, **overrides) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc, **overrides)
 

@@ -92,8 +92,8 @@ class ProductCoupling:
             raise ValueError("qubit tables do not match the qubit energies")
 
     def truncated(self, n_levels: int) -> "ProductCoupling":
-        """The coupling on the lowest n_levels qubit levels (at most the
-        tabulated ones)."""
+        """The coupling on its lowest n_levels (at most all) qubit levels:
+        the one cut of its tables, as qubit.node_spectrum is of a node's."""
         return replace(self,
                        qubit_elements=self.qubit_elements[:n_levels, :n_levels],
                        qubit_energies=self.qubit_energies[:n_levels],
@@ -139,22 +139,21 @@ def circuit_coupling(gauge: str, raw: RawCircuit,
                      n_levels: int = len(QUBIT_LEVEL_TAGS)) -> ProductCoupling:
     """The physical product coupling of one gauge, in GHz units.
 
-    Tabulates the lowest n_levels levels of the qubit node of
-    gauge_circuit(gauge, raw), as qubit.node_spectrum hands them out.  The
+    Tabulates every level of the qubit node of gauge_circuit(gauge, raw)
+    that qubit.node_spectrum, the one cut, hands out at n_levels.  The
     band holds only the blocks above the diagonal, so K must share the
     symmetry of X (symmetric with a + a', antisymmetric with a - a'),
     judged on the tabulated table by check_hermitian on K or on 1j K, for
-    the blocks below the diagonal to be their transposes; else
-    EigensolveError.
+    the blocks below the diagonal to be their transposes; else EigensolveError.
     """
     circuit = gauge_circuit(gauge, raw)
     qubit_spectrum = node_spectrum(*circuit.qubit_node, raw.phix, n_levels)
-    phase = phase_matrix(qubit_spectrum, n_levels)
+    phase = phase_matrix(qubit_spectrum)
     if gauge == "flux":
         qub = phase
         check_hermitian(qub, "qubit element table, by the symmetry of a + a',")
     else:
-        qub = number_matrix(qubit_spectrum, n_levels)
+        qub = number_matrix(qubit_spectrum)
         check_hermitian(1j * qub,
                         "qubit element table, by the symmetry of a - a',")
     return ProductCoupling(
@@ -353,12 +352,12 @@ def observables(spec: CoupledSpectrum,
     """Photon number, flux expectations, and loop currents of every
     eigenstate the spectrum holds, ground state first.
 
-    One pass over the (states, n_fock, n_qubit) block of the vectors and
-    one 2 x 2 solve for the currents of all states.
+    One pass over the (states, n_fock, n_qubit) vectors and the phase table
+    cut by ProductCoupling.truncated; one 2 x 2 solve for all the currents.
     """
     circuit = gauge_circuit(spec.gauge, raw)
     n_fock, n_qubit = spec.dims
-    qubit_phase = spec.coupling.qubit_phase[:n_qubit, :n_qubit]
+    qubit_phase = spec.coupling.truncated(n_qubit).qubit_phase
     psi = spec.vectors.T.reshape(-1, n_fock, n_qubit)
     photon = np.sum(np.sum(psi**2, axis=2) * np.arange(n_fock), axis=1)
     # Phi1 is proportional to a + a' in both gauges (the zero-point

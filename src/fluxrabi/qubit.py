@@ -95,18 +95,17 @@ def node_spectrum(ecj: float, ej: float, elfq: float, phix: float,
                    coefficients=coeffs)
 
 
-def phase_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
-    """Phi[j, i] = <j|phase|i> over the lowest levels, real symmetric;
-    phase = 2 pi Phi2 / Phi0."""
-    coeffs = spectrum.coefficients[:n_levels]
-    k = spectrum.basis.wave_numbers
-    return coeffs @ (coeffs * k).T
+def phase_matrix(spectrum: SubsystemSpectrum) -> np.ndarray:
+    """Phi[j, i] = <j|phase|i> over every level of spectrum (node_spectrum
+    cuts them), real symmetric; phase = 2 pi Phi2 / Phi0."""
+    coeffs = spectrum.coefficients
+    return coeffs @ (coeffs * spectrum.basis.wave_numbers).T
 
 
-def number_matrix(spectrum: SubsystemSpectrum, n_levels: int) -> np.ndarray:
-    """B over the lowest levels, real antisymmetric, with <j|n|i> =
-    1j B[j, i]; n is the charge in 2e units."""
-    coeffs = spectrum.coefficients[:n_levels]
+def number_matrix(spectrum: SubsystemSpectrum) -> np.ndarray:
+    """B over every level of spectrum (node_spectrum cuts them), real
+    antisymmetric, with <j|n|i> = 1j B[j, i]; n is the charge in 2e units."""
+    coeffs = spectrum.coefficients
     return coeffs @ linear_kernel(spectrum.basis) @ coeffs.T
 
 
@@ -196,10 +195,10 @@ def characterize_qubit(ecj: float, ej: float, elfq: float) -> TwoLevelFit:
     spectra = [node_spectrum(ecj, ej, elfq, float(phix), 2)
                for phix in PHIX_FIT_GRID]
     e0, e1 = np.array([s.energies for s in spectra]).T
-    gg, ee = np.array([np.diag(phase_matrix(s, 2)) for s in spectra]).T
+    gg, ee = np.array([np.diag(phase_matrix(s)) for s in spectra]).T
     fit = fit_two_level(PHIX_FIT_GRID, e0, e1)
     phi2max = extract_phi2max(PHIX_FIT_GRID, gg / (2.0 * math.pi),
                               ee / (2.0 * math.pi), fit)
     symmetric = node_spectrum(ecj, ej, elfq, 0.5, 2)
-    q2max = abs(number_matrix(symmetric, 2)[0, 1])
+    q2max = abs(number_matrix(symmetric)[0, 1])
     return replace(fit, Phi2max=phi2max, q2max=float(q2max))

@@ -189,10 +189,14 @@ def _levels(gauge, raw, num):
     return _point(gauge, raw, num).energies[:N_COUPLED_LEVELS]
 
 
+def _flux_node(raw, n_levels=len(QUBIT_LEVEL_TAGS)):
+    """node_spectrum of the flux-gauge qubit node at the point's bias."""
+    return node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
+                         n_levels)
+
+
 def _qubit_level_rows(gauge, raw, num):
-    spec = node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
-                         len(QUBIT_LEVEL_TAGS))
-    return _level_tails("planewave", [float(e) for e in spec.energies])
+    return _level_tails("planewave", _flux_node(raw).energies.tolist())
 
 
 def _level_rows(gauge, raw, num):
@@ -208,17 +212,15 @@ def _observable_rows(gauge, raw, num):
 
 
 def _matrix_element_rows(gauge, raw, num):
-    spec = node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
-                         len(QUBIT_LEVEL_TAGS))
-    phase, number = phase_matrix(spec, 3), number_matrix(spec, 3)
+    spec = _flux_node(raw, 3)
+    phase, number = phase_matrix(spec), number_matrix(spec)
     out = []
-    for j in range(3):
+    for j in range(len(spec.energies)):
         for i in range(2):
             tag = f"{QUBIT_LEVEL_TAGS[j]}{QUBIT_LEVEL_TAGS[i]}"
-            out.append(("planewave", f"flux_elem_{tag}", "",
-                        phase[j, i] / (2.0 * math.pi), "Phi0"))
-            out.append(("planewave", f"charge_elem_im_{tag}", "", number[j, i],
-                        "2e"))
+            out += [("planewave", f"flux_elem_{tag}", "",
+                     phase[j, i] / (2.0 * math.pi), "Phi0"),
+                    ("planewave", f"charge_elem_im_{tag}", "", number[j, i], "2e")]
     return out
 
 
@@ -256,15 +258,13 @@ def _perturbation_rows(gauge, raw, num):
 
 
 def _wavefunction_rows(gauge, raw, num):
-    spec = node_spectrum(*gauge_circuit("flux", raw).qubit_node, raw.phix,
-                         len(QUBIT_LEVEL_TAGS))
+    spec = _flux_node(raw)
+    waves = spec.basis.wave_numbers.tolist()
     out = []
-    for i, coefficients in enumerate(spec.coefficients):
-        for kk, a in zip(spec.basis.wave_numbers, coefficients):
-            out.append(("planewave", f"state_{i}_amplitude_real", float(kk),
-                        float(a), "1"))
-            out.append(("planewave", f"state_{i}_prob", float(kk),
-                        float(a * a), "1"))
+    for i, coefficients in enumerate(spec.coefficients.tolist()):
+        for kk, a in zip(waves, coefficients):
+            out += [("planewave", f"state_{i}_amplitude_real", kk, a, "1"),
+                    ("planewave", f"state_{i}_prob", kk, a * a, "1")]
     return out
 
 

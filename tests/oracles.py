@@ -7,6 +7,7 @@ plane-wave solver, so agreement between the two is a real check.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -121,7 +122,8 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
 
     The coupling enters as written in the physics, (a + a') (x) <j|phase|i>
     in the flux gauge and -1j (a - a') (x) <j|n|i> in the charge gauge,
-    with the element tables of the lowest n_table qubit levels lifted to
+    with the element tables of the lowest n_table qubit levels (the
+    spectrum cut to them, as fluxrabi.qubit.node_spectrum cuts) lifted to
     their complex forms, Phi + 0j and <j|n|i> = 1j B, and no claim about
     which part of the product vanishes.  Reference for the real
     assembly in fluxrabi.coupled.build_coupled_eigenbasis, whose tables
@@ -163,8 +165,8 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
         elfq = inductive_energy_ghz(l_fq * PH)
         osc = quadrature_matrix("flux", n_fock)
 
-        def table(spectrum, n):
-            return phase_matrix(spectrum, n) + 0j
+        def table(spectrum):
+            return phase_matrix(spectrum) + 0j
     else:
         inv_c = 1.0 / (raw.C * PF) + (l_lc / l12) ** 2 / (raw.CJ * FF)
         c_prime = 1.0 / inv_c / PF * PF
@@ -177,11 +179,12 @@ def complex_eigenbasis_hamiltonian(gauge, raw, n_qubit, n_fock, n_table):
         elfq = inductive_energy_ghz((raw.Lc + raw.L2) * PH)
         osc = ladder_difference(n_fock)
 
-        def table(spectrum, n):
-            return 1j * number_matrix(spectrum, n)
+        def table(spectrum):
+            return 1j * number_matrix(spectrum)
     spectrum = diagonalize_flux_qubit(charging_energy_ghz(raw.CJ * FF), raw.EJ,
                                       elfq, raw.phix, PlaneWaveBasis.for_qubit())
-    elems = table(spectrum, n_table)
+    elems = table(replace(spectrum,
+                          coefficients=spectrum.coefficients[:n_table]))
     h = np.kron(np.diag(omega * (np.arange(n_fock) + 0.5)), np.eye(n_qubit))
     h = h + np.kron(np.eye(n_fock), np.diag(spectrum.energies[:n_qubit]))
     return h + coupling * np.kron(osc, elems[:n_qubit, :n_qubit])

@@ -102,6 +102,28 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": 1, "x": "\xff"}')
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+
+
+def test_repeats_exit_2(tmp_path, capsys):
+    doc = small_doc()
+    doc["sweep"]["Lc_list_pH"] = [20.0, 350.0, 20]
+    out = tmp_path / "never"
+    cfg = write_doc(tmp_path, doc)
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "repeated sweep.Lc_list_pH value 20.0" in capsys.readouterr().err
+    cfg = write_doc(tmp_path, small_doc(), name="ok.json")
+    assert main(["run", "--config", cfg, "--out", str(out),
+                 "--tasks", "rabi-map,inductance-compare,rabi-map"]) == 2
+    assert "repeated task 'rabi-map'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_out_flag_exits_2(tmp_path, capsys):
     cfg = write_doc(tmp_path, small_doc())
     assert main(["run", "--config", cfg, "--out", ""]) == 2

@@ -172,6 +172,29 @@ def test_sweep_grid_validation():
     doc["sweep"] = {"phix_start_Phi0": 0.498, "phix_points": 1}
     cfg = parse_config(doc)
     assert np.array_equal(cfg.phix_grid, [0.498])
+    # one point is the start, bit for bit, even with the stop below it
+    doc["sweep"] = {"phix_start_Phi0": 0.5, "phix_stop_Phi0": 0.3,
+                    "phix_points": 1}
+    grid = parse_config(doc).phix_grid
+    assert grid.tobytes() == np.array([0.5]).tobytes()
+
+
+@pytest.mark.parametrize("lc_list, tasks, override, match", [
+    ([20.0, 20.0], ["rabi-map"], None, "repeated sweep.Lc_list_pH value 20.0"),
+    ([20, 350.0, 20.0], ["rabi-map"], None,
+     "repeated sweep.Lc_list_pH value 20.0"),
+    (None, ["rabi-map", "qubit-spectrum", "rabi-map"], None,
+     "repeated task 'rabi-map'"),
+    (None, ["rabi-map"], ["circuit-spectrum", "circuit-spectrum"],
+     "repeated task 'circuit-spectrum'"),
+])
+def test_repeats_are_config_errors(lc_list, tasks, override, match):
+    # a repeated Lc or task would write its rows or files twice
+    doc = minimal_doc()
+    doc["sweep"] = {"Lc_list_pH": lc_list}
+    doc["tasks"] = tasks
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc, tasks_override=override)
 
 
 def test_numerics_validation():

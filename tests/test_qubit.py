@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,10 +195,10 @@ def test_extract_phi2max_recovers_scale():
 
 def test_matrix_element_tables_follow_phase_convention(parts20):
     p = parts20
-    spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.5,
-                                  PlaneWaveBasis.for_qubit())
-    phase = phase_matrix(spec, 4)
-    number = number_matrix(spec, 4)
+    spec = node_spectrum(*p.flux.qubit_node, 0.5, 4)
+    phase = phase_matrix(spec)
+    number = number_matrix(spec)
+    assert phase.shape == number.shape == (4, 4)
     # <j|phase|i> is real symmetric and <j|n|i> = 1j B with B real
     # antisymmetric, so both operators are Hermitian
     assert np.abs(phase - phase.T).max() < 1e-10 * np.abs(phase).max()
@@ -208,9 +209,8 @@ def test_matrix_element_tables_follow_phase_convention(parts20):
 
 def test_diagonal_flux_elements_split_off_symmetry(parts20):
     p = parts20
-    spec = diagonalize_flux_qubit(*p.flux.qubit_node,
-                                  0.503, PlaneWaveBasis.for_qubit())
-    phase = phase_matrix(spec, 2) / (2.0 * math.pi)
+    spec = node_spectrum(*p.flux.qubit_node, 0.503, 2)
+    phase = phase_matrix(spec) / (2.0 * math.pi)
     gg, ee = float(phase[0, 0]), float(phase[1, 1])
     assert gg < 0.0 < ee
     assert abs(gg + ee) < 0.01 * abs(ee)
@@ -221,9 +221,10 @@ def test_qubit_layer_is_real(parts20):
     # every table of the product coupling are float64, not complex
     p = parts20
     basis = PlaneWaveBasis.for_qubit()
-    spec = diagonalize_flux_qubit(*p.flux.qubit_node, 0.503, basis)
-    tables = [spec.coefficients, phase_matrix(spec, 6),
-              number_matrix(spec, 6), linear_kernel(basis)]
+    spec = node_spectrum(*p.flux.qubit_node, 0.503, 6)
+    tables = [diagonalize_flux_qubit(*p.flux.qubit_node, 0.503,
+                                     basis).coefficients,
+              phase_matrix(spec), number_matrix(spec), linear_kernel(basis)]
     for gauge in ("flux", "charge"):
         coupling = circuit_coupling(gauge, p.raw)
         tables += [coupling.qubit_elements, coupling.qubit_energies,
@@ -240,15 +241,16 @@ def test_charge_table_follows_from_phase_table(ecj, ej, elfq, phix):
     # tables are computed independently, and this pins the sign and scale
     # of both.  Judged only on levels the basis resolves.
     n = 6
-    spec = diagonalize_flux_qubit(ecj, ej, elfq, phix,
+    full = diagonalize_flux_qubit(ecj, ej, elfq, phix,
                                   PlaneWaveBasis.for_qubit())
-    coeffs = spec.coefficients[:n]
+    spec = replace(full, energies=full.energies[:n],
+                   coefficients=full.coefficients[:n])
+    coeffs, energies = spec.coefficients, spec.energies
     ok = coeffs[:, 0] ** 2 + coeffs[:, -1] ** 2 < EDGE_WEIGHT_LIMIT
     assert ok[:2].all()
-    energies = spec.energies[:n]
     predicted = ((energies[None, :] - energies[:, None]) / (8.0 * ecj)
-                 * phase_matrix(spec, n))
-    number = number_matrix(spec, n)
+                 * phase_matrix(spec))
+    number = number_matrix(spec)
     judged = np.ix_(ok, ok)
     scale = np.abs(number[judged]).max()
     assert np.abs(number - predicted)[judged].max() <= 1e-10 * scale
